@@ -22,15 +22,11 @@ from .lightpath import (
     blocking_full_conversion,
     blocking_without_conversion,
     converter_layout,
-    exact_layout_success,
-    layout_availability,
-    layout_power_set,
     lightpath_blocking,
     load_architectures,
     node_mean_free_prob,
     segment_success_prob,
     share_per_link_availability,
-    share_per_node_availability,
     uniform_architectures,
 )
 from .placement import (
@@ -40,7 +36,7 @@ from .placement import (
     place_heuristic,
     rank_inventory,
 )
-from .runprob import RunProbTable, ramp, run_probability, run_probability_bruteforce
+from .runprob import run_probability, run_probability_bruteforce
 from .simulator import (
     NetworkState,
     SimConfig,

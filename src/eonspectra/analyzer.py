@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lightpath import (
-    ArchitectureMap,
-    BlockingDiagnostics,
-    LinkFreeProbs,
-    lightpath_blocking,
-)
+from .lightpath import ArchitectureMap, LinkFreeProbs, lightpath_blocking
 from .topology import (
     CrossingStats,
     DemandSpec,
@@ -57,7 +52,6 @@ class AnalysisResult:
     iterations: int
     converged: bool
     trajectory: list[float] = field(default_factory=list)
-    diagnostics: BlockingDiagnostics = field(default_factory=BlockingDiagnostics)
 
 
 def demand_blocking(
@@ -68,7 +62,6 @@ def demand_blocking(
     stats: CrossingStats,
     slot_count: int,
     run_memo: dict | None = None,
-    diagnostics: BlockingDiagnostics | None = None,
 ) -> float:
     """Average blocking of one demand: its slot-count pmf weighting the
     per-slot-count lightpath blocking.  Requests larger than the fiber
@@ -80,9 +73,7 @@ def demand_blocking(
         if s > slot_count:
             total += p
             continue
-        total += p * lightpath_blocking(
-            s, path, archs, phis, stats, slot_count, run_memo, diagnostics
-        )
+        total += p * lightpath_blocking(s, path, archs, phis, stats, slot_count, run_memo)
     return total
 
 
@@ -144,7 +135,6 @@ def fixed_point(
     p_prev = -1.0
 
     phis: LinkFreeProbs = {}
-    diagnostics = BlockingDiagnostics()
     trajectory: list[float] = []
     iterations = 0
     while abs(p_net - p_prev) > config.epsilon and iterations < config.max_iter:
@@ -157,9 +147,7 @@ def fixed_point(
             phis = fresh
         run_memo: dict = {}
         blockings = [
-            demand_blocking(
-                demand, route, archs, phis, stats, graph.slot_count, run_memo, diagnostics
-            )
+            demand_blocking(demand, route, archs, phis, stats, graph.slot_count, run_memo)
             for demand, route in zip(demands, routes)
         ]
         p_net = network_blocking(demands, blockings)
@@ -173,13 +161,6 @@ def fixed_point(
             iterations,
             abs(p_net - p_prev),
         )
-    if diagnostics.clamp_breach > 1e-9:
-        log.warning(
-            "blocking overshoot clamped during iteration (worst breach %.3e); "
-            "the layout expansion is an approximation and can exceed 1 in "
-            "extreme regimes",
-            diagnostics.clamp_breach,
-        )
     if not phis:  # loop body never ran (epsilon above the initial delta)
         phis = phi_update(demands, routes, blockings, graph)
     return AnalysisResult(
@@ -189,5 +170,4 @@ def fixed_point(
         iterations=iterations,
         converged=converged,
         trajectory=trajectory,
-        diagnostics=diagnostics,
     )

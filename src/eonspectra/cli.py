@@ -9,6 +9,7 @@ table) and ``gen-demands`` (random demand sets).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 import zlib
@@ -225,6 +226,14 @@ def _analysis_config(args, seed: int) -> AnalysisConfig:
     )
 
 
+def _analysis_parameters(config: AnalysisConfig) -> dict:
+    """Manifest entries of an analysis config, without the derived seed:
+    manifests record the user's root seed."""
+    parameters = dataclasses.asdict(config)
+    del parameters["seed"]
+    return parameters
+
+
 def _cmd_analyze(args) -> int:
     graph, demands, archs = _load_inputs(args)
     config = _analysis_config(args, derive_seed(args.seed, "analysis"))
@@ -237,10 +246,7 @@ def _cmd_analyze(args) -> int:
         {
             "format": args.format,
             "seed": args.seed,
-            "epsilon": config.epsilon,
-            "max_iter": config.max_iter,
-            "damping": config.damping,
-            "port_load_weighted": config.port_load_weighted,
+            **_analysis_parameters(config),
             "converged": result.converged,
             "iterations": result.iterations,
         },
@@ -307,10 +313,7 @@ def _cmd_place(args) -> int:
             "seed": args.seed,
             "converters": args.converters,
             "oracle": args.oracle,
-            "epsilon": config.epsilon,
-            "max_iter": config.max_iter,
-            "damping": config.damping,
-            "port_load_weighted": config.port_load_weighted,
+            **_analysis_parameters(config),
             "evaluations": result.evaluations,
         },
         _input_paths(args),
@@ -345,7 +348,7 @@ def _cmd_sweep(args) -> int:
     if base_traffic <= 0:
         raise InputError("base demand set carries no traffic")
     config = _analysis_config(args, derive_seed(args.seed, "analysis"))
-    sim_seed = derive_seed(args.seed, "simulation")
+    sim_config = _sim_config(args, derive_seed(args.seed, "simulation")) if args.with_sim else None
 
     rows = []
     any_unconverged = False
@@ -365,13 +368,6 @@ def _cmd_sweep(args) -> int:
                 "sim_ci95": None,
             }
             if args.with_sim:
-                sim_config = SimConfig(
-                    seed=sim_seed,
-                    warmup=args.warmup,
-                    horizon=args.horizon,
-                    replications=args.replications,
-                    policy=args.policy,
-                )
                 sim = simulate(graph, scaled, setting, sim_config, routes=routes)
                 row["sim_blocking"] = sim.network_blocking_prob
                 row["sim_ci95"] = sim.ci95_half_width
@@ -386,10 +382,7 @@ def _cmd_sweep(args) -> int:
             "traffic": targets,
             "settings": [name for name, _ in settings],
             "with_sim": args.with_sim,
-            "epsilon": config.epsilon,
-            "max_iter": config.max_iter,
-            "damping": config.damping,
-            "port_load_weighted": config.port_load_weighted,
+            **_analysis_parameters(config),
             "warmup": args.warmup,
             "horizon": args.horizon,
             "replications": args.replications,

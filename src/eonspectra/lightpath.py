@@ -1,35 +1,31 @@
 """Blocking probability of a single routed lightpath.
 
 A request for S contiguous slots succeeds on a converter-free path only if
-some S-slot window is free on every hop.  Converters at interior nodes cut
-the path into segments that may use different windows.  The general engine
-expands the path's converter layout into its power set: for each
-sub-layout l it combines
+some S-slot window is free on every hop.  A free converter at an interior
+node cuts the path there, and each resulting segment may use its own
+window.  With independent links and independent converters (Barry &
+Humblet 1996; Subramaniam, Azizoglu & Somani 1996) the blocking is one
+expectation over the random set T of free converters:
 
-  * the probability the path is established using exactly the converters
-    of l (``exact_layout_success``), and
-  * the probability those converters are actually free to take the request
-    (``layout_availability``, architecture dependent),
+    blocking = E_T[1 - seg(T)]
 
-and sums the products.  Layouts are tuples of path positions
-``(1, p2, ..., H+1)``: fixed endpoints plus the interior positions that
-hold a converter.
+where converter i is free with probability a_i (``converter_availability``,
+architecture dependent) and seg(T) is ``segment_success_prob`` for the
+layout cut at T.  It is evaluated one converter at a time as a convex
+combination of the two branches, so the result is a probability by
+construction.  Layouts are tuples of path positions ``(1, p2, ..., H+1)``:
+fixed endpoints plus the interior positions that hold a converter.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
+from dataclasses import dataclass
 
 from .errors import ArchitectureError
-from .runprob import ramp, run_probability
+from .runprob import run_probability
 from .topology import CrossingStats, NetworkGraph, RoutedPath
-
-log = logging.getLogger(__name__)
 
 SIMPLE = "simple"
 FULL = "full"
@@ -39,9 +35,7 @@ SHARE_PER_NODE = "share_per_node"
 _KINDS = (SIMPLE, FULL, SHARE_PER_LINK, SHARE_PER_NODE)
 _SHARED_KINDS = (SHARE_PER_LINK, SHARE_PER_NODE)
 
-_MAX_LAYOUT = 20  # power-set guard: 2^20 sub-layouts
-_CLAMP_NOISE = 1e-12  # ramp arguments above -this are float dust, not clamps
-_BREACH_TOL = 1e-9
+_MAX_LAYOUT = 20  # guard: up to 2^20 free/busy converter states
 
 
 @dataclass(frozen=True)
@@ -134,92 +128,38 @@ def converter_layout(path: RoutedPath, archs: ArchitectureMap) -> tuple[int, ...
     return (1,) + interior + (hops + 1,)
 
 
-@lru_cache(maxsize=4096)
-def _power_set_cached(layout: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    interior = layout[1:-1]
-    if len(interior) > _MAX_LAYOUT:
-        raise ValueError(f"layout with {len(interior)} converters exceeds guard {_MAX_LAYOUT}")
-    first, last = layout[0], layout[-1]
-    subs = []
-    for size in range(len(interior) + 1):
-        for chosen in combinations(interior, size):
-            subs.append((first,) + chosen + (last,))
-    return tuple(subs)
-
-
-def layout_power_set(layout: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every sub-layout of ``layout`` keeping the endpoints, ordered by
-    interior size then lexicographically."""
-    return list(_power_set_cached(layout))
-
-
 def segment_success_prob(
     min_run: int,
     slot_count: int,
     layout: tuple[int, ...],
     hop_free_probs,
-    run_memo: dict | None = None,
 ) -> float:
     """Probability that every segment of ``layout`` offers ``min_run``
     contiguous free slots.
 
-    Segment k spans hops layout[k]..layout[k+1]-1; a slot is free on the
-    whole segment with the product of the per-hop probabilities.
+    Segment k spans hops layout[k]..layout[k+1]-1.
     """
+    run_memo: dict = {}
     result = 1.0
     for a, b in zip(layout, layout[1:]):
-        rho = math.prod(hop_free_probs[h - 1] for h in range(a, b))
-        if run_memo is None:
-            result *= run_probability(min_run, slot_count, rho)
-        else:
-            key = (min_run, slot_count, rho)
-            value = run_memo.get(key)
-            if value is None:
-                value = run_probability(min_run, slot_count, rho)
-                run_memo[key] = value
-            result *= value
+        result *= _segment_prob(min_run, slot_count, hop_free_probs, a, b, run_memo)
         if result == 0.0:
             break
     return result
 
 
-@dataclass
-class PathContext:
-    """Shared scratch state for evaluating one lightpath."""
-
-    slot_count: int
-    hop_free_probs: tuple[float, ...]
-    memo: dict = field(default_factory=dict)  # (min_run, layout) -> success prob
-    run_memo: dict = field(default_factory=dict)  # (S, F, rho) -> run probability
-    ramp_clamps: int = 0
-
-
-def exact_layout_success(min_run: int, layout: tuple[int, ...], ctx: PathContext) -> float:
-    """Probability the lightpath is established with exactly the converters
-    of ``layout`` participating.
-
-    The segmented success probability counts every establishment that uses
-    at most these converters, so the contributions of all strict
-    sub-layouts are subtracted; the ramp keeps the approximation
-    nonnegative.
-    """
-    key = (min_run, layout)
-    value = ctx.memo.get(key)
-    if value is not None:
-        return value
-    seg = segment_success_prob(min_run, ctx.slot_count, layout, ctx.hop_free_probs, ctx.run_memo)
-    if len(layout) == 2:
-        value = seg
-    else:
-        below = math.fsum(
-            exact_layout_success(min_run, sub, ctx)
-            for sub in _power_set_cached(layout)[:-1]  # strict sub-layouts
-        )
-        raw = seg - below
-        if raw < -_CLAMP_NOISE:
-            ctx.ramp_clamps += 1
-        value = ramp(raw)
-    ctx.memo[key] = value
+def _segment_prob(
+    min_run: int, slot_count: int, hop_free_probs, a: int, b: int, run_memo: dict
+) -> float:
+    """Run probability of the segment over hops a..b-1, on which a slot is
+    free with the product of the per-hop probabilities; memoized in
+    ``run_memo`` by (min_run, slot_count, rho)."""
+    rho = math.prod(hop_free_probs[a - 1 : b - 1])
+    key = (min_run, slot_count, rho)
+    value = run_memo.get(key)
+    if value is None:
+        value = run_probability(min_run, slot_count, rho)
+        run_memo[key] = value
     return value
 
 
@@ -261,12 +201,6 @@ def node_mean_free_prob(stats: CrossingStats, phis: LinkFreeProbs, node: int) ->
     return math.fsum(stats.port_paths[j] / n_node * phis[j] for j in ports)
 
 
-def share_per_node_availability(n_sc: int, n_node: int, s_node: float, phi_node: float) -> float:
-    """Probability that a node-wide SCB bank has a free box; same binomial
-    form as the per-port bank with node-level aggregates."""
-    return share_per_link_availability(n_sc, n_node, s_node, phi_node)
-
-
 def converter_availability(
     position: int,
     path: RoutedPath,
@@ -289,7 +223,7 @@ def converter_availability(
             phis[exit_link.id],
         )
     if arch.kind == SHARE_PER_NODE:
-        return share_per_node_availability(
+        return share_per_link_availability(
             arch.n_sc,
             stats.node_paths[node],
             stats.node_slots[node],
@@ -298,32 +232,8 @@ def converter_availability(
     raise ArchitectureError(f"node {node} has no converter")
 
 
-def layout_availability(
-    layout: tuple[int, ...],
-    path: RoutedPath,
-    archs: ArchitectureMap,
-    stats: CrossingStats,
-    phis: LinkFreeProbs,
-) -> float:
-    """Probability that every converter of ``layout`` is free: the product
-    of the per-converter availabilities (1.0 for the empty layout)."""
-    result = 1.0
-    for position in layout[1:-1]:
-        result *= converter_availability(position, path, archs, stats, phis)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # blocking
-
-
-@dataclass
-class BlockingDiagnostics:
-    """Counters exposed for validation: how often the ramp clamped and the
-    worst amount by which the final probability left [0, 1]."""
-
-    ramp_clamps: int = 0
-    clamp_breach: float = 0.0
 
 
 def lightpath_blocking(
@@ -334,38 +244,62 @@ def lightpath_blocking(
     stats: CrossingStats,
     slot_count: int,
     run_memo: dict | None = None,
-    diagnostics: BlockingDiagnostics | None = None,
 ) -> float:
     """Blocking probability of a request for ``min_run`` contiguous slots
-    on ``path``, combining establishment and converter availability over
-    the power set of the path's converter layout."""
+    on ``path``: the expectation of 1 - seg(T) over the random set T of the
+    path's interior converters that are free to take the request."""
     if min_run > slot_count:
         return 1.0
     hop_probs = tuple(phis[link.id] for link in path.links)
-    ctx = PathContext(slot_count=slot_count, hop_free_probs=hop_probs)
-    if run_memo is not None:
-        ctx.run_memo = run_memo
-    layout = converter_layout(path, archs)
-    avail = {
-        pos: converter_availability(pos, path, archs, stats, phis) for pos in layout[1:-1]
-    }
-    established = 0.0
-    for sub in _power_set_cached(layout):
-        success = exact_layout_success(min_run, sub, ctx)
-        if success == 0.0:
-            continue
-        established += success * math.prod(avail[pos] for pos in sub[1:-1])
-    blocking = 1.0 - established
-    if diagnostics is not None:
-        diagnostics.ramp_clamps += ctx.ramp_clamps
-    if blocking < 0.0 or blocking > 1.0:
-        breach = max(-blocking, blocking - 1.0)
-        if diagnostics is not None:
-            diagnostics.clamp_breach = max(diagnostics.clamp_breach, breach)
-        if breach > _BREACH_TOL:
-            log.debug("lightpath blocking %.3e outside [0, 1] by %.3e", blocking, breach)
-        blocking = min(max(blocking, 0.0), 1.0)
-    return blocking
+    converters = tuple(
+        (pos, converter_availability(pos, path, archs, stats, phis))
+        for pos in converter_layout(path, archs)[1:-1]
+    )
+    if run_memo is None:
+        run_memo = {}
+    return _expected_blocking(min_run, slot_count, hop_probs, converters, run_memo, 0, 1, 1.0)
+
+
+def _expected_blocking(
+    min_run: int,
+    slot_count: int,
+    hop_probs: tuple[float, ...],
+    converters: tuple[tuple[int, float], ...],
+    run_memo: dict,
+    i: int,
+    start: int,
+    established: float,
+) -> float:
+    """Expected blocking over the free/busy states of ``converters[i:]``,
+    given that the open segment starts at path position ``start`` and the
+    segments closed before it all succeed with probability ``established``.
+
+    A free converter closes the open segment at its position; a busy one
+    extends it.  Branches of probability zero are skipped, so always-free
+    converters cost nothing extra.  Kept at module level: a closure calling
+    itself would be a reference cycle that holds ``run_memo`` until the
+    cyclic garbage collector runs.
+    """
+    if established == 0.0:
+        return 1.0
+    if i == len(converters):
+        end = len(hop_probs) + 1
+        last = _segment_prob(min_run, slot_count, hop_probs, start, end, run_memo)
+        return 1.0 - established * last
+    pos, avail = converters[i]
+    if avail < 1.0:
+        busy = _expected_blocking(
+            min_run, slot_count, hop_probs, converters, run_memo, i + 1, start, established
+        )
+        if avail == 0.0:
+            return busy
+    closed = established * _segment_prob(min_run, slot_count, hop_probs, start, pos, run_memo)
+    free = _expected_blocking(
+        min_run, slot_count, hop_probs, converters, run_memo, i + 1, pos, closed
+    )
+    if avail == 1.0:
+        return free
+    return avail * free + (1.0 - avail) * busy
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,6 @@ _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 _mask_counts: dict[int, np.ndarray] = {}
 
 
-def ramp(x: float) -> float:
-    """x clipped below at zero."""
-    return x if x >= 0.0 else 0.0
-
-
 def _check_args(min_run: int, slots: int, free_prob: float) -> float:
     if min_run < 1:
         raise ValueError(f"run length must be >= 1, got {min_run}")
@@ -67,22 +62,6 @@ def run_probability(min_run: int, slots: int, free_prob: float) -> float:
             acc += values[f - j] * weights[j - 1]
         append(acc)
     return min(values[slots], 1.0)
-
-
-class RunProbTable:
-    """Memoized run probabilities for one fixed free-slot probability."""
-
-    def __init__(self, free_prob: float):
-        self.free_prob = _check_args(1, 0, free_prob)
-        self._memo: dict[tuple[int, int], float] = {}
-
-    def prob(self, min_run: int, slots: int) -> float:
-        key = (min_run, slots)
-        value = self._memo.get(key)
-        if value is None:
-            value = run_probability(min_run, slots, self.free_prob)
-            self._memo[key] = value
-        return value
 
 
 def _counts_for(slots: int) -> np.ndarray:

@@ -67,7 +67,6 @@ class Connection:
     slots: int
     segments: tuple[tuple[int, tuple[int, ...]], ...]  # (start slot, link ids)
     banks: tuple[tuple[str, int], ...]
-    departure: float | None = None
 
 
 class NetworkState:
@@ -381,7 +380,6 @@ def _run_replication(graph, demands, routes, archs, config, warmup, horizon, tra
                 if trace is not None:
                     trace(f"{t:.6f} arrival demand={d_idx} slots={s} blocked\n")
             else:
-                state.connections[conn_id].departure = t + hold
                 heapq.heappush(heap, (t + hold, seq, _DEPART, conn_id, 0, 0.0))
                 seq += 1
                 if trace is not None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -57,6 +58,11 @@ class NetworkGraph:
                 raise MissingNodeError(f"link {link.id} references unknown node")
             if link.tail == link.head:
                 raise TopologyParseError(f"self-loop at node {self.labels[link.tail - 1]!r}")
+            if not math.isfinite(link.weight):
+                raise TopologyParseError(
+                    f"link {self.labels[link.tail - 1]!r}->{self.labels[link.head - 1]!r} "
+                    f"has non-finite weight {link.weight}"
+                )
             if link.weight <= 0:
                 raise NonpositiveWeightError(
                     f"link {self.labels[link.tail - 1]!r}->{self.labels[link.head - 1]!r} "
@@ -115,6 +121,8 @@ class DemandSpec:
     def __post_init__(self):
         if self.src == self.dst:
             raise DemandError(f"demand src == dst ({self.src})")
+        if not (math.isfinite(self.rate) and math.isfinite(self.hold)):
+            raise DemandError(f"demand {self.src}->{self.dst}: rate and hold must be finite")
         if self.rate <= 0 or self.hold <= 0:
             raise DemandError(f"demand {self.src}->{self.dst}: rate and hold must be positive")
         if not self.slot_pmf:
@@ -123,8 +131,10 @@ class DemandSpec:
         for s, p in self.slot_pmf.items():
             if not isinstance(s, int) or s < 1:
                 raise DemandError(f"demand {self.src}->{self.dst}: slot count {s!r} must be int >= 1")
-            if p < 0:
-                raise DemandError(f"demand {self.src}->{self.dst}: negative pmf entry")
+            if not math.isfinite(p) or p < 0:
+                raise DemandError(
+                    f"demand {self.src}->{self.dst}: pmf entry {p} is not a probability"
+                )
             total += p
         if abs(total - 1.0) > 1e-12:
             raise DemandError(f"demand {self.src}->{self.dst}: pmf sums to {total}, not 1")

@@ -7,7 +7,10 @@ Carlo sampling of slot masks.
 
 from __future__ import annotations
 
-from itertools import permutations
+import math
+from functools import reduce
+from itertools import permutations, product
+from operator import and_
 
 import numpy as np
 
@@ -91,6 +94,44 @@ def run_probability_direct(min_run: int, slots: int, rho: float) -> float:
             free = mask.bit_count()
             total += rho**free * (1 - rho) ** (slots - free)
     return total
+
+
+def exact_lightpath_blocking(
+    min_run: int,
+    slot_count: int,
+    hop_free_probs,
+    converters: list[tuple[int, float]],
+) -> float:
+    """Lightpath blocking by exhaustive enumeration of every per-hop slot
+    mask and every free/busy state of the interior converters.
+
+    ``converters`` lists (path position, probability the converter is
+    free).  The path is cut at the free converters; the request is blocked
+    when some segment has no ``min_run`` slots free on all of its hops.
+    """
+    hops = len(hop_free_probs)
+    every_slot = (1 << slot_count) - 1
+    hop_masks = [
+        [
+            (mask, rho ** mask.bit_count() * (1.0 - rho) ** (slot_count - mask.bit_count()))
+            for mask in range(1 << slot_count)
+        ]
+        for rho in hop_free_probs
+    ]
+    terms = []
+    for states in product((True, False), repeat=len(converters)):
+        state_prob = math.prod(a if free else 1.0 - a for (_, a), free in zip(converters, states))
+        cuts = tuple(pos for (pos, _), free in zip(converters, states) if free)
+        layout = (1,) + cuts + (hops + 1,)
+        for masks in product(*hop_masks):
+            blocked = any(
+                longest_run(reduce(and_, (masks[h - 1][0] for h in range(a, b)), every_slot))
+                < min_run
+                for a, b in zip(layout, layout[1:])
+            )
+            if blocked:
+                terms.append(state_prob * math.prod(p for _, p in masks))
+    return math.fsum(terms)
 
 
 def placement_assignments(nodes, inventory):

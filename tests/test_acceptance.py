@@ -16,7 +16,6 @@ from eonspectra.lightpath import (
     FULL,
     SHARE_PER_LINK,
     SHARE_PER_NODE,
-    BlockingDiagnostics,
     NodeArchitecture,
     blocking_full_at,
     blocking_full_conversion,
@@ -105,7 +104,6 @@ def test_c3_engine_collapses_to_closed_forms():
 
     rng = np.random.default_rng(31)
     worst = 0.0
-    clamp_skips = 0
     checked = 0
     for _ in range(200):
         hops = int(rng.integers(1, 7))
@@ -119,39 +117,28 @@ def test_c3_engine_collapses_to_closed_forms():
         phis = {h + 1: float(x) for h, x in enumerate(rng.uniform(0.2, 1.0, hops))}
         hop_probs = tuple(phis[h + 1] for h in range(hops))
 
-        # empty layout (no ramp exists at all)
+        # empty layout
         got = lightpath_blocking(min_run, path, {}, phis, stats, slot_count)
         worst = max(worst, abs(got - blocking_without_conversion(min_run, slot_count, hop_probs)))
         checked += 1
 
         # all-full interior
         archs = {n: NodeArchitecture(FULL) for n in range(2, hops + 1)}
-        diag = BlockingDiagnostics()
-        got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count,
-                                 diagnostics=diag)
-        if diag.ramp_clamps == 0:
-            worst = max(worst, abs(got - blocking_full_conversion(min_run, slot_count, hop_probs)))
-            checked += 1
-        else:
-            clamp_skips += 1
+        got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count)
+        worst = max(worst, abs(got - blocking_full_conversion(min_run, slot_count, hop_probs)))
+        checked += 1
 
         # full converters at a random subset
         interior = tuple(p for p in range(2, hops + 1) if rng.random() < 0.5)
         archs = {path.nodes[p - 1]: NodeArchitecture(FULL) for p in interior}
-        diag = BlockingDiagnostics()
-        got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count,
-                                 diagnostics=diag)
-        if diag.ramp_clamps == 0:
-            layout = (1,) + interior + (hops + 1,)
-            worst = max(worst, abs(got - blocking_full_at(min_run, slot_count, layout, hop_probs)))
-            checked += 1
-        else:
-            clamp_skips += 1
+        got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count)
+        layout = (1,) + interior + (hops + 1,)
+        worst = max(worst, abs(got - blocking_full_at(min_run, slot_count, layout, hop_probs)))
+        checked += 1
 
     ok = worst <= 1e-12 and checked >= 300
     report(3, "special-case collapse of the general engine", ok,
-           f"{checked} clamp-free checks (skipped {clamp_skips} clamped), "
-           f"worst |diff| = {worst:.2e}")
+           f"{checked} checks, worst |diff| = {worst:.2e}")
 
 
 # criterion 4 ------------------------------------------------------------------
@@ -281,9 +268,9 @@ def test_c6_placement_optimality_desk_scale():
     ]
     nsf_result = place_heuristic(nsf, nsf_demands_list, nsf_inventory, config)
     placed = {node: arch.kind for node, arch in sorted(nsf_result.assignment.items())}
-    expected_placement = {4: FULL, 9: FULL, 11: SHARE_PER_NODE}
+    expected_placement = {4: FULL, 9: FULL, 13: SHARE_PER_NODE}
     regression_ok = placed == expected_placement and nsf_result.achieved_blocking == pytest.approx(
-        0.0667572, abs=2e-4
+        0.0667809, abs=2e-4
     )
 
     ok = gap <= 1e-9 and regression_ok

@@ -95,6 +95,16 @@ def test_analyze_malformed_demands_exits_1_without_output(inputs):
     assert not out.exists()
 
 
+def test_analyze_nan_rate_exits_1_without_output(inputs):
+    tmp, topo, _, _ = inputs
+    bad = tmp / "nan.json"
+    bad.write_text(json.dumps([dict(DEMANDS[0], rate=float("nan"))]))
+    out = tmp / "nope.csv"
+    code = main(["analyze", "--topology", str(topo), "--demands", str(bad), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+
+
 def test_analyze_unreachable_epsilon_exits_2_with_output(inputs):
     tmp, topo, demands, _ = inputs
     out = tmp / "analysis.csv"

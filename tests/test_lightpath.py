@@ -10,22 +10,18 @@ from eonspectra.lightpath import (
     SHARE_PER_LINK,
     SHARE_PER_NODE,
     SIMPLE,
-    BlockingDiagnostics,
+    SIMPLE_NODE,
     NodeArchitecture,
-    PathContext,
     blocking_full_at,
     blocking_full_conversion,
     blocking_without_conversion,
+    converter_availability,
     converter_layout,
-    exact_layout_success,
-    layout_availability,
-    layout_power_set,
     lightpath_blocking,
     load_architectures,
     node_mean_free_prob,
     segment_success_prob,
     share_per_link_availability,
-    share_per_node_availability,
     uniform_architectures,
 )
 from eonspectra.topology import (
@@ -36,7 +32,7 @@ from eonspectra.topology import (
     crossing_stats,
 )
 
-from oracles import mc_segmented_blocking
+from oracles import exact_lightpath_blocking, mc_segmented_blocking
 
 
 def line_path(hops):
@@ -70,6 +66,9 @@ def test_layout_from_positions():
     path = line_path(5)
     archs = {2: NodeArchitecture(FULL), 4: NodeArchitecture(FULL)}
     assert converter_layout(path, archs) == (1, 2, 4, 6)
+    everywhere = uniform_architectures(line_graph(22, 4), NodeArchitecture(FULL))
+    with pytest.raises(ValueError):  # 21 converters: over the 2^20-state guard
+        converter_layout(line_path(22), everywhere)
 
 
 def test_layout_excludes_endpoints():
@@ -78,19 +77,7 @@ def test_layout_excludes_endpoints():
     assert converter_layout(path, archs) == (1, 3)
 
 
-def test_power_set_order_and_contents():
-    assert layout_power_set((1, 6)) == [(1, 6)]
-    assert layout_power_set((1, 2, 4, 6)) == [(1, 6), (1, 2, 6), (1, 4, 6), (1, 2, 4, 6)]
-    assert len(layout_power_set((1, 2, 3, 4, 9))) == 8
-
-
-def test_power_set_guard():
-    layout = tuple(range(1, 24))
-    with pytest.raises(ValueError):
-        layout_power_set(layout)
-
-
-# --- segments and the layout expansion --------------------------------------
+# --- segments ----------------------------------------------------------------
 
 
 def test_segment_success_single_segment():
@@ -107,35 +94,6 @@ def test_segment_success_zero_segment():
     assert segment_success_prob(2, 3, (1, 2, 3), (0.0, 0.9)) == 0.0
 
 
-def test_exact_layout_success_worked_example():
-    ctx = PathContext(slot_count=3, hop_free_probs=(0.5, 0.5))
-    assert exact_layout_success(2, (1, 3), ctx) == pytest.approx(0.109375)
-    assert exact_layout_success(2, (1, 2, 3), ctx) == pytest.approx(0.03125)
-    total = sum(exact_layout_success(2, l, ctx) for l in layout_power_set((1, 2, 3)))
-    assert total == pytest.approx(0.140625)
-
-
-def test_layout_success_sums_to_finest_segmentation_without_clamps():
-    rng = np.random.default_rng(2)
-    clamped_runs = 0
-    for _ in range(200):
-        hops = int(rng.integers(1, 7))
-        slot_count = int(rng.integers(2, 13))
-        min_run = int(rng.integers(1, min(slot_count, 4) + 1))
-        phis = tuple(float(x) for x in rng.uniform(0.2, 1.0, hops))
-        interior = tuple(p for p in range(2, hops + 1) if rng.random() < 0.6)
-        layout = (1,) + interior + (hops + 1,)
-        ctx = PathContext(slot_count=slot_count, hop_free_probs=phis)
-        total = math.fsum(exact_layout_success(min_run, l, ctx) for l in layout_power_set(layout))
-        finest = segment_success_prob(min_run, slot_count, layout, phis)
-        if ctx.ramp_clamps == 0:
-            assert total == pytest.approx(finest, abs=1e-12)
-        else:
-            clamped_runs += 1
-            assert total >= finest - 1e-12
-    assert clamped_runs < 100  # the clamp-free branch must dominate
-
-
 # --- availability ------------------------------------------------------------
 
 
@@ -144,12 +102,26 @@ def test_share_per_link_availability_values():
     assert share_per_link_availability(3, 2, 5.0, 0.3) == 1.0
     assert share_per_link_availability(1, 1, 2.0, 0.9) == pytest.approx(0.81)
     assert share_per_link_availability(2, 0, 0.0, 0.4) == 1.0  # no contention
+    # node-wide banks use the same form with node-level aggregates
+    assert share_per_link_availability(3, 0, 0.0, 0.1) == 1.0
+    assert share_per_link_availability(5, 4, 6.0, 0.7) == 1.0
 
 
 def test_share_per_node_availability_matches_link_form():
-    assert share_per_node_availability(1, 2, 2.0, 0.5) == pytest.approx(0.25)
-    assert share_per_node_availability(3, 0, 0.0, 0.1) == 1.0
-    assert share_per_node_availability(5, 4, 6.0, 0.7) == 1.0
+    stats = CrossingStats(
+        port_paths={1: 0, 2: 1, 3: 2},
+        port_slots={1: 0.0, 2: 1.0, 3: 3.0},
+        node_paths={1: 0, 2: 3, 3: 0},
+        node_slots={1: 0.0, 2: 4.0, 3: 0.0},
+        node_ports={1: (1,), 2: (2, 3), 3: ()},
+    )
+    phis = {1: 0.5, 2: 0.4, 3: 0.8}
+    archs = {2: NodeArchitecture(SHARE_PER_NODE, 1)}
+    got = converter_availability(2, TWO_HOP, archs, stats, phis)
+    assert got == share_per_link_availability(1, 3, 4.0, node_mean_free_prob(stats, phis, 2))
+    # mean port free probability 2/3; the one box is free only when all 3
+    # paths skip conversion, each with (2/3)^(4/3)
+    assert got == pytest.approx((2.0 / 3.0) ** 4)
 
 
 def test_availability_in_unit_interval():
@@ -176,26 +148,6 @@ def test_node_mean_free_prob():
     assert node_mean_free_prob(single, {1: 0.55}, 1) == pytest.approx(0.55)
     idle = CrossingStats({1: 0, 2: 0}, {1: 0.0, 2: 0.0}, {1: 0}, {1: 0.0}, {1: (1, 2)})
     assert node_mean_free_prob(idle, {1: 0.2, 2: 0.6}, 1) == pytest.approx(0.4)
-
-
-def test_layout_availability_trivial_cases():
-    stats = empty_stats(2)
-    assert layout_availability((1, 3), TWO_HOP, {}, stats, PHIS_HALF) == 1.0
-    archs = {2: NodeArchitecture(FULL)}
-    assert layout_availability((1, 2, 3), TWO_HOP, archs, stats, PHIS_HALF) == 1.0
-
-
-def test_layout_availability_single_shared_factor():
-    stats = CrossingStats(
-        port_paths={1: 0, 2: 2},
-        port_slots={1: 0.0, 2: 2.0},
-        node_paths={1: 0, 2: 2, 3: 0},
-        node_slots={1: 0.0, 2: 2.0, 3: 0.0},
-        node_ports={1: (1,), 2: (2,), 3: ()},
-    )
-    archs = {2: NodeArchitecture(SHARE_PER_LINK, 1)}
-    got = layout_availability((1, 2, 3), TWO_HOP, archs, stats, PHIS_HALF)
-    assert got == pytest.approx(0.25)
 
 
 # --- blocking ----------------------------------------------------------------
@@ -235,36 +187,69 @@ def _random_instance(rng, max_hops=6, max_slots=12):
     return hops, slot_count, min_run, phis, path, stats
 
 
+def _busy_stats(rng, path, hops, slot_count):
+    """Random nonzero crossing statistics along ``path``, so shared
+    converter availability is nontrivial."""
+    stats = crossing_stats(line_graph(hops, slot_count), [])
+    for link in path.links:
+        stats.port_paths[link.id] = int(rng.integers(0, 5))
+        stats.port_slots[link.id] = stats.port_paths[link.id] * float(rng.uniform(1, 3))
+    for v in range(2, hops + 1):
+        ports = stats.node_ports[v]
+        stats.node_paths[v] = sum(stats.port_paths[j] for j in ports)
+        stats.node_slots[v] = sum(stats.port_slots[j] for j in ports)
+    return stats
+
+
 def test_engine_collapses_to_special_cases():
     rng = np.random.default_rng(9)
-    checked = 0
     for _ in range(200):
         hops, slot_count, min_run, phis, path, stats = _random_instance(rng)
         hop_probs = tuple(phis[h + 1] for h in range(hops))
-        diag = BlockingDiagnostics()
         # empty layout reproduces the no-conversion closed form
-        got = lightpath_blocking(min_run, path, {}, phis, stats, slot_count,
-                                 diagnostics=diag)
+        got = lightpath_blocking(min_run, path, {}, phis, stats, slot_count)
         assert got == pytest.approx(blocking_without_conversion(min_run, slot_count, hop_probs), abs=1e-12)
         # all-full interior reproduces the per-hop closed form
         archs = {n: NodeArchitecture(FULL) for n in range(2, hops + 1)}
-        diag = BlockingDiagnostics()
-        got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count,
-                                 diagnostics=diag)
-        if diag.ramp_clamps == 0:
-            assert got == pytest.approx(blocking_full_conversion(min_run, slot_count, hop_probs), abs=1e-12)
-            checked += 1
+        got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count)
+        assert got == pytest.approx(blocking_full_conversion(min_run, slot_count, hop_probs), abs=1e-12)
         # full converters at a random interior subset reproduce the
         # segmented closed form
         interior = tuple(p for p in range(2, hops + 1) if rng.random() < 0.5)
         archs = {path.nodes[p - 1]: NodeArchitecture(FULL) for p in interior}
-        diag = BlockingDiagnostics()
-        got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count,
-                                 diagnostics=diag)
-        if diag.ramp_clamps == 0:
-            layout = (1,) + interior + (hops + 1,)
-            assert got == pytest.approx(blocking_full_at(min_run, slot_count, layout, hop_probs), abs=1e-12)
-    assert checked >= 100
+        got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count)
+        layout = (1,) + interior + (hops + 1,)
+        assert got == pytest.approx(blocking_full_at(min_run, slot_count, layout, hop_probs), abs=1e-12)
+
+
+def test_blocking_matches_exhaustive_enumeration():
+    rng = np.random.default_rng(17)
+    kinds = [
+        SIMPLE_NODE,
+        NodeArchitecture(FULL),
+        NodeArchitecture(SHARE_PER_LINK, 1),
+        NodeArchitecture(SHARE_PER_NODE, 1),
+        NodeArchitecture(SHARE_PER_NODE, 2),
+    ]
+    worst = 0.0
+    for _ in range(60):
+        hops = int(rng.integers(1, 4))
+        slot_count = int(rng.integers(1, 5))
+        min_run = int(rng.integers(1, slot_count + 1))
+        phis = {h + 1: float(x) for h, x in enumerate(rng.uniform(0.2, 1.0, hops))}
+        path = line_path(hops)
+        stats = _busy_stats(rng, path, hops, slot_count)
+        archs = {v: kinds[int(rng.integers(len(kinds)))] for v in range(2, hops + 1)}
+        converters = [
+            (pos, converter_availability(pos, path, archs, stats, phis))
+            for pos in converter_layout(path, archs)[1:-1]
+        ]
+        hop_probs = [phis[h + 1] for h in range(hops)]
+        expected = exact_lightpath_blocking(min_run, slot_count, hop_probs, converters)
+        got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count)
+        assert 0.0 <= got <= 1.0
+        worst = max(worst, abs(got - expected))
+    assert worst <= 1e-12
 
 
 def test_upgrading_architecture_never_increases_blocking():
@@ -280,20 +265,7 @@ def test_upgrading_architecture_never_increases_blocking():
         if hops < 2:
             continue
         node = int(rng.integers(2, hops + 1))
-        # nonzero crossing statistics so shared availability is nontrivial
-        g = line_graph(hops, slot_count)
-        crossing = [
-            RoutedPath(nodes=path.nodes, links=path.links,
-                       demand=None)
-        ]
-        stats = crossing_stats(g, [])
-        for link in path.links:
-            stats.port_paths[link.id] = int(rng.integers(0, 5))
-            stats.port_slots[link.id] = stats.port_paths[link.id] * float(rng.uniform(1, 3))
-        for v in range(2, hops + 1):
-            ports = stats.node_ports[v]
-            stats.node_paths[v] = sum(stats.port_paths[j] for j in ports)
-            stats.node_slots[v] = sum(stats.port_slots[j] for j in ports)
+        stats = _busy_stats(rng, path, hops, slot_count)
         previous = None
         for rung in ladder:
             archs = {} if not rung else {node: NodeArchitecture(rung["kind"], rung["n_sc"])}

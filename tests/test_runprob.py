@@ -1,14 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from eonspectra.runprob import (
-    RunProbTable,
-    ramp,
-    run_probability,
-    run_probability_bruteforce,
-)
+from eonspectra.runprob import run_probability, run_probability_bruteforce
 
 from oracles import run_probability_direct
 
@@ -100,16 +93,3 @@ def test_submultiplicative_in_rho():
         )
         assert lhs <= rhs + 1e-12
 
-
-def test_table_memoizes_and_is_monotone_in_slots():
-    table = RunProbTable(0.6)
-    values = [table.prob(2, f) for f in range(0, 12)]
-    assert values == sorted(values)
-    assert table.prob(2, 8) == run_probability(2, 8, 0.6)
-
-
-def test_ramp():
-    assert ramp(-1.0) == 0.0
-    assert ramp(0.0) == 0.0
-    assert ramp(2.5) == 2.5
-    assert ramp(math.inf) == math.inf

@@ -91,6 +91,30 @@ def test_demand_loading_and_validation():
         DemandSpec(1, 2, 1.0, 1.0, {1: 0.5, 2: 0.4})  # pmf sums to 0.9
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_rejects_non_finite_link_weight(weight):
+    # json parses NaN and Infinity; neither compares <= 0
+    with pytest.raises(TopologyParseError):
+        load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": weight}]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rate", float("nan")),
+        ("rate", float("inf")),
+        ("hold", float("nan")),
+        ("slots", [{"s": 1, "p": float("nan")}]),
+        ("slots", [{"s": 1, "p": 1.0}, {"s": 2, "p": float("nan")}]),
+    ],
+)
+def test_rejects_non_finite_demand_numbers(field, value):
+    g = load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 1}], slot_count=4))
+    entry = {"src": 1, "dst": 2, "rate": 1.0, "hold": 1.0, "slots": 1, field: value}
+    with pytest.raises(DemandError):
+        load_demands(json.dumps([entry]), g)
+
+
 def test_shortest_path_single_hop():
     g = load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 1}]))
     path = shortest_path(g, 1, 2)
