@@ -10,10 +10,12 @@ probability stops moving.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
 from .lightpath import ArchitectureMap, LinkFreeProbs, lightpath_blocking
 from .topology import (
     CrossingStats,
@@ -36,12 +38,12 @@ class AnalysisConfig:
     port_load_weighted: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InputError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise InputError("max_iter must be >= 1")
         if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must be in (0, 1]")
+            raise InputError(f"damping must be in (0, 1], got {self.damping}")
 
 
 @dataclass

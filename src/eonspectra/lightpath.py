@@ -49,8 +49,11 @@ class NodeArchitecture:
         if self.kind not in _KINDS:
             raise ArchitectureError(f"unknown architecture kind {self.kind!r}")
         if self.kind in _SHARED_KINDS:
-            if self.n_sc is None or self.n_sc < 1:
-                raise ArchitectureError(f"{self.kind} requires n_sc >= 1, got {self.n_sc}")
+            n_sc = self.n_sc
+            if isinstance(n_sc, bool) or not isinstance(n_sc, int) or n_sc < 1:
+                raise ArchitectureError(
+                    f"{self.kind} requires an integer n_sc >= 1, got {n_sc!r}"
+                )
 
     @property
     def converts(self) -> bool:

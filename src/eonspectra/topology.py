@@ -11,6 +11,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DemandError,
@@ -161,6 +162,10 @@ class RoutedPath:
     @property
     def hop_count(self) -> int:
         return len(self.links)
+
+    @cached_property
+    def link_ids(self) -> tuple[int, ...]:
+        return tuple(link.id for link in self.links)
 
     @property
     def weight(self) -> float:

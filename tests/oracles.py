@@ -142,3 +142,12 @@ def placement_assignments(nodes, inventory):
     for chosen in combinations(nodes, len(inventory)):
         for order in permutations(inventory):
             yield dict(zip(chosen, order))
+
+
+def pick_start_from_list(starts: int, rng) -> int:
+    """Random Fit by listing the set bits of ``starts``: position
+    ``rng.integers(n)`` of the n candidates, with no draw when n is 1."""
+    positions = [i for i in range(starts.bit_length()) if starts >> i & 1]
+    if len(positions) == 1:
+        return positions[0]
+    return positions[int(rng.integers(len(positions)))]

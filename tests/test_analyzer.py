@@ -1,4 +1,5 @@
 import logging
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from eonspectra.analyzer import (
     network_blocking,
     phi_update,
 )
+from eonspectra.errors import InputError
 from eonspectra.lightpath import (
     FULL,
     NodeArchitecture,
@@ -173,3 +175,8 @@ def test_config_validation():
         AnalysisConfig(damping=0.0)
     with pytest.raises(ValueError):
         AnalysisConfig(damping=1.5)
+    # flag values reach the CLI's "error:" exit as input errors
+    for kwargs in ({"epsilon": math.nan}, {"epsilon": math.inf}, {"epsilon": -1.0},
+                   {"damping": math.nan}, {"max_iter": 0}):
+        with pytest.raises(InputError):
+            AnalysisConfig(**kwargs)

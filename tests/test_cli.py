@@ -340,3 +340,35 @@ def test_bad_flag_exits_1(capsys, inputs):
     with pytest.raises(SystemExit) as info:
         main(["analyze", "--topology", str(topo), "--demands", str(demands)])
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("simulate", ["--horizon", "nan"]),
+        ("simulate", ["--warmup", "nan"]),
+        ("simulate", ["--replications", "0"]),
+        ("analyze", ["--epsilon", "nan"]),
+        ("analyze", ["--epsilon", "-1"]),
+        ("analyze", ["--damping", "nan"]),
+    ],
+)
+def test_out_of_range_flag_exits_1_without_output(capsys, inputs, command, flags):
+    tmp, topo, demands, _ = inputs
+    out = tmp / "nope.csv"
+    code = main([command, "--topology", str(topo), "--demands", str(demands),
+                 "--out", str(out), *flags])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fractional_converter_count_exits_1(inputs):
+    tmp, topo, demands, _ = inputs
+    arch = tmp / "fractional.json"
+    arch.write_text(json.dumps({"2": {"kind": "share_per_node", "n_sc": 1.5}}))
+    out = tmp / "nope.csv"
+    code = main(["analyze", "--topology", str(topo), "--demands", str(demands),
+                 "--arch", str(arch), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()

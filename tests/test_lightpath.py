@@ -324,6 +324,11 @@ def test_load_architectures_rejects_bad_entries():
         load_architectures(json.dumps({"9": {"kind": "full"}}), g)
     with pytest.raises(ArchitectureError):
         NodeArchitecture(SHARE_PER_LINK, 0)
+    for n_sc in (1.5, 2.0, True, "2"):
+        with pytest.raises(ArchitectureError):
+            NodeArchitecture(SHARE_PER_NODE, n_sc)
+        with pytest.raises(ArchitectureError):
+            load_architectures(json.dumps({"2": {"kind": "share_per_link", "n_sc": n_sc}}), g)
 
 
 def test_uniform_architectures():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from eonspectra.errors import SimulatorFault
+from eonspectra.errors import InputError, SimulatorFault
+from eonspectra.fixtures import generate_demands, nsf14
 from eonspectra.lightpath import (
     FULL,
     SHARE_PER_LINK,
@@ -13,15 +14,19 @@ from eonspectra.lightpath import (
     uniform_architectures,
 )
 from eonspectra.simulator import (
+    _BLOCK,
     NetworkState,
     SimConfig,
+    _pick_start,
+    _requests,
     admit,
     release,
+    resolve_windows,
     simulate,
 )
 from eonspectra.topology import DemandSpec, load_topology, shortest_path
 
-from oracles import erlang_b
+from oracles import erlang_b, pick_start_from_list
 
 
 def line(nodes, slot_count):
@@ -302,3 +307,108 @@ def test_config_validation():
         SimConfig(policy="first-fit")
     with pytest.raises(ValueError):
         SimConfig(warmup=10.0, horizon=5.0)
+    # a non-finite horizon would never end the event loop
+    for kwargs in ({"warmup": math.nan}, {"warmup": math.inf}, {"warmup": -1.0},
+                   {"horizon": math.nan}, {"horizon": math.inf}, {"replications": 0},
+                   {"subset_limit_bits": -1}):
+        with pytest.raises(InputError):
+            SimConfig(**kwargs)
+    # the default horizon offers 1e4 requests to the slowest demand: inf here
+    with pytest.raises(InputError):
+        resolve_windows([DemandSpec(1, 2, 1e-320, 1.0, {1: 1.0})], SimConfig())
+
+
+# --- random streams ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("pmf", [{2: 1.0}, {1: 0.2, 2: 0.5, 4: 0.3}])
+def test_request_stream_matches_scalar_draws(pmf):
+    demand = DemandSpec(1, 2, 1.7, 0.6, pmf)
+    values = sorted(pmf)
+    cumulative = np.cumsum([pmf[v] for v in values])
+    reference = np.random.default_rng(31)
+    stream = _requests(demand, np.random.default_rng(31))
+    for _ in range(3 * _BLOCK + 5):
+        gap = reference.exponential(1.0 / demand.rate)
+        if len(values) == 1:
+            slots = values[0]
+        else:
+            u = reference.random()
+            slots = values[int(np.searchsorted(cumulative, u, side="right").clip(0, len(values) - 1))]
+        hold = reference.exponential(demand.hold)
+        assert next(stream) == (gap, slots, hold)
+
+
+def test_pick_start_matches_list_based_pick():
+    masks = np.random.default_rng(5)
+    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(1000):
+        starts = int(masks.integers(1, 1 << 16))
+        assert _pick_start(starts, rng_a) == pick_start_from_list(starts, rng_b)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+# --- pinned sample paths -----------------------------------------------------
+# Exact counts of fixed runs.  Any change to the random streams, the order of
+# the draws or the admission rules moves them.
+
+LINE_OFFERED = [[584, 377, 492, 321], [593, 408, 490, 306], [607, 454, 437, 320]]
+LINE_BLOCKED = {
+    "simple": [[261, 147, 86, 116], [304, 159, 86, 108], [311, 196, 96, 109]],
+    "spn1+full": [[269, 146, 75, 117], [300, 160, 64, 113], [304, 183, 79, 116]],
+    "spl1": [[261, 156, 79, 120], [319, 163, 70, 110], [312, 185, 79, 114]],
+}
+
+
+@pytest.mark.parametrize("setting", sorted(LINE_BLOCKED))
+def test_pinned_sample_paths_on_a_line(setting):
+    g = line(5, 6)
+    demands = [
+        DemandSpec(1, 5, 1.5, 1.0, {1: 0.3, 2: 0.5, 3: 0.2}),
+        DemandSpec(1, 3, 1.0, 1.0, {2: 1.0}),
+        DemandSpec(2, 5, 1.2, 0.8, {1: 1.0}),
+        DemandSpec(3, 5, 0.8, 1.2, {1: 0.5, 3: 0.5}),
+    ]
+    spn1 = NodeArchitecture(SHARE_PER_NODE, 1)
+    archs = {
+        "simple": {},
+        "spn1+full": {2: spn1, 3: NodeArchitecture(FULL), 4: spn1},
+        "spl1": uniform_architectures(g, NodeArchitecture(SHARE_PER_LINK, 1)),
+    }[setting]
+    config = SimConfig(seed=2024, warmup=5.0, horizon=400.0, replications=3)
+    result = simulate(g, demands, archs, config)
+    assert result.per_replication_offered == LINE_OFFERED
+    assert result.per_replication_blocked == LINE_BLOCKED[setting]
+    assert result.fallback_admissions == 0
+
+
+NSF_OFFERED = [
+    5, 5, 5, 3, 5, 4, 6, 7, 7, 2, 10, 8, 2, 1, 6, 3, 5, 4, 4, 2, 1, 7, 12, 9, 7, 9, 7,
+    7, 6, 6, 7, 4, 6, 5, 7, 1, 5, 4, 2, 4, 8, 10, 7, 7, 7, 3, 4, 6, 5, 4, 6, 5, 2, 3, 3,
+    7, 3, 10, 9, 5, 9, 4, 3, 5, 3, 4, 3, 4, 4, 5, 6, 1, 3, 1, 5, 5, 6, 1, 6, 3, 5, 2, 5,
+    5, 14, 11, 5, 5, 4, 4, 6, 13, 8, 2, 9, 3, 9, 10, 6, 7, 6, 7, 11, 1, 8, 4, 5, 3, 3,
+    6, 5, 5, 9, 1, 5, 7, 6, 6, 3, 14, 2, 4, 5, 5, 1, 6, 3, 2, 6, 11, 4, 8, 5, 5, 3, 1,
+    3, 2, 4, 8, 5, 7, 3, 9, 3, 1, 1, 7, 7, 7, 9, 10, 2, 3, 10, 3, 3, 5, 2, 5, 3, 4, 9,
+    4, 3, 1, 7, 3, 10, 3, 4, 1, 4, 4, 2, 7, 7, 4, 3, 6, 9, 2
+]
+
+NSF_BLOCKED = [
+    0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 3, 7, 0, 0, 0, 0, 1, 0, 4, 0, 1, 3, 7, 0, 7, 1, 0, 0,
+    4, 1, 0, 3, 3, 0, 1, 1, 0, 1, 0, 0, 0, 1, 3, 0, 2, 0, 0, 4, 0, 0, 0, 2, 0, 0, 1, 3,
+    0, 3, 1, 3, 0, 0, 2, 1, 1, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 1, 0, 2, 1, 1, 1,
+    0, 6, 0, 2, 0, 3, 1, 0, 4, 0, 5, 1, 5, 1, 1, 0, 3, 2, 7, 0, 0, 0, 1, 2, 0, 3, 3, 3,
+    0, 0, 0, 3, 0, 4, 0, 7, 0, 1, 1, 1, 0, 1, 2, 0, 0, 0, 1, 4, 1, 0, 1, 0, 2, 1, 1, 6,
+    1, 4, 0, 3, 0, 0, 0, 1, 0, 0, 5, 4, 0, 0, 0, 0, 1, 4, 0, 0, 1, 0, 3, 1, 0, 1, 0, 0,
+    0, 1, 0, 0, 1, 2, 0, 0, 2, 0, 1, 0, 0, 0
+]
+
+
+def test_pinned_sample_path_with_greedy_fallback():
+    g = nsf14()
+    demands = generate_demands(g, seed=5, slots_range=(1, 3), traffic_target=0.4)
+    archs = uniform_architectures(g, NodeArchitecture(FULL))
+    config = SimConfig(seed=8, warmup=5.0, horizon=40.0, subset_limit_bits=2)
+    result = simulate(g, demands, archs, config)
+    assert result.per_replication_offered == [NSF_OFFERED]
+    assert result.per_replication_blocked == [NSF_BLOCKED]
+    assert result.fallback_admissions == 87
