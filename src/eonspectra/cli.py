@@ -22,7 +22,6 @@ from .analyzer import AnalysisConfig, fixed_point
 from .errors import InputError
 from .fixtures import demands_document, generate_demands
 from .lightpath import (
-    FULL,
     SHARE_PER_LINK,
     SHARE_PER_NODE,
     SIMPLE,
@@ -40,11 +39,11 @@ from .reports import (
 )
 from .simulator import SimConfig, resolve_windows, simulate
 from .topology import (
-    DemandSpec,
     load_demands,
     load_topology,
     network_traffic,
     route_all,
+    scale_demands,
 )
 
 log = logging.getLogger("eonspectra")
@@ -88,7 +87,6 @@ def _add_sim_flags(sub):
     sub.add_argument("--warmup", type=float, help="statistics start (default: 10 mean holds)")
     sub.add_argument("--horizon", type=float, help="simulation end time")
     sub.add_argument("--replications", type=int, default=1)
-    sub.add_argument("--policy", default="minimal-conversions")
     sub.add_argument("--trace", help="write a line-per-event trace to this file")
 
 
@@ -154,19 +152,15 @@ def _parse_range(text: str, kind=float) -> tuple:
     return lo, hi
 
 
-def parse_converter_spec(text: str) -> list[NodeArchitecture]:
-    """``full,full,share_per_node:1`` -> inventory list; an empty spec is an
-    empty inventory (baseline-only placement)."""
-    inventory = []
+def _parse_spec_items(text: str) -> list[tuple[str, NodeArchitecture]]:
+    """``simple,share_per_node:1`` -> ``(item, architecture)`` pairs, with
+    empty items skipped."""
+    items = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         kind, _, count = item.partition(":")
-        if kind == SIMPLE:
-            raise InputError("a simple node is not a converter")
-        if kind not in (FULL, SHARE_PER_LINK, SHARE_PER_NODE):
-            raise InputError(f"unknown architecture kind {kind!r}")
         n_sc = None
         if count:
             try:
@@ -175,23 +169,24 @@ def parse_converter_spec(text: str) -> list[NodeArchitecture]:
                 raise InputError(f"bad SCB count in {item!r}") from exc
         if kind in (SHARE_PER_LINK, SHARE_PER_NODE) and n_sc is None:
             raise InputError(f"{kind} needs an SCB count, e.g. {kind}:2")
-        inventory.append(NodeArchitecture(kind=kind, n_sc=n_sc))
+        items.append((item, NodeArchitecture(kind=kind, n_sc=n_sc)))
+    return items
+
+
+def parse_converter_spec(text: str) -> list[NodeArchitecture]:
+    """``full,full,share_per_node:1`` -> inventory list; an empty spec is an
+    empty inventory (baseline-only placement)."""
+    inventory = [arch for _, arch in _parse_spec_items(text)]
+    if any(not arch.converts for arch in inventory):
+        raise InputError("a simple node is not a converter")
     return inventory
 
 
 def parse_arch_sweep(text: str, graph) -> list[tuple[str, dict]]:
-    settings = []
-    for item in text.split(","):
-        item = item.strip()
-        if item == SIMPLE:
-            settings.append((SIMPLE, {}))
-            continue
-        kind, _, count = item.partition(":")
-        if kind not in (FULL, SHARE_PER_LINK, SHARE_PER_NODE):
-            raise InputError(f"unknown architecture kind {kind!r}")
-        n_sc = int(count) if count else None
-        arch = NodeArchitecture(kind=kind, n_sc=n_sc)
-        settings.append((item, uniform_architectures(graph, arch)))
+    """``simple,full`` -> ``(name, uniform architecture map)`` settings."""
+    settings = [
+        (item, uniform_architectures(graph, arch)) for item, arch in _parse_spec_items(text)
+    ]
     if not settings:
         raise InputError("empty architecture sweep")
     return settings
@@ -261,7 +256,6 @@ def _sim_config(args, seed: int) -> SimConfig:
         warmup=args.warmup,
         horizon=args.horizon,
         replications=args.replications,
-        policy=args.policy,
     )
 
 
@@ -289,7 +283,6 @@ def _cmd_simulate(args) -> int:
             "warmup": warmup,
             "horizon": horizon,
             "replications": config.replications,
-            "policy": config.policy,
         },
         _input_paths(args),
     )
@@ -321,13 +314,6 @@ def _cmd_place(args) -> int:
     return 0
 
 
-def _scale_demands(demands: list[DemandSpec], factor: float) -> list[DemandSpec]:
-    return [
-        DemandSpec(src=d.src, dst=d.dst, rate=d.rate * factor, hold=d.hold, slot_pmf=d.slot_pmf)
-        for d in demands
-    ]
-
-
 def _cmd_sweep(args) -> int:
     graph, demands, archs = _load_inputs(args)
     try:
@@ -354,7 +340,7 @@ def _cmd_sweep(args) -> int:
     any_unconverged = False
     for target in targets:
         scale = target / base_traffic
-        scaled = _scale_demands(demands, scale)
+        scaled = scale_demands(demands, scale)
         for name, setting in settings:
             analytic = fixed_point(graph, scaled, setting, config, routes=routes)
             any_unconverged = any_unconverged or not analytic.converged

@@ -21,6 +21,7 @@ from .topology import (
     load_topology,
     network_traffic,
     route_all,
+    scale_demands,
 )
 
 
@@ -72,12 +73,7 @@ def generate_demands(
             demands.append(DemandSpec(src=src, dst=dst, rate=rate, hold=hold, slot_pmf={slots: 1.0}))
     if traffic_target is not None:
         routes = route_all(graph, demands)
-        base = network_traffic(graph, demands, routes)
-        factor = traffic_target / base
-        demands = [
-            DemandSpec(src=d.src, dst=d.dst, rate=d.rate * factor, hold=d.hold, slot_pmf=d.slot_pmf)
-            for d in demands
-        ]
+        demands = scale_demands(demands, traffic_target / network_traffic(graph, demands, routes))
     return demands
 
 

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ArchitectureError
+from .errors import ArchitectureError, MissingNodeError
 from .runprob import run_probability
 from .topology import CrossingStats, NetworkGraph, RoutedPath
 
@@ -95,7 +95,7 @@ def _resolve_label(label, graph: NetworkGraph):
     # JSON object keys are strings even when node labels are integers
     try:
         return graph.node_of(label)
-    except Exception:
+    except MissingNodeError:
         pass
     try:
         return graph.node_of(int(label))

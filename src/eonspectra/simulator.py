@@ -1,12 +1,13 @@
 """Discrete-event Monte Carlo of online spectrum assignment.
 
 Requests arrive as merged Poisson streams, hold exponentially and ask for
-S contiguous slots on their precomputed shortest path.  Admission is
-staged: first try a window that is free on the whole path; only when
-continuity fails, enumerate ever larger sets of usable converters and
-place each resulting segment with Random Fit.  Converter boxes are scarce:
-a shared bank grants one box per conversion and holds it for the whole
-connection.
+S contiguous slots on their precomputed shortest path.  Admission uses the
+fewest conversions that carry the request, on every route, with ties going
+to the earliest converters: first try a window that is free on the whole
+path; only when continuity fails, one scan over the usable converters
+finds the fewest cut points, and each resulting segment is placed with
+Random Fit in path order.  Converter boxes are scarce: a shared bank
+grants one box per conversion and holds it for the whole connection.
 
 Per-link occupancy lives in Python integer bitmasks (bit s set = slot s
 occupied), which keeps the per-event work to a few dozen integer ops.
@@ -24,7 +25,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, count
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +41,6 @@ from .lightpath import (
 )
 from .topology import DemandSpec, NetworkGraph, RoutedPath, route_all
 
-_POLICIES = ("minimal-conversions",)
 _ARRIVAL, _DEPART = 0, 1
 _BLOCK = 32  # requests per bulk draw of a single-valued demand's exponentials
 
@@ -51,16 +51,10 @@ class SimConfig:
     warmup: float | None = None  # default: 10 mean holding times
     horizon: float | None = None  # default: warmup + enough for 1e4 offers per demand
     replications: int = 1
-    policy: str = "minimal-conversions"
-    subset_limit_bits: int = 12  # enumerate at most 2^bits converter subsets
 
     def __post_init__(self):
         if self.replications < 1:
             raise InputError("replications must be >= 1")
-        if self.policy not in _POLICIES:
-            raise InputError(f"unknown admission policy {self.policy!r}")
-        if self.subset_limit_bits < 0:
-            raise InputError("subset_limit_bits must be >= 0")
         if self.warmup is not None and not (math.isfinite(self.warmup) and self.warmup >= 0):
             raise InputError(f"warmup must be finite and >= 0, got {self.warmup}")
         if self.horizon is not None and not math.isfinite(self.horizon):
@@ -83,10 +77,9 @@ class Connection(NamedTuple):
 class NetworkState:
     """Mutable spectrum and converter-bank state of one replication."""
 
-    def __init__(self, graph: NetworkGraph, archs: ArchitectureMap, subset_limit_bits: int = 12):
+    def __init__(self, graph: NetworkGraph, archs: ArchitectureMap):
         self.slot_count = graph.slot_count
         self.full_mask = (1 << graph.slot_count) - 1
-        self.subset_limit_bits = subset_limit_bits
         self.occupied = {link.id: 0 for link in graph.links}
         self.bank_capacity: dict[tuple[str, int], int] = {}
         self.bank_in_use: dict[tuple[str, int], int] = {}
@@ -103,7 +96,6 @@ class NetworkState:
                     self.bank_in_use[key] = 0
         self.connections: dict[int, Connection] = {}
         self.next_id = 1
-        self.fallback_admissions = 0
 
     def bank_key(self, node: int, exit_link_id: int, arch) -> tuple[str, int] | None:
         if arch.kind == SHARE_PER_NODE:
@@ -187,7 +179,7 @@ def admit(
         return _allocate(state, route, slots, [(1, hops + 1, start)], ())
 
     # continuity failed: gather converters whose bank still has a free box
-    usable: list[tuple[int, tuple[str, int] | None]] = []
+    usable: dict[int, tuple[str, int] | None] = {}  # path position -> bank key
     for pos in range(2, hops + 1):
         node = route.nodes[pos - 1]
         arch = archs.get(node, SIMPLE_NODE)
@@ -195,83 +187,41 @@ def admit(
             continue
         key = state.bank_key(node, link_ids[pos - 1], arch)
         if state.bank_free(key):
-            usable.append((pos, key))
+            usable[pos] = key
     if not usable:
         return None
 
+    # fewest cuts: plan[a] = (cuts after a, next cut, window starts of the
+    # segment a..next cut) for every start a that can reach the destination.
+    # Latest start first, so each later start is solved before it is needed;
+    # ties keep the earliest cut, which makes the chosen set the
+    # lexicographically first of the smallest ones.
     free = [full & ~occupied[lid] for lid in link_ids]
-    if len(usable) > state.subset_limit_bits:
-        return _greedy_admit(state, route, slots, free, limit, usable, rng)
-
-    keys = dict(usable)
-    positions = [pos for pos, _ in usable]
-    for size in range(1, len(positions) + 1):
-        for subset in combinations(positions, size):
-            bounds = (1,) + subset + (hops + 1,)
-            segment_starts = []
-            feasible = True
-            for a, b in zip(bounds, bounds[1:]):
-                mask = state.full_mask
-                for h in range(a, b):
-                    mask &= free[h - 1]
-                    if not mask:
-                        break
-                seg = _window_starts(mask, slots, limit) if mask else 0
-                if not seg:
-                    feasible = False
-                    break
-                segment_starts.append(seg)
-            if not feasible:
-                continue
-            segments = [
-                (a, b, _pick_start(seg, rng))
-                for (a, b), seg in zip(zip(bounds, bounds[1:]), segment_starts)
-            ]
-            banks = tuple(key for key in (keys[p] for p in subset) if key is not None)
-            return _allocate(state, route, slots, segments, banks)
-    return None
-
-
-def _greedy_admit(state, route, slots, free, limit, usable, rng) -> int | None:
-    """Fallback for routes with too many converters to enumerate: extend
-    each segment as far as continuity allows, splitting at the latest
-    usable converter when it breaks."""
-    state.fallback_admissions += 1
-    hops = len(route.links)
-    positions = [pos for pos, _ in usable]
-    keys = dict(usable)
-    bounds: list[tuple[int, int]] = []
-    used: list[int] = []
-    a, h = 1, 1
-    mask = state.full_mask
-    while h <= hops:
-        trial = mask & free[h - 1]
-        if _window_starts(trial, slots, limit):
-            mask = trial
-            h += 1
-            continue
-        splits = [p for p in positions if a < p <= h and p not in used]
-        if not splits:
-            return None
-        cut = max(splits)
-        used.append(cut)
-        bounds.append((a, cut))
-        a = cut
-        mask = state.full_mask
-        for k in range(cut, h):
-            mask &= free[k - 1]
-    bounds.append((a, hops + 1))
+    end = hops + 1
+    plan: dict[int, tuple[int, int, int]] = {}
+    for a in [*reversed(usable), 1]:
+        mask = full
+        for b in range(a + 1, end + 1):
+            mask &= free[b - 2]
+            starts = _window_starts(mask, slots, limit)
+            if not starts:
+                break
+            if b == end:
+                plan[a] = (0, end, starts)
+            elif b in plan and (a not in plan or plan[b][0] + 1 < plan[a][0]):
+                plan[a] = (plan[b][0] + 1, b, starts)
+    if 1 not in plan:
+        return None
     segments = []
-    for seg_a, seg_b in bounds:
-        seg_mask = state.full_mask
-        for k in range(seg_a, seg_b):
-            seg_mask &= free[k - 1]
-        seg = _window_starts(seg_mask, slots, limit)
-        if not seg:
-            return None
-        segments.append((seg_a, seg_b, _pick_start(seg, rng)))
-    banks = tuple(key for key in (keys[p] for p in used) if key is not None)
-    return _allocate(state, route, slots, segments, banks)
+    banks = []
+    a = 1
+    while a != end:
+        _, b, starts = plan[a]
+        segments.append((a, b, _pick_start(starts, rng)))
+        if b != end and usable[b] is not None:
+            banks.append(usable[b])
+        a = b
+    return _allocate(state, route, slots, segments, tuple(banks))
 
 
 def _allocate(state, route, slots, segments, bank_keys) -> int:
@@ -330,7 +280,7 @@ class SimResult:
     ci95_half_width: float
     offered_total: int
     blocked_total: int
-    fallback_admissions: int
+    fallback_admissions: int  # always 0: admission has no fallback path
     warmup: float
     horizon: float
     per_replication_offered: list[list[int]] = field(default_factory=list)
@@ -373,7 +323,7 @@ def _run_replication(graph, demands, routes, archs, config, warmup, horizon, tra
     ]
     admit_rng = np.random.default_rng(children[-1])
 
-    state = NetworkState(graph, archs, config.subset_limit_bits)
+    state = NetworkState(graph, archs)
     heap: list[tuple] = []
     push, pop = heapq.heappush, heapq.heappop
     seq = count()
@@ -413,7 +363,7 @@ def _run_replication(graph, demands, routes, archs, config, warmup, horizon, tra
             release(state, event[3])
             if trace is not None:
                 trace(f"{t:.6f} departure conn={event[3]}\n")
-    return offered, blocked, state.fallback_admissions
+    return offered, blocked
 
 
 def resolve_windows(demands: list[DemandSpec], config: SimConfig) -> tuple[float, float]:
@@ -462,9 +412,8 @@ def simulate(
     else:
         outcomes = parallel_map(runner, reps)
 
-    per_offered = [o for o, _, _ in outcomes]
-    per_blocked = [b for _, b, _ in outcomes]
-    fallback = sum(f for _, _, f in outcomes)
+    per_offered = [o for o, _ in outcomes]
+    per_blocked = [b for _, b in outcomes]
 
     demand_offered = [sum(o[i] for o in per_offered) for i in range(len(demands))]
     demand_blocked = [sum(b[i] for b in per_blocked) for i in range(len(demands))]
@@ -492,7 +441,7 @@ def simulate(
         ci95_half_width=half_width,
         offered_total=offered_total,
         blocked_total=blocked_total,
-        fallback_admissions=fallback,
+        fallback_admissions=0,
         warmup=warmup,
         horizon=horizon,
         per_replication_offered=per_offered,

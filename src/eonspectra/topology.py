@@ -405,3 +405,11 @@ def network_traffic(g: NetworkGraph, demands: list[DemandSpec], routes: list[Rou
         d.rate * d.hold * d.mean_slots * r.hop_count for d, r in zip(demands, routes)
     )
     return total / (len(g.links) * g.slot_count)
+
+
+def scale_demands(demands: list[DemandSpec], factor: float) -> list[DemandSpec]:
+    """The same demands with every arrival rate multiplied by ``factor``."""
+    return [
+        DemandSpec(src=d.src, dst=d.dst, rate=d.rate * factor, hold=d.hold, slot_pmf=d.slot_pmf)
+        for d in demands
+    ]

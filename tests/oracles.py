@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import and_
 
 import numpy as np
@@ -137,11 +137,34 @@ def exact_lightpath_blocking(
 def placement_assignments(nodes, inventory):
     """Every assignment of the inventory items to distinct nodes, without
     collapsing duplicate items (the naive enumeration)."""
-    from itertools import combinations
-
     for chosen in combinations(nodes, len(inventory)):
         for order in permutations(inventory):
             yield dict(zip(chosen, order))
+
+
+def cuts_by_subsets(
+    free: list[int], slots: int, slot_count: int, positions: list[int]
+) -> tuple[int, ...] | None:
+    """Conversion points for a request of ``slots`` contiguous slots, by
+    enumerating sets of converters.
+
+    ``free`` holds each hop's free-slot mask and ``positions`` the
+    increasing path positions of the usable converters.  Sets are tried
+    smallest first, in lexicographic order within a size; the first whose
+    segments each keep ``slots`` slots free on all of their hops wins.
+    None when no set works.
+    """
+    hops = len(free)
+    every_slot = (1 << slot_count) - 1
+    for size in range(len(positions) + 1):
+        for cuts in combinations(positions, size):
+            bounds = (1,) + cuts + (hops + 1,)
+            if all(
+                longest_run(reduce(and_, free[a - 1 : b - 1], every_slot)) >= slots
+                for a, b in zip(bounds, bounds[1:])
+            ):
+                return cuts
+    return None
 
 
 def pick_start_from_list(starts: int, rng) -> int:

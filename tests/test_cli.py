@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from eonspectra.cli import main, parse_converter_spec
+from eonspectra.cli import main, parse_arch_sweep, parse_converter_spec
 from eonspectra.errors import InputError
 from eonspectra.lightpath import FULL, SHARE_PER_NODE, NodeArchitecture
+from eonspectra.topology import load_topology
 
 TOPOLOGY = {
     "name": "square",
@@ -325,6 +326,27 @@ def test_converter_spec_parsing():
         parse_converter_spec("share_per_link")
     with pytest.raises(InputError):
         parse_converter_spec("warp:3")
+
+
+def test_arch_sweep_parsing():
+    graph = load_topology(TOPOLOGY)
+    settings = parse_arch_sweep(" simple,, share_per_node:1,", graph)
+    assert [name for name, _ in settings] == ["simple", "share_per_node:1"]
+    assert settings[0][1] == {}
+    assert settings[1][1] == {n: NodeArchitecture(SHARE_PER_NODE, 1) for n in (1, 2, 3, 4)}
+    for bad in (",", "share_per_node:x", "share_per_link", "warp"):
+        with pytest.raises(InputError):
+            parse_arch_sweep(bad, graph)
+
+
+def test_bad_arch_sweep_count_exits_1(capsys, inputs):
+    tmp, topo, demands, _ = inputs
+    out = tmp / "nope.csv"
+    code = main(["sweep", "--topology", str(topo), "--demands", str(demands),
+                 "--out", str(out), "--traffic", "0.1", "--arch-sweep", "share_per_node:x"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_exits_1(tmp_path):

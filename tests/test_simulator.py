@@ -26,7 +26,7 @@ from eonspectra.simulator import (
 )
 from eonspectra.topology import DemandSpec, load_topology, shortest_path
 
-from oracles import erlang_b, pick_start_from_list
+from oracles import cuts_by_subsets, erlang_b, pick_start_from_list
 
 
 def line(nodes, slot_count):
@@ -157,21 +157,101 @@ def test_release_unknown_connection_is_a_fault():
         release(state, 123)
 
 
-def test_greedy_fallback_on_many_converters():
+def test_long_route_converts_at_every_node():
     hops = 15
     g = line(hops + 1, 4)
     path = shortest_path(g, 1, hops + 1)
     archs = {n: NodeArchitecture(FULL) for n in range(2, hops + 1)}
     state = make_state(g, archs)
-    state.subset_limit_bits = 3  # force the fallback path
     rng = np.random.default_rng(7)
-    # block a different window on alternating links so continuity breaks often
+    before = rng.bit_generator.state
+    # each link keeps one 2-slot window, low and high in turn, so every one
+    # of the 14 converters must cut
     for h, link in enumerate(path.links):
         state.occupied[link.id] = 0b0011 if h % 2 else 0b1100
     conn = admit(state, path, 2, archs, rng)
     assert conn is not None
-    assert state.fallback_admissions == 1
-    assert len(state.connections[conn].segments) == hops
+    segments = state.connections[conn].segments
+    assert [links for _, links in segments] == [(lid,) for lid in path.link_ids]
+    assert [start for start, _ in segments] == [2 if h % 2 else 0 for h in range(hops)]
+    assert rng.bit_generator.state == before  # one window per segment: no draw
+
+
+def _window_starts_of(mask, slots, slot_count):
+    window = (1 << slots) - 1
+    return sum(
+        1 << i for i in range(slot_count - slots + 1) if (mask >> i) & window == window
+    )
+
+
+def test_admit_matches_subset_enumeration():
+    slot_count = 8
+    kinds = [
+        None,
+        NodeArchitecture(FULL),
+        NodeArchitecture(SHARE_PER_NODE, 1),
+        NodeArchitecture(SHARE_PER_NODE, 2),
+        NodeArchitecture(SHARE_PER_LINK, 1),
+    ]
+    lines = {}
+    draw = np.random.default_rng(41)
+    outcomes = {"blocked": 0, "continuous": 0, "one cut": 0, "several cuts": 0}
+    for _ in range(3000):
+        hops = int(draw.integers(1, 12))  # up to 10 interior converters
+        if hops not in lines:
+            g = line(hops + 1, slot_count)
+            lines[hops] = (g, shortest_path(g, 1, hops + 1))
+        g, path = lines[hops]
+        archs = {}
+        for node in range(2, hops + 1):
+            kind = kinds[int(draw.integers(len(kinds)))]
+            if kind is not None:
+                archs[node] = kind
+        state = make_state(g, archs)
+        for key, capacity in state.bank_capacity.items():
+            state.bank_in_use[key] = int(draw.integers(capacity + 1))
+        busy = float(draw.uniform(0.2, 0.6))
+        for lid in path.link_ids:
+            state.occupied[lid] = sum(
+                1 << s for s in range(slot_count) if draw.random() < busy
+            )
+        slots = int(draw.integers(1, 4))
+        free = [state.full_mask & ~state.occupied[lid] for lid in path.link_ids]
+        usable = {}
+        for pos in range(2, hops + 1):
+            node = path.nodes[pos - 1]
+            if node in archs:
+                key = state.bank_key(node, path.link_ids[pos - 1], archs[node])
+                if state.bank_free(key):
+                    usable[pos] = key
+        cuts = cuts_by_subsets(free, slots, slot_count, list(usable))
+        banks_before = dict(state.bank_in_use)
+        seed = int(draw.integers(1 << 32))
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        conn = admit(state, path, slots, archs, rng)
+        if cuts is None:
+            assert conn is None
+            assert state.bank_in_use == banks_before
+            outcomes["blocked"] += 1
+        else:
+            bounds = (1,) + cuts + (hops + 1,)
+            expected = []
+            for a, b in zip(bounds, bounds[1:]):
+                mask = state.full_mask
+                for h in range(a, b):
+                    mask &= free[h - 1]
+                start = pick_start_from_list(_window_starts_of(mask, slots, slot_count), reference)
+                expected.append((start, path.link_ids[a - 1 : b - 1]))
+            banks = tuple(usable[p] for p in cuts if usable[p] is not None)
+            assert state.connections[conn].segments == tuple(expected)
+            assert state.connections[conn].banks == banks
+            for key in banks:
+                banks_before[key] += 1
+            assert state.bank_in_use == banks_before
+            outcomes[("continuous", "one cut", "several cuts")[min(len(cuts), 2)]] += 1
+        assert rng.bit_generator.state == reference.bit_generator.state
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_conservation_through_random_admit_release():
@@ -304,13 +384,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(replications=0)
     with pytest.raises(ValueError):
-        SimConfig(policy="first-fit")
-    with pytest.raises(ValueError):
         SimConfig(warmup=10.0, horizon=5.0)
     # a non-finite horizon would never end the event loop
     for kwargs in ({"warmup": math.nan}, {"warmup": math.inf}, {"warmup": -1.0},
-                   {"horizon": math.nan}, {"horizon": math.inf}, {"replications": 0},
-                   {"subset_limit_bits": -1}):
+                   {"horizon": math.nan}, {"horizon": math.inf}, {"replications": 0}):
         with pytest.raises(InputError):
             SimConfig(**kwargs)
     # the default horizon offers 1e4 requests to the slowest demand: inf here
@@ -393,22 +470,22 @@ NSF_OFFERED = [
 ]
 
 NSF_BLOCKED = [
-    0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 3, 7, 0, 0, 0, 0, 1, 0, 4, 0, 1, 3, 7, 0, 7, 1, 0, 0,
-    4, 1, 0, 3, 3, 0, 1, 1, 0, 1, 0, 0, 0, 1, 3, 0, 2, 0, 0, 4, 0, 0, 0, 2, 0, 0, 1, 3,
-    0, 3, 1, 3, 0, 0, 2, 1, 1, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 1, 0, 2, 1, 1, 1,
-    0, 6, 0, 2, 0, 3, 1, 0, 4, 0, 5, 1, 5, 1, 1, 0, 3, 2, 7, 0, 0, 0, 1, 2, 0, 3, 3, 3,
-    0, 0, 0, 3, 0, 4, 0, 7, 0, 1, 1, 1, 0, 1, 2, 0, 0, 0, 1, 4, 1, 0, 1, 0, 2, 1, 1, 6,
-    1, 4, 0, 3, 0, 0, 0, 1, 0, 0, 5, 4, 0, 0, 0, 0, 1, 4, 0, 0, 1, 0, 3, 1, 0, 1, 0, 0,
-    0, 1, 0, 0, 1, 2, 0, 0, 2, 0, 1, 0, 0, 0
+    0, 0, 0, 0, 0, 1, 0, 2, 1, 1, 3, 6, 0, 0, 0, 0, 2, 0, 3, 0, 1, 2, 8, 0, 6, 1, 0, 0,
+    5, 1, 0, 3, 4, 1, 2, 0, 0, 1, 0, 0, 0, 0, 5, 0, 3, 0, 0, 1, 0, 1, 0, 2, 0, 0, 0, 4,
+    0, 4, 1, 2, 2, 0, 2, 1, 2, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 4, 1, 1, 0,
+    0, 1, 0, 3, 0, 3, 1, 0, 7, 0, 3, 2, 5, 1, 1, 0, 3, 3, 7, 0, 0, 0, 2, 2, 0, 1, 3, 3,
+    0, 0, 0, 1, 0, 4, 0, 5, 0, 0, 1, 1, 1, 0, 2, 0, 0, 0, 2, 1, 1, 0, 1, 0, 1, 2, 0, 6,
+    1, 4, 0, 3, 0, 0, 0, 2, 0, 0, 5, 2, 0, 0, 0, 0, 1, 3, 0, 0, 1, 0, 4, 1, 1, 0, 0, 0,
+    0, 2, 1, 0, 1, 2, 0, 0, 0, 0, 1, 0, 0, 0
 ]
 
 
-def test_pinned_sample_path_with_greedy_fallback():
+def test_pinned_sample_path_on_nsf():
     g = nsf14()
     demands = generate_demands(g, seed=5, slots_range=(1, 3), traffic_target=0.4)
     archs = uniform_architectures(g, NodeArchitecture(FULL))
-    config = SimConfig(seed=8, warmup=5.0, horizon=40.0, subset_limit_bits=2)
+    config = SimConfig(seed=8, warmup=5.0, horizon=40.0)
     result = simulate(g, demands, archs, config)
     assert result.per_replication_offered == [NSF_OFFERED]
     assert result.per_replication_blocked == [NSF_BLOCKED]
-    assert result.fallback_admissions == 87
+    assert result.fallback_admissions == 0
