@@ -35,7 +35,6 @@ class AnalysisConfig:
     max_iter: int = 1000
     seed: int = 0
     damping: float = 1.0  # 1.0 replays the bare iteration; lower blends updates
-    port_load_weighted: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -121,15 +120,16 @@ def fixed_point(
     Starts from independently random per-demand blockings, then loops:
     back up the network blocking, refresh every link's free probability,
     refresh every demand's blocking, refresh the network blocking.  Stops
-    when two successive network values differ by at most epsilon, or at
-    the iteration cap (returned with ``converged=False``, never raised).
+    when two successive network values and every link's two successive
+    free probabilities differ by at most epsilon, or at the iteration cap
+    (returned with ``converged=False``, never raised).
     """
     if config is None:
         config = AnalysisConfig()
     if routes is None:
         routes = route_all(graph, demands)
     if stats is None:
-        stats = crossing_stats(graph, routes, load_weighted=config.port_load_weighted)
+        stats = crossing_stats(graph, routes)
 
     rng = np.random.default_rng(config.seed)
     p_net = float(rng.random())
@@ -137,16 +137,20 @@ def fixed_point(
     p_prev = -1.0
 
     phis: LinkFreeProbs = {}
+    phi_delta = math.inf  # max |change| of a link's free probability
     trajectory: list[float] = []
     iterations = 0
-    while abs(p_net - p_prev) > config.epsilon and iterations < config.max_iter:
+    while (
+        abs(p_net - p_prev) > config.epsilon or phi_delta > config.epsilon
+    ) and iterations < config.max_iter:
         p_prev = p_net
         fresh = phi_update(demands, routes, blockings, graph)
-        if phis and config.damping < 1.0:
+        if phis:
             d = config.damping
-            phis = {lid: d * fresh[lid] + (1.0 - d) * phis[lid] for lid in fresh}
-        else:
-            phis = fresh
+            if d < 1.0:
+                fresh = {lid: d * fresh[lid] + (1.0 - d) * phis[lid] for lid in fresh}
+            phi_delta = max((abs(fresh[lid] - phis[lid]) for lid in fresh), default=0.0)
+        phis = fresh
         run_memo: dict = {}
         blockings = [
             demand_blocking(demand, route, archs, phis, stats, graph.slot_count, run_memo)
@@ -156,15 +160,15 @@ def fixed_point(
         trajectory.append(p_net)
         iterations += 1
 
-    converged = abs(p_net - p_prev) <= config.epsilon
+    converged = abs(p_net - p_prev) <= config.epsilon and phi_delta <= config.epsilon
     if not converged:
         log.warning(
-            "fixed point not converged after %d iterations (last delta %.3e)",
+            "fixed point not converged after %d iterations "
+            "(last network delta %.3e, link delta %.3e)",
             iterations,
             abs(p_net - p_prev),
+            phi_delta,
         )
-    if not phis:  # loop body never ran (epsilon above the initial delta)
-        phis = phi_update(demands, routes, blockings, graph)
     return AnalysisResult(
         phis=phis,
         demand_blockings=blockings,

@@ -37,7 +37,7 @@ from .reports import (
     write_simulation,
     write_sweep,
 )
-from .simulator import SimConfig, resolve_windows, simulate
+from .simulator import SimConfig, simulate
 from .topology import (
     load_demands,
     load_topology,
@@ -76,11 +76,6 @@ def _add_analysis_flags(sub):
     sub.add_argument("--epsilon", type=float, default=1e-6)
     sub.add_argument("--max-iter", type=int, default=1000)
     sub.add_argument("--damping", type=float, default=1.0)
-    sub.add_argument(
-        "--port-load-weighted",
-        action="store_true",
-        help="weight crossing statistics by rate*hold*slots instead of slots",
-    )
 
 
 def _add_sim_flags(sub):
@@ -217,7 +212,6 @@ def _analysis_config(args, seed: int) -> AnalysisConfig:
         max_iter=args.max_iter,
         seed=seed,
         damping=args.damping,
-        port_load_weighted=args.port_load_weighted,
     )
 
 
@@ -262,7 +256,6 @@ def _sim_config(args, seed: int) -> SimConfig:
 def _cmd_simulate(args) -> int:
     graph, demands, archs = _load_inputs(args)
     config = _sim_config(args, derive_seed(args.seed, "simulation"))
-    warmup, horizon = resolve_windows(demands, config)
     trace_handle = None
     trace = None
     if args.trace:
@@ -280,8 +273,8 @@ def _cmd_simulate(args) -> int:
         {
             "format": args.format,
             "seed": args.seed,
-            "warmup": warmup,
-            "horizon": horizon,
+            "warmup": result.warmup,
+            "horizon": result.horizon,
             "replications": config.replications,
         },
         _input_paths(args),

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations, permutations
 
-from ._parallel import parallel_map
 from .analyzer import AnalysisConfig, fixed_point
 from .errors import InputError
 from .lightpath import (
@@ -33,29 +31,25 @@ _KIND_RANK = {FULL: 0, SHARE_PER_LINK: 1, SHARE_PER_NODE: 2}
 def effective_converters(
     arch: NodeArchitecture,
     slot_count: int,
-    mean_out_degree: float,
-    full_equivalent: int | None = None,
+    mean_ports: float,
 ) -> float:
     """Merit estimating how much conversion capability an architecture
     contributes.
 
     A per-port bank of n_sc boxes is diluted over the F slots it may serve;
     a node-wide bank is additionally diluted over the node's ports.  A full
-    architecture has no finite bank, so it counts as one box per slot
-    (``full_equivalent`` overrides that convention).
+    architecture has no finite bank, so it counts as one box per slot.
     """
     if slot_count < 1:
         raise ValueError("slot_count must be >= 1")
-    if mean_out_degree <= 0:
+    if mean_ports <= 0:
         raise ValueError("mean out-degree must be positive")
     if arch.kind == FULL:
-        if arch.n_sc is not None:
-            return float(arch.n_sc)
-        return float(full_equivalent if full_equivalent is not None else slot_count)
+        return float(slot_count)
     if arch.kind == SHARE_PER_LINK:
         return arch.n_sc / slot_count
     if arch.kind == SHARE_PER_NODE:
-        return arch.n_sc / (mean_out_degree * slot_count)
+        return arch.n_sc / (mean_ports * slot_count)
     raise ValueError("a simple node has no conversion capability to rank")
 
 
@@ -93,11 +87,6 @@ class PlacementResult:
     all_converged: bool = True
 
 
-def _evaluate(graph, demands, config, routes, stats, archs: ArchitectureMap):
-    result = fixed_point(graph, demands, archs, config, routes, stats)
-    return result.network_blocking_prob, result.converged
-
-
 def _simple_nodes(graph: NetworkGraph, base: ArchitectureMap) -> list[int]:
     return [v for v in graph.nodes if not base.get(v, SIMPLE_NODE).converts]
 
@@ -127,10 +116,8 @@ def place_heuristic(
             f"{len(inventory)} converters but only {len(candidates)} simple nodes"
         )
     routes = route_all(graph, demands)
-    stats = crossing_stats(graph, routes, load_weighted=config.port_load_weighted)
-    evaluate = partial(_evaluate, graph, demands, config, routes, stats)
-
-    baseline, _ = evaluate(base)
+    stats = crossing_stats(graph, routes)
+    baseline = fixed_point(graph, demands, base, config, routes, stats).network_blocking_prob
     ranked = rank_inventory(inventory, graph)
 
     current = dict(base)
@@ -141,12 +128,12 @@ def place_heuristic(
     all_converged = True
     for arch, _merit in ranked:
         free_nodes = [v for v in candidates if v not in assignment]
-        trials = [{**current, node: arch} for node in free_nodes]
-        outcomes = parallel_map(evaluate, trials)
-        evaluations += len(trials)
+        evaluations += len(free_nodes)
         table = []
         best_node, best_blocking = None, math.inf
-        for node, (blocking, converged) in zip(free_nodes, outcomes):
+        for node in free_nodes:
+            trial = fixed_point(graph, demands, {**current, node: arch}, config, routes, stats)
+            blocking, converged = trial.network_blocking_prob, trial.converged
             table.append((node, blocking, converged))
             all_converged = all_converged and converged
             if best_node is None or blocking < best_blocking - config.epsilon:
@@ -193,10 +180,8 @@ def place_brute_force(
     if k > len(candidates):
         raise InputError(f"{k} converters but only {len(candidates)} simple nodes")
     routes = route_all(graph, demands)
-    stats = crossing_stats(graph, routes, load_weighted=config.port_load_weighted)
-    evaluate = partial(_evaluate, graph, demands, config, routes, stats)
-
-    baseline, _ = evaluate(base)
+    stats = crossing_stats(graph, routes)
+    baseline = fixed_point(graph, demands, base, config, routes, stats).network_blocking_prob
 
     perms = sorted(
         set(permutations(inventory)),
@@ -206,11 +191,12 @@ def place_brute_force(
     for nodes in combinations(candidates, k):
         for items in perms:
             assignments.append(dict(zip(nodes, items)))
-    outcomes = parallel_map(evaluate, [{**base, **a} for a in assignments])
 
     best, best_blocking, all_converged = None, math.inf, True
-    for assign, (blocking, converged) in zip(assignments, outcomes):
-        all_converged = all_converged and converged
+    for assign in assignments:
+        trial = fixed_point(graph, demands, {**base, **assign}, config, routes, stats)
+        blocking = trial.network_blocking_prob
+        all_converged = all_converged and trial.converged
         if best is None or blocking < best_blocking - config.epsilon:
             best, best_blocking = assign, blocking
     return PlacementResult(

@@ -24,14 +24,11 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import count
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as sps
 
-from ._parallel import parallel_map
 from .errors import InputError, SimulatorFault
 from .lightpath import (
     SHARE_PER_LINK,
@@ -75,39 +72,36 @@ class Connection(NamedTuple):
 
 
 class NetworkState:
-    """Mutable spectrum and converter-bank state of one replication."""
+    """Mutable spectrum and converter-bank state of one replication.
+
+    ``converters`` maps (node, exit link id) to the key of the bank that
+    grants a conversion there, or None for a full node, which has no finite
+    bank; nodes without conversion have no entry.
+    """
 
     def __init__(self, graph: NetworkGraph, archs: ArchitectureMap):
         self.slot_count = graph.slot_count
         self.full_mask = (1 << graph.slot_count) - 1
         self.occupied = {link.id: 0 for link in graph.links}
+        self.converters: dict[tuple[int, int], tuple[str, int] | None] = {}
         self.bank_capacity: dict[tuple[str, int], int] = {}
-        self.bank_in_use: dict[tuple[str, int], int] = {}
         for node in graph.nodes:
             arch = archs.get(node, SIMPLE_NODE)
-            if arch.kind == SHARE_PER_NODE:
-                key = ("node", node)
-                self.bank_capacity[key] = arch.n_sc
-                self.bank_in_use[key] = 0
-            elif arch.kind == SHARE_PER_LINK:
-                for link in graph.out_links(node):
+            if not arch.converts:
+                continue
+            for link in graph.out_links(node):
+                if arch.kind == SHARE_PER_NODE:
+                    key = ("node", node)
+                elif arch.kind == SHARE_PER_LINK:
                     key = ("port", link.id)
+                else:
+                    key = None
+                if key is not None:
                     self.bank_capacity[key] = arch.n_sc
-                    self.bank_in_use[key] = 0
+                self.converters[(node, link.id)] = key
+        self.bank_in_use = dict.fromkeys(self.bank_capacity, 0)
         self.connections: dict[int, Connection] = {}
         self.next_id = 1
-
-    def bank_key(self, node: int, exit_link_id: int, arch) -> tuple[str, int] | None:
-        if arch.kind == SHARE_PER_NODE:
-            return ("node", node)
-        if arch.kind == SHARE_PER_LINK:
-            return ("port", exit_link_id)
-        return None  # full: no finite bank
-
-    def bank_free(self, key: tuple[str, int] | None) -> bool:
-        if key is None:
-            return True
-        return self.bank_in_use[key] < self.bank_capacity[key]
 
     def verify_conservation(self):
         """Cross-check masks and bank counters against the ledger."""
@@ -153,7 +147,6 @@ def admit(
     state: NetworkState,
     route: RoutedPath,
     slots: int,
-    archs: ArchitectureMap,
     rng,
 ) -> int | None:
     """Try to carry a request for ``slots`` contiguous slots on ``route``.
@@ -179,14 +172,15 @@ def admit(
         return _allocate(state, route, slots, [(1, hops + 1, start)], ())
 
     # continuity failed: gather converters whose bank still has a free box
+    converters = state.converters
+    in_use, capacity = state.bank_in_use, state.bank_capacity
     usable: dict[int, tuple[str, int] | None] = {}  # path position -> bank key
     for pos in range(2, hops + 1):
-        node = route.nodes[pos - 1]
-        arch = archs.get(node, SIMPLE_NODE)
-        if not arch.converts:
+        cut = (route.nodes[pos - 1], link_ids[pos - 1])
+        if cut not in converters:
             continue
-        key = state.bank_key(node, link_ids[pos - 1], arch)
-        if state.bank_free(key):
+        key = converters[cut]
+        if key is None or in_use[key] < capacity[key]:
             usable[pos] = key
     if not usable:
         return None
@@ -224,7 +218,7 @@ def admit(
     return _allocate(state, route, slots, segments, tuple(banks))
 
 
-def _allocate(state, route, slots, segments, bank_keys) -> int:
+def _allocate(state, route, slots, segments, banks) -> int:
     window = (1 << slots) - 1
     occupied = state.occupied
     route_ids = route.link_ids
@@ -239,10 +233,10 @@ def _allocate(state, route, slots, segments, bank_keys) -> int:
             occupied[lid] = mask | shifted
         stored.append((start, link_ids))
     in_use = state.bank_in_use
-    for key in bank_keys:
+    for key in banks:
         in_use[key] += 1
     conn_id = state.next_id
-    state.connections[conn_id] = Connection(conn_id, slots, tuple(stored), tuple(bank_keys))
+    state.connections[conn_id] = Connection(conn_id, slots, tuple(stored), tuple(banks))
     state.next_id = conn_id + 1
     return conn_id
 
@@ -345,7 +339,7 @@ def _run_replication(graph, demands, routes, archs, config, warmup, horizon, tra
             counted = t > warmup
             if counted:
                 offered[d_idx] += 1
-            conn_id = admit(state, routes[d_idx], s, archs, admit_rng)
+            conn_id = admit(state, routes[d_idx], s, admit_rng)
             if conn_id is None:
                 if counted:
                     blocked[d_idx] += 1
@@ -394,23 +388,17 @@ def simulate(
     """Run ``config.replications`` independent replications and aggregate.
 
     Replication r draws every stream from (seed, r), so results are
-    reproducible bit for bit and independent of parallel scheduling.  When
-    ``trace`` is given (a callable receiving text lines), replications run
-    sequentially in-process.
+    reproducible bit for bit.  ``trace``, when given, is a callable
+    receiving one text line per event.
     """
     config = config or SimConfig()
     if routes is None:
         routes = route_all(graph, demands)
     warmup, horizon = resolve_windows(demands, config)
-
-    runner = partial(
-        _run_replication, graph, demands, routes, archs, config, warmup, horizon, trace
-    )
-    reps = list(range(config.replications))
-    if trace is not None:
-        outcomes = [runner(rep) for rep in reps]
-    else:
-        outcomes = parallel_map(runner, reps)
+    outcomes = [
+        _run_replication(graph, demands, routes, archs, config, warmup, horizon, trace, rep)
+        for rep in range(config.replications)
+    ]
 
     per_offered = [o for o, _ in outcomes]
     per_blocked = [b for _, b in outcomes]
@@ -428,6 +416,8 @@ def simulate(
     blocked_total = sum(demand_blocked)
     network = (blocked_total / offered_total) if offered_total else 0.0
     if len(rep_blockings) > 1:
+        from scipy import stats as sps  # about 1 s to import: only where it is used
+
         spread = float(np.std(rep_blockings, ddof=1)) / math.sqrt(len(rep_blockings))
         half_width = float(sps.t.ppf(0.975, len(rep_blockings) - 1)) * spread
     else:

@@ -144,11 +144,6 @@ class DemandSpec:
     def mean_slots(self) -> float:
         return sum(s * p for s, p in self.slot_pmf.items())
 
-    @property
-    def load(self) -> float:
-        """Offered load in erlangs times mean slots: rate * hold * mean_slots."""
-        return self.rate * self.hold * self.mean_slots
-
 
 @dataclass
 class RoutedPath:
@@ -167,10 +162,6 @@ class RoutedPath:
     def link_ids(self) -> tuple[int, ...]:
         return tuple(link.id for link in self.links)
 
-    @property
-    def weight(self) -> float:
-        return sum(link.weight for link in self.links)
-
 
 @dataclass
 class CrossingStats:
@@ -186,9 +177,6 @@ class CrossingStats:
     node_paths: dict[int, int]
     node_slots: dict[int, float]
     node_ports: dict[int, tuple[int, ...]]
-
-    def out_degree(self, node: int) -> int:
-        return len(self.node_ports[node])
 
 
 # ---------------------------------------------------------------------------
@@ -357,26 +345,19 @@ def route_all(g: NetworkGraph, demands: list[DemandSpec]) -> list[RoutedPath]:
     return routes
 
 
-def crossing_stats(
-    g: NetworkGraph,
-    routes: list[RoutedPath],
-    load_weighted: bool = False,
-) -> CrossingStats:
+def crossing_stats(g: NetworkGraph, routes: list[RoutedPath]) -> CrossingStats:
     """Count transit demands per node and per output port.
 
     Each route adds 1 to every strictly interior node it crosses and to the
     exit port it uses there; the slot totals accumulate the demand's mean
-    slot count (or rate*hold*mean_slots when ``load_weighted``).
+    slot count.
     """
     port_paths = {link.id: 0 for link in g.links}
     port_slots = {link.id: 0.0 for link in g.links}
     node_paths = {v: 0 for v in g.nodes}
     node_slots = {v: 0.0 for v in g.nodes}
     for route in routes:
-        if route.demand is not None:
-            weight = route.demand.load if load_weighted else route.demand.mean_slots
-        else:
-            weight = 0.0
+        weight = route.demand.mean_slots if route.demand is not None else 0.0
         for pos in range(1, route.hop_count):  # interior node positions
             node = route.nodes[pos]
             exit_link = route.links[pos]

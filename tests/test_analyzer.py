@@ -23,7 +23,7 @@ from eonspectra.topology import (
     load_topology,
     route_all,
 )
-from eonspectra.fixtures import nsf14, nsf14_demands
+from eonspectra.fixtures import generate_demands, nsf14, nsf14_demands, sixnode
 
 
 def line(nodes, slot_count=10):
@@ -153,6 +153,19 @@ def test_fixed_point_seed_independence_at_convergence():
     assert abs(values[0] - values[1]) <= 10 * config.epsilon, (
         "seed disagreement: possible multiple fixed points"
     )
+
+
+def test_converged_result_is_a_fixed_point():
+    # here the network blocking settles within epsilon while phi_update
+    # still moves the link states by about 4e-3, so that test alone stops early
+    g = sixnode()
+    demands = generate_demands(g, seed=1, slots_range=(1, 3), traffic_target=0.25)
+    routes = route_all(g, demands)
+    result = fixed_point(g, demands, {}, AnalysisConfig(seed=6), routes)
+    assert result.converged
+    fresh = phi_update(demands, routes, result.demand_blockings, g)
+    residual = max(abs(fresh[lid] - phi) for lid, phi in result.phis.items())
+    assert residual <= 1e-5
 
 
 def test_fixed_point_damping_reaches_same_answer():

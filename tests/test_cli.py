@@ -138,6 +138,19 @@ def test_simulate_deterministic_and_row_counts(inputs):
     assert len(by_demand) == 1 + len(DEMANDS)
 
 
+def test_simulate_manifest_records_resolved_windows(inputs):
+    tmp, topo, demands, _ = inputs
+    out = tmp / "sim.csv"
+    code = main([
+        "simulate", "--topology", str(topo), "--demands", str(demands),
+        "--out", str(out), "--horizon", "100",
+    ])
+    assert code == 0
+    parameters = json.loads((tmp / "sim.manifest.json").read_text())["parameters"]
+    # default warm-up: 10 mean holds of the longest-holding demand
+    assert (parameters["warmup"], parameters["horizon"]) == (20.0, 100.0)
+
+
 def test_simulate_trace(inputs):
     tmp, topo, demands, _ = inputs
     out = tmp / "sim.csv"
@@ -380,6 +393,16 @@ def test_out_of_range_flag_exits_1_without_output(capsys, inputs, command, flags
     out = tmp / "nope.csv"
     code = main([command, "--topology", str(topo), "--demands", str(demands),
                  "--out", str(out), *flags])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_converter_count_on_a_full_node_exits_1(capsys, inputs):
+    tmp, topo, demands, _ = inputs
+    out = tmp / "nope.csv"
+    code = main(["place", "--topology", str(topo), "--demands", str(demands),
+                 "--converters", "full:-3,share_per_node:1", "--out", str(out)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()

@@ -329,6 +329,14 @@ def test_load_architectures_rejects_bad_entries():
             NodeArchitecture(SHARE_PER_NODE, n_sc)
         with pytest.raises(ArchitectureError):
             load_architectures(json.dumps({"2": {"kind": "share_per_link", "n_sc": n_sc}}), g)
+    # simple and full nodes have no bank to size
+    for kind in (SIMPLE, FULL):
+        for n_sc in (1, -3, "abc"):
+            with pytest.raises(ArchitectureError):
+                NodeArchitecture(kind, n_sc)
+            with pytest.raises(ArchitectureError):
+                load_architectures(json.dumps({"2": {"kind": kind, "n_sc": n_sc}}), g)
+        assert load_architectures(json.dumps({"2": {"kind": kind, "n_sc": None}}), g)[2].n_sc is None
 
 
 def test_uniform_architectures():

@@ -49,7 +49,6 @@ def uniform_demands(graph, rate=1.0):
 
 def test_effective_converters_values():
     full = NodeArchitecture(FULL)
-    assert effective_converters(full, 50, 4.0, full_equivalent=1) == 1.0
     assert effective_converters(full, 50, 4.0) == 50.0  # defaults to one per slot
     spl = NodeArchitecture(SHARE_PER_LINK, 5)
     assert effective_converters(spl, 50, 4.0) == pytest.approx(0.1)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import eonspectra
 from eonspectra.errors import InputError, SimulatorFault
 from eonspectra.fixtures import generate_demands, nsf14
 from eonspectra.lightpath import (
@@ -51,7 +56,7 @@ def test_unique_window_is_always_chosen():
         state = make_state(g)
         # occupy slot 3 (0-based index 2): free slots 1,2,4 leave one 2-window
         state.occupied[path.links[0].id] = 0b0100
-        conn = admit(state, path, 2, {}, rng)
+        conn = admit(state, path, 2, rng)
         assert conn is not None
         (start, _links), = state.connections[conn].segments
         assert start == 0
@@ -64,7 +69,7 @@ def test_random_fit_is_uniform_over_windows():
     counts = {0: 0, 1: 0, 2: 0}
     state = make_state(g)
     for _ in range(100_000):
-        conn = admit(state, path, 2, {}, rng)
+        conn = admit(state, path, 2, rng)
         (start, _), = state.connections[conn].segments
         counts[start] += 1
         release(state, conn)
@@ -77,7 +82,7 @@ def test_blocked_when_no_window():
     path = shortest_path(g, 1, 2)
     state = make_state(g)
     state.occupied[path.links[0].id] = 0b0101  # free slots 2 and 4: no 2-window
-    assert admit(state, path, 2, {}, np.random.default_rng(2)) is None
+    assert admit(state, path, 2, np.random.default_rng(2)) is None
 
 
 def test_conversion_bridges_disjoint_windows():
@@ -85,11 +90,13 @@ def test_conversion_bridges_disjoint_windows():
     path = shortest_path(g, 1, 3)
     archs = {2: NodeArchitecture(FULL)}
     state = make_state(g, archs)
-    state.occupied[path.links[0].id] = 0b1100  # link 1 free on slots 1-2
-    state.occupied[path.links[1].id] = 0b0011  # link 2 free on slots 3-4
+    plain = make_state(g)
+    for each in (state, plain):
+        each.occupied[path.links[0].id] = 0b1100  # link 1 free on slots 1-2
+        each.occupied[path.links[1].id] = 0b0011  # link 2 free on slots 3-4
     rng = np.random.default_rng(3)
-    assert admit(state, path, 2, {}, rng) is None  # no converter: blocked
-    conn = admit(state, path, 2, archs, rng)
+    assert admit(plain, path, 2, rng) is None  # no converter: blocked
+    conn = admit(state, path, 2, rng)
     assert conn is not None
     segments = state.connections[conn].segments
     assert len(segments) == 2
@@ -105,15 +112,15 @@ def test_shared_bank_exhaustion_blocks_conversion():
     rng = np.random.default_rng(4)
     state.occupied[path.links[0].id] = 0b1100
     state.occupied[path.links[1].id] = 0b0011
-    first = admit(state, path, 2, archs, rng)
+    first = admit(state, path, 2, rng)
     assert first is not None
     assert state.bank_in_use[("node", 2)] == 1
     # bank is exhausted and the straight-through windows are now gone too
-    second = admit(state, path, 1, archs, rng)
+    second = admit(state, path, 1, rng)
     assert second is None
     release(state, first)
     assert state.bank_in_use[("node", 2)] == 0
-    assert admit(state, path, 1, archs, rng) is not None
+    assert admit(state, path, 1, rng) is not None
 
 
 def test_minimal_conversions_preferred():
@@ -123,7 +130,7 @@ def test_minimal_conversions_preferred():
     archs = uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 1))
     state = make_state(g, archs)
     rng = np.random.default_rng(5)
-    conn = admit(state, path, 2, archs, rng)
+    conn = admit(state, path, 2, rng)
     assert conn is not None
     assert state.connections[conn].banks == ()
     assert all(used == 0 for used in state.bank_in_use.values())
@@ -140,7 +147,7 @@ def test_release_restores_masks_and_counters():
     state.occupied[path.links[0].id] = 0b11110000
     state.occupied[path.links[1].id] = 0b00001111
     snapshot_masks = dict(state.occupied)
-    conn = admit(state, path, 3, archs, rng)
+    conn = admit(state, path, 3, rng)
     assert conn is not None
     release(state, conn)
     assert state.occupied == snapshot_masks
@@ -169,7 +176,7 @@ def test_long_route_converts_at_every_node():
     # of the 14 converters must cut
     for h, link in enumerate(path.links):
         state.occupied[link.id] = 0b0011 if h % 2 else 0b1100
-    conn = admit(state, path, 2, archs, rng)
+    conn = admit(state, path, 2, rng)
     assert conn is not None
     segments = state.connections[conn].segments
     assert [links for _, links in segments] == [(lid,) for lid in path.link_ids]
@@ -221,15 +228,18 @@ def test_admit_matches_subset_enumeration():
         for pos in range(2, hops + 1):
             node = path.nodes[pos - 1]
             if node in archs:
-                key = state.bank_key(node, path.link_ids[pos - 1], archs[node])
-                if state.bank_free(key):
+                key = {
+                    SHARE_PER_NODE: ("node", node),
+                    SHARE_PER_LINK: ("port", path.link_ids[pos - 1]),
+                }.get(archs[node].kind)
+                if key is None or state.bank_in_use[key] < state.bank_capacity[key]:
                     usable[pos] = key
         cuts = cuts_by_subsets(free, slots, slot_count, list(usable))
         banks_before = dict(state.bank_in_use)
         seed = int(draw.integers(1 << 32))
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
 
-        conn = admit(state, path, slots, archs, rng)
+        conn = admit(state, path, slots, rng)
         if cuts is None:
             assert conn is None
             assert state.bank_in_use == banks_before
@@ -280,7 +290,7 @@ def test_conservation_through_random_admit_release():
             release(state, conn)
         else:
             path = paths[int(rng.integers(len(paths)))]
-            conn = admit(state, path, int(rng.integers(1, 4)), archs, rng)
+            conn = admit(state, path, int(rng.integers(1, 4)), rng)
             if conn is not None:
                 active.append(conn)
         if step % 250 == 0:
@@ -393,6 +403,17 @@ def test_config_validation():
     # the default horizon offers 1e4 requests to the slowest demand: inf here
     with pytest.raises(InputError):
         resolve_windows([DemandSpec(1, 2, 1e-320, 1.0, {1: 1.0})], SimConfig())
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy takes most of the import time and memory; only the t quantile
+    # of a multi-replication simulation needs it
+    code = "import sys, eonspectra, eonspectra.cli; print('scipy' in sys.modules)"
+    src = str(Path(eonspectra.__file__).parents[1])  # the package under test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 # --- random streams ----------------------------------------------------------

