@@ -21,20 +21,15 @@ from .lightpath import (
     blocking_full_at,
     blocking_full_conversion,
     blocking_without_conversion,
-    converter_layout,
     lightpath_blocking,
     load_architectures,
-    node_mean_free_prob,
-    segment_success_prob,
     share_per_link_availability,
     uniform_architectures,
 )
 from .placement import (
     PlacementResult,
-    effective_converters,
     place_brute_force,
     place_heuristic,
-    rank_inventory,
 )
 from .runprob import run_probability, run_probability_bruteforce
 from .simulator import (

@@ -65,14 +65,10 @@ def demand_blocking(
     run_memo: dict | None = None,
 ) -> float:
     """Average blocking of one demand: its slot-count pmf weighting the
-    per-slot-count lightpath blocking.  Requests larger than the fiber
-    block outright."""
+    per-slot-count lightpath blocking."""
     total = 0.0
     for s, p in sorted(demand.slot_pmf.items()):
         if p == 0.0:
-            continue
-        if s > slot_count:
-            total += p
             continue
         total += p * lightpath_blocking(s, path, archs, phis, stats, slot_count, run_memo)
     return total

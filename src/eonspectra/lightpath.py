@@ -11,10 +11,14 @@ expectation over the random set T of free converters:
 
 where converter i is free with probability a_i (``converter_availability``,
 architecture dependent) and seg(T) is ``segment_success_prob`` for the
-layout cut at T.  It is evaluated one converter at a time as a convex
-combination of the two branches, so the result is a probability by
-construction.  Layouts are tuples of path positions ``(1, p2, ..., H+1)``:
-fixed endpoints plus the interior positions that hold a converter.
+layout cut at T.  The cut points form a chain, so the expectation is one
+forward pass over the converters: it carries the probability mass of each
+still-open segment start and adds the failure of every segment as it
+closes.  That evaluates O(k^2) segments for k converters (O(k) when all
+are always free), and every term is nonnegative, so the result is a
+probability by construction.  Layouts are tuples of path positions
+``(1, p2, ..., H+1)``: fixed endpoints plus the interior positions that
+hold a converter.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ SHARE_PER_NODE = "share_per_node"
 
 _KINDS = (SIMPLE, FULL, SHARE_PER_LINK, SHARE_PER_NODE)
 _SHARED_KINDS = (SHARE_PER_LINK, SHARE_PER_NODE)
-
-_MAX_LAYOUT = 20  # guard: up to 2^20 free/busy converter states
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,6 @@ def converter_layout(path: RoutedPath, archs: ArchitectureMap) -> tuple[int, ...
         for pos in range(2, hops + 1)
         if archs.get(path.nodes[pos - 1], SIMPLE_NODE).converts
     )
-    if len(interior) > _MAX_LAYOUT:
-        raise ValueError(f"layout with {len(interior)} converters exceeds guard {_MAX_LAYOUT}")
     return (1,) + interior + (hops + 1,)
 
 
@@ -252,59 +252,38 @@ def lightpath_blocking(
 ) -> float:
     """Blocking probability of a request for ``min_run`` contiguous slots
     on ``path``: the expectation of 1 - seg(T) over the random set T of the
-    path's interior converters that are free to take the request."""
+    path's interior converters that are free to take the request.
+
+    ``open_segments`` holds (start, mass) pairs: mass is the probability
+    that the open segment starts at path position ``start`` and every
+    segment closed before it succeeded.  A converter free with probability
+    a closes each open segment with probability a, which blocks with
+    mass * a * (1 - success) and opens a segment at the converter; with
+    probability 1 - a the open segments run on through it.
+    """
     if min_run > slot_count:
         return 1.0
-    hop_probs = tuple(phis[link.id] for link in path.links)
-    converters = tuple(
-        (pos, converter_availability(pos, path, archs, stats, phis))
-        for pos in converter_layout(path, archs)[1:-1]
-    )
     if run_memo is None:
         run_memo = {}
-    return _expected_blocking(min_run, slot_count, hop_probs, converters, run_memo, 0, 1, 1.0)
-
-
-def _expected_blocking(
-    min_run: int,
-    slot_count: int,
-    hop_probs: tuple[float, ...],
-    converters: tuple[tuple[int, float], ...],
-    run_memo: dict,
-    i: int,
-    start: int,
-    established: float,
-) -> float:
-    """Expected blocking over the free/busy states of ``converters[i:]``,
-    given that the open segment starts at path position ``start`` and the
-    segments closed before it all succeed with probability ``established``.
-
-    A free converter closes the open segment at its position; a busy one
-    extends it.  Branches of probability zero are skipped, so always-free
-    converters cost nothing extra.  Kept at module level: a closure calling
-    itself would be a reference cycle that holds ``run_memo`` until the
-    cyclic garbage collector runs.
-    """
-    if established == 0.0:
-        return 1.0
-    if i == len(converters):
-        end = len(hop_probs) + 1
-        last = _segment_prob(min_run, slot_count, hop_probs, start, end, run_memo)
-        return 1.0 - established * last
-    pos, avail = converters[i]
-    if avail < 1.0:
-        busy = _expected_blocking(
-            min_run, slot_count, hop_probs, converters, run_memo, i + 1, start, established
-        )
+    hop_probs = tuple(phis[link.id] for link in path.links)
+    open_segments = [(1, 1.0)]
+    blocked = 0.0
+    for pos in converter_layout(path, archs)[1:-1]:
+        avail = converter_availability(pos, path, archs, stats, phis)
         if avail == 0.0:
-            return busy
-    closed = established * _segment_prob(min_run, slot_count, hop_probs, start, pos, run_memo)
-    free = _expected_blocking(
-        min_run, slot_count, hop_probs, converters, run_memo, i + 1, pos, closed
-    )
-    if avail == 1.0:
-        return free
-    return avail * free + (1.0 - avail) * busy
+            continue
+        closed = 0.0
+        for start, mass in open_segments:
+            success = _segment_prob(min_run, slot_count, hop_probs, start, pos, run_memo)
+            blocked += avail * mass * (1.0 - success)
+            closed += mass * success
+        busy = 1.0 - avail
+        open_segments = [(start, mass * busy) for start, mass in open_segments] if busy else []
+        open_segments.append((pos, avail * closed))
+    end = len(hop_probs) + 1
+    for start, mass in open_segments:
+        blocked += mass * (1.0 - _segment_prob(min_run, slot_count, hop_probs, start, end, run_memo))
+    return blocked
 
 
 # ---------------------------------------------------------------------------

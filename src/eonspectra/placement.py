@@ -10,6 +10,7 @@ serves as the optimality oracle at small scale.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -87,6 +88,30 @@ class PlacementResult:
     all_converged: bool = True
 
 
+def _setup(
+    graph: NetworkGraph,
+    demands: list[DemandSpec],
+    inventory: list[NodeArchitecture],
+    config: AnalysisConfig,
+    base: ArchitectureMap,
+):
+    """Check the inventory against the simple nodes of ``base``, then route
+    the demands once and solve the baseline.  Returns the candidate nodes,
+    the routes, the crossing statistics and the baseline blocking."""
+    for arch in inventory:
+        if not arch.converts:
+            raise InputError("inventory items must have conversion capability")
+    candidates = _simple_nodes(graph, base)
+    if len(inventory) > len(candidates):
+        raise InputError(
+            f"{len(inventory)} converters but only {len(candidates)} simple nodes"
+        )
+    routes = route_all(graph, demands)
+    stats = crossing_stats(graph, routes)
+    baseline = fixed_point(graph, demands, base, config, routes, stats).network_blocking_prob
+    return candidates, routes, stats, baseline
+
+
 def _simple_nodes(graph: NetworkGraph, base: ArchitectureMap) -> list[int]:
     return [v for v in graph.nodes if not base.get(v, SIMPLE_NODE).converts]
 
@@ -107,17 +132,7 @@ def place_heuristic(
     """
     config = config or AnalysisConfig()
     base = dict(base_archs or {})
-    for arch in inventory:
-        if not arch.converts:
-            raise InputError("inventory items must have conversion capability")
-    candidates = _simple_nodes(graph, base)
-    if len(inventory) > len(candidates):
-        raise InputError(
-            f"{len(inventory)} converters but only {len(candidates)} simple nodes"
-        )
-    routes = route_all(graph, demands)
-    stats = crossing_stats(graph, routes)
-    baseline = fixed_point(graph, demands, base, config, routes, stats).network_blocking_prob
+    candidates, routes, stats, baseline = _setup(graph, demands, inventory, config, base)
     ranked = rank_inventory(inventory, graph)
 
     current = dict(base)
@@ -166,22 +181,18 @@ def place_brute_force(
 ) -> PlacementResult:
     """Global search over every assignment of the inventory to distinct
     simple nodes.  Identical inventory items would only permute into the
-    same assignment, so those orders are collapsed before evaluating."""
+    same assignment, so those orders are collapsed before evaluating, and
+    ``guard`` bounds the evaluations that remain."""
     config = config or AnalysisConfig()
     base = dict(base_archs or {})
-    for arch in inventory:
-        if not arch.converts:
-            raise InputError("inventory items must have conversion capability")
     k = len(inventory)
-    total = math.comb(graph.node_count, k) * math.factorial(k)
+    orders = math.factorial(k)
+    for count in Counter(inventory).values():
+        orders //= math.factorial(count)
+    total = math.comb(len(_simple_nodes(graph, base)), k) * orders
     if total > guard:
         raise InputError(f"brute force would need {total} evaluations (guard {guard})")
-    candidates = _simple_nodes(graph, base)
-    if k > len(candidates):
-        raise InputError(f"{k} converters but only {len(candidates)} simple nodes")
-    routes = route_all(graph, demands)
-    stats = crossing_stats(graph, routes)
-    baseline = fixed_point(graph, demands, base, config, routes, stats).network_blocking_prob
+    candidates, routes, stats, baseline = _setup(graph, demands, inventory, config, base)
 
     perms = sorted(
         set(permutations(inventory)),

@@ -14,6 +14,8 @@ from operator import and_
 
 import numpy as np
 
+from eonspectra.lightpath import blocking_full_at
+
 
 def erlang_b(servers: int, offered_load: float) -> float:
     """Blocking of an M/M/c/c loss system, by the stable recurrence."""
@@ -131,6 +133,29 @@ def exact_lightpath_blocking(
             )
             if blocked:
                 terms.append(state_prob * math.prod(p for _, p in masks))
+    return math.fsum(terms)
+
+
+def blocking_by_converter_states(
+    min_run: int,
+    slot_count: int,
+    hop_free_probs,
+    converters: list[tuple[int, float]],
+) -> float:
+    """Lightpath blocking as the sum, over every free/busy state T of the
+    interior converters, of P(T) times the closed-form blocking of the
+    path cut at the free ones.
+
+    ``converters`` lists (path position, probability the converter is
+    free).  Costs 2^k closed forms for k converters.
+    """
+    end = len(hop_free_probs) + 1
+    terms = []
+    for states in product((True, False), repeat=len(converters)):
+        state_prob = math.prod(a if free else 1.0 - a for (_, a), free in zip(converters, states))
+        cuts = tuple(pos for (pos, _), free in zip(converters, states) if free)
+        layout = (1,) + cuts + (end,)
+        terms.append(state_prob * blocking_full_at(min_run, slot_count, layout, hop_free_probs))
     return math.fsum(terms)
 
 

@@ -325,6 +325,29 @@ def test_place_nsf_three_converters(tmp_path):
     assert summary["achieved_blocking"] < summary["baseline_blocking"]
 
 
+def test_analyze_long_all_full_line_exits_0(tmp_path):
+    # 22 interior full converters on the one 23-hop route
+    nodes = list(range(1, 25))
+    topo = tmp_path / "line.json"
+    topo.write_text(json.dumps({
+        "name": "line24",
+        "slot_count": 4,
+        "nodes": nodes,
+        "edges": [{"a": a, "b": a + 1, "weight": 1} for a in nodes[:-1]],
+    }))
+    demands = tmp_path / "demands.json"
+    demands.write_text(json.dumps([{"src": 1, "dst": 24, "rate": 0.5, "hold": 1.0, "slots": 2}]))
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps({str(v): {"kind": "full"} for v in nodes}))
+    out = tmp_path / "line.csv"
+    code = main(["analyze", "--topology", str(topo), "--demands", str(demands),
+                 "--arch", str(arch), "--out", str(out), "--damping", "0.5"])
+    assert code == 0
+    rows = read_csv(out)
+    assert rows[1][:3] == ["1", "24", "23"]
+    assert 0.0 <= float(rows[1][3]) <= 1.0
+
+
 def test_converter_spec_parsing():
     inv = parse_converter_spec("full,full,share_per_node:1")
     assert inv == [

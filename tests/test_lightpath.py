@@ -32,7 +32,7 @@ from eonspectra.topology import (
     crossing_stats,
 )
 
-from oracles import exact_lightpath_blocking, mc_segmented_blocking
+from oracles import blocking_by_converter_states, exact_lightpath_blocking, mc_segmented_blocking
 
 
 def line_path(hops):
@@ -66,9 +66,21 @@ def test_layout_from_positions():
     path = line_path(5)
     archs = {2: NodeArchitecture(FULL), 4: NodeArchitecture(FULL)}
     assert converter_layout(path, archs) == (1, 2, 4, 6)
-    everywhere = uniform_architectures(line_graph(22, 4), NodeArchitecture(FULL))
-    with pytest.raises(ValueError):  # 21 converters: over the 2^20-state guard
-        converter_layout(line_path(22), everywhere)
+    # 22 interior converters: far beyond an enumeration of their 2^22
+    # free/busy states, but the forward pass needs no guard
+    rng = np.random.default_rng(3)
+    hops, slot_count = 23, 4
+    long_path = line_path(hops)
+    phis = {h + 1: float(x) for h, x in enumerate(rng.uniform(0.6, 1.0, hops))}
+    graph = line_graph(hops, slot_count)
+    full = uniform_architectures(graph, NodeArchitecture(FULL))
+    assert len(converter_layout(long_path, full)) == 24
+    got = lightpath_blocking(2, long_path, full, phis, empty_stats(hops), slot_count)
+    expected = blocking_full_conversion(2, slot_count, list(phis.values()))
+    assert got == pytest.approx(expected, abs=1e-12)
+    shared = uniform_architectures(graph, NodeArchitecture(SHARE_PER_NODE, 1))
+    stats = _busy_stats(rng, long_path, hops, slot_count)
+    assert 0.0 <= lightpath_blocking(2, long_path, shared, phis, stats, slot_count) <= 1.0
 
 
 def test_layout_excludes_endpoints():
@@ -250,6 +262,50 @@ def test_blocking_matches_exhaustive_enumeration():
         assert 0.0 <= got <= 1.0
         worst = max(worst, abs(got - expected))
     assert worst <= 1e-12
+
+
+def test_blocking_matches_converter_state_sum():
+    """Longer paths than the exhaustive slot-mask oracle reaches: the
+    expectation over all 2^k converter states of the closed form."""
+    rng = np.random.default_rng(23)
+    kinds = [
+        SIMPLE_NODE,
+        NodeArchitecture(FULL),
+        NodeArchitecture(SHARE_PER_LINK, 1),
+        NodeArchitecture(SHARE_PER_NODE, 1),
+        NodeArchitecture(SHARE_PER_NODE, 2),
+    ]
+    for _ in range(300):
+        hops, slot_count, min_run, phis, path, _ = _random_instance(rng, max_hops=10)
+        stats = _busy_stats(rng, path, hops, slot_count)
+        archs = {v: kinds[int(rng.integers(len(kinds)))] for v in range(2, hops + 1)}
+        converters = [
+            (pos, converter_availability(pos, path, archs, stats, phis))
+            for pos in converter_layout(path, archs)[1:-1]
+        ]
+        hop_probs = [phis[h + 1] for h in range(hops)]
+        expected = blocking_by_converter_states(min_run, slot_count, hop_probs, converters)
+        got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count)
+        assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_blocking_is_a_probability_without_clamping():
+    rng = np.random.default_rng(31)
+    kinds = [
+        NodeArchitecture(FULL),
+        NodeArchitecture(SHARE_PER_LINK, 1),
+        NodeArchitecture(SHARE_PER_NODE, 1),
+    ]
+    for _ in range(200):
+        hops, slot_count, min_run, phis, path, _ = _random_instance(rng, max_hops=8)
+        stats = _busy_stats(rng, path, hops, slot_count)
+        archs = {v: kinds[int(rng.integers(len(kinds)))] for v in range(2, hops + 1)}
+        # every slot free: no request can block, exactly
+        all_free = dict.fromkeys(phis, 1.0)
+        assert lightpath_blocking(min_run, path, archs, all_free, stats, slot_count) == 0.0
+        shared = {v: kinds[1 + int(rng.integers(2))] for v in range(2, hops + 1)}
+        value = lightpath_blocking(min_run, path, shared, phis, stats, slot_count)
+        assert 0.0 <= value <= 1.0
 
 
 def test_upgrading_architecture_never_increases_blocking():

@@ -175,6 +175,23 @@ def test_brute_force_dedups_identical_items():
     assert result.achieved_blocking == pytest.approx(min(scores.values()), abs=1e-9)
 
 
+def test_brute_force_guard_counts_the_evaluations_it_runs():
+    g = sixnode()
+    demands = sixnode_demands(g)[:6]
+    config = AnalysisConfig(epsilon=1e-4, max_iter=40, seed=1)
+    # identical items: C(6, 2) node pairs, one order each
+    two = place_brute_force(g, demands, [NodeArchitecture(FULL)] * 2, config, guard=15)
+    assert two.evaluations == 15
+    with pytest.raises(InputError, match="would need 15 evaluations"):
+        place_brute_force(g, demands, [NodeArchitecture(FULL)] * 2, config, guard=14)
+    # converting base nodes are not candidates
+    base = {1: NodeArchitecture(FULL), 2: NodeArchitecture(FULL)}
+    one = place_brute_force(g, demands, [NodeArchitecture(FULL)], config, base, guard=4)
+    assert one.evaluations == 4
+    with pytest.raises(InputError, match="would need 4 evaluations"):
+        place_brute_force(g, demands, [NodeArchitecture(FULL)], config, base, guard=3)
+
+
 def test_heuristic_matches_brute_force_on_sixnode():
     g = sixnode()
     demands = sixnode_demands(g)
