@@ -16,11 +16,13 @@ from .lightpath import (
     SHARE_PER_NODE,
     SIMPLE,
     ArchitectureMap,
+    CrossingStats,
     LinkFreeProbs,
     NodeArchitecture,
     blocking_full_at,
     blocking_full_conversion,
     blocking_without_conversion,
+    crossing_stats,
     lightpath_blocking,
     load_architectures,
     share_per_link_availability,
@@ -41,12 +43,10 @@ from .simulator import (
     simulate,
 )
 from .topology import (
-    CrossingStats,
     DemandSpec,
     Link,
     NetworkGraph,
     RoutedPath,
-    crossing_stats,
     load_demands,
     load_topology,
     network_traffic,

@@ -16,15 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .lightpath import ArchitectureMap, LinkFreeProbs, lightpath_blocking
-from .topology import (
+from .lightpath import (
+    ArchitectureMap,
     CrossingStats,
-    DemandSpec,
-    NetworkGraph,
-    RoutedPath,
+    LinkFreeProbs,
     crossing_stats,
-    route_all,
+    lightpath_blocking,
 )
+from .topology import DemandSpec, NetworkGraph, RoutedPath, route_all
 
 log = logging.getLogger(__name__)
 

@@ -13,6 +13,7 @@ import dataclasses
 import logging
 import sys
 import zlib
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .reports import (
     write_simulation,
     write_sweep,
 )
-from .simulator import SimConfig, simulate
+from .simulator import SimConfig, resolve_windows, simulate
 from .topology import (
     load_demands,
     load_topology,
@@ -62,10 +63,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, demands_required=True):
+def _add_common(sub):
     sub.add_argument("--topology", required=True, help="topology JSON file")
-    if demands_required:
-        sub.add_argument("--demands", required=True, help="demands JSON file")
+    sub.add_argument("--demands", required=True, help="demands JSON file")
     sub.add_argument("--arch", help="architecture JSON file (default: all simple)")
     sub.add_argument("--out", required=True, help="output file")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -187,23 +187,17 @@ def parse_arch_sweep(text: str, graph) -> list[tuple[str, dict]]:
     return settings
 
 
-def _load_inputs(args, demands_required=True):
+def _load_inputs(args):
     graph = load_topology(Path(args.topology).read_text())
-    demands = []
-    if demands_required:
-        demands = load_demands(Path(args.demands).read_text(), graph)
+    demands = load_demands(Path(args.demands).read_text(), graph)
     archs = {}
-    if getattr(args, "arch", None):
+    if args.arch:
         archs = load_architectures(Path(args.arch).read_text(), graph)
     return graph, demands, archs
 
 
 def _input_paths(args) -> dict:
-    return {
-        "topology": getattr(args, "topology", None),
-        "demands": getattr(args, "demands", None),
-        "arch": getattr(args, "arch", None),
-    }
+    return {"topology": args.topology, "demands": args.demands, "arch": args.arch}
 
 
 def _analysis_config(args, seed: int) -> AnalysisConfig:
@@ -256,16 +250,12 @@ def _sim_config(args, seed: int) -> SimConfig:
 def _cmd_simulate(args) -> int:
     graph, demands, archs = _load_inputs(args)
     config = _sim_config(args, derive_seed(args.seed, "simulation"))
-    trace_handle = None
-    trace = None
-    if args.trace:
-        trace_handle = open(args.trace, "w")
-        trace = trace_handle.write
-    try:
-        result = simulate(graph, demands, archs, config, trace=trace)
-    finally:
-        if trace_handle:
-            trace_handle.close()
+    # input errors surface here, before the trace file is created
+    routes = route_all(graph, demands)
+    resolve_windows(demands, config)
+    with open(args.trace, "w") if args.trace else nullcontext() as trace_file:
+        trace = trace_file.write if trace_file else None
+        result = simulate(graph, demands, archs, config, routes=routes, trace=trace)
     write_simulation(args.out, args.format, result, graph, demands)
     write_manifest(
         args.out,

@@ -14,6 +14,7 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import DemandError
 from .topology import (
     DemandSpec,
     NetworkGraph,
@@ -60,7 +61,11 @@ def generate_demands(
 ) -> list[DemandSpec]:
     """One demand per ordered node pair: uniform mean rate and hold, a
     fixed uniform slot count, optionally rescaling all rates so the
-    normalized network traffic hits ``traffic_target``."""
+    normalized network traffic hits ``traffic_target``.  The slot range
+    must lie within the graph's 1..slot_count."""
+    lo, hi = slots_range
+    if not 1 <= lo <= hi <= graph.slot_count:
+        raise DemandError(f"slots range {lo},{hi} must lie within 1..{graph.slot_count}")
     rng = np.random.default_rng(seed)
     demands = []
     for src in graph.nodes:

@@ -9,16 +9,17 @@ expectation over the random set T of free converters:
 
     blocking = E_T[1 - seg(T)]
 
-where converter i is free with probability a_i (``converter_availability``,
-architecture dependent) and seg(T) is ``segment_success_prob`` for the
-layout cut at T.  The cut points form a chain, so the expectation is one
-forward pass over the converters: it carries the probability mass of each
-still-open segment start and adds the failure of every segment as it
-closes.  That evaluates O(k^2) segments for k converters (O(k) when all
-are always free), and every term is nonnegative, so the result is a
-probability by construction.  Layouts are tuples of path positions
-``(1, p2, ..., H+1)``: fixed endpoints plus the interior positions that
-hold a converter.
+where converter i is free with probability a_i (``converter_availability``:
+1 for a full node, else the availability of the converter bank that
+``bank_key`` names, from the transit routes ``crossing_stats`` counts per
+bank) and seg(T) is ``segment_success_prob`` for the layout cut at T.
+The cut points form a chain, so the expectation is one forward pass over
+the converters: it carries the probability mass of each still-open
+segment start and adds the failure of every segment as it closes.  That
+evaluates O(k^2) segments for k converters (O(k) when all are always
+free), and every term is nonnegative, so the result is a probability by
+construction.  Layouts are tuples of path positions ``(1, p2, ..., H+1)``:
+fixed endpoints plus the interior positions that hold a converter.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import ArchitectureError, MissingNodeError
 from .runprob import run_probability
-from .topology import CrossingStats, NetworkGraph, RoutedPath
+from .topology import NetworkGraph, RoutedPath
 
 SIMPLE = "simple"
 FULL = "full"
@@ -70,6 +71,8 @@ SIMPLE_NODE = NodeArchitecture(SIMPLE)
 ArchitectureMap = dict[int, NodeArchitecture]
 # map: link id -> probability that one slot on the link is free
 LinkFreeProbs = dict[int, float]
+# a converter bank: ("port", exit link id) or ("node", node id)
+Bank = tuple[str, int]
 
 
 def load_architectures(document, graph: NetworkGraph) -> ArchitectureMap:
@@ -169,16 +172,77 @@ def _segment_prob(
 
 
 # ---------------------------------------------------------------------------
-# converter availability
+# converter banks
+
+
+def bank_key(node: int, exit_link_id: int, arch: NodeArchitecture) -> Bank | None:
+    """The bank a conversion at ``node`` onto ``exit_link_id`` draws from:
+    one per output port (share_per_link), one per node (share_per_node) or
+    none for a full node, whose dedicated converters never run out."""
+    if arch.kind == SHARE_PER_LINK:
+        return ("port", exit_link_id)
+    if arch.kind == SHARE_PER_NODE:
+        return ("node", node)
+    if arch.kind == FULL:
+        return None
+    raise ArchitectureError(f"node {node} has no converter")
+
+
+@dataclass
+class CrossingStats:
+    """Transit routes per potential converter bank: every ``("port", j)``
+    and every ``("node", v)``.
+
+    A route counts at node v, and at the exit port it takes there, only
+    when v is strictly interior to it; conversion at the endpoints is
+    irrelevant.  ``paths[b]`` counts the transit routes of bank b,
+    ``slots[b]`` totals their mean slot counts, and ``shares[b]`` pairs
+    each port b serves with that port's fraction of b's transit routes
+    (empty when b has none).
+    """
+
+    paths: dict[Bank, int]
+    slots: dict[Bank, float]
+    shares: dict[Bank, tuple[tuple[int, float], ...]]
+
+
+def crossing_stats(g: NetworkGraph, routes: list[RoutedPath]) -> CrossingStats:
+    """Count transit routes per bank.
+
+    Each route adds 1 to the bank of every strictly interior node it
+    crosses and to the bank of the exit port it uses there; the slot
+    totals accumulate the demand's mean slot count.
+    """
+    banks = [("port", link.id) for link in g.links] + [("node", v) for v in g.nodes]
+    paths: dict[Bank, int] = dict.fromkeys(banks, 0)
+    slots: dict[Bank, float] = dict.fromkeys(banks, 0.0)
+    for route in routes:
+        weight = route.demand.mean_slots if route.demand is not None else 0.0
+        for pos in range(1, route.hop_count):  # interior node positions
+            for bank in (("node", route.nodes[pos]), ("port", route.links[pos].id)):
+                paths[bank] += 1
+                slots[bank] += weight
+    shares: dict[Bank, tuple[tuple[int, float], ...]] = {}
+    for v in g.nodes:
+        n_node = paths[("node", v)]
+        ports = [link.id for link in g.out_links(v)]
+        shares[("node", v)] = (
+            tuple((j, paths[("port", j)] / n_node) for j in ports) if n_node else ()
+        )
+        for j in ports:
+            shares[("port", j)] = ((j, 1.0),) if paths[("port", j)] else ()
+    return CrossingStats(paths=paths, slots=slots, shares=shares)
 
 
 def share_per_link_availability(n_sc: int, n_port: int, s_port: float, phi_port: float) -> float:
-    """Probability that the SCB bank of one output port has a free box.
+    """Probability that a shared bank of ``n_sc`` boxes has a free one.
 
-    Each of the ``n_port`` transit paths crossing the port skips conversion
-    with probability phi_port^(s_port/n_port); the bank is free when fewer
-    than ``n_sc`` paths need conversion.  No crossing paths means no
-    contention.
+    Serves both shared kinds: the bank of one output port and the bank of
+    one node.  Each of the ``n_port`` transit routes the bank serves skips
+    conversion with probability phi_port^(s_port/n_port), where phi_port is
+    the transit-weighted mean slot-free probability over the bank's ports;
+    the bank is free when fewer than ``n_sc`` routes need conversion.  No
+    transit routes means no contention.
     """
     if n_sc < 1:
         raise ValueError(f"n_sc must be >= 1, got {n_sc}")
@@ -194,18 +258,6 @@ def share_per_link_availability(n_sc: int, n_port: int, s_port: float, phi_port:
     return min(math.fsum(terms), 1.0)
 
 
-def node_mean_free_prob(stats: CrossingStats, phis: LinkFreeProbs, node: int) -> float:
-    """Slot-free probability an average transit path sees at ``node``:
-    the crossing-count-weighted mean over the node's output ports."""
-    ports = stats.node_ports[node]
-    if not ports:
-        return 1.0
-    n_node = stats.node_paths[node]
-    if n_node == 0:
-        return math.fsum(phis[j] for j in ports) / len(ports)
-    return math.fsum(stats.port_paths[j] / n_node * phis[j] for j in ports)
-
-
 def converter_availability(
     position: int,
     path: RoutedPath,
@@ -214,27 +266,18 @@ def converter_availability(
     phis: LinkFreeProbs,
 ) -> float:
     """Probability the converter at path position ``position`` is free for
-    this request, per its architecture."""
+    this request: 1 for a full node, else its bank's availability."""
     node = path.nodes[position - 1]
     arch = archs.get(node, SIMPLE_NODE)
-    if arch.kind == FULL:
+    bank = bank_key(node, path.links[position - 1].id, arch)
+    if bank is None:
         return 1.0
-    if arch.kind == SHARE_PER_LINK:
-        exit_link = path.links[position - 1]
-        return share_per_link_availability(
-            arch.n_sc,
-            stats.port_paths[exit_link.id],
-            stats.port_slots[exit_link.id],
-            phis[exit_link.id],
-        )
-    if arch.kind == SHARE_PER_NODE:
-        return share_per_link_availability(
-            arch.n_sc,
-            stats.node_paths[node],
-            stats.node_slots[node],
-            node_mean_free_prob(stats, phis, node),
-        )
-    raise ArchitectureError(f"node {node} has no converter")
+    return share_per_link_availability(
+        arch.n_sc,
+        stats.paths[bank],
+        stats.slots[bank],
+        math.fsum(share * phis[j] for j, share in stats.shares[bank]),
+    )
 
 
 # ---------------------------------------------------------------------------

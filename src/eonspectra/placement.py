@@ -23,8 +23,9 @@ from .lightpath import (
     SIMPLE_NODE,
     ArchitectureMap,
     NodeArchitecture,
+    crossing_stats,
 )
-from .topology import DemandSpec, NetworkGraph, crossing_stats, route_all
+from .topology import DemandSpec, NetworkGraph, route_all
 
 _KIND_RANK = {FULL: 0, SHARE_PER_LINK: 1, SHARE_PER_NODE: 2}
 

@@ -30,12 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, SimulatorFault
-from .lightpath import (
-    SHARE_PER_LINK,
-    SHARE_PER_NODE,
-    SIMPLE_NODE,
-    ArchitectureMap,
-)
+from .lightpath import SIMPLE_NODE, ArchitectureMap, Bank, bank_key
 from .topology import DemandSpec, NetworkGraph, RoutedPath, route_all
 
 _ARRIVAL, _DEPART = 0, 1
@@ -68,34 +63,30 @@ class Connection(NamedTuple):
     id: int
     slots: int
     segments: tuple[tuple[int, tuple[int, ...]], ...]  # (start slot, link ids)
-    banks: tuple[tuple[str, int], ...]
+    banks: tuple[Bank, ...]
 
 
 class NetworkState:
     """Mutable spectrum and converter-bank state of one replication.
 
-    ``converters`` maps (node, exit link id) to the key of the bank that
-    grants a conversion there, or None for a full node, which has no finite
-    bank; nodes without conversion have no entry.
+    ``converters`` maps (node, exit link id) to the ``bank_key`` of the
+    bank that grants a conversion there, the same bank the analytic engine
+    counts, or None for a full node, which has no finite bank; nodes
+    without conversion have no entry.
     """
 
     def __init__(self, graph: NetworkGraph, archs: ArchitectureMap):
         self.slot_count = graph.slot_count
         self.full_mask = (1 << graph.slot_count) - 1
         self.occupied = {link.id: 0 for link in graph.links}
-        self.converters: dict[tuple[int, int], tuple[str, int] | None] = {}
-        self.bank_capacity: dict[tuple[str, int], int] = {}
+        self.converters: dict[tuple[int, int], Bank | None] = {}
+        self.bank_capacity: dict[Bank, int] = {}
         for node in graph.nodes:
             arch = archs.get(node, SIMPLE_NODE)
             if not arch.converts:
                 continue
             for link in graph.out_links(node):
-                if arch.kind == SHARE_PER_NODE:
-                    key = ("node", node)
-                elif arch.kind == SHARE_PER_LINK:
-                    key = ("port", link.id)
-                else:
-                    key = None
+                key = bank_key(node, link.id, arch)
                 if key is not None:
                     self.bank_capacity[key] = arch.n_sc
                 self.converters[(node, link.id)] = key
@@ -174,7 +165,7 @@ def admit(
     # continuity failed: gather converters whose bank still has a free box
     converters = state.converters
     in_use, capacity = state.bank_in_use, state.bank_capacity
-    usable: dict[int, tuple[str, int] | None] = {}  # path position -> bank key
+    usable: dict[int, Bank | None] = {}  # path position -> bank key
     for pos in range(2, hops + 1):
         cut = (route.nodes[pos - 1], link_ids[pos - 1])
         if cut not in converters:

@@ -1,4 +1,4 @@
-"""Network graph model, routing and path-crossing statistics.
+"""Network graph model, demands and routing.
 
 Nodes are dense integers 1..n internally.  Topology files may label nodes
 with arbitrary strings or integers; the loader assigns dense ids in file
@@ -161,22 +161,6 @@ class RoutedPath:
     @cached_property
     def link_ids(self) -> tuple[int, ...]:
         return tuple(link.id for link in self.links)
-
-
-@dataclass
-class CrossingStats:
-    """Transit-demand counts per output port and per node.
-
-    A demand contributes to node i (and to the exit port its route uses at
-    i) only when i is strictly interior to the route; conversion at the
-    endpoints is irrelevant, so source and destination are excluded.
-    """
-
-    port_paths: dict[int, int]
-    port_slots: dict[int, float]
-    node_paths: dict[int, int]
-    node_slots: dict[int, float]
-    node_ports: dict[int, tuple[int, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -343,36 +327,6 @@ def route_all(g: NetworkGraph, demands: list[DemandSpec]) -> list[RoutedPath]:
     if unreachable:
         raise UnreachableError(unreachable)
     return routes
-
-
-def crossing_stats(g: NetworkGraph, routes: list[RoutedPath]) -> CrossingStats:
-    """Count transit demands per node and per output port.
-
-    Each route adds 1 to every strictly interior node it crosses and to the
-    exit port it uses there; the slot totals accumulate the demand's mean
-    slot count.
-    """
-    port_paths = {link.id: 0 for link in g.links}
-    port_slots = {link.id: 0.0 for link in g.links}
-    node_paths = {v: 0 for v in g.nodes}
-    node_slots = {v: 0.0 for v in g.nodes}
-    for route in routes:
-        weight = route.demand.mean_slots if route.demand is not None else 0.0
-        for pos in range(1, route.hop_count):  # interior node positions
-            node = route.nodes[pos]
-            exit_link = route.links[pos]
-            node_paths[node] += 1
-            node_slots[node] += weight
-            port_paths[exit_link.id] += 1
-            port_slots[exit_link.id] += weight
-    node_ports = {v: tuple(link.id for link in g.out_links(v)) for v in g.nodes}
-    return CrossingStats(
-        port_paths=port_paths,
-        port_slots=port_slots,
-        node_paths=node_paths,
-        node_slots=node_slots,
-        node_ports=node_ports,
-    )
 
 
 def network_traffic(g: NetworkGraph, demands: list[DemandSpec], routes: list[RoutedPath]) -> float:

@@ -20,13 +20,14 @@ from eonspectra.lightpath import (
     blocking_full_at,
     blocking_full_conversion,
     blocking_without_conversion,
+    crossing_stats,
     lightpath_blocking,
     uniform_architectures,
 )
 from eonspectra.placement import place_brute_force, place_heuristic
 from eonspectra.runprob import run_probability, run_probability_bruteforce
 from eonspectra.simulator import SimConfig, simulate
-from eonspectra.topology import DemandSpec, crossing_stats, route_all
+from eonspectra.topology import DemandSpec, route_all
 
 from oracles import erlang_b, mc_segmented_blocking
 

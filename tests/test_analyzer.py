@@ -14,12 +14,12 @@ from eonspectra.errors import InputError
 from eonspectra.lightpath import (
     FULL,
     NodeArchitecture,
+    crossing_stats,
     lightpath_blocking,
     uniform_architectures,
 )
 from eonspectra.topology import (
     DemandSpec,
-    crossing_stats,
     load_topology,
     route_all,
 )

@@ -163,6 +163,24 @@ def test_simulate_trace(inputs):
     assert "arrival" in trace.read_text()
 
 
+@pytest.mark.parametrize("case", ["horizon below warm-up", "unreachable demand"])
+def test_simulate_input_error_leaves_no_trace(capsys, inputs, case):
+    tmp, topo, demands, _ = inputs
+    flags = []
+    if case == "horizon below warm-up":
+        flags = ["--horizon", "1"]  # the default warm-up is 10 mean holds, 20 here
+    else:
+        topo.write_text(json.dumps(dict(TOPOLOGY, nodes=[1, 2, 3, 4, 5])))
+        demands.write_text(json.dumps([dict(DEMANDS[0], dst=5)]))
+    out, trace = tmp / "nope.csv", tmp / "events.log"
+    code = main(["simulate", "--topology", str(topo), "--demands", str(demands),
+                 "--out", str(out), "--trace", str(trace), *flags])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert not trace.exists()
+
+
 def test_place_reports_steps_and_assignment(inputs):
     tmp, topo, demands, _ = inputs
     out = tmp / "place.csv"
@@ -283,6 +301,20 @@ def test_gen_demands_roundtrip(tmp_path, inputs):
     main(["gen-demands", "--topology", str(topo), "--out", str(out2),
           "--seed", "11", "--slots-range", "1,2", "--traffic", "0.12"])
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("slots_range", ["1,40", "0,2", "9,9"])
+def test_gen_demands_slots_beyond_fiber_exits_1_without_output(capsys, tmp_path, slots_range):
+    from importlib import resources
+
+    topo = tmp_path / "sixnode.json"  # fibers carry 8 slots
+    topo.write_text(resources.files("eonspectra.data").joinpath("sixnode.json").read_text())
+    out = tmp_path / "generated.json"
+    code = main(["gen-demands", "--topology", str(topo), "--out", str(out),
+                 "--slots-range", slots_range])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [topo]
 
 
 def _nsf_files(tmp_path):

@@ -11,26 +11,22 @@ from eonspectra.lightpath import (
     SHARE_PER_NODE,
     SIMPLE,
     SIMPLE_NODE,
+    CrossingStats,
     NodeArchitecture,
+    bank_key,
     blocking_full_at,
     blocking_full_conversion,
     blocking_without_conversion,
     converter_availability,
     converter_layout,
+    crossing_stats,
     lightpath_blocking,
     load_architectures,
-    node_mean_free_prob,
     segment_success_prob,
     share_per_link_availability,
     uniform_architectures,
 )
-from eonspectra.topology import (
-    CrossingStats,
-    Link,
-    NetworkGraph,
-    RoutedPath,
-    crossing_stats,
-)
+from eonspectra.topology import DemandSpec, Link, NetworkGraph, RoutedPath, load_topology, route_all
 
 from oracles import blocking_by_converter_states, exact_lightpath_blocking, mc_segmented_blocking
 
@@ -121,16 +117,14 @@ def test_share_per_link_availability_values():
 
 def test_share_per_node_availability_matches_link_form():
     stats = CrossingStats(
-        port_paths={1: 0, 2: 1, 3: 2},
-        port_slots={1: 0.0, 2: 1.0, 3: 3.0},
-        node_paths={1: 0, 2: 3, 3: 0},
-        node_slots={1: 0.0, 2: 4.0, 3: 0.0},
-        node_ports={1: (1,), 2: (2, 3), 3: ()},
+        paths={("port", 2): 1, ("port", 3): 2, ("node", 2): 3},
+        slots={("port", 2): 1.0, ("port", 3): 3.0, ("node", 2): 4.0},
+        shares={("port", 2): ((2, 1.0),), ("port", 3): ((3, 1.0),), ("node", 2): ((2, 1 / 3), (3, 2 / 3))},
     )
     phis = {1: 0.5, 2: 0.4, 3: 0.8}
     archs = {2: NodeArchitecture(SHARE_PER_NODE, 1)}
     got = converter_availability(2, TWO_HOP, archs, stats, phis)
-    assert got == share_per_link_availability(1, 3, 4.0, node_mean_free_prob(stats, phis, 2))
+    assert got == share_per_link_availability(1, 3, 4.0, math.fsum([1 / 3 * 0.4, 2 / 3 * 0.8]))
     # mean port free probability 2/3; the one box is free only when all 3
     # paths skip conversion, each with (2/3)^(4/3)
     assert got == pytest.approx((2.0 / 3.0) ** 4)
@@ -147,19 +141,61 @@ def test_availability_in_unit_interval():
         assert 0.0 <= value <= 1.0
 
 
+def _fan_out(exits):
+    """Node b with out-links b->c (id 2) and b->d (id 3), fed by a->b (id
+    1); ``exits`` holds one head label per a->head route through b."""
+    g = load_topology({
+        "slot_count": 4,
+        "nodes": ["a", "b", "c", "d"],
+        "edges": [
+            {"a": "a", "b": "b", "weight": 1, "directed": True},
+            {"a": "b", "b": "c", "weight": 1, "directed": True},
+            {"a": "b", "b": "d", "weight": 1, "directed": True},
+        ],
+    })
+    demands = [DemandSpec(1, g.node_of(head), 1.0, 1.0, {1: 1.0}) for head in exits]
+    return g, route_all(g, demands)
+
+
 def test_node_mean_free_prob():
-    stats = CrossingStats(
-        port_paths={1: 1, 2: 3},
-        port_slots={1: 0.0, 2: 0.0},
-        node_paths={1: 4},
-        node_slots={1: 0.0},
-        node_ports={1: (1, 2)},
-    )
-    assert node_mean_free_prob(stats, {1: 0.4, 2: 0.8}, 1) == pytest.approx(0.7)
-    single = CrossingStats({1: 2}, {1: 0.0}, {1: 2}, {1: 0.0}, {1: (1,)})
-    assert node_mean_free_prob(single, {1: 0.55}, 1) == pytest.approx(0.55)
-    idle = CrossingStats({1: 0, 2: 0}, {1: 0.0, 2: 0.0}, {1: 0}, {1: 0.0}, {1: (1, 2)})
-    assert node_mean_free_prob(idle, {1: 0.2, 2: 0.6}, 1) == pytest.approx(0.4)
+    # a node bank sees the transit-weighted mean of its ports' phi:
+    # 1 route leaves b on link 2 and 3 routes on link 3
+    g, routes = _fan_out("cddd")
+    stats = crossing_stats(g, routes)
+    assert stats.shares[("node", 2)] == ((2, 0.25), (3, 0.75))
+    phis = {1: 0.9, 2: 0.4, 3: 0.8}
+    spn1 = {2: NodeArchitecture(SHARE_PER_NODE, 1)}
+    got = converter_availability(2, routes[0], spn1, stats, phis)
+    assert got == pytest.approx(share_per_link_availability(1, 4, 4.0, 0.7))
+    # a node with one busy port sees that port's phi
+    g, routes = _fan_out("dd")
+    single = crossing_stats(g, routes)
+    got = converter_availability(2, routes[0], spn1, single, phis)
+    assert got == share_per_link_availability(1, 2, 2.0, 0.8)
+
+
+def test_idle_bank_is_always_free():
+    # node b carries transit routes on link 3 only: the port bank of link 2
+    # serves none, and with no routes at all neither bank of b serves any
+    g, routes = _fan_out("dd")
+    stats = crossing_stats(g, routes)
+    phis = {1: 0.9, 2: 0.1, 3: 0.2}
+    path = RoutedPath(nodes=(1, 2, 3), links=(g.link_between(1, 2), g.link_between(2, 3)))
+    spl1 = {2: NodeArchitecture(SHARE_PER_LINK, 1)}
+    assert stats.shares[("port", 2)] == ()
+    assert converter_availability(2, path, spl1, stats, phis) == 1.0
+    idle = crossing_stats(g, [])
+    for kind in (SHARE_PER_LINK, SHARE_PER_NODE):
+        archs = {2: NodeArchitecture(kind, 1)}
+        assert converter_availability(2, path, archs, idle, phis) == 1.0
+
+
+def test_bank_key():
+    assert bank_key(4, 7, NodeArchitecture(SHARE_PER_LINK, 2)) == ("port", 7)
+    assert bank_key(4, 7, NodeArchitecture(SHARE_PER_NODE, 1)) == ("node", 4)
+    assert bank_key(4, 7, NodeArchitecture(FULL)) is None
+    with pytest.raises(ArchitectureError):
+        bank_key(4, 7, SIMPLE_NODE)
 
 
 # --- blocking ----------------------------------------------------------------
@@ -172,11 +208,9 @@ def test_blocking_worked_examples():
     full = lightpath_blocking(2, TWO_HOP, {2: NodeArchitecture(FULL)}, PHIS_HALF, stats, 3)
     assert full == pytest.approx(0.859375)
     shared_stats = CrossingStats(
-        port_paths={1: 0, 2: 2},
-        port_slots={1: 0.0, 2: 2.0},
-        node_paths={1: 0, 2: 2, 3: 0},
-        node_slots={1: 0.0, 2: 2.0, 3: 0.0},
-        node_ports={1: (1,), 2: (2,), 3: ()},
+        paths={("port", 2): 2, ("node", 2): 2},
+        slots={("port", 2): 2.0, ("node", 2): 2.0},
+        shares={("port", 2): ((2, 1.0),), ("node", 2): ((2, 1.0),)},
     )
     shared = lightpath_blocking(
         2, TWO_HOP, {2: NodeArchitecture(SHARE_PER_LINK, 1)}, PHIS_HALF, shared_stats, 3
@@ -201,15 +235,16 @@ def _random_instance(rng, max_hops=6, max_slots=12):
 
 def _busy_stats(rng, path, hops, slot_count):
     """Random nonzero crossing statistics along ``path``, so shared
-    converter availability is nontrivial."""
+    converter availability is nontrivial.  On a line every node has one
+    output port, so its node bank and its port bank hold the same tallies."""
     stats = crossing_stats(line_graph(hops, slot_count), [])
     for link in path.links:
-        stats.port_paths[link.id] = int(rng.integers(0, 5))
-        stats.port_slots[link.id] = stats.port_paths[link.id] * float(rng.uniform(1, 3))
-    for v in range(2, hops + 1):
-        ports = stats.node_ports[v]
-        stats.node_paths[v] = sum(stats.port_paths[j] for j in ports)
-        stats.node_slots[v] = sum(stats.port_slots[j] for j in ports)
+        paths = int(rng.integers(0, 5))
+        slots = paths * float(rng.uniform(1, 3))
+        for bank in (("port", link.id), ("node", link.tail)):
+            stats.paths[bank] = paths
+            stats.slots[bank] = slots
+            stats.shares[bank] = ((link.id, 1.0),) if paths else ()
     return stats
 
 

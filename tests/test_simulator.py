@@ -10,12 +10,13 @@ from scipy import stats as sps
 
 import eonspectra
 from eonspectra.errors import InputError, SimulatorFault
-from eonspectra.fixtures import generate_demands, nsf14
+from eonspectra.fixtures import generate_demands, nsf14, nsf14_demands
 from eonspectra.lightpath import (
     FULL,
     SHARE_PER_LINK,
     SHARE_PER_NODE,
     NodeArchitecture,
+    crossing_stats,
     uniform_architectures,
 )
 from eonspectra.simulator import (
@@ -29,7 +30,7 @@ from eonspectra.simulator import (
     resolve_windows,
     simulate,
 )
-from eonspectra.topology import DemandSpec, load_topology, shortest_path
+from eonspectra.topology import DemandSpec, load_topology, route_all, shortest_path
 
 from oracles import cuts_by_subsets, erlang_b, pick_start_from_list
 
@@ -262,6 +263,26 @@ def test_admit_matches_subset_enumeration():
             outcomes[("continuous", "one cut", "several cuts")[min(len(cuts), 2)]] += 1
         assert rng.bit_generator.state == reference.bit_generator.state
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_simulator_banks_are_crossing_stats_banks():
+    g = nsf14()
+    mixed = [NodeArchitecture(SHARE_PER_NODE, 1), NodeArchitecture(SHARE_PER_LINK, 2), NodeArchitecture(FULL)]
+    archs = {v: mixed[v % 3] for v in g.nodes}
+    stats = crossing_stats(g, route_all(g, nsf14_demands(g)))
+    capacity = NetworkState(g, archs).bank_capacity
+    assert {kind for kind, _ in capacity} == {"node", "port"}
+    assert set(capacity) <= set(stats.paths)
+    for bank, shares in stats.shares.items():
+        if not stats.paths[bank]:
+            assert shares == ()
+            continue
+        assert math.fsum(share for _, share in shares) == pytest.approx(1.0, abs=1e-12)
+        kind, ident = bank
+        if kind == "node":
+            assert [j for j, _ in shares] == [link.id for link in g.out_links(ident)]
+        else:
+            assert [j for j, _ in shares] == [ident]
 
 
 def test_conservation_through_random_admit_release():

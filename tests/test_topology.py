@@ -12,9 +12,9 @@ from eonspectra.errors import (
     UnreachableError,
 )
 from eonspectra.fixtures import nsf14
+from eonspectra.lightpath import crossing_stats
 from eonspectra.topology import (
     DemandSpec,
-    crossing_stats,
     load_demands,
     load_topology,
     network_traffic,
@@ -212,11 +212,11 @@ def test_crossing_stats_transit_only():
     ]
     stats = crossing_stats(g, route_all(g, demands))
     b = 2
-    assert stats.node_paths[b] == 1
-    assert stats.node_slots[b] == pytest.approx(2.0)
+    assert stats.paths[("node", b)] == 1
+    assert stats.slots[("node", b)] == pytest.approx(2.0)
     exit_link = g.link_between(2, 3)
-    assert stats.port_paths[exit_link.id] == 1
-    assert stats.port_slots[exit_link.id] == pytest.approx(2.0)
+    assert stats.paths[("port", exit_link.id)] == 1
+    assert stats.slots[("port", exit_link.id)] == pytest.approx(2.0)
 
 
 def test_crossing_stats_multi_hop_line():
@@ -227,15 +227,15 @@ def test_crossing_stats_multi_hop_line():
     ]))
     demands = [DemandSpec(1, 4, 1.0, 1.0, {4: 1.0})]
     stats = crossing_stats(g, route_all(g, demands))
-    assert stats.node_paths[2] == stats.node_paths[3] == 1
-    assert stats.node_slots[2] == stats.node_slots[3] == pytest.approx(4.0)
+    assert stats.paths[("node", 2)] == stats.paths[("node", 3)] == 1
+    assert stats.slots[("node", 2)] == stats.slots[("node", 3)] == pytest.approx(4.0)
 
 
 def test_crossing_stats_no_transit():
     g = load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 1}]))
     stats = crossing_stats(g, route_all(g, [DemandSpec(1, 2, 1.0, 1.0, {1: 1.0})]))
-    assert all(v == 0 for v in stats.node_paths.values())
-    assert all(v == 0 for v in stats.port_paths.values())
+    assert all(v == 0 for v in stats.paths.values())
+    assert set(stats.paths) == {("node", 1), ("node", 2), ("port", 1), ("port", 2)}
 
 
 def test_crossing_stats_additivity_random():
@@ -249,10 +249,10 @@ def test_crossing_stats_additivity_random():
                                       float(rng.uniform(0.1, 2)), {int(rng.integers(1, 4)): 1.0}))
         stats = crossing_stats(g, route_all(g, demands))
         for node in g.nodes:
-            ports = stats.node_ports[node]
-            assert stats.node_paths[node] == sum(stats.port_paths[j] for j in ports)
-            assert stats.node_slots[node] == pytest.approx(
-                sum(stats.port_slots[j] for j in ports)
+            ports = [link.id for link in g.out_links(node)]
+            assert stats.paths[("node", node)] == sum(stats.paths[("port", j)] for j in ports)
+            assert stats.slots[("node", node)] == pytest.approx(
+                sum(stats.slots[("port", j)] for j in ports)
             )
 
 
