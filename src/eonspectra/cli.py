@@ -82,7 +82,6 @@ def _add_sim_flags(sub):
     sub.add_argument("--warmup", type=float, help="statistics start (default: 10 mean holds)")
     sub.add_argument("--horizon", type=float, help="simulation end time")
     sub.add_argument("--replications", type=int, default=1)
-    sub.add_argument("--trace", help="write a line-per-event trace to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = commands.add_parser("simulate", help="Monte Carlo simulation")
     _add_common(sim)
     _add_sim_flags(sim)
+    sim.add_argument("--trace", help="write a line-per-event trace to this file")
 
     place = commands.add_parser("place", help="converter placement")
     _add_common(place)
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "comma-separated uniform settings to compare, e.g. "
             "simple,share_per_node:1,share_per_link:1,full "
-            "(default: the --arch file, or all-simple)"
+            "(default: the --arch file, or all-simple; exclusive with --arch)"
         ),
     )
 
@@ -196,10 +196,6 @@ def _load_inputs(args):
     return graph, demands, archs
 
 
-def _input_paths(args) -> dict:
-    return {"topology": args.topology, "demands": args.demands, "arch": args.arch}
-
-
 def _analysis_config(args, seed: int) -> AnalysisConfig:
     return AnalysisConfig(
         epsilon=args.epsilon,
@@ -217,25 +213,17 @@ def _analysis_parameters(config: AnalysisConfig) -> dict:
     return parameters
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[int, dict]:
     graph, demands, archs = _load_inputs(args)
     config = _analysis_config(args, derive_seed(args.seed, "analysis"))
     routes = route_all(graph, demands)
     result = fixed_point(graph, demands, archs, config, routes=routes)
     write_analysis(args.out, args.format, result, graph, demands, routes)
-    write_manifest(
-        args.out,
-        "analyze",
-        {
-            "format": args.format,
-            "seed": args.seed,
-            **_analysis_parameters(config),
-            "converged": result.converged,
-            "iterations": result.iterations,
-        },
-        _input_paths(args),
-    )
-    return 0 if result.converged else 2
+    return 0 if result.converged else 2, {
+        **_analysis_parameters(config),
+        "converged": result.converged,
+        "iterations": result.iterations,
+    }
 
 
 def _sim_config(args, seed: int) -> SimConfig:
@@ -247,7 +235,7 @@ def _sim_config(args, seed: int) -> SimConfig:
     )
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, dict]:
     graph, demands, archs = _load_inputs(args)
     config = _sim_config(args, derive_seed(args.seed, "simulation"))
     # input errors surface here, before the trace file is created
@@ -257,22 +245,14 @@ def _cmd_simulate(args) -> int:
         trace = trace_file.write if trace_file else None
         result = simulate(graph, demands, archs, config, routes=routes, trace=trace)
     write_simulation(args.out, args.format, result, graph, demands)
-    write_manifest(
-        args.out,
-        "simulate",
-        {
-            "format": args.format,
-            "seed": args.seed,
-            "warmup": result.warmup,
-            "horizon": result.horizon,
-            "replications": config.replications,
-        },
-        _input_paths(args),
-    )
-    return 0
+    return 0, {
+        "warmup": result.warmup,
+        "horizon": result.horizon,
+        "replications": config.replications,
+    }
 
 
-def _cmd_place(args) -> int:
+def _cmd_place(args) -> tuple[int, dict]:
     graph, demands, archs = _load_inputs(args)
     inventory = parse_converter_spec(args.converters)
     config = _analysis_config(args, derive_seed(args.seed, "analysis"))
@@ -281,23 +261,17 @@ def _cmd_place(args) -> int:
     else:
         result = place_heuristic(graph, demands, inventory, config, archs)
     write_placement(args.out, args.format, result, graph)
-    write_manifest(
-        args.out,
-        "place",
-        {
-            "format": args.format,
-            "seed": args.seed,
-            "converters": args.converters,
-            "oracle": args.oracle,
-            **_analysis_parameters(config),
-            "evaluations": result.evaluations,
-        },
-        _input_paths(args),
-    )
-    return 0
+    return 0, {
+        "converters": args.converters,
+        "oracle": args.oracle,
+        **_analysis_parameters(config),
+        "evaluations": result.evaluations,
+    }
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, dict]:
+    if args.arch and args.arch_sweep:
+        raise InputError("--arch and --arch-sweep are exclusive")
     graph, demands, archs = _load_inputs(args)
     try:
         targets = [float(part) for part in args.traffic.split(",") if part.strip()]
@@ -342,27 +316,19 @@ def _cmd_sweep(args) -> int:
                 row["sim_ci95"] = sim.ci95_half_width
             rows.append(row)
     write_sweep(args.out, args.format, rows)
-    write_manifest(
-        args.out,
-        "sweep",
-        {
-            "format": args.format,
-            "seed": args.seed,
-            "traffic": targets,
-            "settings": [name for name, _ in settings],
-            "with_sim": args.with_sim,
-            **_analysis_parameters(config),
-            "warmup": args.warmup,
-            "horizon": args.horizon,
-            "replications": args.replications,
-            "base_traffic": base_traffic,
-        },
-        _input_paths(args),
-    )
-    return 2 if any_unconverged else 0
+    return 2 if any_unconverged else 0, {
+        "traffic": targets,
+        "settings": [name for name, _ in settings],
+        "with_sim": args.with_sim,
+        **_analysis_parameters(config),
+        "warmup": args.warmup,
+        "horizon": args.horizon,
+        "replications": args.replications,
+        "base_traffic": base_traffic,
+    }
 
 
-def _cmd_gen_demands(args) -> int:
+def _cmd_gen_demands(args) -> tuple[int, dict]:
     graph = load_topology(Path(args.topology).read_text())
     demands = generate_demands(
         graph,
@@ -373,20 +339,13 @@ def _cmd_gen_demands(args) -> int:
         traffic_target=args.traffic,
     )
     Path(args.out).write_text(demands_document(graph, demands) + "\n")
-    write_manifest(
-        args.out,
-        "gen-demands",
-        {
-            "seed": args.seed,
-            "rate_range": args.rate_range,
-            "hold_range": args.hold_range,
-            "slots_range": args.slots_range,
-            "traffic": args.traffic,
-            "pairs": len(demands),
-        },
-        {"topology": args.topology},
-    )
-    return 0
+    return 0, {
+        "rate_range": args.rate_range,
+        "hold_range": args.hold_range,
+        "slots_range": args.slots_range,
+        "traffic": args.traffic,
+        "pairs": len(demands),
+    }
 
 
 _COMMANDS = {
@@ -400,16 +359,17 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except InputError as exc:
+        code, parameters = _COMMANDS[args.command](args)
+        # the manifest records the root seed and each input file the command takes
+        leading = {key: getattr(args, key) for key in ("format", "seed") if hasattr(args, key)}
+        inputs = {r: getattr(args, r) for r in ("topology", "demands", "arch") if hasattr(args, r)}
+        write_manifest(args.out, args.command, {**leading, **parameters}, inputs)
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return code
 
 
 if __name__ == "__main__":

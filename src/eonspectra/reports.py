@@ -2,10 +2,11 @@
 
 Every CLI run writes its primary document plus ``<stem>.manifest.json``
 recording the artifact version, the resolved parameters and the SHA-256 of
-each input file: enough to reproduce the run byte for byte.  CSV column
-orders are fixed; see the README for the schemas.  Some results carry more
-than one table, which CSV cannot hold in a single file, so those write
-documented sidecar files next to the main one.
+each input file: enough to reproduce the run byte for byte.  Each result is
+one document: ``--format json`` writes it whole, ``--format csv`` writes
+projections of it as fixed-order tables (see the README for the schemas).
+Some results carry more than one table, which CSV cannot hold in a single
+file, so those write documented sidecar files next to the main one.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .analyzer import AnalysisResult
-from .placement import PlacementResult
-from .simulator import SimResult
-from .topology import DemandSpec, NetworkGraph, RoutedPath
 
 
 def _stem(path: Path) -> Path:
     return path.with_suffix("") if path.suffix else path
+
+
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def sha256_file(path) -> str:
@@ -34,9 +35,8 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_path, command: str, parameters: dict, inputs: dict) -> Path:
+def write_manifest(out_path, command: str, parameters: dict, inputs: dict) -> None:
     """``inputs`` maps role -> file path (or None); hashes are recorded."""
-    out_path = Path(out_path)
     manifest = {
         "artifact": "eonspectra",
         "version": __version__,
@@ -47,25 +47,34 @@ def write_manifest(out_path, command: str, parameters: dict, inputs: dict) -> Pa
             for role, path in inputs.items()
         },
     }
-    target = _stem(out_path).with_suffix(".manifest.json")
-    target.write_text(json.dumps(manifest, indent=1) + "\n")
-    return target
+    _write_json(_stem(Path(out_path)).with_suffix(".manifest.json"), manifest)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write(out_path, fmt: str, doc, tables: list, summary: tuple | None = None) -> None:
+    """Write ``doc`` whole as JSON, or for CSV each ``(suffix, header, rows)``
+    table, suffix ``""`` naming the main file, then the ``(suffix, dict)``
+    JSON summary.  Rows are dicts keyed by column, keys outside the header
+    left out; a missing or ``None`` cell is empty and ``csv`` writes floats
+    by ``repr``."""
+    out_path = Path(out_path)
+    if fmt == "json":
+        _write_json(out_path, doc)
+        return
+    for suffix, header, rows in tables:
+        path = _stem(out_path).with_suffix(suffix) if suffix else out_path
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, header, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+    if summary is not None:
+        suffix, data = summary
+        _write_json(_stem(out_path).with_suffix(suffix), data)
 
 
-def analysis_document(
-    result: AnalysisResult,
-    graph: NetworkGraph,
-    demands: list[DemandSpec],
-    routes: list[RoutedPath],
-) -> dict:
-    return {
+def write_analysis(out_path, fmt, result, graph, demands, routes) -> None:
+    """JSON: one document.  CSV: per-demand table in the main file, per-link
+    table in ``<stem>.links.csv``, run summary in ``<stem>.run.json``."""
+    doc = {
         "network": graph.name,
         "converged": result.converged,
         "iterations": result.iterations,
@@ -90,45 +99,18 @@ def analysis_document(
         ],
         "trajectory": result.trajectory,
     }
+    tables = [
+        ("", ["src", "dst", "hops", "blocking"], doc["demands"]),
+        (".links.csv", ["link", "tail", "head", "phi"], doc["links"]),
+    ]
+    run = {k: doc[k] for k in ("network", "converged", "iterations", "network_blocking")}
+    _write(out_path, fmt, doc, tables, (".run.json", run))
 
 
-def write_analysis(out_path, fmt, result, graph, demands, routes) -> list[Path]:
-    """JSON: one document.  CSV: per-demand table in the main file, per-link
-    table in ``<stem>.links.csv``, run summary in ``<stem>.run.json``."""
-    out_path = Path(out_path)
-    doc = analysis_document(result, graph, demands, routes)
-    if fmt == "json":
-        out_path.write_text(json.dumps(doc, indent=1) + "\n")
-        return [out_path]
-    _write_csv(
-        out_path,
-        ["src", "dst", "hops", "blocking"],
-        [[d["src"], d["dst"], d["hops"], repr(d["blocking"])] for d in doc["demands"]],
-    )
-    links_path = _stem(out_path).with_suffix(".links.csv")
-    _write_csv(
-        links_path,
-        ["link", "tail", "head", "phi"],
-        [[l["link"], l["tail"], l["head"], repr(l["phi"])] for l in doc["links"]],
-    )
-    run_path = _stem(out_path).with_suffix(".run.json")
-    run_path.write_text(
-        json.dumps(
-            {
-                "network": doc["network"],
-                "converged": doc["converged"],
-                "iterations": doc["iterations"],
-                "network_blocking": doc["network_blocking"],
-            },
-            indent=1,
-        )
-        + "\n"
-    )
-    return [out_path, links_path, run_path]
-
-
-def simulation_document(result: SimResult, graph, demands) -> dict:
-    return {
+def write_simulation(out_path, fmt, result, graph, demands) -> None:
+    """JSON: one document.  CSV: one row per replication plus an aggregate
+    row; the per-demand table goes to ``<stem>.demands.csv``."""
+    doc = {
         "network": graph.name,
         "replications": len(result.replication_blockings),
         "warmup": result.warmup,
@@ -152,48 +134,34 @@ def simulation_document(result: SimResult, graph, demands) -> dict:
             )
         ],
     }
+    # the per-replication counts are summed over demands; the document keeps
+    # only each replication's blocking
+    replications = [
+        {
+            "replication": i,
+            "offered": sum(result.per_replication_offered[i]),
+            "blocked": sum(result.per_replication_blocked[i]),
+            "blocking": blocking,
+        }
+        for i, blocking in enumerate(doc["replication_blockings"])
+    ]
+    aggregate = {**doc, "replication": "aggregate", "blocking": doc["network_blocking"]}
+    header = ["replication", "offered", "blocked", "blocking", "ci95_half_width"]
+    tables = [
+        ("", header, [*replications, aggregate]),
+        (".demands.csv", ["src", "dst", "offered", "blocked", "blocking"], doc["demands"]),
+    ]
+    _write(out_path, fmt, doc, tables)
 
 
-def write_simulation(out_path, fmt, result, graph, demands) -> list[Path]:
-    """JSON: one document.  CSV: one row per replication plus an aggregate
-    row; the per-demand table goes to ``<stem>.demands.csv``."""
-    out_path = Path(out_path)
-    doc = simulation_document(result, graph, demands)
-    if fmt == "json":
-        out_path.write_text(json.dumps(doc, indent=1) + "\n")
-        return [out_path]
-    rows = []
-    for i, blocking in enumerate(result.replication_blockings):
-        offered = sum(result.per_replication_offered[i])
-        blocked = sum(result.per_replication_blocked[i])
-        rows.append([i, offered, blocked, repr(blocking), ""])
-    rows.append(
-        [
-            "aggregate",
-            result.offered_total,
-            result.blocked_total,
-            repr(result.network_blocking_prob),
-            repr(result.ci95_half_width),
-        ]
-    )
-    _write_csv(out_path, ["replication", "offered", "blocked", "blocking", "ci95_half_width"], rows)
-    demands_path = _stem(out_path).with_suffix(".demands.csv")
-    _write_csv(
-        demands_path,
-        ["src", "dst", "offered", "blocked", "blocking"],
-        [
-            [d["src"], d["dst"], d["offered"], d["blocked"], repr(d["blocking"])]
-            for d in doc["demands"]
-        ],
-    )
-    return [out_path, demands_path]
+def write_placement(out_path, fmt, result, graph) -> None:
+    """JSON: one document.  CSV: the per-step candidate table in the main
+    file, summary and final assignment in ``<stem>.summary.json``."""
 
-
-def placement_document(result: PlacementResult, graph) -> dict:
     def arch_entry(arch):
         return {"kind": arch.kind, "n_sc": arch.n_sc}
 
-    return {
+    doc = {
         "network": graph.name,
         "method": result.method,
         "baseline_blocking": result.baseline_blocking,
@@ -220,46 +188,18 @@ def placement_document(result: PlacementResult, graph) -> dict:
             for step in result.steps
         ],
     }
+    trials = [
+        {"step": i, **step, **cand, "chosen": int(cand["node"] == step["chosen_node"])}
+        for i, step in enumerate(doc["steps"])
+        for cand in step["candidates"]
+    ]
+    header = ["step", "kind", "n_sc", "node", "blocking", "converged", "chosen"]
+    summary = {k: v for k, v in doc.items() if k != "steps"}
+    _write(out_path, fmt, doc, [("", header, trials)], (".summary.json", summary))
 
 
-def write_placement(out_path, fmt, result, graph) -> list[Path]:
-    """JSON: one document.  CSV: the per-step candidate table in the main
-    file, summary and final assignment in ``<stem>.summary.json``."""
-    out_path = Path(out_path)
-    doc = placement_document(result, graph)
-    if fmt == "json":
-        out_path.write_text(json.dumps(doc, indent=1) + "\n")
-        return [out_path]
-    rows = []
-    for step_idx, step in enumerate(doc["steps"]):
-        for cand in step["candidates"]:
-            rows.append(
-                [
-                    step_idx,
-                    step["kind"],
-                    step["n_sc"] if step["n_sc"] is not None else "",
-                    cand["node"],
-                    repr(cand["blocking"]),
-                    cand["converged"],
-                    "1" if cand["node"] == step["chosen_node"] else "0",
-                ]
-            )
-    _write_csv(out_path, ["step", "kind", "n_sc", "node", "blocking", "converged", "chosen"], rows)
-    summary_path = _stem(out_path).with_suffix(".summary.json")
-    summary = {k: doc[k] for k in (
-        "network", "method", "baseline_blocking", "achieved_blocking",
-        "evaluations", "all_converged", "ranked_inventory", "assignment",
-    )}
-    summary_path.write_text(json.dumps(summary, indent=1) + "\n")
-    return [out_path, summary_path]
-
-
-def write_sweep(out_path, fmt, rows: list[dict]) -> list[Path]:
+def write_sweep(out_path, fmt, rows: list[dict]) -> None:
     """One row per (traffic target, architecture setting)."""
-    out_path = Path(out_path)
-    if fmt == "json":
-        out_path.write_text(json.dumps(rows, indent=1) + "\n")
-        return [out_path]
     header = [
         "traffic",
         "setting",
@@ -269,18 +209,4 @@ def write_sweep(out_path, fmt, rows: list[dict]) -> list[Path]:
         "sim_blocking",
         "sim_ci95",
     ]
-    table = []
-    for row in rows:
-        table.append(
-            [
-                repr(row["traffic"]),
-                row["setting"],
-                repr(row["scale"]),
-                repr(row["analytic_blocking"]),
-                row["analytic_converged"],
-                "" if row.get("sim_blocking") is None else repr(row["sim_blocking"]),
-                "" if row.get("sim_ci95") is None else repr(row["sim_ci95"]),
-            ]
-        )
-    _write_csv(out_path, header, table)
-    return [out_path]
+    _write(out_path, fmt, rows, [("", header, rows)])

@@ -130,8 +130,10 @@ class DemandSpec:
             raise DemandError(f"demand {self.src}->{self.dst}: empty slot pmf")
         total = 0.0
         for s, p in self.slot_pmf.items():
-            if not isinstance(s, int) or s < 1:
-                raise DemandError(f"demand {self.src}->{self.dst}: slot count {s!r} must be int >= 1")
+            if isinstance(s, bool) or not isinstance(s, int) or s < 1:
+                raise DemandError(
+                    f"demand {self.src}->{self.dst}: slot count {s!r} must be int >= 1"
+                )
             if not math.isfinite(p) or p < 0:
                 raise DemandError(
                     f"demand {self.src}->{self.dst}: pmf entry {p} is not a probability"
@@ -192,7 +194,7 @@ def load_topology(document) -> NetworkGraph:
         slot_count = doc["slot_count"]
     except KeyError as exc:
         raise TopologyParseError(f"topology document missing key {exc}") from exc
-    if not isinstance(slot_count, int) or slot_count < 1:
+    if isinstance(slot_count, bool) or not isinstance(slot_count, int) or slot_count < 1:
         raise TopologyParseError(f"slot_count must be a positive integer, got {slot_count!r}")
     if len(set(map(repr, raw_nodes))) != len(raw_nodes):
         raise TopologyParseError("duplicate node labels")

@@ -270,6 +270,25 @@ def test_sweep_with_sim_adds_columns(inputs):
     assert rows[0][5] == "sim_blocking"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--with-sim", "--trace", "events.log"], ["--arch", "arch.json", "--arch-sweep", "full"]],
+)
+def test_sweep_flag_misuse_exits_1_without_output(capsys, monkeypatch, inputs, flags):
+    tmp, topo, demands, _ = inputs
+    monkeypatch.chdir(tmp)
+    before = sorted(tmp.iterdir())
+    argv = ["sweep", "--topology", str(topo), "--demands", str(demands),
+            "--out", "sweep.csv", "--traffic", "0.1", *flags]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag sweep does not take
+        code = exc.code
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before
+
+
 def test_sweep_rejects_unsorted_targets(inputs):
     tmp, topo, demands, _ = inputs
     code = main([
@@ -472,3 +491,75 @@ def test_fractional_converter_count_exits_1(inputs):
                  "--arch", str(arch), "--out", str(out)])
     assert code == 1
     assert not out.exists()
+
+
+def _same(cell: str, value) -> bool:
+    """A CSV cell holds the JSON value it projects; floats parse back exactly."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, float):
+        return float(cell) == value
+    return cell == str(value)
+
+
+def _assert_projects(path, records):
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        for column, cell in row.items():
+            assert _same(cell, record[column]), (path.name, column, cell, record[column])
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("analyze", ["--arch", "arch.json"]),
+        ("simulate", ["--arch", "arch.json", "--warmup", "5", "--horizon", "60",
+                      "--replications", "3"]),
+        ("place", ["--converters", "full,share_per_node:1"]),
+        ("place", ["--converters", "full,share_per_node:1", "--oracle"]),
+        ("sweep", ["--traffic", "0.05,0.1", "--arch-sweep", "simple,full", "--with-sim",
+                   "--warmup", "5", "--horizon", "60", "--replications", "2"]),
+    ],
+)
+def test_csv_projects_the_json_document(monkeypatch, inputs, command, flags):
+    tmp, topo, demands, _ = inputs
+    monkeypatch.chdir(tmp)
+    for fmt in ("csv", "json"):
+        code = main([command, "--topology", str(topo), "--demands", str(demands),
+                     "--out", f"out.{fmt}", "--format", fmt, "--seed", "4", *flags])
+        assert code == 0
+    doc = json.loads((tmp / "out.json").read_text())
+    main_csv = tmp / "out.csv"
+    if command == "analyze":
+        _assert_projects(main_csv, doc["demands"])
+        _assert_projects(tmp / "out.links.csv", doc["links"])
+        run = json.loads((tmp / "out.run.json").read_text())
+        assert run == {k: doc[k] for k in ("network", "converged", "iterations",
+                                           "network_blocking")}
+    elif command == "simulate":
+        replications = [
+            {"replication": i, "blocking": b, "ci95_half_width": None}
+            for i, b in enumerate(doc["replication_blockings"])
+        ]
+        aggregate = dict(doc, replication="aggregate", blocking=doc["network_blocking"])
+        rows = read_csv(main_csv)[1:]
+        for row, record in zip(rows, replications):
+            record.update(offered=int(row[1]), blocked=int(row[2]))
+        assert sum(r["offered"] for r in replications) == doc["offered"]
+        assert sum(r["blocked"] for r in replications) == doc["blocked"]
+        _assert_projects(main_csv, [*replications, aggregate])
+        _assert_projects(tmp / "out.demands.csv", doc["demands"])
+    elif command == "place":
+        trials = [
+            dict(step, **cand, step=i, chosen=int(cand["node"] == step["chosen_node"]))
+            for i, step in enumerate(doc["steps"])
+            for cand in step["candidates"]
+        ]
+        _assert_projects(main_csv, trials)
+        summary = json.loads((tmp / "out.summary.json").read_text())
+        assert summary == {k: v for k, v in doc.items() if k != "steps"}
+    else:
+        assert all(row["sim_blocking"] is not None for row in doc)
+        _assert_projects(main_csv, doc)

@@ -59,8 +59,9 @@ def test_string_labels_map_to_dense_ids():
 def test_rejects_bad_documents():
     with pytest.raises(TopologyParseError):
         load_topology("{not json")
-    with pytest.raises(TopologyParseError):
-        load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 1}], slot_count=0))
+    for slot_count in (0, True):
+        with pytest.raises(TopologyParseError):
+            load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 1}], slot_count=slot_count))
     with pytest.raises(NonpositiveWeightError):
         load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 0}]))
     with pytest.raises(DuplicateEdgeError):
@@ -83,8 +84,10 @@ def test_demand_loading_and_validation():
     ]), g)
     assert demands[0].slot_pmf == {3: 1.0}
     assert demands[1].mean_slots == pytest.approx(1.75)
-    with pytest.raises(DemandError):
-        load_demands(json.dumps([{"src": 1, "dst": 2, "rate": 1, "hold": 1, "slots": 9}]), g)
+    for slots in (9, True, [{"s": True, "p": 1.0}]):
+        entry = {"src": 1, "dst": 2, "rate": 1, "hold": 1, "slots": slots}
+        with pytest.raises(DemandError):
+            load_demands(json.dumps([entry]), g)
     with pytest.raises(DemandError):
         load_demands(json.dumps([{"src": 1, "dst": 1, "rate": 1, "hold": 1, "slots": 1}]), g)
     with pytest.raises(DemandError):
