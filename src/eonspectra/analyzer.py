@@ -22,6 +22,7 @@ from .lightpath import (
     LinkFreeProbs,
     crossing_stats,
     lightpath_blocking,
+    segment_table,
 )
 from .topology import DemandSpec, NetworkGraph, RoutedPath, route_all
 
@@ -61,7 +62,7 @@ def demand_blocking(
     phis: LinkFreeProbs,
     stats: CrossingStats,
     slot_count: int,
-    run_memo: dict | None = None,
+    memo: dict | None = None,
 ) -> float:
     """Average blocking of one demand: its slot-count pmf weighting the
     per-slot-count lightpath blocking."""
@@ -69,7 +70,7 @@ def demand_blocking(
     for s, p in sorted(demand.slot_pmf.items()):
         if p == 0.0:
             continue
-        total += p * lightpath_blocking(s, path, archs, phis, stats, slot_count, run_memo)
+        total += p * lightpath_blocking(s, path, archs, phis, stats, slot_count, memo)
     return total
 
 
@@ -117,7 +118,10 @@ def fixed_point(
     refresh every demand's blocking, refresh the network blocking.  Stops
     when two successive network values and every link's two successive
     free probabilities differ by at most epsilon, or at the iteration cap
-    (returned with ``converged=False``, never raised).
+    (returned with ``converged=False``, never raised).  Each iteration
+    evaluates the run probabilities of all the solve's segments in one
+    array call per slot count (``segment_table``), so the per-demand
+    forward passes only look them up.
     """
     if config is None:
         config = AnalysisConfig()
@@ -125,6 +129,7 @@ def fixed_point(
         routes = route_all(graph, demands)
     if stats is None:
         stats = crossing_stats(graph, routes)
+    table = segment_table(demands, routes, archs, graph.slot_count)
 
     rng = np.random.default_rng(config.seed)
     p_net = float(rng.random())
@@ -146,9 +151,9 @@ def fixed_point(
                 fresh = {lid: d * fresh[lid] + (1.0 - d) * phis[lid] for lid in fresh}
             phi_delta = max((abs(fresh[lid] - phis[lid]) for lid in fresh), default=0.0)
         phis = fresh
-        run_memo: dict = {}
+        memo = table.run_memo(phis)
         blockings = [
-            demand_blocking(demand, route, archs, phis, stats, graph.slot_count, run_memo)
+            demand_blocking(demand, route, archs, phis, stats, graph.slot_count, memo)
             for demand, route in zip(demands, routes)
         ]
         p_net = network_blocking(demands, blockings)

@@ -291,7 +291,8 @@ def _cmd_sweep(args) -> tuple[int, dict]:
     if base_traffic <= 0:
         raise InputError("base demand set carries no traffic")
     config = _analysis_config(args, derive_seed(args.seed, "analysis"))
-    sim_config = _sim_config(args, derive_seed(args.seed, "simulation")) if args.with_sim else None
+    # checked also without --with-sim: the manifest records these flags
+    sim_config = _sim_config(args, derive_seed(args.seed, "simulation"))
 
     rows = []
     any_unconverged = False

@@ -13,13 +13,22 @@ where converter i is free with probability a_i (``converter_availability``:
 1 for a full node, else the availability of the converter bank that
 ``bank_key`` names, from the transit routes ``crossing_stats`` counts per
 bank) and seg(T) is ``segment_success_prob`` for the layout cut at T.
-The cut points form a chain, so the expectation is one forward pass over
-the converters: it carries the probability mass of each still-open
-segment start and adds the failure of every segment as it closes.  That
-evaluates O(k^2) segments for k converters (O(k) when all are always
-free), and every term is nonnegative, so the result is a probability by
-construction.  Layouts are tuples of path positions ``(1, p2, ..., H+1)``:
+The cut points form a chain, so the expectation is one forward pass along
+the path: it carries the probability mass and the running product of the
+hop free probabilities of each still-open segment, and adds the failure
+of every segment as it closes.  That evaluates O(k^2) segments for k
+converters (O(k) when all are always free), and every term is
+nonnegative, so the result is a probability by construction.  Layouts are tuples of path positions ``(1, p2, ..., H+1)``:
 fixed endpoints plus the interior positions that hold a converter.
+
+A fixed point evaluates the same segments every iteration at a new link
+state.  ``segment_table`` lists them once per solve, and each iteration
+``SegmentTable.run_memo`` computes all their run probabilities with one
+array call of ``run_probability`` per slot count.  The forward passes of
+that iteration find every segment in the memo, and each bank's
+availability is computed once and kept there too.  A segment missing from
+the memo falls back to the scalar call, which returns the same float, so
+the table saves time and never changes a result.
 """
 
 from __future__ import annotations
@@ -28,9 +37,11 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ArchitectureError, MissingNodeError
 from .runprob import run_probability
-from .topology import NetworkGraph, RoutedPath
+from .topology import DemandSpec, NetworkGraph, RoutedPath
 
 SIMPLE = "simple"
 FULL = "full"
@@ -128,12 +139,10 @@ def converter_layout(path: RoutedPath, archs: ArchitectureMap) -> tuple[int, ...
     or destination cannot help the request.
     """
     hops = path.hop_count
-    interior = tuple(
-        pos
-        for pos in range(2, hops + 1)
-        if archs.get(path.nodes[pos - 1], SIMPLE_NODE).converts
-    )
-    return (1,) + interior + (hops + 1,)
+    interior = [
+        pos for pos in range(2, hops + 1) if archs.get(path.nodes[pos - 1], SIMPLE_NODE).converts
+    ]
+    return (1, *interior, hops + 1)
 
 
 def segment_success_prob(
@@ -147,28 +156,83 @@ def segment_success_prob(
 
     Segment k spans hops layout[k]..layout[k+1]-1.
     """
-    run_memo: dict = {}
     result = 1.0
     for a, b in zip(layout, layout[1:]):
-        result *= _segment_prob(min_run, slot_count, hop_free_probs, a, b, run_memo)
+        result *= run_probability(min_run, slot_count, math.prod(hop_free_probs[a - 1 : b - 1]))
         if result == 0.0:
             break
     return result
 
 
-def _segment_prob(
-    min_run: int, slot_count: int, hop_free_probs, a: int, b: int, run_memo: dict
-) -> float:
-    """Run probability of the segment over hops a..b-1, on which a slot is
-    free with the product of the per-hop probabilities; memoized in
-    ``run_memo`` by (min_run, slot_count, rho)."""
-    rho = math.prod(hop_free_probs[a - 1 : b - 1])
-    key = (min_run, slot_count, rho)
-    value = run_memo.get(key)
-    if value is None:
-        value = run_probability(min_run, slot_count, rho)
-        run_memo[key] = value
-    return value
+@dataclass(frozen=True)
+class SegmentTable:
+    """The segments a solve's forward passes can close, by slot count.
+
+    ``columns`` lists the link ids the segments cross; row i of ``hops``
+    holds segment i's columns in path order, padded with ``len(columns)``,
+    a column whose free probability is always 1.0; ``rows[S]`` indexes the
+    segments of the requests for S slots.
+    """
+
+    slot_count: int
+    columns: tuple[int, ...]
+    hops: np.ndarray
+    rows: dict[int, np.ndarray]
+
+    def run_memo(self, phis: LinkFreeProbs) -> dict:
+        """A memo for ``lightpath_blocking`` holding the run probability
+        of every segment at link state ``phis``: one array call of
+        ``run_probability`` per slot count.  Multiplying column by column
+        rounds exactly as the forward pass's running products do, so the
+        keys are the ones it looks up."""
+        phi = np.array([phis[lid] for lid in self.columns] + [1.0])
+        rho = phi[self.hops[:, 0]]
+        for column in self.hops[:, 1:].T:
+            rho = rho * phi[column]
+        memo: dict = {}
+        for min_run, rows in self.rows.items():
+            rhos = rho[rows]
+            values = run_probability(min_run, self.slot_count, rhos)
+            memo[(min_run, self.slot_count)] = dict(zip(rhos.tolist(), values.tolist()))
+        return memo
+
+
+def segment_table(
+    demands: list[DemandSpec],
+    routes: list[RoutedPath],
+    archs: ArchitectureMap,
+    slot_count: int,
+) -> SegmentTable:
+    """Every segment the forward pass can close on ``routes``: the pairs of
+    layout positions with no ``full`` node strictly between them (a full
+    converter is always free, so it closes every segment open through it),
+    for each slot count up to ``slot_count`` that the route's demand asks for."""
+    segments: dict[tuple[int, ...], int] = {}  # link ids -> row
+    rows: dict[int, dict[int, None]] = {}  # slot count -> ordered set of rows
+    for demand, route in zip(demands, routes):
+        sizes = [s for s, p in demand.slot_pmf.items() if p and s <= slot_count]
+        if not sizes:
+            continue
+        layout = converter_layout(route, archs)
+        for i, a in enumerate(layout[:-1]):
+            for b in layout[i + 1 :]:
+                row = segments.setdefault(route.link_ids[a - 1 : b - 1], len(segments))
+                for s in sizes:
+                    rows.setdefault(s, {})[row] = None
+                if archs.get(route.nodes[b - 1], SIMPLE_NODE).kind == FULL:
+                    break
+    columns = tuple(sorted({lid for segment in segments for lid in segment}))
+    index = {lid: col for col, lid in enumerate(columns)}
+    width = max(map(len, segments), default=1)
+    hops = np.full((len(segments), width), len(columns), dtype=np.intp)
+    for segment, row in segments.items():
+        hops[row, : len(segment)] = [index[lid] for lid in segment]
+    return SegmentTable(
+        slot_count,
+        columns,
+        hops,
+        {s: np.fromiter(members, dtype=np.intp) for s, members in sorted(rows.items())},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +333,31 @@ def converter_availability(
     this request: 1 for a full node, else its bank's availability."""
     node = path.nodes[position - 1]
     arch = archs.get(node, SIMPLE_NODE)
-    bank = bank_key(node, path.links[position - 1].id, arch)
+    return _availability(node, path.links[position - 1].id, arch, stats, phis, {})
+
+
+def _availability(
+    node: int,
+    exit_link_id: int,
+    arch: NodeArchitecture,
+    stats: CrossingStats,
+    phis: LinkFreeProbs,
+    memo: dict,
+) -> float:
+    """``converter_availability`` by node and exit link; memoized in
+    ``memo`` by bank."""
+    bank = bank_key(node, exit_link_id, arch)
     if bank is None:
         return 1.0
-    return share_per_link_availability(
-        arch.n_sc,
-        stats.paths[bank],
-        stats.slots[bank],
-        math.fsum(share * phis[j] for j, share in stats.shares[bank]),
-    )
+    value = memo.get(bank)
+    if value is None:
+        value = memo[bank] = share_per_link_availability(
+            arch.n_sc,
+            stats.paths[bank],
+            stats.slots[bank],
+            math.fsum(share * phis[j] for j, share in stats.shares[bank]),
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -291,41 +371,63 @@ def lightpath_blocking(
     phis: LinkFreeProbs,
     stats: CrossingStats,
     slot_count: int,
-    run_memo: dict | None = None,
+    memo: dict | None = None,
 ) -> float:
     """Blocking probability of a request for ``min_run`` contiguous slots
     on ``path``: the expectation of 1 - seg(T) over the random set T of the
     path's interior converters that are free to take the request.
 
-    ``open_segments`` holds (start, mass) pairs: mass is the probability
-    that the open segment starts at path position ``start`` and every
-    segment closed before it succeeded.  A converter free with probability
-    a closes each open segment with probability a, which blocks with
-    mass * a * (1 - success) and opens a segment at the converter; with
-    probability 1 - a the open segments run on through it.
+    One pass over the hops carries the open segments as (mass, rho) pairs:
+    mass is the probability that the segment is open and every segment
+    closed before it succeeded, rho the product of the free probabilities
+    of its hops so far, taken in path order.  A converter free with
+    probability a closes each open segment with probability a, which
+    blocks with mass * a * (1 - success) and opens a segment at the
+    converter; with probability 1 - a the open segments run on through it.
+    The destination closes every open segment, as a converter with a = 1.
+
+    ``memo`` holds values that depend only on the link state: under key
+    (min_run, slot_count), a dict from a segment's rho to its run
+    probability, as ``SegmentTable.run_memo`` makes it, and under each
+    bank's key, that bank's availability.  Share one memo only between
+    calls at the same ``phis``, ``archs`` and ``stats``.
     """
     if min_run > slot_count:
         return 1.0
-    if run_memo is None:
-        run_memo = {}
-    hop_probs = tuple(phis[link.id] for link in path.links)
-    open_segments = [(1, 1.0)]
+    if memo is None:
+        memo = {}
+    runs = memo.setdefault((min_run, slot_count), {})
+    nodes, links = path.nodes, path.links
+    masses = [1.0]
+    rhos = [1.0]
     blocked = 0.0
-    for pos in converter_layout(path, archs)[1:-1]:
-        avail = converter_availability(pos, path, archs, stats, phis)
-        if avail == 0.0:
-            continue
+    for hop, link in enumerate(links, start=1):
+        phi = phis[link.id]
+        rhos = [rho * phi for rho in rhos]
+        if hop == len(links):
+            avail = 1.0
+        else:
+            node = nodes[hop]  # the interior node at path position hop + 1
+            arch = archs.get(node)
+            if arch is None or not arch.converts:
+                continue
+            avail = _availability(node, links[hop].id, arch, stats, phis, memo)
+            if avail == 0.0:
+                continue
         closed = 0.0
-        for start, mass in open_segments:
-            success = _segment_prob(min_run, slot_count, hop_probs, start, pos, run_memo)
+        for mass, rho in zip(masses, rhos):
+            success = runs.get(rho)
+            if success is None:  # a segment no table listed
+                success = runs[rho] = run_probability(min_run, slot_count, rho)
             blocked += avail * mass * (1.0 - success)
             closed += mass * success
         busy = 1.0 - avail
-        open_segments = [(start, mass * busy) for start, mass in open_segments] if busy else []
-        open_segments.append((pos, avail * closed))
-    end = len(hop_probs) + 1
-    for start, mass in open_segments:
-        blocked += mass * (1.0 - _segment_prob(min_run, slot_count, hop_probs, start, end, run_memo))
+        if busy:
+            masses = [mass * busy for mass in masses]
+        else:
+            masses, rhos = [], []
+        masses.append(avail * closed)
+        rhos.append(1.0)
     return blocked
 
 

@@ -6,9 +6,13 @@ conditioning on the position of the first busy slot:
 
     P(S, F) = sum_{j=1..S} P(S, F - j) * rho^(j-1) * (1 - rho) + rho^S
 
-with P(S, F) = 0 for F < S.  ``run_probability_bruteforce`` recomputes the
-same quantity by exhaustive enumeration of all 2^F slot masks and exists
-purely as an independent check.
+with P(S, F) = 0 for F < S.  ``rho`` may be a float or an ndarray: the
+recurrence runs elementwise with the same float operations in the same
+order, so an array call returns exactly the floats of the scalar calls.
+The fixed point makes one array call per slot count and iteration; the
+scalar call serves single lightpaths.  ``run_probability_bruteforce``
+recomputes the same quantity by exhaustive enumeration of all 2^F slot
+masks and exists purely as an independent check.
 """
 
 from __future__ import annotations
@@ -27,40 +31,46 @@ _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 _mask_counts: dict[int, np.ndarray] = {}
 
 
-def _check_args(min_run: int, slots: int, free_prob: float) -> float:
+def _check_args(min_run: int, slots: int, free_prob):
+    """Validate the arguments; returns ``free_prob`` clamped into [0, 1]."""
     if min_run < 1:
         raise ValueError(f"run length must be >= 1, got {min_run}")
     if slots < 0:
         raise ValueError(f"slot count must be >= 0, got {slots}")
-    if free_prob < -_RHO_TOL or free_prob > 1.0 + _RHO_TOL:
+    if isinstance(free_prob, np.ndarray):
+        bad = ~((free_prob >= -_RHO_TOL) & (free_prob <= 1.0 + _RHO_TOL))  # NaN too
+        if bad.any():
+            raise ValueError(f"free-slot probability {free_prob[bad][0]} outside [0, 1]")
+        return np.clip(free_prob, 0.0, 1.0)
+    if not -_RHO_TOL <= free_prob <= 1.0 + _RHO_TOL:
         raise ValueError(f"free-slot probability {free_prob} outside [0, 1]")
     return min(max(free_prob, 0.0), 1.0)
 
 
-def run_probability(min_run: int, slots: int, free_prob: float) -> float:
+def run_probability(min_run: int, slots: int, free_prob):
     """Probability of at least ``min_run`` consecutive free slots among
-    ``slots`` slots, each free independently with ``free_prob``."""
+    ``slots`` slots, each free independently with ``free_prob`` (a float,
+    or an ndarray evaluated elementwise)."""
     rho = _check_args(min_run, slots, free_prob)
     if slots < min_run:
-        return 0.0
-    if rho == 0.0:
-        return 0.0
-    if rho == 1.0:
-        return 1.0
-    # rho^(j-1) * (1 - rho) for j = 1..min_run, plus the all-free tail rho^S
+        return np.zeros_like(rho) if isinstance(rho, np.ndarray) else 0.0
+    # rho^(j-1) * (1 - rho) for j = 1..min_run, plus the all-free tail rho^S;
+    # products rather than ** so that scalars and arrays round alike
     weights = [1.0 - rho]
+    tail = rho
     for _ in range(min_run - 1):
         weights.append(weights[-1] * rho)
-    tail = rho**min_run
+        tail = tail * rho
     values = [0.0] * min_run  # P(., f) for f < min_run
-    append = values.append
     for f in range(min_run, slots + 1):
         # every term is nonnegative, so plain accumulation stays well below
         # the 1e-12 oracle tolerance (checked exhaustively in the tests)
         acc = tail
         for j in range(1, min_run + 1):
-            acc += values[f - j] * weights[j - 1]
-        append(acc)
+            acc = acc + values[f - j] * weights[j - 1]
+        values.append(acc)
+    if isinstance(rho, np.ndarray):
+        return np.minimum(values[slots], 1.0)
     return min(values[slots], 1.0)
 
 

@@ -142,7 +142,7 @@ class DemandSpec:
         if abs(total - 1.0) > 1e-12:
             raise DemandError(f"demand {self.src}->{self.dst}: pmf sums to {total}, not 1")
 
-    @property
+    @cached_property
     def mean_slots(self) -> float:
         return sum(s * p for s, p in self.slot_pmf.items())
 

@@ -1,8 +1,10 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
+import eonspectra.lightpath
 from eonspectra.analyzer import (
     AnalysisConfig,
     demand_blocking,
@@ -13,6 +15,9 @@ from eonspectra.analyzer import (
 from eonspectra.errors import InputError
 from eonspectra.lightpath import (
     FULL,
+    SHARE_PER_LINK,
+    SHARE_PER_NODE,
+    SIMPLE,
     NodeArchitecture,
     crossing_stats,
     lightpath_blocking,
@@ -22,6 +27,7 @@ from eonspectra.topology import (
     DemandSpec,
     load_topology,
     route_all,
+    scale_demands,
 )
 from eonspectra.fixtures import generate_demands, nsf14, nsf14_demands, sixnode
 
@@ -193,3 +199,63 @@ def test_config_validation():
                    {"damping": math.nan}, {"max_iter": 0}):
         with pytest.raises(InputError):
             AnalysisConfig(**kwargs)
+
+
+def test_fixed_point_iteration_needs_no_scalar_run_probability(monkeypatch):
+    # every segment a forward pass closes is in the solve's segment table,
+    # and the batched values are the scalar ones bit for bit
+    g = nsf14()
+    archs = {
+        2: NodeArchitecture(FULL),
+        6: NodeArchitecture(FULL),
+        4: NodeArchitecture(SHARE_PER_NODE, 1),
+        9: NodeArchitecture(SHARE_PER_NODE, 1),
+        5: NodeArchitecture(SHARE_PER_LINK, 2),
+        11: NodeArchitecture(SHARE_PER_LINK, 2),
+        3: NodeArchitecture(SIMPLE),
+    }
+    demands = nsf14_demands(g)
+    demands = [
+        DemandSpec(d.src, d.dst, d.rate, d.hold, {1: 0.2, 2: 0.5, 4: 0.3}) if i % 3 == 0 else d
+        for i, d in enumerate(demands)
+    ]
+    d = demands[1]
+    demands[1] = DemandSpec(d.src, d.dst, d.rate, d.hold, {2: 0.5, g.slot_count + 1: 0.5})
+    routes = route_all(g, demands)
+    assert any(len(r.links) >= 3 for r in routes)
+
+    scalar_calls = []
+    batched = eonspectra.lightpath.run_probability
+
+    def counting(min_run, slots, rho):
+        if not isinstance(rho, np.ndarray):
+            scalar_calls.append((min_run, slots, rho))
+        return batched(min_run, slots, rho)
+
+    monkeypatch.setattr(eonspectra.lightpath, "run_probability", counting)
+    config = AnalysisConfig(epsilon=1e-8, seed=3, damping=0.5)
+    result = fixed_point(g, demands, archs, config, routes)
+    assert result.converged
+    assert scalar_calls == []
+
+    monkeypatch.setattr(eonspectra.lightpath, "run_probability", batched)
+    stats = crossing_stats(g, routes)
+    for demand, route, got in zip(demands, routes, result.demand_blockings):
+        assert got == demand_blocking(demand, route, archs, result.phis, stats, g.slot_count)
+    assert result.demand_blockings[1] > 0.5  # half of its requests never fit
+
+
+@pytest.mark.parametrize("spec", ["simple", "full", "share_per_node:1"])
+def test_network_blocking_is_nondecreasing_in_traffic(spec):
+    g = nsf14()
+    kind, _, n_sc = spec.partition(":")
+    archs = uniform_architectures(g, NodeArchitecture(kind, int(n_sc) if n_sc else None))
+    demands = nsf14_demands(g)
+    routes = route_all(g, demands)
+    config = AnalysisConfig(epsilon=1e-8, seed=3, damping=0.5)
+    values = []
+    for factor in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+        result = fixed_point(g, scale_demands(demands, factor), archs, config, routes)
+        assert result.converged, factor
+        values.append(result.network_blocking_prob)
+    assert values == sorted(values), values

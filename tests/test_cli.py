@@ -272,7 +272,13 @@ def test_sweep_with_sim_adds_columns(inputs):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--with-sim", "--trace", "events.log"], ["--arch", "arch.json", "--arch-sweep", "full"]],
+    [
+        ["--with-sim", "--trace", "events.log"],
+        ["--arch", "arch.json", "--arch-sweep", "full"],
+        # simulator flags are checked also when the sweep does not simulate
+        ["--replications", "0", "--horizon", "nan"],
+        ["--warmup", "5", "--horizon", "1"],
+    ],
 )
 def test_sweep_flag_misuse_exits_1_without_output(capsys, monkeypatch, inputs, flags):
     tmp, topo, demands, _ = inputs

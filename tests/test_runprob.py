@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,28 @@ def test_submultiplicative_in_rho():
         )
         assert lhs <= rhs + 1e-12
 
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def test_array_call_equals_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(5)
+    rhos = np.concatenate(([0.0, 1.0, 1e-300, 1.0 - 1e-16, 5e-13 + 1.0, -5e-13], rng.random(40)))
+    for min_run in range(1, 6):
+        for slots in range(1, 25):
+            got = run_probability(min_run, slots, rhos)
+            assert isinstance(got, np.ndarray) and got.shape == rhos.shape
+            expected = [run_probability(min_run, slots, float(rho)) for rho in rhos]
+            assert _bits(got) == _bits(expected), (min_run, slots)
+    assert _bits(run_probability(3, 2, rhos)) == _bits(np.zeros_like(rhos))
+
+
+def test_array_call_rejects_what_the_scalar_call_rejects():
+    for bad in (math.nan, 1.5, -0.1, math.inf):
+        with pytest.raises(ValueError):
+            run_probability(2, 8, bad)
+        with pytest.raises(ValueError):
+            run_probability(2, 8, np.array([0.5, bad, 0.2]))
+    with pytest.raises(ValueError):
+        run_probability(0, 3, np.array([0.5]))
