@@ -24,7 +24,7 @@ from .lightpath import (
     lightpath_blocking,
     segment_table,
 )
-from .topology import DemandSpec, NetworkGraph, RoutedPath, route_all
+from .topology import DemandSpec, NetworkGraph, RoutedPath, demand_routes
 
 log = logging.getLogger(__name__)
 
@@ -67,9 +67,7 @@ def demand_blocking(
     """Average blocking of one demand: its slot-count pmf weighting the
     per-slot-count lightpath blocking."""
     total = 0.0
-    for s, p in sorted(demand.slot_pmf.items()):
-        if p == 0.0:
-            continue
+    for s, p in demand.pmf_items:
         total += p * lightpath_blocking(s, path, archs, phis, stats, slot_count, memo)
     return total
 
@@ -81,8 +79,8 @@ def network_blocking(demands: list[DemandSpec], blockings: list[float]) -> float
     if not demands:
         log.warning("network blocking over an empty demand set is 0 by convention")
         return 0.0
-    weight = sum(d.rate * d.hold for d in demands)
-    return sum(d.rate * d.hold * b for d, b in zip(demands, blockings)) / weight
+    weight = sum(d.offered_load for d in demands)
+    return sum(d.offered_load * b for d, b in zip(demands, blockings)) / weight
 
 
 def phi_update(
@@ -96,7 +94,7 @@ def phi_update(
     mean slots, normalized by the fiber capacity and clamped at full."""
     carried = {link.id: 0.0 for link in graph.links}
     for demand, route, blocking in zip(demands, routes, blockings):
-        load = demand.rate * demand.hold * demand.mean_slots * (1.0 - blocking)
+        load = demand.offered_load * demand.mean_slots * (1.0 - blocking)
         for link in route.links:
             carried[link.id] += load
     slots = float(graph.slot_count)
@@ -125,8 +123,7 @@ def fixed_point(
     """
     if config is None:
         config = AnalysisConfig()
-    if routes is None:
-        routes = route_all(graph, demands)
+    routes = demand_routes(graph, demands, routes)
     if stats is None:
         stats = crossing_stats(graph, routes)
     table = segment_table(demands, routes, archs, graph.slot_count)

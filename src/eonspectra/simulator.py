@@ -10,12 +10,27 @@ Random Fit in path order.  Converter boxes are scarce: a shared bank
 grants one box per conversion and holds it for the whole connection.
 
 Per-link occupancy lives in Python integer bitmasks (bit s set = slot s
-occupied), which keeps the per-event work to a few dozen integer ops.
+occupied), one per link id in a list, which keeps the per-event work to a
+few dozen integer ops.  Most arrivals find a continuous window: ``admit``
+takes them in one inline pass (OR the route's masks, shift-AND for the
+window starts, pick one, mark it) before any converter is looked at.
+Most of the rest are blocked because one link has no window of its own,
+which no segmentation can cure; that test also comes before the scan.
 
 Each demand draws its requests from its own generator.  Where the slot
 count is fixed, the inter-arrival and holding exponentials come in blocks
 of ``_BLOCK`` requests; the values, and so the sample paths, are the same
 bit for bit as with one scalar draw per request.
+
+Random Fit picks the k-th free window for one draw k uniform on
+[0, candidates).  In a run these draws come from ``_BoundedDraws``, which
+reads the admission generator's PCG64 raw 64-bit words in blocks, splits
+each into two 32-bit values (low half first, as PCG64's ``next_uint32``
+does) and applies the 32-bit Lemire multiply-and-reject that
+``Generator.integers`` uses below 2**32 (Lemire, "Fast random integer
+generation in an interval", ACM TOMACS 2019).  The values equal
+``Generator.integers(candidates, dtype=np.int64)`` bit for bit, without
+its per-call cost of about a microsecond.
 """
 
 from __future__ import annotations
@@ -31,10 +46,11 @@ import numpy as np
 
 from .errors import InputError, SimulatorFault
 from .lightpath import SIMPLE_NODE, ArchitectureMap, Bank, bank_key
-from .topology import DemandSpec, NetworkGraph, RoutedPath, route_all
+from .topology import DemandSpec, NetworkGraph, RoutedPath, demand_routes
 
 _ARRIVAL, _DEPART = 0, 1
 _BLOCK = 32  # requests per bulk draw of a single-valued demand's exponentials
+_WORDS = 256  # raw 64-bit words per refill of _BoundedDraws
 
 
 @dataclass
@@ -69,6 +85,7 @@ class Connection(NamedTuple):
 class NetworkState:
     """Mutable spectrum and converter-bank state of one replication.
 
+    ``occupied[link id]`` is that link's slot bitmask.
     ``converters`` maps (node, exit link id) to the ``bank_key`` of the
     bank that grants a conversion there, the same bank the analytic engine
     counts, or None for a full node, which has no finite bank; nodes
@@ -78,7 +95,7 @@ class NetworkState:
     def __init__(self, graph: NetworkGraph, archs: ArchitectureMap):
         self.slot_count = graph.slot_count
         self.full_mask = (1 << graph.slot_count) - 1
-        self.occupied = {link.id: 0 for link in graph.links}
+        self.occupied = [0] * (max((link.id for link in graph.links), default=-1) + 1)
         self.converters: dict[tuple[int, int], Bank | None] = {}
         self.bank_capacity: dict[Bank, int] = {}
         for node in graph.nodes:
@@ -96,7 +113,7 @@ class NetworkState:
 
     def verify_conservation(self):
         """Cross-check masks and bank counters against the ledger."""
-        expected = {lid: 0 for lid in self.occupied}
+        expected = [0] * len(self.occupied)
         banks = {key: 0 for key in self.bank_in_use}
         for conn in self.connections.values():
             for _start, link_ids in conn.segments:
@@ -104,7 +121,7 @@ class NetworkState:
                     expected[lid] += conn.slots
             for key in conn.banks:
                 banks[key] += 1
-        for lid, occ in self.occupied.items():
+        for lid, occ in enumerate(self.occupied):
             if occ.bit_count() != expected[lid]:
                 raise SimulatorFault(
                     f"link {lid}: {occ.bit_count()} slots occupied, ledger says {expected[lid]}"
@@ -122,6 +139,45 @@ def _window_starts(mask: int, min_run: int, limit: int) -> int:
         if not result:
             return 0
     return result & limit
+
+
+class _BoundedDraws:
+    """``integers(n, dtype=np.int64)`` of a PCG64 ``Generator``, bit for
+    bit, from its raw words (see the module docstring).
+
+    The words are fetched ``_WORDS`` at a time, so ``rng`` must make no
+    other draw while this object is in use.  Values come back as ``int``.
+    """
+
+    __slots__ = ("_raw", "_next")
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self._next = iter(()).__next__
+
+    def _word(self) -> int:
+        """Next 32-bit value, fetching a block of raw words when one is spent."""
+        try:
+            return self._next()
+        except StopIteration:
+            words = self._raw(_WORDS).astype("<u8", copy=False).view("<u4")
+            self._next = iter(words.tolist()).__next__
+            return self._next()
+
+    def integers(self, n: int, dtype=np.int64) -> int:
+        if not 1 < n < 1 << 32:
+            if n == 1:  # one value: Generator.integers draws nothing
+                return 0
+            raise ValueError(f"bounded draw needs 1 <= n < 2**32, got {n}")
+        try:
+            m = self._next() * n
+        except StopIteration:
+            m = self._word() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n  # Lemire: reject the 2**32 mod n low values
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * n
+        return m >> 32
 
 
 def _pick_start(starts: int, rng) -> int:
@@ -150,19 +206,46 @@ def admit(
         return None
     occupied = state.occupied
     link_ids = route.link_ids
-    hops = len(link_ids)
     full = state.full_mask
     limit = (1 << (state.slot_count - slots + 1)) - 1
 
+    # continuity: Random Fit over the windows free on every link, inline
     busy = 0
     for lid in link_ids:
         busy |= occupied[lid]
-    starts = _window_starts(full & ~busy, slots, limit)
+    common = full & ~busy
+    starts = common
+    for shift in range(1, slots):
+        starts &= common >> shift
+    starts &= limit
     if starts:
-        start = _pick_start(starts, rng)
-        return _allocate(state, route, slots, [(1, hops + 1, start)], ())
+        candidates = starts.bit_count()
+        if candidates > 1:
+            for _ in range(rng.integers(candidates, dtype=np.int64)):
+                starts &= starts - 1
+        start = (starts & -starts).bit_length() - 1
+        shifted = ((1 << slots) - 1) << start
+        for lid in link_ids:
+            mask = occupied[lid]
+            if mask & shifted:
+                raise SimulatorFault(f"double allocation on link {lid}")
+            occupied[lid] = mask | shifted
+        conn_id = state.next_id
+        state.connections[conn_id] = Connection(conn_id, slots, ((start, link_ids),), ())
+        state.next_id = conn_id + 1
+        return conn_id
 
-    # continuity failed: gather converters whose bank still has a free box
+    # continuity failed.  Every segment's window is free on each of its
+    # links, so a link with no window of its own blocks whatever converts.
+    free = []
+    for lid in link_ids:
+        mask = full & ~occupied[lid]
+        if not _window_starts(mask, slots, limit):
+            return None
+        free.append(mask)
+
+    # gather converters whose bank still has a free box
+    hops = len(link_ids)
     converters = state.converters
     in_use, capacity = state.bank_in_use, state.bank_capacity
     usable: dict[int, Bank | None] = {}  # path position -> bank key
@@ -181,7 +264,6 @@ def admit(
     # Latest start first, so each later start is solved before it is needed;
     # ties keep the earliest cut, which makes the chosen set the
     # lexicographically first of the smallest ones.
-    free = [full & ~occupied[lid] for lid in link_ids]
     end = hops + 1
     plan: dict[int, tuple[int, int, int]] = {}
     for a in [*reversed(usable), 1]:
@@ -306,11 +388,11 @@ def _run_replication(graph, demands, routes, archs, config, warmup, horizon, tra
     next_request = [
         _requests(d, np.random.default_rng(c)).__next__ for d, c in zip(demands, children)
     ]
-    admit_rng = np.random.default_rng(children[-1])
+    admit_rng = _BoundedDraws(np.random.default_rng(children[-1]))
 
     state = NetworkState(graph, archs)
     heap: list[tuple] = []
-    push, pop = heapq.heappush, heapq.heappop
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
     seq = count()
     for d_idx, draw in enumerate(next_request):
         gap, s, hold = draw()
@@ -318,15 +400,17 @@ def _run_replication(graph, demands, routes, archs, config, warmup, horizon, tra
 
     offered = [0] * len(demands)
     blocked = [0] * len(demands)
+    # keys (t, seq) are unique, so replacing an arrival by its successor in
+    # one heap operation pops the events in the same order as pop-then-push
     while heap:
-        event = pop(heap)
+        event = heap[0]
         t = event[0]
         if t > horizon:
             break
         if event[2] == _ARRIVAL:
             _, _, _, d_idx, s, hold = event
             gap, next_s, next_hold = next_request[d_idx]()
-            push(heap, (t + gap, next(seq), _ARRIVAL, d_idx, next_s, next_hold))
+            replace(heap, (t + gap, next(seq), _ARRIVAL, d_idx, next_s, next_hold))
             counted = t > warmup
             if counted:
                 offered[d_idx] += 1
@@ -345,6 +429,7 @@ def _run_replication(graph, demands, routes, archs, config, warmup, horizon, tra
                         f"accepted conn={conn_id} segments={segs}\n"
                     )
         else:
+            pop(heap)
             release(state, event[3])
             if trace is not None:
                 trace(f"{t:.6f} departure conn={event[3]}\n")
@@ -383,8 +468,7 @@ def simulate(
     receiving one text line per event.
     """
     config = config or SimConfig()
-    if routes is None:
-        routes = route_all(graph, demands)
+    routes = demand_routes(graph, demands, routes)
     warmup, horizon = resolve_windows(demands, config)
     outcomes = [
         _run_replication(graph, demands, routes, archs, config, warmup, horizon, trace, rep)

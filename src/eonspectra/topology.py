@@ -16,6 +16,7 @@ from functools import cached_property
 from .errors import (
     DemandError,
     DuplicateEdgeError,
+    InputError,
     MissingNodeError,
     NonpositiveWeightError,
     TopologyParseError,
@@ -145,6 +146,16 @@ class DemandSpec:
     @cached_property
     def mean_slots(self) -> float:
         return sum(s * p for s, p in self.slot_pmf.items())
+
+    @cached_property
+    def pmf_items(self) -> tuple[tuple[int, float], ...]:
+        """The nonzero ``(slot count, probability)`` entries, by slot count."""
+        return tuple((s, p) for s, p in sorted(self.slot_pmf.items()) if p != 0.0)
+
+    @cached_property
+    def offered_load(self) -> float:
+        """``rate * hold``: the demand's offered load in erlangs."""
+        return self.rate * self.hold
 
 
 @dataclass
@@ -331,6 +342,25 @@ def route_all(g: NetworkGraph, demands: list[DemandSpec]) -> list[RoutedPath]:
     return routes
 
 
+def demand_routes(
+    g: NetworkGraph, demands: list[DemandSpec], routes: list[RoutedPath] | None = None
+) -> list[RoutedPath]:
+    """The routes of a solve or simulation: ``routes``, once checked to hold
+    one route per demand from its source to its destination, or the
+    shortest paths when None."""
+    if routes is None:
+        return route_all(g, demands)
+    if len(routes) != len(demands):
+        raise InputError(f"{len(routes)} routes for {len(demands)} demands")
+    for i, (demand, route) in enumerate(zip(demands, routes)):
+        if route.nodes[0] != demand.src or route.nodes[-1] != demand.dst:
+            raise InputError(
+                f"route {i} runs {route.nodes[0]}->{route.nodes[-1]}, "
+                f"but its demand is {demand.src}->{demand.dst}"
+            )
+    return routes
+
+
 def network_traffic(g: NetworkGraph, demands: list[DemandSpec], routes: list[RoutedPath]) -> float:
     """Normalized offered traffic: total carried slot-hops per slot of
     installed directed-link capacity."""
@@ -339,7 +369,7 @@ def network_traffic(g: NetworkGraph, demands: list[DemandSpec], routes: list[Rou
     if not g.links:
         raise ValueError("graph has no links")
     total = sum(
-        d.rate * d.hold * d.mean_slots * r.hop_count for d, r in zip(demands, routes)
+        d.offered_load * d.mean_slots * r.hop_count for d, r in zip(demands, routes)
     )
     return total / (len(g.links) * g.slot_count)
 

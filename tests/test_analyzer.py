@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import eonspectra.analyzer
 import eonspectra.lightpath
 from eonspectra.analyzer import (
     AnalysisConfig,
@@ -112,6 +113,27 @@ def test_fixed_point_no_demands():
     assert result.network_blocking_prob == 0.0
     assert result.converged
     assert result.iterations <= 2
+
+
+@pytest.mark.parametrize("case", ["longer", "shorter", "other ends"])
+def test_fixed_point_rejects_routes_not_aligned_with_demands(case, monkeypatch):
+    g = nsf14()
+    demands = nsf14_demands(g)[:6]
+    routes = route_all(g, demands)
+    mirrored = type(routes[2])(nodes=routes[2].nodes[::-1], links=routes[2].links)
+    routes = {
+        "longer": routes + route_all(g, nsf14_demands(g)[6:7]),
+        "shorter": routes[:-1],
+        "other ends": routes[:2] + [mirrored] + routes[3:],
+    }[case]
+
+    def no_work(*args):
+        raise AssertionError("solved before checking the routes")
+
+    monkeypatch.setattr(eonspectra.analyzer, "crossing_stats", no_work)
+    monkeypatch.setattr(eonspectra.analyzer, "segment_table", no_work)
+    with pytest.raises(InputError):
+        fixed_point(g, demands, {}, routes=routes)
 
 
 def test_fixed_point_nearly_uncoupled_matches_one_shot():

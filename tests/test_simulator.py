@@ -9,6 +9,7 @@ import pytest
 from scipy import stats as sps
 
 import eonspectra
+import eonspectra.simulator
 from eonspectra.errors import InputError, SimulatorFault
 from eonspectra.fixtures import generate_demands, nsf14, nsf14_demands
 from eonspectra.lightpath import (
@@ -23,6 +24,7 @@ from eonspectra.simulator import (
     _BLOCK,
     NetworkState,
     SimConfig,
+    _BoundedDraws,
     _pick_start,
     _requests,
     admit,
@@ -143,11 +145,11 @@ def test_release_restores_masks_and_counters():
     archs = {2: NodeArchitecture(SHARE_PER_LINK, 2)}
     state = make_state(g, archs)
     rng = np.random.default_rng(6)
-    before_masks = dict(state.occupied)
+    before_masks = list(state.occupied)
     before_banks = dict(state.bank_in_use)
     state.occupied[path.links[0].id] = 0b11110000
     state.occupied[path.links[1].id] = 0b00001111
-    snapshot_masks = dict(state.occupied)
+    snapshot_masks = list(state.occupied)
     conn = admit(state, path, 3, rng)
     assert conn is not None
     release(state, conn)
@@ -319,7 +321,7 @@ def test_conservation_through_random_admit_release():
     for conn in active:
         release(state, conn)
     state.verify_conservation()
-    assert all(mask == 0 for mask in state.occupied.values())
+    assert all(mask == 0 for mask in state.occupied)
     assert all(used == 0 for used in state.bank_in_use.values())
 
 
@@ -426,6 +428,26 @@ def test_config_validation():
         resolve_windows([DemandSpec(1, 2, 1e-320, 1.0, {1: 1.0})], SimConfig())
 
 
+@pytest.mark.parametrize("case", ["longer", "shorter", "other ends"])
+def test_routes_not_aligned_with_demands_are_rejected(case, monkeypatch):
+    g = nsf14()
+    demands = nsf14_demands(g)[:6]
+    routes = route_all(g, demands)
+    mirrored = type(routes[2])(nodes=routes[2].nodes[::-1], links=routes[2].links)
+    routes = {
+        "longer": routes + route_all(g, nsf14_demands(g)[6:7]),
+        "shorter": routes[:-1],
+        "other ends": routes[:2] + [mirrored] + routes[3:],
+    }[case]
+
+    def no_replication(*args):
+        raise AssertionError("simulated before checking the routes")
+
+    monkeypatch.setattr(eonspectra.simulator, "_run_replication", no_replication)
+    with pytest.raises(InputError):
+        simulate(g, demands, {}, SimConfig(seed=0, warmup=0.0, horizon=1.0), routes=routes)
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy takes most of the import time and memory; only the t quantile
     # of a multi-replication simulation needs it
@@ -456,6 +478,50 @@ def test_request_stream_matches_scalar_draws(pmf):
             slots = values[int(np.searchsorted(cumulative, u, side="right").clip(0, len(values) - 1))]
         hold = reference.exponential(demand.hold)
         assert next(stream) == (gap, slots, hold)
+
+
+def test_bounded_draws_equal_generator_integers():
+    sizes = np.random.default_rng(99).integers(2, 5001, 20_000).tolist()
+    # 2**32 mod n of the low products are rejected: about half of the draws
+    # at 2**31 + 1, a quarter at 3 * 2**30 + 1, almost none near 2**32
+    edges = [2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 2, 2**32 - 1] * 300
+    for seed in range(10):
+        draws = _BoundedDraws(np.random.default_rng(seed))
+        reference = np.random.default_rng(seed)
+        # about 22k values: some 43 refills of 512
+        for n in [1, *sizes, *edges, 1, 2, 3]:
+            assert draws.integers(n, dtype=np.int64) == reference.integers(n, dtype=np.int64)
+    for n in (0, -3, 2**32, 2**40):
+        with pytest.raises(ValueError):
+            draws.integers(n, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "spec", ["simple", "share_per_node:1", "share_per_link:1", "full", "share_per_node:2"]
+)
+def test_fast_draws_leave_the_sample_path_unchanged(spec, monkeypatch):
+    from eonspectra.cli import parse_arch_sweep
+
+    g = nsf14()
+    demands = [
+        DemandSpec(d.src, d.dst, d.rate, d.hold, {1: 0.2, 2: 0.5, 3: 0.3}) if i % 3 == 0 else d
+        for i, d in enumerate(generate_demands(g, seed=12, slots_range=(1, 3), traffic_target=0.4))
+    ]
+    (_, archs), = parse_arch_sweep(spec, g)
+    config = SimConfig(seed=21, warmup=5.0, horizon=150.0, replications=2)
+
+    def run():
+        lines = []
+        result = simulate(g, demands, archs, config, trace=lines.append)
+        return result, "".join(lines)
+
+    fast, fast_trace = run()
+    monkeypatch.setattr(eonspectra.simulator, "_BoundedDraws", lambda rng: rng)
+    reference, reference_trace = run()
+    assert fast == reference
+    assert fast_trace == reference_trace
+    assert fast.blocked_total > 0
+    assert ("), (" in fast_trace) == (spec != "simple")  # some connection converts
 
 
 def test_pick_start_matches_list_based_pick():
