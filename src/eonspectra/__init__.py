@@ -19,7 +19,6 @@ from .lightpath import (
     CrossingStats,
     LinkFreeProbs,
     NodeArchitecture,
-    blocking_full_at,
     blocking_full_conversion,
     blocking_without_conversion,
     crossing_stats,

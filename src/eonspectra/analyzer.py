@@ -15,14 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DemandError, InputError
 from .lightpath import (
     ArchitectureMap,
     CrossingStats,
     LinkFreeProbs,
+    PlanValues,
+    compile_plan,
     crossing_stats,
     lightpath_blocking,
-    segment_table,
 )
 from .topology import DemandSpec, NetworkGraph, RoutedPath, demand_routes
 
@@ -62,7 +63,7 @@ def demand_blocking(
     phis: LinkFreeProbs,
     stats: CrossingStats,
     slot_count: int,
-    memo: dict | None = None,
+    memo: PlanValues | None = None,
 ) -> float:
     """Average blocking of one demand: its slot-count pmf weighting the
     per-slot-count lightpath blocking."""
@@ -116,17 +117,26 @@ def fixed_point(
     refresh every demand's blocking, refresh the network blocking.  Stops
     when two successive network values and every link's two successive
     free probabilities differ by at most epsilon, or at the iteration cap
-    (returned with ``converged=False``, never raised).  Each iteration
-    evaluates the run probabilities of all the solve's segments in one
-    array call per slot count (``segment_table``), so the per-demand
-    forward passes only look them up.
+    (returned with ``converged=False``, never raised).  The forward passes
+    are compiled once per solve (``compile_plan``); each iteration
+    evaluates the plan at its link state, in one array call of
+    ``run_probability`` per slot count, and the per-demand passes only
+    read its values.  Demands whose summed offered slot load overflows a
+    float raise ``DemandError`` before any work.
     """
     if config is None:
         config = AnalysisConfig()
     routes = demand_routes(graph, demands, routes)
+    if not math.isfinite(sum(d.offered_load * d.mean_slots for d in demands)):
+        raise DemandError("the demands' summed offered slot load overflows")
     if stats is None:
         stats = crossing_stats(graph, routes)
-    table = segment_table(demands, routes, archs, graph.slot_count)
+    plan = compile_plan(
+        ((route, demand.slot_counts) for demand, route in zip(demands, routes)),
+        archs,
+        stats,
+        graph.slot_count,
+    )
 
     rng = np.random.default_rng(config.seed)
     p_net = float(rng.random())
@@ -148,7 +158,7 @@ def fixed_point(
                 fresh = {lid: d * fresh[lid] + (1.0 - d) * phis[lid] for lid in fresh}
             phi_delta = max((abs(fresh[lid] - phis[lid]) for lid in fresh), default=0.0)
         phis = fresh
-        memo = table.run_memo(phis)
+        memo = plan.evaluate(phis)
         blockings = [
             demand_blocking(demand, route, archs, phis, stats, graph.slot_count, memo)
             for demand, route in zip(demands, routes)

@@ -9,26 +9,28 @@ expectation over the random set T of free converters:
 
     blocking = E_T[1 - seg(T)]
 
-where converter i is free with probability a_i (``converter_availability``:
-1 for a full node, else the availability of the converter bank that
-``bank_key`` names, from the transit routes ``crossing_stats`` counts per
-bank) and seg(T) is ``segment_success_prob`` for the layout cut at T.
-The cut points form a chain, so the expectation is one forward pass along
-the path: it carries the probability mass and the running product of the
-hop free probabilities of each still-open segment, and adds the failure
-of every segment as it closes.  That evaluates O(k^2) segments for k
-converters (O(k) when all are always free), and every term is
-nonnegative, so the result is a probability by construction.  Layouts are tuples of path positions ``(1, p2, ..., H+1)``:
-fixed endpoints plus the interior positions that hold a converter.
+where converter i is free with probability a_i (1 for a full node, else
+the availability of the converter bank that ``bank_key`` names, from the
+transit routes ``crossing_stats`` counts per bank) and seg(T) is the
+probability that every segment of the path cut at T has a free window.
+The cut points form a chain, so the expectation is one forward pass over
+the route's stops, its interior converters and then the destination: it
+carries the probability mass of each still-open segment and adds the
+failure of every segment as it closes.  That evaluates O(k^2) segments
+for k converters (O(k) when all are always free), and every term is
+nonnegative, so the result is a probability by construction.  Only
+strictly interior nodes can convert: conversion capability at the source
+or destination cannot help a request.
 
-A fixed point evaluates the same segments every iteration at a new link
-state.  ``segment_table`` lists them once per solve, and each iteration
-``SegmentTable.run_memo`` computes all their run probabilities with one
-array call of ``run_probability`` per slot count.  The forward passes of
-that iteration find every segment in the memo, and each bank's
-availability is computed once and kept there too.  A segment missing from
-the memo falls back to the scalar call, which returns the same float, so
-the table saves time and never changes a result.
+During a fixed point the routes, layouts and pmfs stay fixed and only the
+link state moves.  ``compile_plan`` therefore compiles, once per solve,
+each route's stops: the bank each stop draws from, and the table row of
+every segment that can close there.  Each iteration ``SolvePlan.evaluate``
+computes the success of every row, in one array call of
+``run_probability`` per slot count, and the availability of every bank;
+the forward passes then read both by index.  A single call without a
+solve compiles a plan of its own route, so every blocking comes from the
+same pass.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import ArchitectureError, MissingNodeError
 from .runprob import run_probability
-from .topology import DemandSpec, NetworkGraph, RoutedPath
+from .topology import NetworkGraph, RoutedPath
 
 SIMPLE = "simple"
 FULL = "full"
@@ -126,113 +128,6 @@ def uniform_architectures(graph: NetworkGraph, arch: NodeArchitecture) -> Archit
     if not arch.converts:
         return {}
     return {node: arch for node in graph.nodes}
-
-
-# ---------------------------------------------------------------------------
-# layouts
-
-
-def converter_layout(path: RoutedPath, archs: ArchitectureMap) -> tuple[int, ...]:
-    """Positions along ``path`` that hold a converter, endpoints included.
-
-    Only strictly interior nodes count: conversion capability at the source
-    or destination cannot help the request.
-    """
-    hops = path.hop_count
-    interior = [
-        pos for pos in range(2, hops + 1) if archs.get(path.nodes[pos - 1], SIMPLE_NODE).converts
-    ]
-    return (1, *interior, hops + 1)
-
-
-def segment_success_prob(
-    min_run: int,
-    slot_count: int,
-    layout: tuple[int, ...],
-    hop_free_probs,
-) -> float:
-    """Probability that every segment of ``layout`` offers ``min_run``
-    contiguous free slots.
-
-    Segment k spans hops layout[k]..layout[k+1]-1.
-    """
-    result = 1.0
-    for a, b in zip(layout, layout[1:]):
-        result *= run_probability(min_run, slot_count, math.prod(hop_free_probs[a - 1 : b - 1]))
-        if result == 0.0:
-            break
-    return result
-
-
-@dataclass(frozen=True)
-class SegmentTable:
-    """The segments a solve's forward passes can close, by slot count.
-
-    ``columns`` lists the link ids the segments cross; row i of ``hops``
-    holds segment i's columns in path order, padded with ``len(columns)``,
-    a column whose free probability is always 1.0; ``rows[S]`` indexes the
-    segments of the requests for S slots.
-    """
-
-    slot_count: int
-    columns: tuple[int, ...]
-    hops: np.ndarray
-    rows: dict[int, np.ndarray]
-
-    def run_memo(self, phis: LinkFreeProbs) -> dict:
-        """A memo for ``lightpath_blocking`` holding the run probability
-        of every segment at link state ``phis``: one array call of
-        ``run_probability`` per slot count.  Multiplying column by column
-        rounds exactly as the forward pass's running products do, so the
-        keys are the ones it looks up."""
-        phi = np.array([phis[lid] for lid in self.columns] + [1.0])
-        rho = phi[self.hops[:, 0]]
-        for column in self.hops[:, 1:].T:
-            rho = rho * phi[column]
-        memo: dict = {}
-        for min_run, rows in self.rows.items():
-            rhos = rho[rows]
-            values = run_probability(min_run, self.slot_count, rhos)
-            memo[(min_run, self.slot_count)] = dict(zip(rhos.tolist(), values.tolist()))
-        return memo
-
-
-def segment_table(
-    demands: list[DemandSpec],
-    routes: list[RoutedPath],
-    archs: ArchitectureMap,
-    slot_count: int,
-) -> SegmentTable:
-    """Every segment the forward pass can close on ``routes``: the pairs of
-    layout positions with no ``full`` node strictly between them (a full
-    converter is always free, so it closes every segment open through it),
-    for each slot count up to ``slot_count`` that the route's demand asks for."""
-    segments: dict[tuple[int, ...], int] = {}  # link ids -> row
-    rows: dict[int, dict[int, None]] = {}  # slot count -> ordered set of rows
-    for demand, route in zip(demands, routes):
-        sizes = [s for s, p in demand.slot_pmf.items() if p and s <= slot_count]
-        if not sizes:
-            continue
-        layout = converter_layout(route, archs)
-        for i, a in enumerate(layout[:-1]):
-            for b in layout[i + 1 :]:
-                row = segments.setdefault(route.link_ids[a - 1 : b - 1], len(segments))
-                for s in sizes:
-                    rows.setdefault(s, {})[row] = None
-                if archs.get(route.nodes[b - 1], SIMPLE_NODE).kind == FULL:
-                    break
-    columns = tuple(sorted({lid for segment in segments for lid in segment}))
-    index = {lid: col for col, lid in enumerate(columns)}
-    width = max(map(len, segments), default=1)
-    hops = np.full((len(segments), width), len(columns), dtype=np.intp)
-    for segment, row in segments.items():
-        hops[row, : len(segment)] = [index[lid] for lid in segment]
-    return SegmentTable(
-        slot_count,
-        columns,
-        hops,
-        {s: np.fromiter(members, dtype=np.intp) for s, members in sorted(rows.items())},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -322,42 +217,153 @@ def share_per_link_availability(n_sc: int, n_port: int, s_port: float, phi_port:
     return min(math.fsum(terms), 1.0)
 
 
-def converter_availability(
-    position: int,
-    path: RoutedPath,
+# ---------------------------------------------------------------------------
+# stop plans
+
+
+# per bank index from 1: the n_sc, transit routes, slot total and port
+# shares that ``share_per_link_availability`` takes
+BankArgs = tuple[int, int, float, tuple[tuple[int, float], ...]]
+
+
+# one route's forward pass: its stops in path order, the interior converter
+# positions then the destination.  Stop i is (bank, rows, opening): the
+# index of its availability in ``PlanValues.availabilities`` (0, always 1.0,
+# for a full node and for the destination); by opening number, the table
+# row of the segment from each opening to stop i; and the number of the
+# opening at stop i.  Openings, where a segment can start, are numbered
+# from 0 at the source and anew from 0 at each full node: no segment stays
+# open through a full node, so a pair with one strictly between them has
+# no row.
+RoutePlan = tuple[tuple[int, list[int], int], ...]
+
+
+@dataclass(frozen=True)
+class PlanValues:
+    """A ``SolvePlan`` evaluated at one link state: everything the forward
+    passes read.  ``successes[S][row]`` is the probability that table row
+    ``row`` has a window of S slots; ``availabilities[bank]`` that bank's
+    availability."""
+
+    routes: dict[tuple[int, ...], RoutePlan]
+    successes: dict[int, list[float]]
+    availabilities: list[float]
+
+
+@dataclass(frozen=True)
+class SolvePlan:
+    """The compiled forward passes of one solve.
+
+    ``routes`` maps each route's link ids to its ``RoutePlan``.  The
+    segment table lists the link ids its rows cross in ``columns``; row i
+    of ``hops`` holds segment i's columns in path order, padded with
+    ``len(columns)``, a column whose free probability is always 1.0, and
+    ``rows[S]`` indexes the segments of the requests for S slots.
+    ``banks`` holds the ``BankArgs`` of the banks the stops name.
+    """
+
+    slot_count: int
+    routes: dict[tuple[int, ...], RoutePlan]
+    columns: tuple[int, ...]
+    hops: np.ndarray
+    rows: dict[int, np.ndarray]
+    banks: tuple[BankArgs, ...]
+
+    def evaluate(self, phis: LinkFreeProbs) -> PlanValues:
+        """The plan's values at link state ``phis``: one array call of
+        ``run_probability`` per slot count over the products of the rows'
+        link free probabilities, taken column by column in path order, and
+        one availability per bank."""
+        phi = np.array([phis[lid] for lid in self.columns] + [1.0])
+        rho = phi[self.hops[:, 0]]
+        for column in self.hops[:, 1:].T:
+            rho = rho * phi[column]
+        successes = {}
+        for min_run, rows in self.rows.items():
+            success = np.zeros(len(rho))
+            success[rows] = run_probability(min_run, self.slot_count, rho[rows])
+            successes[min_run] = success.tolist()
+        availabilities = [1.0] + [
+            share_per_link_availability(
+                n_sc, paths, slots, math.fsum(share * phis[j] for j, share in shares)
+            )
+            for n_sc, paths, slots, shares in self.banks
+        ]
+        return PlanValues(self.routes, successes, availabilities)
+
+
+def compile_plan(
+    requests,
     archs: ArchitectureMap,
     stats: CrossingStats,
-    phis: LinkFreeProbs,
-) -> float:
-    """Probability the converter at path position ``position`` is free for
-    this request: 1 for a full node, else its bank's availability."""
-    node = path.nodes[position - 1]
-    arch = archs.get(node, SIMPLE_NODE)
-    return _availability(node, path.links[position - 1].id, arch, stats, phis, {})
+    slot_count: int,
+) -> SolvePlan:
+    """Compile the stop plan of every route in ``requests``, an iterable of
+    (route, slot counts in ascending order) pairs; slot counts above
+    ``slot_count`` are never carried and get no rows.  Routes with the same
+    link ids get the same plan.
 
-
-def _availability(
-    node: int,
-    exit_link_id: int,
-    arch: NodeArchitecture,
-    stats: CrossingStats,
-    phis: LinkFreeProbs,
-    memo: dict,
-) -> float:
-    """``converter_availability`` by node and exit link; memoized in
-    ``memo`` by bank."""
-    bank = bank_key(node, exit_link_id, arch)
-    if bank is None:
-        return 1.0
-    value = memo.get(bank)
-    if value is None:
-        value = memo[bank] = share_per_link_availability(
-            arch.n_sc,
-            stats.paths[bank],
-            stats.slots[bank],
-            math.fsum(share * phis[j] for j, share in stats.shares[bank]),
-        )
-    return value
+    One pass over a route's positions gives each stop its bank and its row
+    for every opening since the last full node: O(k^2) for k converters.
+    """
+    segments: dict[tuple[int, ...], int] = {}  # link ids -> row
+    sized: dict[int, dict[int, None]] = {}  # slot count -> ordered set of rows
+    bank_index: dict[Bank, int] = {}
+    banks: list[BankArgs] = []
+    routes: dict[tuple[int, ...], RoutePlan] = {}
+    row_of = segments.setdefault
+    for route, sizes in requests:
+        if not sizes or sizes[0] > slot_count:
+            continue
+        link_ids, nodes = route.link_ids, route.nodes
+        end = len(link_ids) + 1
+        stops = []
+        members = {}
+        openings = [1]  # path positions of the openings since the last full node
+        for pos in range(2, end + 1):
+            index = 0
+            if pos < end:
+                arch = archs.get(nodes[pos - 1])
+                if arch is None or arch.kind == SIMPLE:
+                    continue
+                bank = bank_key(nodes[pos - 1], link_ids[pos - 1], arch)
+                if bank is not None:
+                    index = bank_index.get(bank, 0)
+                    if not index:
+                        index = bank_index[bank] = len(banks) + 1
+                        banks.append(
+                            (arch.n_sc, stats.paths[bank], stats.slots[bank], stats.shares[bank])
+                        )
+            rows = []
+            for a in openings:
+                row = row_of(link_ids[a - 1 : pos - 1], len(segments))
+                rows.append(row)
+                members[row] = None
+            if index:
+                stops.append((index, rows, len(openings)))
+                openings.append(pos)
+            else:
+                stops.append((0, rows, 0))
+                openings = [pos]
+        routes[link_ids] = tuple(stops)
+        for s in sizes:
+            if s > slot_count:
+                break
+            sized.setdefault(s, {}).update(members)
+    columns = tuple(sorted({lid for segment in segments for lid in segment}))
+    column_of = {lid: col for col, lid in enumerate(columns)}
+    width = max(map(len, segments), default=1)
+    hops = np.full((len(segments), width), len(columns), dtype=np.intp)
+    for segment, row in segments.items():
+        hops[row, : len(segment)] = [column_of[lid] for lid in segment]
+    return SolvePlan(
+        slot_count,
+        routes,
+        columns,
+        hops,
+        {s: np.fromiter(members, dtype=np.intp) for s, members in sorted(sized.items())},
+        tuple(banks),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -371,63 +377,50 @@ def lightpath_blocking(
     phis: LinkFreeProbs,
     stats: CrossingStats,
     slot_count: int,
-    memo: dict | None = None,
+    memo: PlanValues | None = None,
 ) -> float:
     """Blocking probability of a request for ``min_run`` contiguous slots
     on ``path``: the expectation of 1 - seg(T) over the random set T of the
     path's interior converters that are free to take the request.
 
-    One pass over the hops carries the open segments as (mass, rho) pairs:
-    mass is the probability that the segment is open and every segment
-    closed before it succeeded, rho the product of the free probabilities
-    of its hops so far, taken in path order.  A converter free with
-    probability a closes each open segment with probability a, which
-    blocks with mass * a * (1 - success) and opens a segment at the
-    converter; with probability 1 - a the open segments run on through it.
-    The destination closes every open segment, as a converter with a = 1.
+    One pass over the route's stops carries the open segments as (mass,
+    opening) pairs: mass is the probability that the segment is open and
+    every segment closed before it succeeded.  A stop free with probability
+    a closes each open segment with probability a, which blocks with
+    mass * a * (1 - success) and opens a segment at the stop; with
+    probability 1 - a the open segments run on through it.  The
+    destination closes every open segment, as a stop with a = 1.
 
-    ``memo`` holds values that depend only on the link state: under key
-    (min_run, slot_count), a dict from a segment's rho to its run
-    probability, as ``SegmentTable.run_memo`` makes it, and under each
-    bank's key, that bank's availability.  Share one memo only between
-    calls at the same ``phis``, ``archs`` and ``stats``.
+    ``memo`` is the solve's ``SolvePlan`` evaluated at ``phis`` and
+    compiled from ``archs`` and ``stats``, with ``path`` and ``min_run``
+    among its requests; without one, the call compiles and evaluates a plan
+    of ``path`` alone.
     """
     if min_run > slot_count:
         return 1.0
     if memo is None:
-        memo = {}
-    runs = memo.setdefault((min_run, slot_count), {})
-    nodes, links = path.nodes, path.links
+        memo = compile_plan([(path, (min_run,))], archs, stats, slot_count).evaluate(phis)
+    successes = memo.successes[min_run]
+    availabilities = memo.availabilities
     masses = [1.0]
-    rhos = [1.0]
+    openings = [0]
     blocked = 0.0
-    for hop, link in enumerate(links, start=1):
-        phi = phis[link.id]
-        rhos = [rho * phi for rho in rhos]
-        if hop == len(links):
-            avail = 1.0
-        else:
-            node = nodes[hop]  # the interior node at path position hop + 1
-            arch = archs.get(node)
-            if arch is None or not arch.converts:
-                continue
-            avail = _availability(node, links[hop].id, arch, stats, phis, memo)
-            if avail == 0.0:
-                continue
+    for bank, rows, opening in memo.routes[path.link_ids]:
+        avail = availabilities[bank]
+        if avail == 0.0:
+            continue
         closed = 0.0
-        for mass, rho in zip(masses, rhos):
-            success = runs.get(rho)
-            if success is None:  # a segment no table listed
-                success = runs[rho] = run_probability(min_run, slot_count, rho)
+        for mass, start in zip(masses, openings):
+            success = successes[rows[start]]
             blocked += avail * mass * (1.0 - success)
             closed += mass * success
         busy = 1.0 - avail
         if busy:
             masses = [mass * busy for mass in masses]
         else:
-            masses, rhos = [], []
+            masses, openings = [], []
         masses.append(avail * closed)
-        rhos.append(1.0)
+        openings.append(opening)
     return blocked
 
 
@@ -448,9 +441,3 @@ def blocking_full_conversion(min_run: int, slot_count: int, hop_free_probs) -> f
     for phi in hop_free_probs:
         result *= run_probability(min_run, slot_count, phi)
     return 1.0 - result
-
-
-def blocking_full_at(min_run: int, slot_count: int, layout: tuple[int, ...], hop_free_probs) -> float:
-    """Always-available converters at the layout's interior positions:
-    every segment independently needs a window."""
-    return 1.0 - segment_success_prob(min_run, slot_count, layout, hop_free_probs)

@@ -9,10 +9,11 @@ conditioning on the position of the first busy slot:
 with P(S, F) = 0 for F < S.  ``rho`` may be a float or an ndarray: the
 recurrence runs elementwise with the same float operations in the same
 order, so an array call returns exactly the floats of the scalar calls.
-The fixed point makes one array call per slot count and iteration; the
-scalar call serves single lightpaths.  ``run_probability_bruteforce``
-recomputes the same quantity by exhaustive enumeration of all 2^F slot
-masks and exists purely as an independent check.
+The lightpath engine makes one array call per slot count each time it
+evaluates a plan; the scalar call serves the closed forms.
+``run_probability_bruteforce`` recomputes the same quantity by exhaustive
+enumeration of all 2^F slot masks and exists purely as an independent
+check.
 """
 
 from __future__ import annotations

@@ -111,25 +111,6 @@ class NetworkState:
         self.connections: dict[int, Connection] = {}
         self.next_id = 1
 
-    def verify_conservation(self):
-        """Cross-check masks and bank counters against the ledger."""
-        expected = [0] * len(self.occupied)
-        banks = {key: 0 for key in self.bank_in_use}
-        for conn in self.connections.values():
-            for _start, link_ids in conn.segments:
-                for lid in link_ids:
-                    expected[lid] += conn.slots
-            for key in conn.banks:
-                banks[key] += 1
-        for lid, occ in enumerate(self.occupied):
-            if occ.bit_count() != expected[lid]:
-                raise SimulatorFault(
-                    f"link {lid}: {occ.bit_count()} slots occupied, ledger says {expected[lid]}"
-                )
-        for key, used in self.bank_in_use.items():
-            if used != banks[key]:
-                raise SimulatorFault(f"bank {key}: counter {used}, ledger says {banks[key]}")
-
 
 def _window_starts(mask: int, min_run: int, limit: int) -> int:
     """Bit i set in the result when slots i..i+min_run-1 are all set in mask."""

@@ -142,6 +142,11 @@ class DemandSpec:
             total += p
         if abs(total - 1.0) > 1e-12:
             raise DemandError(f"demand {self.src}->{self.dst}: pmf sums to {total}, not 1")
+        if not math.isfinite(self.offered_load * self.mean_slots):
+            raise DemandError(
+                f"demand {self.src}->{self.dst}: offered slot load rate * hold * mean slots "
+                "overflows"
+            )
 
     @cached_property
     def mean_slots(self) -> float:
@@ -151,6 +156,11 @@ class DemandSpec:
     def pmf_items(self) -> tuple[tuple[int, float], ...]:
         """The nonzero ``(slot count, probability)`` entries, by slot count."""
         return tuple((s, p) for s, p in sorted(self.slot_pmf.items()) if p != 0.0)
+
+    @cached_property
+    def slot_counts(self) -> tuple[int, ...]:
+        """The slot counts of ``pmf_items``, ascending."""
+        return tuple(s for s, _ in self.pmf_items)
 
     @cached_property
     def offered_load(self) -> float:

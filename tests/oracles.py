@@ -14,7 +14,9 @@ from operator import and_
 
 import numpy as np
 
-from eonspectra.lightpath import blocking_full_at
+from eonspectra.errors import SimulatorFault
+from eonspectra.lightpath import SIMPLE_NODE, bank_key, share_per_link_availability
+from eonspectra.runprob import run_probability
 
 
 def erlang_b(servers: int, offered_load: float) -> float:
@@ -136,6 +138,53 @@ def exact_lightpath_blocking(
     return math.fsum(terms)
 
 
+def converter_layout(path, archs) -> tuple[int, ...]:
+    """A layout: the path positions ``(1, p2, ..., H+1)``, the endpoints
+    plus the strictly interior positions that hold a converter."""
+    hops = path.hop_count
+    interior = [
+        pos for pos in range(2, hops + 1) if archs.get(path.nodes[pos - 1], SIMPLE_NODE).converts
+    ]
+    return (1, *interior, hops + 1)
+
+
+def segment_success_prob(min_run: int, slot_count: int, layout: tuple[int, ...], hop_free_probs) -> float:
+    """Probability that every segment of ``layout`` offers ``min_run``
+    contiguous free slots, one scalar ``run_probability`` per segment.
+
+    Segment k spans hops layout[k]..layout[k+1]-1.
+    """
+    result = 1.0
+    for a, b in zip(layout, layout[1:]):
+        result *= run_probability(min_run, slot_count, math.prod(hop_free_probs[a - 1 : b - 1]))
+        if result == 0.0:
+            break
+    return result
+
+
+def blocking_full_at(min_run: int, slot_count: int, layout: tuple[int, ...], hop_free_probs) -> float:
+    """Always-available converters at the layout's interior positions:
+    every segment independently needs a window."""
+    return 1.0 - segment_success_prob(min_run, slot_count, layout, hop_free_probs)
+
+
+def converter_availability(position: int, path, archs, stats, phis) -> float:
+    """Probability the converter at path position ``position`` is free for
+    a request: 1 for a full node, else the availability of the bank that
+    ``bank_key`` names, from that bank's crossing tallies."""
+    node = path.nodes[position - 1]
+    arch = archs.get(node, SIMPLE_NODE)
+    bank = bank_key(node, path.links[position - 1].id, arch)
+    if bank is None:
+        return 1.0
+    return share_per_link_availability(
+        arch.n_sc,
+        stats.paths[bank],
+        stats.slots[bank],
+        math.fsum(share * phis[j] for j, share in stats.shares[bank]),
+    )
+
+
 def blocking_by_converter_states(
     min_run: int,
     slot_count: int,
@@ -157,6 +206,27 @@ def blocking_by_converter_states(
         layout = (1,) + cuts + (end,)
         terms.append(state_prob * blocking_full_at(min_run, slot_count, layout, hop_free_probs))
     return math.fsum(terms)
+
+
+def verify_conservation(state) -> None:
+    """Cross-check a ``NetworkState``'s masks and bank counters against its
+    ledger of live connections; raises ``SimulatorFault`` on a mismatch."""
+    expected = [0] * len(state.occupied)
+    banks = {key: 0 for key in state.bank_in_use}
+    for conn in state.connections.values():
+        for _start, link_ids in conn.segments:
+            for lid in link_ids:
+                expected[lid] += conn.slots
+        for key in conn.banks:
+            banks[key] += 1
+    for lid, occ in enumerate(state.occupied):
+        if occ.bit_count() != expected[lid]:
+            raise SimulatorFault(
+                f"link {lid}: {occ.bit_count()} slots occupied, ledger says {expected[lid]}"
+            )
+    for key, used in state.bank_in_use.items():
+        if used != banks[key]:
+            raise SimulatorFault(f"bank {key}: counter {used}, ledger says {banks[key]}")
 
 
 def placement_assignments(nodes, inventory):

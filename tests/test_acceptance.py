@@ -17,7 +17,6 @@ from eonspectra.lightpath import (
     SHARE_PER_LINK,
     SHARE_PER_NODE,
     NodeArchitecture,
-    blocking_full_at,
     blocking_full_conversion,
     blocking_without_conversion,
     crossing_stats,
@@ -29,7 +28,7 @@ from eonspectra.runprob import run_probability, run_probability_bruteforce
 from eonspectra.simulator import SimConfig, simulate
 from eonspectra.topology import DemandSpec, route_all
 
-from oracles import erlang_b, mc_segmented_blocking
+from oracles import blocking_full_at, erlang_b, mc_segmented_blocking
 
 
 def report(number, name, ok, detail):

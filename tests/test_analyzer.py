@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 
@@ -131,7 +132,7 @@ def test_fixed_point_rejects_routes_not_aligned_with_demands(case, monkeypatch):
         raise AssertionError("solved before checking the routes")
 
     monkeypatch.setattr(eonspectra.analyzer, "crossing_stats", no_work)
-    monkeypatch.setattr(eonspectra.analyzer, "segment_table", no_work)
+    monkeypatch.setattr(eonspectra.analyzer, "compile_plan", no_work)
     with pytest.raises(InputError):
         fixed_point(g, demands, {}, routes=routes)
 
@@ -224,8 +225,8 @@ def test_config_validation():
 
 
 def test_fixed_point_iteration_needs_no_scalar_run_probability(monkeypatch):
-    # every segment a forward pass closes is in the solve's segment table,
-    # and the batched values are the scalar ones bit for bit
+    # every run probability of a solve comes from its plan's array calls,
+    # and a solve's blockings are those of single-route calls at its link state
     g = nsf14()
     archs = {
         2: NodeArchitecture(FULL),
@@ -265,6 +266,64 @@ def test_fixed_point_iteration_needs_no_scalar_run_probability(monkeypatch):
     for demand, route, got in zip(demands, routes, result.demand_blockings):
         assert got == demand_blocking(demand, route, archs, result.phis, stats, g.slot_count)
     assert result.demand_blockings[1] > 0.5  # half of its requests never fit
+
+
+# NSF with its bundled demands, seed 10, damping 0.5: the iteration count,
+# float.hex of the network blocking and of the blockings of demands 0, 20
+# (the longest route, 5 hops) and 181, and the first 16 hex digits of the
+# sha256 of every demand blocking's float.hex, space-separated in demand
+# order.  The values were recorded from the engine before per-route stop
+# plans replaced its per-hop pass and rho-keyed memo, and the stop plans
+# must reproduce them bit for bit.  The digest is what catches a one-ULP
+# change: at this seed, reordering the products of the pass or summing a
+# bank's port shares without fsum moves a few demands of the shared
+# settings and nothing else.  "mixed" cycles share_per_node:1, full and
+# share_per_link:1 over the node ids, which puts a full node strictly
+# between two shared ones on some routes.
+PINNED_NSF_SOLVES = {
+    "simple": (17, "0x1.7c29584329e9ap-4", "afa3499a7c48a03c",
+               ("0x1.97f02b0000000p-28", "0x1.cae5cd5371b38p-4", "0x1.5cd6d00000000p-31")),
+    "share_per_node:1": (17, "0x1.7abe42d3516a3p-4", "512b93fa4c7d8fcb",
+                         ("0x1.975eed8000000p-28", "0x1.caff444695a93p-4", "0x1.5d64880000000p-31")),
+    "share_per_link:1": (17, "0x1.698dad8601ce6p-4", "614ea44f426f437c",
+                         ("0x1.9808d20000000p-28", "0x1.b448ecdc45761p-4", "0x1.5ef5840000000p-31")),
+    "full": (18, "0x1.0feb1244ed67ap-5", "10ebd038ce89f64c",
+             ("0x1.1b32bb8000000p-26", "0x1.f079c058c2adfp-12", "0x1.6005d80000000p-31")),
+    "mixed": (17, "0x1.154c8e56baabfp-4", "42c1b78685cf7a8d",
+              ("0x1.5afdf8c000000p-27", "0x1.678f31f7daf49p-9", "0x1.68bb580000000p-31")),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(PINNED_NSF_SOLVES))
+def test_pinned_nsf_solves_are_unchanged_bit_for_bit(setting):
+    g = nsf14()
+    demands = nsf14_demands(g)
+    routes = route_all(g, demands)
+    cycle = [NodeArchitecture(SHARE_PER_NODE, 1), NodeArchitecture(FULL), NodeArchitecture(SHARE_PER_LINK, 1)]
+    archs = {
+        "simple": {},
+        "share_per_node:1": uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 1)),
+        "share_per_link:1": uniform_architectures(g, NodeArchitecture(SHARE_PER_LINK, 1)),
+        "full": uniform_architectures(g, NodeArchitecture(FULL)),
+        "mixed": {v: cycle[v % 3] for v in g.nodes},
+    }[setting]
+    if setting == "mixed":
+        kinds = [[archs[v].kind for v in r.nodes[1:-1]] for r in routes]
+        assert any(
+            FULL in ks[i + 1 : j] and FULL not in (ks[i], ks[j])
+            for ks in kinds
+            for i in range(len(ks))
+            for j in range(i + 2, len(ks))
+        )
+    assert routes[20].hop_count == max(r.hop_count for r in routes) == 5
+    result = fixed_point(g, demands, archs, AnalysisConfig(seed=10, damping=0.5), routes)
+    iterations, p_net, digest, blockings = PINNED_NSF_SOLVES[setting]
+    assert result.converged
+    assert result.iterations == iterations
+    assert result.network_blocking_prob.hex() == p_net
+    assert tuple(result.demand_blockings[i].hex() for i in (0, 20, 181)) == blockings
+    every = " ".join(b.hex() for b in result.demand_blockings)
+    assert hashlib.sha256(every.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("spec", ["simple", "full", "share_per_node:1"])

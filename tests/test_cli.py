@@ -365,6 +365,25 @@ def test_analyze_nsf_fixture_has_182_demand_rows(tmp_path):
     assert len(links) == 1 + 42
 
 
+@pytest.mark.parametrize("loads", [
+    ((1e200, 1e200), (1.0, 1.0)),  # one demand's rate * hold overflows
+    ((1e154, 1e154), (1e154, 1e154)),  # each is finite, their sum is not
+], ids=["demand", "sum"])
+def test_analyze_overflowing_slot_load_exits_1_without_output(capsys, tmp_path, loads):
+    topo, _ = _nsf_files(tmp_path)
+    demands = tmp_path / "overflow.json"
+    demands.write_text(json.dumps([
+        {"src": src, "dst": dst, "rate": rate, "hold": hold, "slots": 1}
+        for (src, dst), (rate, hold) in zip(((1, 6), (2, 4)), loads)
+    ]))
+    out = tmp_path / "nope.csv"
+    code = main(["analyze", "--topology", str(topo), "--demands", str(demands), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err
+    assert not out.exists()
+
+
 def test_place_nsf_three_converters(tmp_path):
     topo, demands = _nsf_files(tmp_path)
     out = tmp_path / "place.csv"

@@ -14,21 +14,25 @@ from eonspectra.lightpath import (
     CrossingStats,
     NodeArchitecture,
     bank_key,
-    blocking_full_at,
     blocking_full_conversion,
     blocking_without_conversion,
-    converter_availability,
-    converter_layout,
     crossing_stats,
     lightpath_blocking,
     load_architectures,
-    segment_success_prob,
     share_per_link_availability,
     uniform_architectures,
 )
 from eonspectra.topology import DemandSpec, Link, NetworkGraph, RoutedPath, load_topology, route_all
 
-from oracles import blocking_by_converter_states, exact_lightpath_blocking, mc_segmented_blocking
+from oracles import (
+    blocking_by_converter_states,
+    blocking_full_at,
+    converter_availability,
+    converter_layout,
+    exact_lightpath_blocking,
+    mc_segmented_blocking,
+    segment_success_prob,
+)
 
 
 def line_path(hops):
@@ -216,6 +220,28 @@ def test_blocking_worked_examples():
         2, TWO_HOP, {2: NodeArchitecture(SHARE_PER_LINK, 1)}, PHIS_HALF, shared_stats, 3
     )
     assert shared == pytest.approx(1.0 - (0.109375 + 0.03125 * 0.25))
+
+
+def test_bank_with_zero_availability_blocks_like_a_simple_node():
+    # node 2's bank serves only transit routes that leave on a saturated
+    # side port (link 9, phi 0), so it is never free: the pass skips it,
+    # and the segment opened at the source runs on through it
+    path = line_path(4)
+    phis = {1: 0.9, 2: 0.7, 3: 0.8, 4: 0.6, 9: 0.0}
+    stats = CrossingStats(
+        paths={("node", 2): 3, ("node", 3): 2},
+        slots={("node", 2): 3.0, ("node", 3): 2.0},
+        shares={("node", 2): ((9, 1.0),), ("node", 3): ((3, 1.0),)},
+    )
+    for third in (NodeArchitecture(SHARE_PER_NODE, 1), NodeArchitecture(FULL)):
+        tail = {3: third, 4: NodeArchitecture(FULL)}
+        shared = {2: NodeArchitecture(SHARE_PER_NODE, 1), **tail}
+        assert converter_availability(2, path, shared, stats, phis) == 0.0
+        assert 0.0 < converter_availability(3, path, shared, stats, phis)
+        for min_run in (1, 2, 3):
+            got = lightpath_blocking(min_run, path, shared, phis, stats, 4)
+            assert got == lightpath_blocking(min_run, path, tail, phis, stats, 4)
+            assert 0.0 < got < 1.0
 
 
 def test_blocking_request_larger_than_fiber():

@@ -34,7 +34,7 @@ from eonspectra.simulator import (
 )
 from eonspectra.topology import DemandSpec, load_topology, route_all, shortest_path
 
-from oracles import cuts_by_subsets, erlang_b, pick_start_from_list
+from oracles import cuts_by_subsets, erlang_b, pick_start_from_list, verify_conservation
 
 
 def line(nodes, slot_count):
@@ -157,7 +157,7 @@ def test_release_restores_masks_and_counters():
     assert state.bank_in_use == before_banks
     assert not state.connections
     state.occupied = before_masks
-    state.verify_conservation()
+    verify_conservation(state)
 
 
 def test_release_unknown_connection_is_a_fault():
@@ -317,10 +317,10 @@ def test_conservation_through_random_admit_release():
             if conn is not None:
                 active.append(conn)
         if step % 250 == 0:
-            state.verify_conservation()
+            verify_conservation(state)
     for conn in active:
         release(state, conn)
-    state.verify_conservation()
+    verify_conservation(state)
     assert all(mask == 0 for mask in state.occupied)
     assert all(used == 0 for used in state.bank_in_use.values())
 
