@@ -4,7 +4,7 @@ The greedy heuristic ranks the inventory by effective conversion
 capability, then tries each remaining simple node for each item and keeps
 the best.  On the 6-node mesh it is cheap enough to check against the
 exhaustive search; on NSF it needs 39 fixed-point evaluations instead of
-2184.
+the 1092 of the exhaustive search, which tries identical items only once.
 """
 
 import time

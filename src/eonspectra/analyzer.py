@@ -42,6 +42,8 @@ class AnalysisConfig:
             raise InputError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.damping <= 1.0):
             raise InputError(f"damping must be in (0, 1], got {self.damping}")
 

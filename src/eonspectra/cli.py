@@ -52,6 +52,8 @@ log = logging.getLogger("eonspectra")
 
 def derive_seed(root: int, name: str) -> int:
     """Named substream of the root seed, stable across runs."""
+    if root < 0:
+        raise InputError(f"seed must be >= 0, got {root}")
     seq = np.random.SeedSequence([root, zlib.crc32(name.encode())])
     return int(seq.generate_state(1)[0])
 

@@ -35,15 +35,14 @@ same pass.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArchitectureError, MissingNodeError
+from .errors import ArchitectureError, InputError, MissingNodeError
 from .runprob import run_probability
-from .topology import NetworkGraph, RoutedPath
+from .topology import NetworkGraph, RoutedPath, _parse_document
 
 SIMPLE = "simple"
 FULL = "full"
@@ -93,11 +92,7 @@ def load_architectures(document, graph: NetworkGraph) -> ArchitectureMap:
 
     Nodes not mentioned stay simple.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ArchitectureError(f"invalid architecture JSON: {exc}") from exc
+    document = _parse_document(document, "architecture", ArchitectureError)
     if not isinstance(document, dict):
         raise ArchitectureError("architecture document must be a JSON object")
     archs: ArchitectureMap = {}
@@ -170,13 +165,16 @@ def crossing_stats(g: NetworkGraph, routes: list[RoutedPath]) -> CrossingStats:
 
     Each route adds 1 to the bank of every strictly interior node it
     crosses and to the bank of the exit port it uses there; the slot
-    totals accumulate the demand's mean slot count.
+    totals accumulate the demand's mean slot count, so a route without a
+    demand raises ``InputError``.
     """
     banks = [("port", link.id) for link in g.links] + [("node", v) for v in g.nodes]
     paths: dict[Bank, int] = dict.fromkeys(banks, 0)
     slots: dict[Bank, float] = dict.fromkeys(banks, 0.0)
     for route in routes:
-        weight = route.demand.mean_slots if route.demand is not None else 0.0
+        if route.demand is None:
+            raise InputError(f"route {route.nodes} has no demand to weight its slots")
+        weight = route.demand.mean_slots
         for pos in range(1, route.hop_count):  # interior node positions
             for bank in (("node", route.nodes[pos]), ("port", route.links[pos].id)):
                 paths[bank] += 1

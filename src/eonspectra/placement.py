@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from collections.abc import Iterable
+from dataclasses import dataclass
+from itertools import combinations
 
 from .analyzer import AnalysisConfig, fixed_point
 from .errors import InputError
@@ -84,37 +85,43 @@ class PlacementResult:
     baseline_blocking: float
     steps: list[PlacementStep]
     evaluations: int
-    ranked: list[tuple[NodeArchitecture, float]] = field(default_factory=list)
-    method: str = "heuristic"
-    all_converged: bool = True
+    ranked: list[tuple[NodeArchitecture, float]]
+    method: str
+    all_converged: bool
 
 
-def _setup(
-    graph: NetworkGraph,
-    demands: list[DemandSpec],
-    inventory: list[NodeArchitecture],
-    config: AnalysisConfig,
-    base: ArchitectureMap,
-):
-    """Check the inventory against the simple nodes of ``base``, then route
-    the demands once and solve the baseline.  Returns the candidate nodes,
-    the routes, the crossing statistics and the baseline blocking."""
-    for arch in inventory:
-        if not arch.converts:
-            raise InputError("inventory items must have conversion capability")
-    candidates = _simple_nodes(graph, base)
-    if len(inventory) > len(candidates):
-        raise InputError(
-            f"{len(inventory)} converters but only {len(candidates)} simple nodes"
-        )
+def _candidates(graph: NetworkGraph, inventory: list[NodeArchitecture], base: ArchitectureMap):
+    """The simple nodes of ``base``, once the inventory is checked to hold
+    only converting items and no more of them than there are such nodes."""
+    if not all(arch.converts for arch in inventory):
+        raise InputError("inventory items must have conversion capability")
+    nodes = [v for v in graph.nodes if not base.get(v, SIMPLE_NODE).converts]
+    if len(inventory) > len(nodes):
+        raise InputError(f"{len(inventory)} converters but only {len(nodes)} simple nodes")
+    return nodes
+
+
+def _scorer(graph: NetworkGraph, demands: list[DemandSpec], config: AnalysisConfig):
+    """Route the demands once and return the trial scorer.
+
+    ``score(maps)`` solves each architecture map in turn and returns the
+    index of the best one and each map's ``(blocking, converged)``.  A later
+    map wins only when its blocking is lower by more than epsilon, so ties
+    resolve to the earliest map.
+    """
     routes = route_all(graph, demands)
     stats = crossing_stats(graph, routes)
-    baseline = fixed_point(graph, demands, base, config, routes, stats).network_blocking_prob
-    return candidates, routes, stats, baseline
 
+    def score(maps: Iterable[ArchitectureMap]) -> tuple[int, list[tuple[float, bool]]]:
+        best, scores = 0, []
+        for i, archs in enumerate(maps):
+            trial = fixed_point(graph, demands, archs, config, routes, stats)
+            scores.append((trial.network_blocking_prob, trial.converged))
+            if scores[i][0] < scores[best][0] - config.epsilon:
+                best = i
+        return best, scores
 
-def _simple_nodes(graph: NetworkGraph, base: ArchitectureMap) -> list[int]:
-    return [v for v in graph.nodes if not base.get(v, SIMPLE_NODE).converts]
+    return score
 
 
 def place_heuristic(
@@ -133,43 +140,45 @@ def place_heuristic(
     """
     config = config or AnalysisConfig()
     base = dict(base_archs or {})
-    candidates, routes, stats, baseline = _setup(graph, demands, inventory, config, base)
+    candidates = _candidates(graph, inventory, base)
+    score = _scorer(graph, demands, config)
+    _, [(baseline, _)] = score([base])
     ranked = rank_inventory(inventory, graph)
 
-    current = dict(base)
     assignment: dict[int, NodeArchitecture] = {}
     steps: list[PlacementStep] = []
-    evaluations = 0
-    achieved = baseline
-    all_converged = True
     for arch, _merit in ranked:
-        free_nodes = [v for v in candidates if v not in assignment]
-        evaluations += len(free_nodes)
-        table = []
-        best_node, best_blocking = None, math.inf
-        for node in free_nodes:
-            trial = fixed_point(graph, demands, {**current, node: arch}, config, routes, stats)
-            blocking, converged = trial.network_blocking_prob, trial.converged
-            table.append((node, blocking, converged))
-            all_converged = all_converged and converged
-            if best_node is None or blocking < best_blocking - config.epsilon:
-                best_node, best_blocking = node, blocking
-        assignment[best_node] = arch
-        current[best_node] = arch
-        achieved = best_blocking
-        steps.append(
-            PlacementStep(arch=arch, candidates=table, chosen_node=best_node, blocking=best_blocking)
-        )
+        free = [v for v in candidates if v not in assignment]
+        best, scores = score([{**base, **assignment, v: arch} for v in free])
+        assignment[free[best]] = arch
+        table = [(v, blocking, converged) for v, (blocking, converged) in zip(free, scores)]
+        steps.append(PlacementStep(arch, table, free[best], scores[best][0]))
     return PlacementResult(
         assignment=assignment,
-        achieved_blocking=achieved,
+        achieved_blocking=steps[-1].blocking if steps else baseline,
         baseline_blocking=baseline,
         steps=steps,
-        evaluations=evaluations,
+        evaluations=sum(len(step.candidates) for step in steps),
         ranked=ranked,
         method="heuristic",
-        all_converged=all_converged,
+        all_converged=all(c for step in steps for _, _, c in step.candidates),
     )
+
+
+def _distinct_orders(inventory: list[NodeArchitecture]):
+    """Every distinct order of ``inventory`` once, ascending by the
+    sequence of its items' ``(kind, n_sc or 0)`` (Knuth's Algorithm L)."""
+    values = sorted(set(inventory), key=lambda arch: (arch.kind, arch.n_sc or 0))
+    codes = sorted(values.index(arch) for arch in inventory)
+    while True:
+        yield tuple(values[c] for c in codes)
+        rises = [i for i in range(len(codes) - 1) if codes[i] < codes[i + 1]]
+        if not rises:
+            return
+        i = rises[-1]
+        j = max(m for m in range(i + 1, len(codes)) if codes[m] > codes[i])
+        codes[i], codes[j] = codes[j], codes[i]
+        codes[i + 1 :] = reversed(codes[i + 1 :])
 
 
 def place_brute_force(
@@ -182,42 +191,32 @@ def place_brute_force(
 ) -> PlacementResult:
     """Global search over every assignment of the inventory to distinct
     simple nodes.  Identical inventory items would only permute into the
-    same assignment, so those orders are collapsed before evaluating, and
-    ``guard`` bounds the evaluations that remain."""
+    same assignment, so only distinct orders are enumerated, and ``guard``
+    bounds the evaluations that remain."""
     config = config or AnalysisConfig()
     base = dict(base_archs or {})
+    candidates = _candidates(graph, inventory, base)
     k = len(inventory)
-    orders = math.factorial(k)
+    total = math.comb(len(candidates), k) * math.factorial(k)
     for count in Counter(inventory).values():
-        orders //= math.factorial(count)
-    total = math.comb(len(_simple_nodes(graph, base)), k) * orders
+        total //= math.factorial(count)
     if total > guard:
         raise InputError(f"brute force would need {total} evaluations (guard {guard})")
-    candidates, routes, stats, baseline = _setup(graph, demands, inventory, config, base)
+    score = _scorer(graph, demands, config)
+    _, [(baseline, _)] = score([base])
 
-    perms = sorted(
-        set(permutations(inventory)),
-        key=lambda order: [(arch.kind, arch.n_sc or 0) for arch in order],
-    )
-    assignments: list[dict[int, NodeArchitecture]] = []
-    for nodes in combinations(candidates, k):
-        for items in perms:
-            assignments.append(dict(zip(nodes, items)))
-
-    best, best_blocking, all_converged = None, math.inf, True
-    for assign in assignments:
-        trial = fixed_point(graph, demands, {**base, **assign}, config, routes, stats)
-        blocking = trial.network_blocking_prob
-        all_converged = all_converged and trial.converged
-        if best is None or blocking < best_blocking - config.epsilon:
-            best, best_blocking = assign, blocking
+    orders = list(_distinct_orders(inventory))
+    assignments = [
+        dict(zip(nodes, items)) for nodes in combinations(candidates, k) for items in orders
+    ]
+    best, scores = score({**base, **assign} for assign in assignments)
     return PlacementResult(
-        assignment=best if best is not None else {},
-        achieved_blocking=best_blocking if best is not None else baseline,
+        assignment=assignments[best],
+        achieved_blocking=scores[best][0],
         baseline_blocking=baseline,
         steps=[],
         evaluations=len(assignments),
         ranked=rank_inventory(inventory, graph),
         method="brute-force",
-        all_converged=all_converged,
+        all_converged=all(converged for _, converged in scores),
     )

@@ -63,6 +63,8 @@ class SimConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise InputError("replications must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.warmup is not None and not (math.isfinite(self.warmup) and self.warmup >= 0):
             raise InputError(f"warmup must be finite and >= 0, got {self.warmup}")
         if self.horizon is not None and not math.isfinite(self.horizon):

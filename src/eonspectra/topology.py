@@ -190,12 +190,14 @@ class RoutedPath:
 # loading
 
 
-def _parse_document(document, what: str) -> object:
+def _parse_document(document, what: str, error: type[InputError]) -> object:
+    """``document`` parsed when it is JSON text, else as given; malformed
+    JSON raises ``error``."""
     if isinstance(document, (str, bytes)):
         try:
             return json.loads(document)
         except json.JSONDecodeError as exc:
-            raise TopologyParseError(f"invalid {what} JSON: {exc}") from exc
+            raise error(f"invalid {what} JSON: {exc}") from exc
     return document
 
 
@@ -204,9 +206,10 @@ def load_topology(document) -> NetworkGraph:
 
     ``document`` is JSON text or an already-parsed dict of the form
     ``{"name", "slot_count", "nodes": [...], "edges": [{"a", "b", "weight",
-    "directed"?}, ...]}``.  Undirected edges expand into two directed links.
+    "directed"?}, ...]}``.  Undirected edges expand into two directed links;
+    a document without edges is rejected.
     """
-    doc = _parse_document(document, "topology")
+    doc = _parse_document(document, "topology", TopologyParseError)
     if not isinstance(doc, dict):
         raise TopologyParseError("topology document must be a JSON object")
     try:
@@ -219,6 +222,8 @@ def load_topology(document) -> NetworkGraph:
         raise TopologyParseError(f"slot_count must be a positive integer, got {slot_count!r}")
     if len(set(map(repr, raw_nodes))) != len(raw_nodes):
         raise TopologyParseError("duplicate node labels")
+    if not raw_edges:
+        raise TopologyParseError("topology has no edges")
     index = {label: i + 1 for i, label in enumerate(raw_nodes)}
 
     links: list[Link] = []
@@ -256,7 +261,7 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
     ``[{"s": int, "p": num}, ...]``.  Slot counts above the graph's
     slot_count are rejected: such a request could never be carried.
     """
-    doc = _parse_document(document, "demands")
+    doc = _parse_document(document, "demands", DemandError)
     if not isinstance(doc, list):
         raise DemandError("demands document must be a JSON array")
     demands = []
@@ -356,8 +361,8 @@ def demand_routes(
     g: NetworkGraph, demands: list[DemandSpec], routes: list[RoutedPath] | None = None
 ) -> list[RoutedPath]:
     """The routes of a solve or simulation: ``routes``, once checked to hold
-    one route per demand from its source to its destination, or the
-    shortest paths when None."""
+    one route per demand from its source to its destination and bound to
+    that demand, or the shortest paths when None."""
     if routes is None:
         return route_all(g, demands)
     if len(routes) != len(demands):
@@ -368,7 +373,10 @@ def demand_routes(
                 f"route {i} runs {route.nodes[0]}->{route.nodes[-1]}, "
                 f"but its demand is {demand.src}->{demand.dst}"
             )
-    return routes
+    return [
+        route if route.demand is demand else RoutedPath(route.nodes, route.links, demand)
+        for demand, route in zip(demands, routes)
+    ]
 
 
 def network_traffic(g: NetworkGraph, demands: list[DemandSpec], routes: list[RoutedPath]) -> float:

@@ -30,6 +30,7 @@ from eonspectra.topology import (
     load_topology,
     route_all,
     scale_demands,
+    shortest_path,
 )
 from eonspectra.fixtures import generate_demands, nsf14, nsf14_demands, sixnode
 
@@ -219,7 +220,7 @@ def test_config_validation():
         AnalysisConfig(damping=1.5)
     # flag values reach the CLI's "error:" exit as input errors
     for kwargs in ({"epsilon": math.nan}, {"epsilon": math.inf}, {"epsilon": -1.0},
-                   {"damping": math.nan}, {"max_iter": 0}):
+                   {"damping": math.nan}, {"max_iter": 0}, {"seed": -1}):
         with pytest.raises(InputError):
             AnalysisConfig(**kwargs)
 
@@ -340,3 +341,23 @@ def test_network_blocking_is_nondecreasing_in_traffic(spec):
         assert result.converged, factor
         values.append(result.network_blocking_prob)
     assert values == sorted(values), values
+
+
+def test_routes_without_their_demand_solve_like_routed_demands():
+    # crossing_stats weights each route's transit slots by its demand, so a
+    # bare path must be bound to the demand it serves before it is counted;
+    # unbound, every shared bank looked almost always free
+    g = nsf14()
+    demands = nsf14_demands(g)
+    archs = uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 1))
+    config = AnalysisConfig(damping=0.5, seed=3)
+    bare = [shortest_path(g, d.src, d.dst) for d in demands]
+    routed = fixed_point(g, demands, archs, config, route_all(g, demands))
+    unbound = fixed_point(g, demands, archs, config, bare)
+    assert unbound.iterations == routed.iterations
+    assert unbound.network_blocking_prob.hex() == routed.network_blocking_prob.hex()
+    assert [b.hex() for b in unbound.demand_blockings] == [
+        b.hex() for b in routed.demand_blockings
+    ]
+    with pytest.raises(InputError, match="no demand"):
+        crossing_stats(g, bare)

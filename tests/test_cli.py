@@ -485,16 +485,36 @@ def test_bad_flag_exits_1(capsys, inputs):
         ("analyze", ["--epsilon", "nan"]),
         ("analyze", ["--epsilon", "-1"]),
         ("analyze", ["--damping", "nan"]),
+        ("analyze", ["--seed", "-1"]),
+        ("simulate", ["--seed", "-1"]),
+        ("place", ["--converters", "full", "--seed", "-1"]),
+        ("sweep", ["--traffic", "0.1", "--seed", "-1"]),
+        ("gen-demands", ["--seed", "-1"]),
     ],
 )
 def test_out_of_range_flag_exits_1_without_output(capsys, inputs, command, flags):
     tmp, topo, demands, _ = inputs
     out = tmp / "nope.csv"
-    code = main([command, "--topology", str(topo), "--demands", str(demands),
-                 "--out", str(out), *flags])
+    demand_flags = [] if command == "gen-demands" else ["--demands", str(demands)]
+    code = main([command, "--topology", str(topo), *demand_flags, "--out", str(out), *flags])
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("place", ["--converters", "full"]), ("sweep", ["--traffic", "0.1"])]
+)
+def test_topology_without_links_exits_1_without_output(capsys, tmp_path, command, flags):
+    topo = tmp_path / "isolated.json"
+    topo.write_text(json.dumps({**TOPOLOGY, "edges": []}))
+    demands = tmp_path / "demands.json"
+    demands.write_text("[]")
+    code = main([command, "--topology", str(topo), "--demands", str(demands),
+                 "--out", str(tmp_path / "nope.csv"), *flags])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([topo, demands])
 
 
 def test_converter_count_on_a_full_node_exits_1(capsys, inputs):

@@ -433,6 +433,8 @@ def test_load_architectures():
 
 def test_load_architectures_rejects_bad_entries():
     g = line_graph(2, 4)
+    with pytest.raises(ArchitectureError, match="invalid architecture JSON"):
+        load_architectures("{oops", g)
     with pytest.raises(ArchitectureError):
         load_architectures(json.dumps({"2": {"kind": "warp"}}), g)
     with pytest.raises(ArchitectureError):

@@ -1,5 +1,8 @@
 import math
+import time
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from eonspectra.analyzer import AnalysisConfig, fixed_point
@@ -12,6 +15,7 @@ from eonspectra.lightpath import (
     NodeArchitecture,
 )
 from eonspectra.placement import (
+    _distinct_orders,
     effective_converters,
     place_brute_force,
     place_heuristic,
@@ -173,6 +177,38 @@ def test_brute_force_dedups_identical_items():
         res = fixed_point(g, demands, assignment, CONFIG)
         scores[key] = res.network_blocking_prob
     assert result.achieved_blocking == pytest.approx(min(scores.values()), abs=1e-9)
+
+
+def test_distinct_orders_match_the_sorted_permutation_set():
+    rng = np.random.default_rng(12)
+    stock = [
+        NodeArchitecture(FULL),
+        NodeArchitecture(SHARE_PER_LINK, 1),
+        NodeArchitecture(SHARE_PER_LINK, 2),
+        NodeArchitecture(SHARE_PER_NODE, 1),
+    ]
+    for _ in range(200):
+        inventory = [stock[i] for i in rng.integers(len(stock), size=rng.integers(0, 7))]
+        oracle = sorted(
+            set(permutations(inventory)),
+            key=lambda order: [(arch.kind, arch.n_sc or 0) for arch in order],
+        )
+        assert list(_distinct_orders(inventory)) == oracle
+
+
+def test_brute_force_with_many_identical_items_enumerates_only_distinct_orders():
+    # 12 identical items on the 11 interior nodes and 2 ends of a 13-node
+    # line: C(13, 12) node sets with one order each, not 12! orders each
+    nodes = list(range(1, 14))
+    g = load_topology({
+        "name": "line13", "slot_count": 4, "nodes": nodes,
+        "edges": [{"a": v, "b": v + 1, "weight": 1} for v in nodes[:-1]],
+    })
+    demands = [DemandSpec(1, 13, 0.5, 1.0, {1: 1.0})]
+    start = time.perf_counter()
+    result = place_brute_force(g, demands, [NodeArchitecture(FULL)] * 12, CONFIG)
+    assert result.evaluations == 13
+    assert time.perf_counter() - start < 10.0
 
 
 def test_brute_force_guard_counts_the_evaluations_it_runs():

@@ -420,7 +420,8 @@ def test_config_validation():
         SimConfig(warmup=10.0, horizon=5.0)
     # a non-finite horizon would never end the event loop
     for kwargs in ({"warmup": math.nan}, {"warmup": math.inf}, {"warmup": -1.0},
-                   {"horizon": math.nan}, {"horizon": math.inf}, {"replications": 0}):
+                   {"horizon": math.nan}, {"horizon": math.inf}, {"replications": 0},
+                   {"seed": -1}):
         with pytest.raises(InputError):
             SimConfig(**kwargs)
     # the default horizon offers 1e4 requests to the slowest demand: inf here

@@ -73,6 +73,8 @@ def test_rejects_bad_documents():
         load_topology(doc([1, 2], [{"a": 1, "b": 9, "weight": 1}]))
     with pytest.raises(TopologyParseError):
         load_topology(doc([1, 2], [{"a": 1, "b": 1, "weight": 1}]))
+    with pytest.raises(TopologyParseError, match="no edges"):
+        load_topology(doc([1, 2], []))
 
 
 def test_demand_loading_and_validation():
@@ -90,6 +92,8 @@ def test_demand_loading_and_validation():
             load_demands(json.dumps([entry]), g)
     with pytest.raises(DemandError):
         load_demands(json.dumps([{"src": 1, "dst": 1, "rate": 1, "hold": 1, "slots": 1}]), g)
+    with pytest.raises(DemandError, match="invalid demands JSON"):
+        load_demands("[oops", g)
     with pytest.raises(DemandError):
         DemandSpec(1, 2, 1.0, 1.0, {1: 0.5, 2: 0.4})  # pmf sums to 0.9
 
