@@ -79,11 +79,15 @@ def network_blocking(demands: list[DemandSpec], blockings: list[float]) -> float
     """Offered-load (rate * hold) weighted average of per-demand blocking."""
     if len(demands) != len(blockings):
         raise ValueError("demands and blockings are not aligned")
-    if not demands:
+    loads = [d.offered_load for d in demands]
+    return _weighted_blocking(loads, sum(loads), blockings)
+
+
+def _weighted_blocking(loads: list[float], weight: float, blockings: list[float]) -> float:
+    if not loads:
         log.warning("network blocking over an empty demand set is 0 by convention")
         return 0.0
-    weight = sum(d.offered_load for d in demands)
-    return sum(d.offered_load * b for d, b in zip(demands, blockings)) / weight
+    return sum(load * b for load, b in zip(loads, blockings)) / weight
 
 
 def phi_update(
@@ -95,13 +99,32 @@ def phi_update(
     """Estimate per-link slot-free probabilities from carried load:
     each crossing demand contributes its unblocked share of rate * hold *
     mean slots, normalized by the fiber capacity and clamped at full."""
-    carried = {link.id: 0.0 for link in graph.links}
-    for demand, route, blocking in zip(demands, routes, blockings):
-        load = demand.offered_load * demand.mean_slots * (1.0 - blocking)
-        for link in route.links:
-            carried[link.id] += load
+    free = _link_update(demands, routes, graph)(blockings)
+    return dict(zip((link.id for link in graph.links), free.tolist()))
+
+
+def _link_update(demands: list[DemandSpec], routes: list[RoutedPath], graph: NetworkGraph):
+    """``phi_update`` compiled for one set of routes: a function from the
+    demands' blockings to the free probability of every link, in
+    ``graph.links`` order.
+
+    The route-link incidence lists every hop, demand by demand, so the one
+    ``np.bincount`` over it adds each link's loads in demand order.
+    """
+    position = {link.id: i for i, link in enumerate(graph.links)}
+    hop_links = np.array(
+        [position[lid] for route in routes for lid in route.link_ids], dtype=np.intp
+    )
+    hop_demands = np.repeat(np.arange(len(routes)), [route.hop_count for route in routes])
+    slot_loads = np.array([d.offered_load * d.mean_slots for d in demands])
     slots = float(graph.slot_count)
-    return {lid: 1.0 - min(total / slots, 1.0) for lid, total in carried.items()}
+
+    def update(blockings) -> np.ndarray:
+        loads = slot_loads * (1.0 - np.asarray(blockings, dtype=float))
+        carried = np.bincount(hop_links, loads[hop_demands], len(position))
+        return 1.0 - np.minimum(carried / slots, 1.0)
+
+    return update
 
 
 def fixed_point(
@@ -119,12 +142,19 @@ def fixed_point(
     refresh every demand's blocking, refresh the network blocking.  Stops
     when two successive network values and every link's two successive
     free probabilities differ by at most epsilon, or at the iteration cap
-    (returned with ``converged=False``, never raised).  The forward passes
-    are compiled once per solve (``compile_plan``); each iteration
-    evaluates the plan at its link state, in one array call of
-    ``run_probability`` per slot count, and the per-demand passes only
-    read its values.  Demands whose summed offered slot load overflows a
-    float raise ``DemandError`` before any work.
+    (returned with ``converged=False``, never raised).
+
+    Everything that does not move with the link state is compiled once per
+    solve: the forward passes (``compile_plan``), the route-link incidence
+    of the link update and the network blocking's total offered load.  An
+    iteration is then array work: one ``np.bincount`` of the carried loads,
+    which adds each link's loads in demand order as ``phi_update`` does;
+    the damping blend and the largest link change; and the plan evaluated
+    at the new link state, which runs every forward pass side by side.
+    The per-demand blockings only read its values, so every number equals
+    that of a per-route scalar pass bit for bit.  Demands whose summed
+    offered slot load overflows a float raise ``DemandError`` before any
+    work.
     """
     if config is None:
         config = AnalysisConfig()
@@ -140,12 +170,17 @@ def fixed_point(
         graph.slot_count,
     )
 
+    update = _link_update(demands, routes, graph)
+    link_ids = [link.id for link in graph.links]
+    loads = [d.offered_load for d in demands]
+    weight = sum(loads)
+
     rng = np.random.default_rng(config.seed)
     p_net = float(rng.random())
     blockings = [float(x) for x in rng.random(len(demands))]
     p_prev = -1.0
 
-    phis: LinkFreeProbs = {}
+    phi = None  # every link's free probability, in graph.links order
     phi_delta = math.inf  # max |change| of a link's free probability
     trajectory: list[float] = []
     iterations = 0
@@ -153,19 +188,20 @@ def fixed_point(
         abs(p_net - p_prev) > config.epsilon or phi_delta > config.epsilon
     ) and iterations < config.max_iter:
         p_prev = p_net
-        fresh = phi_update(demands, routes, blockings, graph)
-        if phis:
+        fresh = update(blockings)
+        if phi is not None:
             d = config.damping
             if d < 1.0:
-                fresh = {lid: d * fresh[lid] + (1.0 - d) * phis[lid] for lid in fresh}
-            phi_delta = max((abs(fresh[lid] - phis[lid]) for lid in fresh), default=0.0)
-        phis = fresh
+                fresh = d * fresh + (1.0 - d) * phi
+            phi_delta = float(np.max(np.abs(fresh - phi), initial=0.0))
+        phi = fresh
+        phis = dict(zip(link_ids, phi.tolist()))
         memo = plan.evaluate(phis)
         blockings = [
             demand_blocking(demand, route, archs, phis, stats, graph.slot_count, memo)
             for demand, route in zip(demands, routes)
         ]
-        p_net = network_blocking(demands, blockings)
+        p_net = _weighted_blocking(loads, weight, blockings)
         trajectory.append(p_net)
         iterations += 1
 

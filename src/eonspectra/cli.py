@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import sys
 import zlib
 from contextlib import nullcontext
@@ -139,13 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(text: str, kind=float) -> tuple:
+def _parse_range(flag: str, text: str, kind=float) -> tuple:
     try:
         lo, hi = (kind(part) for part in text.split(","))
     except ValueError as exc:
-        raise InputError(f"range must be lo,hi: {text!r}") from exc
+        raise InputError(f"{flag} must be lo,hi: {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"{flag} bounds must be finite: {text!r}")
     if hi < lo:
-        raise InputError(f"range must be increasing: {text!r}")
+        raise InputError(f"{flag} must be increasing: {text!r}")
     return lo, hi
 
 
@@ -279,8 +282,12 @@ def _cmd_sweep(args) -> tuple[int, dict]:
         targets = [float(part) for part in args.traffic.split(",") if part.strip()]
     except ValueError as exc:
         raise InputError(f"bad traffic list {args.traffic!r}") from exc
-    if not targets or any(t <= 0 for t in targets) or sorted(targets) != targets:
-        raise InputError("traffic targets must be positive and increasing")
+    if (
+        not targets
+        or not all(math.isfinite(t) and t > 0 for t in targets)
+        or sorted(targets) != targets
+    ):
+        raise InputError(f"--traffic targets must be finite, positive and increasing: {args.traffic!r}")
     if args.arch_sweep:
         settings = parse_arch_sweep(args.arch_sweep, graph)
     elif args.arch:
@@ -332,13 +339,15 @@ def _cmd_sweep(args) -> tuple[int, dict]:
 
 
 def _cmd_gen_demands(args) -> tuple[int, dict]:
+    if args.traffic is not None and not (math.isfinite(args.traffic) and args.traffic > 0):
+        raise InputError(f"--traffic must be finite and positive, got {args.traffic}")
     graph = load_topology(Path(args.topology).read_text())
     demands = generate_demands(
         graph,
         seed=derive_seed(args.seed, "demands"),
-        rate_range=_parse_range(args.rate_range),
-        hold_range=_parse_range(args.hold_range),
-        slots_range=_parse_range(args.slots_range, int),
+        rate_range=_parse_range("--rate-range", args.rate_range),
+        hold_range=_parse_range("--hold-range", args.hold_range),
+        slots_range=_parse_range("--slots-range", args.slots_range, int),
         traffic_target=args.traffic,
     )
     Path(args.out).write_text(demands_document(graph, demands) + "\n")

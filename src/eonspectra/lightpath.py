@@ -24,13 +24,19 @@ or destination cannot help a request.
 
 During a fixed point the routes, layouts and pmfs stay fixed and only the
 link state moves.  ``compile_plan`` therefore compiles, once per solve,
-each route's stops: the bank each stop draws from, and the table row of
-every segment that can close there.  Each iteration ``SolvePlan.evaluate``
-computes the success of every row, in one array call of
-``run_probability`` per slot count, and the availability of every bank;
-the forward passes then read both by index.  A single call without a
-solve compiles a plan of its own route, so every blocking comes from the
-same pass.
+every forward pass the solve needs, one per route and slot count, into
+index arrays over the passes' stops: the bank each stop draws from, and
+the table row of every segment that can close there.  Each iteration
+``SolvePlan.evaluate`` computes the success of every row, in one array
+call of ``run_probability`` per slot count, and the availability of every
+bank, then runs all the passes at once as array operations, stop by stop
+and, within a stop, opening by opening.  Each pass sees the float
+operations of its own scalar walk in the same order.  The padding that
+lines the passes up adds only exact zeros (an opening a pass does not have
+holds mass 0.0 and reads success 1.0), and a stop that is never or always
+free scales the masses by exactly 1.0 or 0.0, so every blocking equals the
+scalar walk's bit for bit.  A single call without a solve compiles a plan
+of its own route, so every blocking comes from the same pass.
 """
 
 from __future__ import annotations
@@ -224,70 +230,115 @@ def share_per_link_availability(n_sc: int, n_port: int, s_port: float, phi_port:
 BankArgs = tuple[int, int, float, tuple[tuple[int, float], ...]]
 
 
-# one route's forward pass: its stops in path order, the interior converter
-# positions then the destination.  Stop i is (bank, rows, opening): the
-# index of its availability in ``PlanValues.availabilities`` (0, always 1.0,
-# for a full node and for the destination); by opening number, the table
-# row of the segment from each opening to stop i; and the number of the
-# opening at stop i.  Openings, where a segment can start, are numbered
-# from 0 at the source and anew from 0 at each full node: no segment stays
-# open through a full node, so a pair with one strictly between them has
-# no row.
-RoutePlan = tuple[tuple[int, list[int], int], ...]
+# one route's forward pass over its stops in path order, the interior
+# converter positions then the destination, as four lists: per stop, the
+# index of its availability (0, always 1.0, for a full node and for the
+# destination), the number of the opening at the stop, and how many
+# openings have a segment that closes there; then, stop by stop and by
+# opening number, the table row of each such segment.  Openings, where a
+# segment can start, are numbered from 0 at the source and anew from 0 at
+# each full node: no segment stays open through a full node, so a pair
+# with one strictly between them has no row.
+RoutePlan = tuple[list[int], list[int], list[int], list[int]]
+
+# one forward pass: the slot count of its requests and its route's link ids
+PassKey = tuple[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class PlanValues:
-    """A ``SolvePlan`` evaluated at one link state: everything the forward
-    passes read.  ``successes[S][row]`` is the probability that table row
-    ``row`` has a window of S slots; ``availabilities[bank]`` that bank's
-    availability."""
+    """A ``SolvePlan`` evaluated at one link state: ``blockings[S,
+    link_ids]`` is the blocking of a request for S slots on the route with
+    those link ids, for every forward pass of the plan."""
 
-    routes: dict[tuple[int, ...], RoutePlan]
-    successes: dict[int, list[float]]
-    availabilities: list[float]
+    blockings: dict[PassKey, float]
 
 
 @dataclass(frozen=True)
 class SolvePlan:
-    """The compiled forward passes of one solve.
+    """The compiled forward passes of one solve, as index arrays.
 
-    ``routes`` maps each route's link ids to its ``RoutePlan``.  The
-    segment table lists the link ids its rows cross in ``columns``; row i
-    of ``hops`` holds segment i's columns in path order, padded with
+    ``passes`` holds every (slot count, link ids) pair once, the passes
+    with more stops first, so the passes that reach stop j are a prefix of
+    it.  ``stops[j]`` is (active, width, targets): the length of that
+    prefix, the number of openings that can be open at stop j in any of
+    its passes, and for each pass of the prefix the index its new opening
+    takes in the raveled (opening, pass) array of masses.  Stop by stop,
+    ``draws`` holds each active pass's index into the availabilities
+    (0, always 1.0, for a full node and for the destination), and
+    ``closes`` holds, opening by opening, each active pass's index of the
+    success of its segment from that opening.  The successes run over the
+    slot counts of ``rows`` and, within one, over its rows; one padding
+    entry of 1.0 follows, for an opening that a pass does not have.
+
+    The segment table lists the link ids its rows cross in ``columns``; row
+    i of ``hops`` holds segment i's columns in path order, padded with
     ``len(columns)``, a column whose free probability is always 1.0, and
     ``rows[S]`` indexes the segments of the requests for S slots.
     ``banks`` holds the ``BankArgs`` of the banks the stops name.
     """
 
     slot_count: int
-    routes: dict[tuple[int, ...], RoutePlan]
     columns: tuple[int, ...]
     hops: np.ndarray
     rows: dict[int, np.ndarray]
     banks: tuple[BankArgs, ...]
+    passes: tuple[PassKey, ...]
+    stops: tuple[tuple[int, int, np.ndarray], ...]
+    closes: np.ndarray
+    draws: np.ndarray
 
     def evaluate(self, phis: LinkFreeProbs) -> PlanValues:
-        """The plan's values at link state ``phis``: one array call of
-        ``run_probability`` per slot count over the products of the rows'
-        link free probabilities, taken column by column in path order, and
-        one availability per bank."""
+        """Every forward pass of the plan at link state ``phis``.
+
+        The successes of the table rows come from one array call of
+        ``run_probability`` per slot count, over the products of the rows'
+        link free probabilities taken column by column in path order; each
+        bank's availability is computed once.  The passes then run side by
+        side over arrays, stop by stop and, within a stop, opening by
+        opening in ascending order, with the float operations of
+        ``lightpath_blocking``'s pass in the same order.  A padded opening
+        holds mass 0.0 and reads success 1.0, so it adds exact zeros, and a
+        stop with availability 0.0 or 1.0 scales the masses by exactly 1.0
+        or 0.0: every blocking is the one pass's alone, bit for bit.
+        """
         phi = np.array([phis[lid] for lid in self.columns] + [1.0])
         rho = phi[self.hops[:, 0]]
         for column in self.hops[:, 1:].T:
             rho = rho * phi[column]
-        successes = {}
-        for min_run, rows in self.rows.items():
-            success = np.zeros(len(rho))
-            success[rows] = run_probability(min_run, self.slot_count, rho[rows])
-            successes[min_run] = success.tolist()
-        availabilities = [1.0] + [
-            share_per_link_availability(
-                n_sc, paths, slots, math.fsum(share * phis[j] for j, share in shares)
-            )
-            for n_sc, paths, slots, shares in self.banks
+        successes = [
+            run_probability(min_run, self.slot_count, rho[rows])
+            for min_run, rows in self.rows.items()
         ]
-        return PlanValues(self.routes, successes, availabilities)
+        success = np.concatenate(successes + [np.ones(1)])[self.closes]
+        failure = 1.0 - success
+        availability = np.array(
+            [1.0]
+            + [
+                share_per_link_availability(
+                    n_sc, paths, slots, math.fsum(share * phis[j] for j, share in shares)
+                )
+                for n_sc, paths, slots, shares in self.banks
+            ]
+        )[self.draws]
+        busy = 1.0 - availability
+        count = len(self.passes)
+        masses = np.zeros((max((width for _, width, _ in self.stops), default=1), count))
+        masses[0] = 1.0  # the segment opened at the source
+        blocked = np.zeros(count)
+        row = stop = 0
+        for active, width, targets in self.stops:
+            avail = availability[stop : stop + active]
+            head = blocked[:active]
+            closed = np.zeros(active)
+            for mass in masses[:width, :active]:
+                head += avail * mass * failure[row : row + active]
+                closed += mass * success[row : row + active]
+                row += active
+            masses[:width, :active] *= busy[stop : stop + active]
+            masses.reshape(-1)[targets] = avail * closed
+            stop += active
+        return PlanValues(dict(zip(self.passes, blocked.tolist())))
 
 
 def compile_plan(
@@ -296,27 +347,34 @@ def compile_plan(
     stats: CrossingStats,
     slot_count: int,
 ) -> SolvePlan:
-    """Compile the stop plan of every route in ``requests``, an iterable of
-    (route, slot counts in ascending order) pairs; slot counts above
-    ``slot_count`` are never carried and get no rows.  Routes with the same
-    link ids get the same plan.
+    """Compile the forward passes of every route in ``requests``, an
+    iterable of (route, slot counts in ascending order) pairs: one pass per
+    route and slot count, each once however many requests share it.  Slot
+    counts above ``slot_count`` are never carried and get no pass.
 
     One pass over a route's positions gives each stop its bank and its row
     for every opening since the last full node: O(k^2) for k converters.
+    Laying the passes out as index arrays is array work.
     """
     segments: dict[tuple[int, ...], int] = {}  # link ids -> row
-    sized: dict[int, dict[int, None]] = {}  # slot count -> ordered set of rows
     bank_index: dict[Bank, int] = {}
     banks: list[BankArgs] = []
     routes: dict[tuple[int, ...], RoutePlan] = {}
+    passes: dict[PassKey, None] = {}  # ordered set
     row_of = segments.setdefault
     for route, sizes in requests:
         if not sizes or sizes[0] > slot_count:
             continue
         link_ids, nodes = route.link_ids, route.nodes
+        for s in sizes:
+            if s > slot_count:
+                break
+            passes[s, link_ids] = None
+        if link_ids in routes:
+            continue
         end = len(link_ids) + 1
-        stops = []
-        members = {}
+        plan: RoutePlan = ([], [], [], [])
+        stop_banks, stop_openings, stop_widths, rows = plan
         openings = [1]  # path positions of the openings since the last full node
         for pos in range(2, end + 1):
             index = 0
@@ -332,35 +390,71 @@ def compile_plan(
                         banks.append(
                             (arch.n_sc, stats.paths[bank], stats.slots[bank], stats.shares[bank])
                         )
-            rows = []
             for a in openings:
-                row = row_of(link_ids[a - 1 : pos - 1], len(segments))
-                rows.append(row)
-                members[row] = None
+                rows.append(row_of(link_ids[a - 1 : pos - 1], len(segments)))
+            stop_banks.append(index)
+            stop_widths.append(len(openings))
             if index:
-                stops.append((index, rows, len(openings)))
+                stop_openings.append(len(openings))
                 openings.append(pos)
             else:
-                stops.append((0, rows, 0))
+                stop_openings.append(0)
                 openings = [pos]
-        routes[link_ids] = tuple(stops)
-        for s in sizes:
-            if s > slot_count:
-                break
-            sized.setdefault(s, {}).update(members)
+        routes[link_ids] = plan
+
+    # one entry per (pass, stop), passes in order, each pass's stops in path order
+    order = sorted(passes, key=lambda key: -len(routes[key[1]][0]))
+    count = len(order)
+    flat: RoutePlan = ([], [], [], [])
+    for _, link_ids in order:
+        for column, values in zip(flat, routes[link_ids]):
+            column += values
+    stop_bank, stop_opening, stop_width, entry_row = (np.array(c, dtype=np.intp) for c in flat)
+    depth = np.array([len(routes[link_ids][0]) for _, link_ids in order], dtype=np.intp)
+    stop_pass = np.repeat(np.arange(count), depth)
+    stop_j = np.arange(len(stop_pass)) - np.repeat(np.cumsum(depth) - depth, depth)
+    # per stop j: how many passes reach it, and the most openings any of them has there
+    active = np.bincount(stop_j, minlength=depth.max(initial=0))
+    width = np.zeros_like(active)
+    np.maximum.at(width, stop_j, stop_width)
+    at = np.cumsum(active) - active  # where stop j's entries start
+    slot = at[stop_j] + stop_pass
+    draws = np.empty_like(stop_bank)
+    draws[slot] = stop_bank
+    targets = np.empty_like(stop_opening)
+    targets[slot] = stop_opening * count + stop_pass
+
+    # one entry per (pass, stop, opening); the successes the passes close are
+    # numbered by slot count, then by table row
+    entry_stop = np.repeat(np.arange(len(stop_pass)), stop_width)
+    entry_o = np.arange(len(entry_stop)) - np.repeat(np.cumsum(stop_width) - stop_width, stop_width)
+    entry_j, entry_pass = stop_j[entry_stop], stop_pass[entry_stop]
+    slot_counts, rank = np.unique([s for s, _ in order], return_inverse=True)
+    needed, position = np.unique(rank[entry_pass] * len(segments) + entry_row, return_inverse=True)
+    block = width * active  # stop j's entries, opening by opening
+    closes = np.full(block.sum(), len(needed), dtype=np.intp)  # padding reads 1.0
+    closes[(np.cumsum(block) - block)[entry_j] + entry_o * active[entry_j] + entry_pass] = position
+    split = np.searchsorted(needed, np.arange(1, len(slot_counts)) * len(segments))
+
     columns = tuple(sorted({lid for segment in segments for lid in segment}))
     column_of = {lid: col for col, lid in enumerate(columns)}
-    width = max(map(len, segments), default=1)
-    hops = np.full((len(segments), width), len(columns), dtype=np.intp)
+    hop_width = max(map(len, segments), default=1)
+    hops = np.full((len(segments), hop_width), len(columns), dtype=np.intp)
     for segment, row in segments.items():
         hops[row, : len(segment)] = [column_of[lid] for lid in segment]
     return SolvePlan(
         slot_count,
-        routes,
         columns,
         hops,
-        {s: np.fromiter(members, dtype=np.intp) for s, members in sorted(sized.items())},
+        dict(zip(slot_counts.tolist(), np.split(needed % max(len(segments), 1), split))),
         tuple(banks),
+        tuple(order),
+        tuple(
+            (int(n), int(w), targets[start : start + n])
+            for n, w, start in zip(active, width, at)
+        ),
+        closes,
+        draws,
     )
 
 
@@ -381,13 +475,14 @@ def lightpath_blocking(
     on ``path``: the expectation of 1 - seg(T) over the random set T of the
     path's interior converters that are free to take the request.
 
-    One pass over the route's stops carries the open segments as (mass,
-    opening) pairs: mass is the probability that the segment is open and
-    every segment closed before it succeeded.  A stop free with probability
-    a closes each open segment with probability a, which blocks with
-    mass * a * (1 - success) and opens a segment at the stop; with
-    probability 1 - a the open segments run on through it.  The
+    One forward pass over the route's stops carries the open segments as
+    (mass, opening) pairs: mass is the probability that the segment is
+    open and every segment closed before it succeeded.  A stop free with
+    probability a closes each open segment with probability a, which
+    blocks with mass * a * (1 - success) and opens a segment at the stop;
+    with probability 1 - a the open segments run on through it.  The
     destination closes every open segment, as a stop with a = 1.
+    ``SolvePlan.evaluate`` runs the passes; this reads one of them.
 
     ``memo`` is the solve's ``SolvePlan`` evaluated at ``phis`` and
     compiled from ``archs`` and ``stats``, with ``path`` and ``min_run``
@@ -398,28 +493,7 @@ def lightpath_blocking(
         return 1.0
     if memo is None:
         memo = compile_plan([(path, (min_run,))], archs, stats, slot_count).evaluate(phis)
-    successes = memo.successes[min_run]
-    availabilities = memo.availabilities
-    masses = [1.0]
-    openings = [0]
-    blocked = 0.0
-    for bank, rows, opening in memo.routes[path.link_ids]:
-        avail = availabilities[bank]
-        if avail == 0.0:
-            continue
-        closed = 0.0
-        for mass, start in zip(masses, openings):
-            success = successes[rows[start]]
-            blocked += avail * mass * (1.0 - success)
-            closed += mass * success
-        busy = 1.0 - avail
-        if busy:
-            masses = [mass * busy for mass in masses]
-        else:
-            masses, openings = [], []
-        masses.append(avail * closed)
-        openings.append(opening)
-    return blocked
+    return memo.blockings[min_run, path.link_ids]
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,52 @@ def converter_availability(position: int, path, archs, stats, phis) -> float:
     )
 
 
+def stop_walk_blocking(min_run: int, path, archs, phis, stats, slot_count: int) -> float:
+    """Lightpath blocking by one scalar forward pass over the route's stops,
+    its interior converters and then the destination.
+
+    The open segments are (mass, opening) pairs: mass is the probability
+    that the segment is open and every segment closed before it succeeded.
+    A stop free with probability a closes each open segment with
+    probability a, which blocks with mass * a * (1 - success) and opens a
+    segment at the stop; with probability 1 - a the open segments run on
+    through it.  A stop that is never free is skipped, and one that is
+    always free drops every open segment.  Each success is one scalar
+    ``run_probability`` of the segment's link free probabilities multiplied
+    in path order, so the float operations are those the array passes must
+    reproduce bit for bit.
+    """
+    if min_run > slot_count:
+        return 1.0
+    hop_probs = [phis[lid] for lid in path.link_ids]
+    end = path.hop_count + 1
+    masses = [1.0]
+    openings = [1]  # path positions
+    blocked = 0.0
+    for pos in range(2, end + 1):
+        if pos == end:
+            avail = 1.0
+        elif archs.get(path.nodes[pos - 1], SIMPLE_NODE).converts:
+            avail = converter_availability(pos, path, archs, stats, phis)
+        else:
+            continue
+        if avail == 0.0:
+            continue
+        closed = 0.0
+        for mass, start in zip(masses, openings):
+            success = run_probability(min_run, slot_count, math.prod(hop_probs[start - 1 : pos - 1]))
+            blocked += avail * mass * (1.0 - success)
+            closed += mass * success
+        busy = 1.0 - avail
+        if busy:
+            masses = [mass * busy for mass in masses]
+        else:
+            masses, openings = [], []
+        masses.append(avail * closed)
+        openings.append(pos)
+    return blocked
+
+
 def blocking_by_converter_states(
     min_run: int,
     slot_count: int,

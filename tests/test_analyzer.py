@@ -21,6 +21,7 @@ from eonspectra.lightpath import (
     SHARE_PER_NODE,
     SIMPLE,
     NodeArchitecture,
+    compile_plan,
     crossing_stats,
     lightpath_blocking,
     uniform_architectures,
@@ -267,6 +268,36 @@ def test_fixed_point_iteration_needs_no_scalar_run_probability(monkeypatch):
     for demand, route, got in zip(demands, routes, result.demand_blockings):
         assert got == demand_blocking(demand, route, archs, result.phis, stats, g.slot_count)
     assert result.demand_blockings[1] > 0.5  # half of its requests never fit
+
+
+def test_demands_on_one_route_each_read_their_own_passes():
+    # three demands 1->4 through two shared banks: the plan holds each
+    # (slot count, route) pass once, and a demand whose smallest slot count
+    # exceeds the fiber has no pass and blocks at 1.0
+    g = line(4, slot_count=4)
+    archs = {2: NodeArchitecture(SHARE_PER_NODE, 1), 3: NodeArchitecture(SHARE_PER_LINK, 1)}
+    demands = [
+        DemandSpec(1, 4, 1.0, 1.0, {1: 1.0}),
+        DemandSpec(1, 4, 0.5, 2.0, {2: 0.5, 3: 0.5}),
+        DemandSpec(1, 4, 0.5, 1.0, {5: 1.0}),
+        DemandSpec(2, 3, 1.0, 1.0, {2: 1.0}),
+    ]
+    routes = route_all(g, demands)
+    stats = crossing_stats(g, routes)
+    plan = compile_plan(((r, d.slot_counts) for d, r in zip(demands, routes)), archs, stats, 4)
+    shared = routes[0].link_ids
+    assert len(plan.passes) == 4
+    assert set(plan.passes) == {(1, shared), (2, shared), (3, shared), (2, routes[3].link_ids)}
+    result = fixed_point(g, demands, archs, AnalysisConfig(seed=2, damping=0.5), routes)
+    assert result.converged
+    for demand, route, got in zip(demands, routes, result.demand_blockings):
+        assert got == demand_blocking(demand, route, archs, result.phis, stats, g.slot_count)
+    memo = plan.evaluate(result.phis)
+    for s in (1, 2, 3):
+        alone = lightpath_blocking(s, routes[0], archs, result.phis, stats, g.slot_count)
+        assert lightpath_blocking(s, routes[1], archs, result.phis, stats, g.slot_count, memo) == alone
+    assert result.demand_blockings[2] == 1.0
+    assert 0.0 < result.demand_blockings[0] < result.demand_blockings[1] < 1.0
 
 
 # NSF with its bundled demands, seed 10, damping 0.5: the iteration count,

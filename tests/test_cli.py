@@ -342,6 +342,32 @@ def test_gen_demands_slots_beyond_fiber_exits_1_without_output(capsys, tmp_path,
     assert list(tmp_path.iterdir()) == [topo]
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("gen-demands", "--rate-range", "nan,1"),
+        ("gen-demands", "--hold-range", "1,inf"),
+        ("gen-demands", "--traffic", "0"),
+        ("gen-demands", "--traffic", "-1"),
+        ("gen-demands", "--traffic", "nan"),
+        ("sweep", "--traffic", "nan"),
+        ("sweep", "--traffic", "inf"),
+    ],
+)
+def test_bad_range_or_traffic_names_the_flag_and_exits_1(capsys, inputs, command, flag, value):
+    # these once ended in an OverflowError traceback from the generator, or
+    # in a demand error about rates and holds the user never gave
+    tmp, topo, demands, _ = inputs
+    before = sorted(tmp.iterdir())
+    demand_flags = [] if command == "gen-demands" else ["--demands", str(demands)]
+    code = main([command, "--topology", str(topo), *demand_flags, "--out", str(tmp / "out.json"),
+                 flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert sorted(tmp.iterdir()) == before
+
+
 def _nsf_files(tmp_path):
     from importlib import resources
 

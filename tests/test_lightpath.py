@@ -16,6 +16,7 @@ from eonspectra.lightpath import (
     bank_key,
     blocking_full_conversion,
     blocking_without_conversion,
+    compile_plan,
     crossing_stats,
     lightpath_blocking,
     load_architectures,
@@ -32,6 +33,7 @@ from oracles import (
     exact_lightpath_blocking,
     mc_segmented_blocking,
     segment_success_prob,
+    stop_walk_blocking,
 )
 
 
@@ -224,8 +226,8 @@ def test_blocking_worked_examples():
 
 def test_bank_with_zero_availability_blocks_like_a_simple_node():
     # node 2's bank serves only transit routes that leave on a saturated
-    # side port (link 9, phi 0), so it is never free: the pass skips it,
-    # and the segment opened at the source runs on through it
+    # side port (link 9, phi 0), so it is never free: the segment opened at
+    # the source runs on through it, and the segment it would open has mass 0
     path = line_path(4)
     phis = {1: 0.9, 2: 0.7, 3: 0.8, 4: 0.6, 9: 0.0}
     stats = CrossingStats(
@@ -348,6 +350,61 @@ def test_blocking_matches_converter_state_sum():
         expected = blocking_by_converter_states(min_run, slot_count, hop_probs, converters)
         got = lightpath_blocking(min_run, path, archs, phis, stats, slot_count)
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_array_passes_equal_the_scalar_stop_walk():
+    """Every pass of a plan, evaluated side by side with passes of other
+    lengths and slot counts, equals the scalar stop walk with ==."""
+    rng = np.random.default_rng(43)
+    side = 99  # a saturated port off the line: banks that serve it are never free
+    kinds = [
+        SIMPLE_NODE,
+        NodeArchitecture(FULL),
+        NodeArchitecture(SHARE_PER_LINK, 1),
+        NodeArchitecture(SHARE_PER_NODE, 1),
+        NodeArchitecture(SHARE_PER_NODE, 2),
+    ]
+    seen = dict.fromkeys(("paths", "never free", "full between shared", "S > F", "several S"), 0)
+    for _ in range(120):
+        hops, slot_count, _, phis, line, _ = _random_instance(rng, max_hops=9, max_slots=8)
+        phis[side] = 0.0
+        stats = _busy_stats(rng, line, hops, slot_count)
+        for v in range(2, hops + 1):
+            if stats.paths[("node", v)] and rng.random() < 0.3:
+                stats.shares[("node", v)] = ((side, 1.0),)
+        archs = {v: kinds[int(rng.integers(len(kinds)))] for v in range(2, hops + 1)}
+        if hops >= 4 and rng.random() < 0.3:
+            archs.update({2: kinds[3], 3: kinds[1], 4: kinds[2]})
+        requests = []
+        for _ in range(3):
+            a = int(rng.integers(1, hops + 1))
+            b = int(rng.integers(a + 1, hops + 2))
+            path = RoutedPath(nodes=tuple(range(a, b + 1)), links=line.links[a - 1 : b - 1])
+            count = int(rng.integers(1, 4))
+            sizes = tuple(sorted(rng.choice(np.arange(1, slot_count + 3), count, replace=False).tolist()))
+            requests.append((path, sizes))
+        memo = compile_plan(requests, archs, stats, slot_count).evaluate(phis)
+        for path, sizes in requests:
+            kinds_on = [archs.get(v, SIMPLE_NODE).kind for v in path.nodes[1:-1]]
+            free = [
+                converter_availability(pos, path, archs, stats, phis)
+                for pos in converter_layout(path, archs)[1:-1]
+            ]
+            seen["paths"] += 1
+            seen["never free"] += 0.0 in free
+            seen["full between shared"] += any(
+                FULL in kinds_on[i + 1 : j] and {kinds_on[i], kinds_on[j]} <= {SHARE_PER_LINK, SHARE_PER_NODE}
+                for i in range(len(kinds_on))
+                for j in range(i + 2, len(kinds_on))
+            )
+            seen["S > F"] += sizes[-1] > slot_count
+            seen["several S"] += sum(s <= slot_count for s in sizes) > 1
+            for s in sizes:
+                expected = stop_walk_blocking(s, path, archs, phis, stats, slot_count)
+                assert lightpath_blocking(s, path, archs, phis, stats, slot_count, memo) == expected
+                assert lightpath_blocking(s, path, archs, phis, stats, slot_count) == expected
+    assert seen["paths"] >= 300
+    assert min(seen.values()) >= 10, seen
 
 
 def test_blocking_is_a_probability_without_clamping():
