@@ -147,6 +147,8 @@ def _parse_range(flag: str, text: str, kind=float) -> tuple:
         raise InputError(f"{flag} must be lo,hi: {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputError(f"{flag} bounds must be finite: {text!r}")
+    if lo <= 0:
+        raise InputError(f"{flag} bounds must be positive: {text!r}")
     if hi < lo:
         raise InputError(f"{flag} must be increasing: {text!r}")
     return lo, hi

@@ -17,10 +17,22 @@ window starts, pick one, mark it) before any converter is looked at.
 Most of the rest are blocked because one link has no window of its own,
 which no segmentation can cure; that test also comes before the scan.
 
-Each demand draws its requests from its own generator.  Where the slot
-count is fixed, the inter-arrival and holding exponentials come in blocks
-of ``_BLOCK`` requests; the values, and so the sample paths, are the same
-bit for bit as with one scalar draw per request.
+Each demand draws its requests from its own generator, ahead of time and
+in blocks: where the slot count is fixed, the inter-arrival and holding
+exponentials of a block come from one array call, and a pmf keeps one
+scalar gap, slot and hold draw per request.  Arrival times are the
+cumulative sum of the gaps, continued from the demand's last drawn time,
+so every value is bit for bit that of one scalar draw per request and
+``t + gap``.  The event schedule merges the demands' arrivals one window
+at a time: a window spans about ``_WINDOW`` expected arrivals (the last
+one ends at the horizon), and its arrivals are sorted once and replayed
+from plain lists.  A demand draws about ``_REFILL`` windows' worth of
+requests, and draws again only when its last drawn arrival is not past
+the window's end.  Departures wait in a heap of (time, connection id).
+Ties: departures at time t go before an arrival at t, in connection
+order, and arrivals at equal times go in demand order.  This order can
+differ from that of one heap of every event, keyed by time and creation
+order, only when two events share one float time.
 
 Random Fit picks the k-th free window for one draw k uniform on
 [0, candidates).  In a run these draws come from ``_BoundedDraws``, which
@@ -39,7 +51,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +60,8 @@ from .errors import InputError, SimulatorFault
 from .lightpath import SIMPLE_NODE, ArchitectureMap, Bank, bank_key
 from .topology import DemandSpec, NetworkGraph, RoutedPath, demand_routes
 
-_ARRIVAL, _DEPART = 0, 1
-_BLOCK = 32  # requests per bulk draw of a single-valued demand's exponentials
+_WINDOW = 4096  # expected arrivals per window of the merged arrival schedule
+_REFILL = 3  # windows' worth of requests a demand draws at a time
 _WORDS = 256  # raw 64-bit words per refill of _BoundedDraws
 
 
@@ -218,8 +230,12 @@ def admit(
         state.next_id = conn_id + 1
         return conn_id
 
-    # continuity failed.  Every segment's window is free on each of its
-    # links, so a link with no window of its own blocks whatever converts.
+    # continuity failed: without converters nothing else can carry it
+    converters = state.converters
+    if not converters:
+        return None
+    # Every segment's window is free on each of its links, so a link with
+    # no window of its own blocks whatever converts.
     free = []
     for lid in link_ids:
         mask = full & ~occupied[lid]
@@ -229,7 +245,6 @@ def admit(
 
     # gather converters whose bank still has a free box
     hops = len(link_ids)
-    converters = state.converters
     in_use, capacity = state.bank_in_use, state.bank_capacity
     usable: dict[int, Bank | None] = {}  # path position -> bank key
     for pos in range(2, hops + 1):
@@ -337,85 +352,148 @@ class SimResult:
     per_replication_blocked: list[list[int]] = field(default_factory=list)
 
 
-def _requests(demand: DemandSpec, rng):
-    """Endless ``(gap, slots, hold)`` of one demand's successive requests.
+def _request_blocks(demand: DemandSpec, rng):
+    """``draw(last, n)``: arrays of the arrival times, slot counts and
+    holds of one demand's next ``n`` requests, the first arriving one gap
+    after ``last``.
 
     The values equal one ``rng.exponential(1 / rate)``, one slot draw and
-    one ``rng.exponential(hold)`` per request, in that order.  For a
-    single-valued pmf the slot draw takes nothing from ``rng``, so the
-    exponentials come ``_BLOCK`` requests at a time: ``exponential(scale)``
-    is ``scale * standard_exponential()`` bit for bit.
+    one ``rng.exponential(hold)`` per request, in that order, and each time
+    is the previous one plus its gap.  For a single-valued pmf the slot
+    draw takes nothing from ``rng``, so the 2n exponentials come in one
+    call: ``exponential(scale)`` is ``scale * standard_exponential()`` bit
+    for bit.  ``np.cumsum`` adds in sequence, so with ``last`` folded into
+    the first gap every time is the scalar ``t + gap``.
     """
     scale = 1.0 / demand.rate
     hold = demand.hold
     items = sorted(demand.slot_pmf.items())
+    exponential = rng.standard_exponential
     if len(items) == 1:
         slots = items[0][0]
-        while True:
-            draws = rng.standard_exponential(2 * _BLOCK).tolist()
-            for i in range(0, 2 * _BLOCK, 2):
-                yield draws[i] * scale, slots, draws[i + 1] * hold
+
+        def draw(last, n):
+            draws = exponential(2 * n)
+            gaps = draws[0::2] * scale
+            gaps[0] += last
+            return np.cumsum(gaps), np.full(n, slots), draws[1::2] * hold
+
+        return draw
     values = [s for s, _ in items]
     cumulative = np.cumsum([p for _, p in items]).tolist()
-    last = len(values) - 1
-    exponential, uniform = rng.standard_exponential, rng.random
-    while True:
-        gap = exponential() * scale
-        slots = values[min(bisect_right(cumulative, uniform()), last)]
-        yield gap, slots, exponential() * hold
+    top = len(values) - 1
+    uniform = rng.random
+
+    def draw(last, n):
+        gaps, slot_draws, holds = [], [], []
+        for _ in range(n):
+            gaps.append(exponential() * scale)
+            slot_draws.append(values[min(bisect_right(cumulative, uniform()), top)])
+            holds.append(exponential() * hold)
+        gaps[0] += last
+        return np.cumsum(gaps), np.array(slot_draws), np.array(holds)
+
+    return draw
+
+
+def _window_ends(span: float, horizon: float):
+    """Ends of the schedule's windows: each ``span`` past the previous one,
+    or one float step when ``span`` is below the spacing there, and the last
+    one at ``horizon``."""
+    end = 0.0
+    while end < horizon:
+        step = end + span
+        end = min(horizon, step if step > end else math.nextafter(end, math.inf))
+        yield end
+
+
+def _arrival_windows(demands: list[DemandSpec], rngs, horizon: float):
+    """Per window of the merged schedule, one iterator of the
+    ``(time, demand index, slots, hold)`` of the arrivals after the previous
+    window's end and at or before this one's, in schedule order: by time,
+    then demand index, then draw order.
+
+    Windows span about ``_WINDOW`` expected arrivals.  A demand draws about
+    ``_REFILL`` windows' worth of requests at a time, and only when its last
+    drawn arrival is not past the window's end.
+    """
+    total = sum(d.rate for d in demands)
+    draws = [_request_blocks(d, rng) for d, rng in zip(demands, rngs)]
+    sizes = [max(1, math.ceil(_REFILL * _WINDOW * (d.rate / total))) for d in demands]
+    due = [(0.0, i) for i in range(len(demands))]  # heap of (last drawn time, demand)
+    times = holds = np.empty(0)
+    ids = slots = np.empty(0, dtype=np.int64)
+    for end in _window_ends(_WINDOW / total, horizon):
+        if due[0][0] <= end:
+            blocks = [(times, ids, slots, holds)]
+            while due[0][0] <= end:
+                last, i = due[0]
+                block_times, block_slots, block_holds = draws[i](last, sizes[i])
+                heapq.heapreplace(due, (float(block_times[-1]), i))
+                blocks.append((block_times, np.full(sizes[i], i), block_slots, block_holds))
+            times, ids, slots, holds = (np.concatenate(column) for column in zip(*blocks))
+            del blocks
+        now = times <= end
+        due_now = np.flatnonzero(now)
+        order = due_now[np.lexsort((ids[due_now], times[due_now]))]
+        # the lists live only in the zip, so the caller frees each window's
+        # lists before the next ones are built
+        yield zip(times[order].tolist(), ids[order].tolist(), slots[order].tolist(),
+                  holds[order].tolist())
+        later = ~now
+        times, ids, slots, holds = times[later], ids[later], slots[later], holds[later]
 
 
 def _run_replication(graph, demands, routes, archs, config, warmup, horizon, trace, rep):
+    offered = [0] * len(demands)
+    blocked = [0] * len(demands)
+    if not demands:
+        return offered, blocked
     entropy = np.random.SeedSequence(entropy=(config.seed, rep))
     children = entropy.spawn(len(demands) + 1)
-    next_request = [
-        _requests(d, np.random.default_rng(c)).__next__ for d, c in zip(demands, children)
-    ]
+    windows = _arrival_windows(
+        demands, [np.random.default_rng(c) for c in children[:-1]], horizon
+    )
     admit_rng = _BoundedDraws(np.random.default_rng(children[-1]))
 
     state = NetworkState(graph, archs)
-    heap: list[tuple] = []
-    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    seq = count()
-    for d_idx, draw in enumerate(next_request):
-        gap, s, hold = draw()
-        push(heap, (gap, next(seq), _ARRIVAL, d_idx, s, hold))
-
-    offered = [0] * len(demands)
-    blocked = [0] * len(demands)
-    # keys (t, seq) are unique, so replacing an arrival by its successor in
-    # one heap operation pops the events in the same order as pop-then-push
-    while heap:
-        event = heap[0]
-        t = event[0]
-        if t > horizon:
-            break
-        if event[2] == _ARRIVAL:
-            _, _, _, d_idx, s, hold = event
-            gap, next_s, next_hold = next_request[d_idx]()
-            replace(heap, (t + gap, next(seq), _ARRIVAL, d_idx, next_s, next_hold))
-            counted = t > warmup
-            if counted:
-                offered[d_idx] += 1
-            conn_id = admit(state, routes[d_idx], s, admit_rng)
-            if conn_id is None:
-                if counted:
-                    blocked[d_idx] += 1
-                if trace is not None:
-                    trace(f"{t:.6f} arrival demand={d_idx} slots={s} blocked\n")
-            else:
-                push(heap, (t + hold, next(seq), _DEPART, conn_id, 0, 0.0))
-                if trace is not None:
-                    segs = state.connections[conn_id].segments
-                    trace(
-                        f"{t:.6f} arrival demand={d_idx} slots={s} "
-                        f"accepted conn={conn_id} segments={segs}\n"
-                    )
-        else:
-            pop(heap)
-            release(state, event[3])
+    departures: list[tuple[float, int]] = []  # heap of (departure time, conn_id)
+    push, pop = heapq.heappush, heapq.heappop
+    next_departure = math.inf  # departures[0][0], or inf when none is pending
+    for t, d_idx, s, hold in chain.from_iterable(windows):
+        # a departure at the arrival's time goes first
+        while next_departure <= t:
+            _, conn_id = pop(departures)
+            release(state, conn_id)
             if trace is not None:
-                trace(f"{t:.6f} departure conn={event[3]}\n")
+                trace(f"{next_departure:.6f} departure conn={conn_id}\n")
+            next_departure = departures[0][0] if departures else math.inf
+        counted = t > warmup
+        if counted:
+            offered[d_idx] += 1
+        conn_id = admit(state, routes[d_idx], s, admit_rng)
+        if conn_id is None:
+            if counted:
+                blocked[d_idx] += 1
+            if trace is not None:
+                trace(f"{t:.6f} arrival demand={d_idx} slots={s} blocked\n")
+        else:
+            leaves = t + hold
+            push(departures, (leaves, conn_id))
+            if leaves < next_departure:
+                next_departure = leaves
+            if trace is not None:
+                segs = state.connections[conn_id].segments
+                trace(
+                    f"{t:.6f} arrival demand={d_idx} slots={s} "
+                    f"accepted conn={conn_id} segments={segs}\n"
+                )
+    while next_departure <= horizon:
+        _, conn_id = pop(departures)
+        release(state, conn_id)
+        if trace is not None:
+            trace(f"{next_departure:.6f} departure conn={conn_id}\n")
+        next_departure = departures[0][0] if departures else math.inf
     return offered, blocked
 
 

@@ -7,9 +7,11 @@ Carlo sampling of slot masks.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_right
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 from operator import and_
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from eonspectra.errors import SimulatorFault
 from eonspectra.lightpath import SIMPLE_NODE, bank_key, share_per_link_availability
 from eonspectra.runprob import run_probability
+from eonspectra.simulator import NetworkState, _BoundedDraws, admit, release
 
 
 def erlang_b(servers: int, offered_load: float) -> float:
@@ -315,3 +318,96 @@ def pick_start_from_list(starts: int, rng) -> int:
     if len(positions) == 1:
         return positions[0]
     return positions[int(rng.integers(len(positions)))]
+
+
+# ---------------------------------------------------------------------------
+# the simulator's earlier event loop: one heap of arrivals and departures
+
+_ARRIVAL, _DEPART = 0, 1
+_BLOCK = 32  # requests per bulk draw of a single-valued demand's exponentials
+
+
+def heap_requests(demand, rng):
+    """Endless ``(gap, slots, hold)`` of one demand's successive requests.
+
+    The values equal one ``rng.exponential(1 / rate)``, one slot draw and
+    one ``rng.exponential(hold)`` per request, in that order.  For a
+    single-valued pmf the slot draw takes nothing from ``rng``, so the
+    exponentials come ``_BLOCK`` requests at a time: ``exponential(scale)``
+    is ``scale * standard_exponential()`` bit for bit.
+    """
+    scale = 1.0 / demand.rate
+    hold = demand.hold
+    items = sorted(demand.slot_pmf.items())
+    if len(items) == 1:
+        slots = items[0][0]
+        while True:
+            draws = rng.standard_exponential(2 * _BLOCK).tolist()
+            for i in range(0, 2 * _BLOCK, 2):
+                yield draws[i] * scale, slots, draws[i + 1] * hold
+    values = [s for s, _ in items]
+    cumulative = np.cumsum([p for _, p in items]).tolist()
+    last = len(values) - 1
+    exponential, uniform = rng.standard_exponential, rng.random
+    while True:
+        gap = exponential() * scale
+        slots = values[min(bisect_right(cumulative, uniform()), last)]
+        yield gap, slots, exponential() * hold
+
+
+def heap_replication(graph, demands, routes, archs, config, warmup, horizon, trace, rep):
+    """One replication with every request and departure in one heap keyed
+    by (time, creation order): the simulator's loop before its arrivals
+    were drawn ahead per demand.  Same signature and result as
+    ``simulator._run_replication``."""
+    entropy = np.random.SeedSequence(entropy=(config.seed, rep))
+    children = entropy.spawn(len(demands) + 1)
+    next_request = [
+        heap_requests(d, np.random.default_rng(c)).__next__ for d, c in zip(demands, children)
+    ]
+    admit_rng = _BoundedDraws(np.random.default_rng(children[-1]))
+
+    state = NetworkState(graph, archs)
+    heap: list[tuple] = []
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
+    seq = count()
+    for d_idx, draw in enumerate(next_request):
+        gap, s, hold = draw()
+        push(heap, (gap, next(seq), _ARRIVAL, d_idx, s, hold))
+
+    offered = [0] * len(demands)
+    blocked = [0] * len(demands)
+    # keys (t, seq) are unique, so replacing an arrival by its successor in
+    # one heap operation pops the events in the same order as pop-then-push
+    while heap:
+        event = heap[0]
+        t = event[0]
+        if t > horizon:
+            break
+        if event[2] == _ARRIVAL:
+            _, _, _, d_idx, s, hold = event
+            gap, next_s, next_hold = next_request[d_idx]()
+            replace(heap, (t + gap, next(seq), _ARRIVAL, d_idx, next_s, next_hold))
+            counted = t > warmup
+            if counted:
+                offered[d_idx] += 1
+            conn_id = admit(state, routes[d_idx], s, admit_rng)
+            if conn_id is None:
+                if counted:
+                    blocked[d_idx] += 1
+                if trace is not None:
+                    trace(f"{t:.6f} arrival demand={d_idx} slots={s} blocked\n")
+            else:
+                push(heap, (t + hold, next(seq), _DEPART, conn_id, 0, 0.0))
+                if trace is not None:
+                    segs = state.connections[conn_id].segments
+                    trace(
+                        f"{t:.6f} arrival demand={d_idx} slots={s} "
+                        f"accepted conn={conn_id} segments={segs}\n"
+                    )
+        else:
+            pop(heap)
+            release(state, event[3])
+            if trace is not None:
+                trace(f"{t:.6f} departure conn={event[3]}\n")
+    return offered, blocked

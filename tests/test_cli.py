@@ -347,6 +347,8 @@ def test_gen_demands_slots_beyond_fiber_exits_1_without_output(capsys, tmp_path,
     [
         ("gen-demands", "--rate-range", "nan,1"),
         ("gen-demands", "--hold-range", "1,inf"),
+        ("gen-demands", "--hold-range", "0,0"),
+        ("gen-demands", "--rate-range", "-1,1"),
         ("gen-demands", "--traffic", "0"),
         ("gen-demands", "--traffic", "-1"),
         ("gen-demands", "--traffic", "nan"),
@@ -360,8 +362,9 @@ def test_bad_range_or_traffic_names_the_flag_and_exits_1(capsys, inputs, command
     tmp, topo, demands, _ = inputs
     before = sorted(tmp.iterdir())
     demand_flags = [] if command == "gen-demands" else ["--demands", str(demands)]
+    # one argument, so that argparse takes a value such as -1,1 for the flag's
     code = main([command, "--topology", str(topo), *demand_flags, "--out", str(tmp / "out.json"),
-                 flag, value])
+                 f"{flag}={value}"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err

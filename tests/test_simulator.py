@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,15 @@ from eonspectra.lightpath import (
     uniform_architectures,
 )
 from eonspectra.simulator import (
-    _BLOCK,
+    _REFILL,
+    _WINDOW,
     NetworkState,
     SimConfig,
+    _arrival_windows,
     _BoundedDraws,
     _pick_start,
-    _requests,
+    _request_blocks,
+    _window_ends,
     admit,
     release,
     resolve_windows,
@@ -34,7 +38,13 @@ from eonspectra.simulator import (
 )
 from eonspectra.topology import DemandSpec, load_topology, route_all, shortest_path
 
-from oracles import cuts_by_subsets, erlang_b, pick_start_from_list, verify_conservation
+from oracles import (
+    cuts_by_subsets,
+    erlang_b,
+    heap_replication,
+    pick_start_from_list,
+    verify_conservation,
+)
 
 
 def line(nodes, slot_count):
@@ -469,16 +479,41 @@ def test_request_stream_matches_scalar_draws(pmf):
     values = sorted(pmf)
     cumulative = np.cumsum([pmf[v] for v in values])
     reference = np.random.default_rng(31)
-    stream = _requests(demand, np.random.default_rng(31))
-    for _ in range(3 * _BLOCK + 5):
-        gap = reference.exponential(1.0 / demand.rate)
+    requests = []  # (time, slots, hold), one scalar draw at a time
+    t = 0.0
+    for _ in range((2 * _REFILL + 1) * _WINDOW):
+        t += reference.exponential(1.0 / demand.rate)
         if len(values) == 1:
             slots = values[0]
         else:
             u = reference.random()
             slots = values[int(np.searchsorted(cumulative, u, side="right").clip(0, len(values) - 1))]
-        hold = reference.exponential(demand.hold)
-        assert next(stream) == (gap, slots, hold)
+        requests.append((t, slots, reference.exponential(demand.hold)))
+
+    # block draws of several sizes, each continuing from the last drawn time
+    draw = _request_blocks(demand, np.random.default_rng(31))
+    drawn, last = [], 0.0
+    for n in (1, 5, 40, 3, 200):
+        times, slots, holds = draw(last, n)
+        drawn += zip(times.tolist(), slots.tolist(), holds.tolist())
+        last = float(times[-1])
+    assert drawn == requests[: len(drawn)]
+
+    # the schedule of this demand alone: more windows than one refill
+    # covers, so refills continue the stream across window ends
+    horizon = requests[-1][0]
+    windows = list(_arrival_windows([demand], [np.random.default_rng(31)], horizon))
+    assert len(windows) > 2 * _REFILL
+    scheduled = [(t, s, h) for window in windows for t, d, s, h in window]
+    assert scheduled == requests
+
+
+def test_window_ends_strictly_increase():
+    assert list(_window_ends(0.4, 1.0)) == [0.4, 0.8, 1.0]
+    # a span below the float spacing, as when the demands' summed rate
+    # overflows to inf: each end is still one float step past the last
+    ends = [0.0, *islice(_window_ends(0.0, 1.0), 5)]
+    assert all(a < b for a, b in zip(ends, ends[1:]))
 
 
 def test_bounded_draws_equal_generator_integers():
@@ -523,6 +558,88 @@ def test_fast_draws_leave_the_sample_path_unchanged(spec, monkeypatch):
     assert fast_trace == reference_trace
     assert fast.blocked_total > 0
     assert ("), (" in fast_trace) == (spec != "simple")  # some connection converts
+
+
+def _mixed_nsf_demands(g):
+    return [
+        DemandSpec(d.src, d.dst, d.rate, d.hold, {1: 0.2, 2: 0.5, 3: 0.3}) if i % 3 == 0 else d
+        for i, d in enumerate(generate_demands(g, seed=12, slots_range=(1, 3), traffic_target=0.4))
+    ]
+
+
+def _merge_case(case):
+    """(graph, demands, architectures, config, windows per replication or None)."""
+    if case in ("simple", "share_per_node:1", "share_per_link:1", "full"):
+        from eonspectra.cli import parse_arch_sweep
+
+        g = nsf14()
+        (_, archs), = parse_arch_sweep(case, g)
+        return g, _mixed_nsf_demands(g), archs, SimConfig(seed=4, warmup=5.0, horizon=60.0,
+                                                          replications=2), None
+    g = line(4, 4)
+    archs = {2: NodeArchitecture(SHARE_PER_NODE, 1), 3: NodeArchitecture(FULL)}
+    mixed = [
+        DemandSpec(1, 4, 1.5, 1.0, {1: 0.3, 2: 0.5, 3: 0.2}),
+        DemandSpec(1, 3, 1.0, 1.0, {2: 1.0}),
+        DemandSpec(2, 4, 1.2, 0.8, {1: 1.0}),
+        DemandSpec(3, 4, 0.8, 1.2, {1: 0.5, 3: 0.5}),
+    ]
+    span = _WINDOW / sum(d.rate for d in mixed)
+    if case == "warmup 0":
+        return g, mixed, archs, SimConfig(seed=5, warmup=0.0, horizon=300.0), None
+    if case == "horizon inside a window":
+        return g, mixed, archs, SimConfig(seed=6, warmup=20.0, horizon=2.5 * span), 3
+    if case == "one window":
+        slow = [DemandSpec(d.src, d.dst, d.rate / 100, d.hold, d.slot_pmf) for d in mixed]
+        return g, slow, archs, SimConfig(seed=7, warmup=1.0, horizon=3000.0, replications=2), 1
+    if case == "20 windows":
+        return g, mixed, archs, SimConfig(seed=8, warmup=5.0, horizon=20.5 * span), 21
+    if case == "one fast demand":
+        fast = [DemandSpec(2, 3, 400.0, 0.01, {1: 0.5, 2: 0.5})]
+        slow = [DemandSpec(d.src, d.dst, d.rate / 50, d.hold, d.slot_pmf) for d in mixed]
+        return g, slow[:2] + fast + slow[2:], archs, SimConfig(seed=9, warmup=2.0, horizon=40.0), None
+    assert case == "no demands"
+    return g, [], archs, SimConfig(seed=10, warmup=1.0, horizon=50.0), None
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["simple", "share_per_node:1", "share_per_link:1", "full", "warmup 0",
+     "horizon inside a window", "one window", "20 windows", "one fast demand", "no demands"],
+)
+def test_merged_schedule_equals_the_heap_loop(case, monkeypatch):
+    # the merged schedule orders ties differently from the heap (departures
+    # first, then demand order); no two events share a time in these runs
+    g, demands, archs, config, windows = _merge_case(case)
+    schedules = []
+
+    def counted_windows(*args):
+        schedules.append(0)
+        for window in _arrival_windows(*args):
+            schedules[-1] += 1
+            yield window
+
+    def run():
+        lines = []
+        result = simulate(g, demands, archs, config, trace=lines.append)
+        return result, "".join(lines)
+
+    monkeypatch.setattr(eonspectra.simulator, "_arrival_windows", counted_windows)
+    merged, merged_trace = run()
+    monkeypatch.setattr(eonspectra.simulator, "_run_replication", heap_replication)
+    heap, heap_trace = run()
+    assert merged.per_replication_offered == heap.per_replication_offered
+    assert merged.per_replication_blocked == heap.per_replication_blocked
+    assert merged_trace == heap_trace
+    if windows is not None:
+        assert schedules == [windows] * config.replications
+    if not demands:
+        assert merged_trace == "" and merged.offered_total == 0
+    elif case == "one window":
+        # after the last arrival, departures up to the horizon are still traced
+        assert merged_trace.splitlines()[-1].split()[1] == "departure"
+    else:
+        assert merged.blocked_total > 0
 
 
 def test_pick_start_matches_list_based_pick():
