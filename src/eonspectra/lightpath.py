@@ -26,11 +26,17 @@ During a fixed point the routes, layouts and pmfs stay fixed and only the
 link state moves.  ``compile_plan`` therefore compiles, once per solve,
 every forward pass the solve needs, one per route and slot count, into
 index arrays over the passes' stops: the bank each stop draws from, and
-the table row of every segment that can close there.  Each iteration
-``SolvePlan.evaluate`` computes the success of every row, in one array
-call of ``run_probability`` per slot count, and the availability of every
-bank, then runs all the passes at once as array operations, stop by stop
-and, within a stop, opening by opening.  Each pass sees the float
+the table row of every segment that can close there.  Its Python work is
+one walk per distinct route over the route's converting interior nodes,
+each node's stop resolved once per exit link, which lists the route's
+stops and segment rows; the passes are then laid out by numpy gathers
+over the routes' offsets in those lists.  The plan also holds the
+position of every pass in its results (``SolvePlan.index``), compiled
+with it.  Each iteration ``SolvePlan.evaluate`` computes the success of
+every row, in one array call of ``run_probability`` per slot count, and
+the availability of every bank, then runs all the passes at once as array
+operations, stop by stop and, within a stop, opening by opening, and
+returns the blockings with that same index.  Each pass sees the float
 operations of its own scalar walk in the same order.  The padding that
 lines the passes up adds only exact zeros (an opening a pass does not have
 holds mass 0.0 and reads success 1.0), and a stop that is never or always
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -229,41 +236,33 @@ def share_per_link_availability(n_sc: int, n_port: int, s_port: float, phi_port:
 # shares that ``share_per_link_availability`` takes
 BankArgs = tuple[int, int, float, tuple[tuple[int, float], ...]]
 
-
-# one route's forward pass over its stops in path order, the interior
-# converter positions then the destination, as four lists: per stop, the
-# index of its availability (0, always 1.0, for a full node and for the
-# destination), the number of the opening at the stop, and how many
-# openings have a segment that closes there; then, stop by stop and by
-# opening number, the table row of each such segment.  Openings, where a
-# segment can start, are numbered from 0 at the source and anew from 0 at
-# each full node: no segment stays open through a full node, so a pair
-# with one strictly between them has no row.
-RoutePlan = tuple[list[int], list[int], list[int], list[int]]
-
 # one forward pass: the slot count of its requests and its route's link ids
 PassKey = tuple[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class PlanValues:
-    """A ``SolvePlan`` evaluated at one link state: ``blockings[S,
-    link_ids]`` is the blocking of a request for S slots on the route with
-    those link ids, for every forward pass of the plan."""
+    """A ``SolvePlan`` evaluated at one link state: ``values[index[S,
+    link_ids]]`` is the blocking of a request for S slots on the route with
+    those link ids, for every forward pass of the plan.  ``index`` is the
+    plan's own, compiled with it, so every evaluation shares it."""
 
-    blockings: dict[PassKey, float]
+    index: dict[PassKey, int]
+    values: list[float]
 
 
 @dataclass(frozen=True)
 class SolvePlan:
     """The compiled forward passes of one solve, as index arrays.
 
-    ``passes`` holds every (slot count, link ids) pair once, the passes
+    ``index`` numbers every (slot count, link ids) pair once, the passes
     with more stops first, so the passes that reach stop j are a prefix of
-    it.  ``stops[j]`` is (active, width, targets): the length of that
-    prefix, the number of openings that can be open at stop j in any of
-    its passes, and for each pass of the prefix the index its new opening
-    takes in the raveled (opening, pass) array of masses.  Stop by stop,
+    them; each evaluation returns it with the blockings in that order, so
+    no map is built per iteration.  ``stops[j]`` is (active, width,
+    targets): the length of that prefix, the number of openings that can
+    be open at stop j in any of its passes, and for each pass of the prefix
+    the index its new opening takes in the raveled (opening, pass) array of
+    masses.  Stop by stop,
     ``draws`` holds each active pass's index into the availabilities
     (0, always 1.0, for a full node and for the destination), and
     ``closes`` holds, opening by opening, each active pass's index of the
@@ -283,10 +282,15 @@ class SolvePlan:
     hops: np.ndarray
     rows: dict[int, np.ndarray]
     banks: tuple[BankArgs, ...]
-    passes: tuple[PassKey, ...]
+    index: dict[PassKey, int]
     stops: tuple[tuple[int, int, np.ndarray], ...]
     closes: np.ndarray
     draws: np.ndarray
+
+    @property
+    def passes(self) -> tuple[PassKey, ...]:
+        """Every forward pass of the plan, in the order of ``index``."""
+        return tuple(self.index)
 
     def evaluate(self, phis: LinkFreeProbs) -> PlanValues:
         """Every forward pass of the plan at link state ``phis``.
@@ -322,7 +326,7 @@ class SolvePlan:
             ]
         )[self.draws]
         busy = 1.0 - availability
-        count = len(self.passes)
+        count = len(self.index)
         masses = np.zeros((max((width for _, width, _ in self.stops), default=1), count))
         masses[0] = 1.0  # the segment opened at the source
         blocked = np.zeros(count)
@@ -338,7 +342,13 @@ class SolvePlan:
             masses[:width, :active] *= busy[stop : stop + active]
             masses.reshape(-1)[targets] = avail * closed
             stop += active
-        return PlanValues(dict(zip(self.passes, blocked.tolist())))
+        return PlanValues(self.index, blocked.tolist())
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Each element's position within its group, for groups of ``lengths``
+    laid end to end."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def compile_plan(
@@ -352,67 +362,114 @@ def compile_plan(
     route and slot count, each once however many requests share it.  Slot
     counts above ``slot_count`` are never carried and get no pass.
 
-    One pass over a route's positions gives each stop its bank and its row
-    for every opening since the last full node: O(k^2) for k converters.
-    Laying the passes out as index arrays is array work.
+    The Python work is one walk per distinct route over its converting
+    interior nodes; a route without one has only its destination as a
+    stop, found without a scan.  A converting node's stop is resolved once
+    per exit link: 0 (always free) at a full node, else the index of the
+    bank that ``bank_key`` names.  The walk appends the route's stops and,
+    stop by stop, the table row of the segment from each opening since the
+    last full node (openings are where segments start: the source and each
+    shared stop), O(k^2) for k converters.  Everything else is array work:
+    each stop's opening count and the number of its new opening, the
+    passes laid out by gathers over the routes' offsets in those lists,
+    and ``hops`` filled by one assignment.
     """
     segments: dict[tuple[int, ...], int] = {}  # link ids -> row
     bank_index: dict[Bank, int] = {}
     banks: list[BankArgs] = []
-    routes: dict[tuple[int, ...], RoutePlan] = {}
-    passes: dict[PassKey, None] = {}  # ordered set
-    row_of = segments.setdefault
+    converting = {node for node, arch in archs.items() if arch.converts}
+    stop_at: dict[int, int] = {}  # exit link id -> stop of its tail, -1 if none
+    route_of: dict[tuple[int, ...], int] = {}  # link ids -> route number
+    passes: dict[PassKey, int] = {}  # pass -> route number, in request order
+    # route after route: each stop's availability index, and stop by stop
+    # and opening by opening, the row of each segment that closes there
+    stop_bank: list[int] = []
+    entry_row: list[int] = []
+    stop_end: list[int] = []  # per route, where its stops end in stop_bank
+    entry_end: list[int] = []  # and its segments in entry_row
+    add_stop, add_row, row_of = stop_bank.append, entry_row.append, segments.setdefault
+
+    def stop(node: int, link_id: int) -> int:
+        """The stop of ``node`` on a route leaving it by ``link_id``."""
+        if node not in converting:
+            return -1
+        bank = bank_key(node, link_id, archs[node])
+        if bank is None:
+            return 0
+        index = bank_index.get(bank)
+        if index is None:
+            index = bank_index[bank] = len(banks) + 1
+            banks.append((archs[node].n_sc, stats.paths[bank], stats.slots[bank], stats.shares[bank]))
+        return index
+
     for route, sizes in requests:
         if not sizes or sizes[0] > slot_count:
             continue
-        link_ids, nodes = route.link_ids, route.nodes
+        link_ids = route.link_ids
+        number = route_of.get(link_ids)
+        if number is None:
+            number = route_of[link_ids] = len(stop_end)
+            # openings as link offsets: the segment from opening o to the
+            # stop at node i (path position i + 1) crosses link_ids[o:i]
+            openings = [0]
+            nodes = route.nodes
+            if not converting.isdisjoint(nodes[1:-1]):
+                for i in range(1, len(link_ids)):
+                    index = stop_at.get(link_ids[i])
+                    if index is None:
+                        index = stop_at[link_ids[i]] = stop(nodes[i], link_ids[i])
+                    if index < 0:
+                        continue
+                    for o in openings:
+                        add_row(row_of(link_ids[o:i], len(segments)))
+                    add_stop(index)
+                    if index:
+                        openings.append(i)
+                    else:
+                        openings = [i]
+            for o in openings:  # the destination
+                add_row(row_of(link_ids[o:], len(segments)))
+            add_stop(0)
+            stop_end.append(len(stop_bank))
+            entry_end.append(len(entry_row))
         for s in sizes:
             if s > slot_count:
                 break
-            passes[s, link_ids] = None
-        if link_ids in routes:
-            continue
-        end = len(link_ids) + 1
-        plan: RoutePlan = ([], [], [], [])
-        stop_banks, stop_openings, stop_widths, rows = plan
-        openings = [1]  # path positions of the openings since the last full node
-        for pos in range(2, end + 1):
-            index = 0
-            if pos < end:
-                arch = archs.get(nodes[pos - 1])
-                if arch is None or arch.kind == SIMPLE:
-                    continue
-                bank = bank_key(nodes[pos - 1], link_ids[pos - 1], arch)
-                if bank is not None:
-                    index = bank_index.get(bank, 0)
-                    if not index:
-                        index = bank_index[bank] = len(banks) + 1
-                        banks.append(
-                            (arch.n_sc, stats.paths[bank], stats.slots[bank], stats.shares[bank])
-                        )
-            for a in openings:
-                rows.append(row_of(link_ids[a - 1 : pos - 1], len(segments)))
-            stop_banks.append(index)
-            stop_widths.append(len(openings))
-            if index:
-                stop_openings.append(len(openings))
-                openings.append(pos)
-            else:
-                stop_openings.append(0)
-                openings = [pos]
-        routes[link_ids] = plan
+            passes[s, link_ids] = number
+
+    # per stop, route after route: how many openings it closes and the number
+    # its own opening takes (0 at a full node or the destination, after which
+    # the openings start afresh).  The destination ends every route, so the
+    # stops after an index 0 are exactly those that start a run of openings.
+    stop_bank = np.array(stop_bank, dtype=np.intp)
+    shared = stop_bank != 0
+    before = np.cumsum(shared) - shared  # shared stops before each
+    fresh = np.flatnonzero(np.concatenate(([True], ~shared[:-1])))
+    run_start = np.repeat(fresh, np.diff(fresh, append=len(stop_bank)))
+    stop_width = 1 + before - before[run_start]
+    stop_opening = np.where(shared, stop_width, 0)
+
+    # the passes with more stops first, in request order among equals
+    keys = list(passes)
+    count = len(keys)
+    stop_end, entry_end = np.array(stop_end, dtype=np.intp), np.array(entry_end, dtype=np.intp)
+    depth = np.diff(stop_end, prepend=0)
+    pass_route = np.fromiter(passes.values(), np.intp, count)
+    # the sort keys are distinct, so any sort keeps request order among equals
+    by_depth = np.argsort(np.arange(count) - depth[pass_route] * count)
+    order = [keys[i] for i in by_depth.tolist()]
+    pass_route = pass_route[by_depth]
 
     # one entry per (pass, stop), passes in order, each pass's stops in path order
-    order = sorted(passes, key=lambda key: -len(routes[key[1]][0]))
-    count = len(order)
-    flat: RoutePlan = ([], [], [], [])
-    for _, link_ids in order:
-        for column, values in zip(flat, routes[link_ids]):
-            column += values
-    stop_bank, stop_opening, stop_width, entry_row = (np.array(c, dtype=np.intp) for c in flat)
-    depth = np.array([len(routes[link_ids][0]) for _, link_ids in order], dtype=np.intp)
-    stop_pass = np.repeat(np.arange(count), depth)
-    stop_j = np.arange(len(stop_pass)) - np.repeat(np.cumsum(depth) - depth, depth)
+    pass_depth = depth[pass_route]
+    stop_pass = np.repeat(np.arange(count), pass_depth)
+    stop_j = _offsets(pass_depth)
+    gather = np.repeat((stop_end - depth)[pass_route], pass_depth) + stop_j
+    stop_bank, stop_opening, stop_width = stop_bank[gather], stop_opening[gather], stop_width[gather]
+    entries = np.diff(entry_end, prepend=0)
+    pass_entries = entries[pass_route]
+    gather = np.repeat((entry_end - entries)[pass_route], pass_entries)
+    entry_row = np.array(entry_row, dtype=np.intp)[gather + _offsets(pass_entries)]
     # per stop j: how many passes reach it, and the most openings any of them has there
     active = np.bincount(stop_j, minlength=depth.max(initial=0))
     width = np.zeros_like(active)
@@ -427,7 +484,7 @@ def compile_plan(
     # one entry per (pass, stop, opening); the successes the passes close are
     # numbered by slot count, then by table row
     entry_stop = np.repeat(np.arange(len(stop_pass)), stop_width)
-    entry_o = np.arange(len(entry_stop)) - np.repeat(np.cumsum(stop_width) - stop_width, stop_width)
+    entry_o = _offsets(stop_width)
     entry_j, entry_pass = stop_j[entry_stop], stop_pass[entry_stop]
     slot_counts, rank = np.unique([s for s, _ in order], return_inverse=True)
     needed, position = np.unique(rank[entry_pass] * len(segments) + entry_row, return_inverse=True)
@@ -436,19 +493,19 @@ def compile_plan(
     closes[(np.cumsum(block) - block)[entry_j] + entry_o * active[entry_j] + entry_pass] = position
     split = np.searchsorted(needed, np.arange(1, len(slot_counts)) * len(segments))
 
-    columns = tuple(sorted({lid for segment in segments for lid in segment}))
-    column_of = {lid: col for col, lid in enumerate(columns)}
-    hop_width = max(map(len, segments), default=1)
-    hops = np.full((len(segments), hop_width), len(columns), dtype=np.intp)
-    for segment, row in segments.items():
-        hops[row, : len(segment)] = [column_of[lid] for lid in segment]
+    lengths = np.fromiter(map(len, segments), np.intp, len(segments))
+    columns, column = np.unique(
+        np.fromiter(chain.from_iterable(segments), np.intp, lengths.sum()), return_inverse=True
+    )
+    hops = np.full((len(segments), lengths.max(initial=1)), len(columns), dtype=np.intp)
+    hops[np.repeat(np.arange(len(segments)), lengths), _offsets(lengths)] = column
     return SolvePlan(
         slot_count,
-        columns,
+        tuple(columns.tolist()),
         hops,
         dict(zip(slot_counts.tolist(), np.split(needed % max(len(segments), 1), split))),
         tuple(banks),
-        tuple(order),
+        dict(zip(order, range(count))),
         tuple(
             (int(n), int(w), targets[start : start + n])
             for n, w, start in zip(active, width, at)
@@ -493,7 +550,7 @@ def lightpath_blocking(
         return 1.0
     if memo is None:
         memo = compile_plan([(path, (min_run,))], archs, stats, slot_count).evaluate(phis)
-    return memo.blockings[min_run, path.link_ids]
+    return memo.values[memo.index[min_run, path.link_ids]]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ def _check_args(min_run: int, slots: int, free_prob):
         bad = ~((free_prob >= -_RHO_TOL) & (free_prob <= 1.0 + _RHO_TOL))  # NaN too
         if bad.any():
             raise ValueError(f"free-slot probability {free_prob[bad][0]} outside [0, 1]")
-        return np.clip(free_prob, 0.0, 1.0)
+        # np.clip's values without its Python-level wrapper, which costs more
+        # than the clamp itself on the plan's small arrays
+        return np.minimum(np.maximum(free_prob, 0.0), 1.0)
     if not -_RHO_TOL <= free_prob <= 1.0 + _RHO_TOL:
         raise ValueError(f"free-slot probability {free_prob} outside [0, 1]")
     return min(max(free_prob, 0.0), 1.0)

@@ -96,6 +96,11 @@ class Connection(NamedTuple):
     banks: tuple[Bank, ...]
 
 
+# builds a Connection from its field tuple, skipping the NamedTuple's
+# generated keyword-handling __new__ on the admission hot path
+_new = tuple.__new__
+
+
 class NetworkState:
     """Mutable spectrum and converter-bank state of one replication.
 
@@ -226,7 +231,7 @@ def admit(
                 raise SimulatorFault(f"double allocation on link {lid}")
             occupied[lid] = mask | shifted
         conn_id = state.next_id
-        state.connections[conn_id] = Connection(conn_id, slots, ((start, link_ids),), ())
+        state.connections[conn_id] = _new(Connection, (conn_id, slots, ((start, link_ids),), ()))
         state.next_id = conn_id + 1
         return conn_id
 
@@ -307,7 +312,7 @@ def _allocate(state, route, slots, segments, banks) -> int:
     for key in banks:
         in_use[key] += 1
     conn_id = state.next_id
-    state.connections[conn_id] = Connection(conn_id, slots, tuple(stored), tuple(banks))
+    state.connections[conn_id] = _new(Connection, (conn_id, slots, tuple(stored), tuple(banks)))
     state.next_id = conn_id + 1
     return conn_id
 
@@ -317,9 +322,10 @@ def release(state: NetworkState, conn_id: int):
     conn = state.connections.pop(conn_id, None)
     if conn is None:
         raise SimulatorFault(f"release of unknown connection {conn_id}")
-    window = (1 << conn.slots) - 1
+    _, slots, segments, banks = conn
+    window = (1 << slots) - 1
     occupied = state.occupied
-    for start, link_ids in conn.segments:
+    for start, link_ids in segments:
         shifted = window << start
         for lid in link_ids:
             mask = occupied[lid]
@@ -327,7 +333,7 @@ def release(state: NetworkState, conn_id: int):
                 raise SimulatorFault(f"releasing slots not held on link {lid}")
             occupied[lid] = mask ^ shifted
     in_use = state.bank_in_use
-    for key in conn.banks:
+    for key in banks:
         in_use[key] -= 1
 
 

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 from .errors import (
     DemandError,
@@ -206,8 +207,9 @@ def load_topology(document) -> NetworkGraph:
 
     ``document`` is JSON text or an already-parsed dict of the form
     ``{"name", "slot_count", "nodes": [...], "edges": [{"a", "b", "weight",
-    "directed"?}, ...]}``.  Undirected edges expand into two directed links;
-    a document without edges is rejected.
+    "directed"?}, ...]}``, where ``weight`` is a positive finite number and
+    ``directed``, when present, a boolean.  Undirected edges expand into two
+    directed links; a document without edges is rejected.
     """
     doc = _parse_document(document, "topology", TopologyParseError)
     if not isinstance(doc, dict):
@@ -233,14 +235,24 @@ def load_topology(document) -> NetworkGraph:
             tail, head = index[a], index[b]
         except KeyError as exc:
             raise MissingNodeError(f"edge references unknown node {exc}") from exc
-        links.append(Link(id=len(links) + 1, tail=tail, head=head, weight=float(weight)))
+        links.append(Link(id=len(links) + 1, tail=tail, head=head, weight=weight))
 
     for entry in raw_edges:
         try:
             a, b, weight = entry["a"], entry["b"], entry["weight"]
         except (KeyError, TypeError) as exc:
             raise TopologyParseError(f"malformed edge entry {entry!r}") from exc
-        directed = bool(entry.get("directed", False))
+        if isinstance(weight, bool) or not isinstance(weight, Real):
+            raise TopologyParseError(f"edge {a!r}-{b!r}: weight must be a number, got {weight!r}")
+        try:
+            weight = float(weight)
+        except OverflowError:
+            raise TopologyParseError(f"edge {a!r}-{b!r}: weight {weight} is not finite") from None
+        directed = entry.get("directed", False)
+        if not isinstance(directed, bool):
+            raise TopologyParseError(
+                f"edge {a!r}-{b!r}: directed must be true or false, got {directed!r}"
+            )
         add(a, b, weight)
         if not directed:
             add(b, a, weight)
@@ -308,22 +320,21 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
 # routing
 
 
-def shortest_path(g: NetworkGraph, src: int, dst: int) -> RoutedPath:
-    """Minimum-weight simple path from src to dst.
-
-    Ties between equal-weight paths break toward the lexicographically
-    smallest node sequence, which makes every downstream result
-    reproducible.
+def _settled(g: NetworkGraph, src: int, dst: int | None = None) -> dict[int, tuple[int, ...]]:
+    """The node sequence of the lexicographically least ``(cost, nodes)``
+    label of every node reached from ``src``, taken when the label-setting
+    search first pops the node, as a search stopped at ``dst`` returns it;
+    the search stops once ``dst`` is popped, or never when ``dst`` is None.
     """
-    if src == dst:
-        raise ValueError("src == dst")
     best: dict[int, tuple[float, tuple[int, ...]]] = {src: (0.0, (src,))}
+    settled: dict[int, tuple[int, ...]] = {}
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
     while heap:
         cost, path = heapq.heappop(heap)
         node = path[-1]
         if best.get(node, (float("inf"), ())) != (cost, path):
             continue
+        settled.setdefault(node, path)
         if node == dst:
             break
         for link in g.out_links(node):
@@ -334,24 +345,46 @@ def shortest_path(g: NetworkGraph, src: int, dst: int) -> RoutedPath:
             if cur is None or cand < cur:
                 best[link.head] = cand
                 heapq.heappush(heap, cand)
-    if dst not in best:
-        raise UnreachableError([(g.label_of(src), g.label_of(dst))])
-    _, nodes = best[dst]
+    return settled
+
+
+def _routed(
+    g: NetworkGraph, nodes: tuple[int, ...], demand: DemandSpec | None = None
+) -> RoutedPath:
     links = tuple(g.link_between(a, b) for a, b in zip(nodes, nodes[1:]))
-    return RoutedPath(nodes=nodes, links=links)
+    return RoutedPath(nodes=nodes, links=links, demand=demand)
+
+
+def shortest_path(g: NetworkGraph, src: int, dst: int) -> RoutedPath:
+    """Minimum-weight simple path from src to dst.
+
+    Ties between equal-weight paths break toward the lexicographically
+    smallest node sequence, which makes every downstream result
+    reproducible.
+    """
+    if src == dst:
+        raise ValueError("src == dst")
+    settled = _settled(g, src, dst)
+    if dst not in settled:
+        raise UnreachableError([(g.label_of(src), g.label_of(dst))])
+    return _routed(g, settled[dst])
 
 
 def route_all(g: NetworkGraph, demands: list[DemandSpec]) -> list[RoutedPath]:
-    """Shortest-path route for every demand; aborts listing all unreachable pairs."""
+    """Shortest-path route for every demand, the path ``shortest_path``
+    finds, from one search per distinct source; aborts listing all
+    unreachable pairs."""
+    searches: dict[int, dict[int, tuple[int, ...]]] = {}  # source -> settled paths
     routes = []
     unreachable = []
     for demand in demands:
-        try:
-            path = shortest_path(g, demand.src, demand.dst)
-        except UnreachableError:
+        settled = searches.get(demand.src)
+        if settled is None:
+            settled = searches[demand.src] = _settled(g, demand.src)
+        if demand.dst not in settled:
             unreachable.append((g.label_of(demand.src), g.label_of(demand.dst)))
             continue
-        routes.append(RoutedPath(nodes=path.nodes, links=path.links, demand=demand))
+        routes.append(_routed(g, settled[demand.dst], demand))
     if unreachable:
         raise UnreachableError(unreachable)
     return routes

@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities by a route the library does not
 take: exhaustive enumeration, closed teletraffic formulas, or direct Monte
-Carlo sampling of slot masks.
+Carlo sampling of slot masks.  ``chorded_ring`` rebuilds the benchmark's
+28-node ring, so that tests can run on it without importing the benchmark.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from eonspectra.errors import SimulatorFault
 from eonspectra.lightpath import SIMPLE_NODE, bank_key, share_per_link_availability
 from eonspectra.runprob import run_probability
 from eonspectra.simulator import NetworkState, _BoundedDraws, admit, release
+from eonspectra.topology import load_topology
 
 
 def erlang_b(servers: int, offered_load: float) -> float:
@@ -411,3 +413,23 @@ def heap_replication(graph, demands, routes, archs, config, warmup, horizon, tra
             if trace is not None:
                 trace(f"{t:.6f} departure conn={event[3]}\n")
     return offered, blocked
+
+
+def chorded_ring(seed: int, nodes: int = 28, span: int = 3, slot_count: int = 16):
+    """A ring of unit-weight links plus a chord of ``span`` ring steps at
+    every other ring position, with the node labels at the ring positions
+    shuffled by ``seed``: the benchmark's ring, rebuilt here so that the
+    tests do not import the benchmark."""
+    labels = np.random.default_rng(seed).permutation(nodes)
+    pairs = [(i, (i + 1) % nodes) for i in range(nodes)]
+    pairs += [(i, (i + span) % nodes) for i in range(0, nodes, 2)]
+    return load_topology(
+        {
+            "name": f"ring{nodes}",
+            "slot_count": slot_count,
+            "nodes": list(range(nodes)),
+            "edges": [
+                {"a": int(labels[a]), "b": int(labels[b]), "weight": 1.0} for a, b in pairs
+            ],
+        }
+    )

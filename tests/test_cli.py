@@ -546,6 +546,21 @@ def test_topology_without_links_exits_1_without_output(capsys, tmp_path, command
     assert sorted(tmp_path.iterdir()) == sorted([topo, demands])
 
 
+@pytest.mark.parametrize(
+    "field, value", [("weight", "1"), ("weight", None), ("weight", True), ("directed", "false")]
+)
+def test_malformed_edge_field_exits_1_without_output(capsys, inputs, field, value):
+    tmp, topo, demands, _ = inputs
+    edges = [dict(TOPOLOGY["edges"][0], **{field: value})] + TOPOLOGY["edges"][1:]
+    topo.write_text(json.dumps({**TOPOLOGY, "edges": edges}))
+    before = sorted(tmp.iterdir())
+    code = main(["analyze", "--topology", str(topo), "--demands", str(demands),
+                 "--out", str(tmp / "nope.csv")])
+    assert code == 1
+    assert f"error: edge 1-2: {field}" in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before
+
+
 def test_converter_count_on_a_full_node_exits_1(capsys, inputs):
     tmp, topo, demands, _ = inputs
     out = tmp / "nope.csv"

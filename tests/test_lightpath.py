@@ -28,6 +28,7 @@ from eonspectra.topology import DemandSpec, Link, NetworkGraph, RoutedPath, load
 from oracles import (
     blocking_by_converter_states,
     blocking_full_at,
+    chorded_ring,
     converter_availability,
     converter_layout,
     exact_lightpath_blocking,
@@ -405,6 +406,55 @@ def test_array_passes_equal_the_scalar_stop_walk():
                 assert lightpath_blocking(s, path, archs, phis, stats, slot_count) == expected
     assert seen["paths"] >= 300
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("setting", ["share_per_node:2", "full", "mixed"])
+def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
+    """One plan of a 28-node chorded ring, routes of up to 8 hops, against
+    the scalar stop walk with ==, pass by pass; its index is compiled once."""
+    g = chorded_ring(7)
+    slot_count = g.slot_count
+    pmfs = [{1: 1.0}, {2: 0.5, 4: 0.5}, {1: 0.2, 3: 0.3, 5: 0.5}, {2: 1.0}]
+    demands = [
+        DemandSpec(s, d, 0.1, 1.0, pmfs[(s + d) % len(pmfs)])
+        for s in g.nodes[::2]
+        for d in g.nodes
+        if s != d
+    ]
+    demands[5] = DemandSpec(demands[5].src, demands[5].dst, 0.1, 1.0, {3: 0.5, slot_count + 1: 0.5})
+    routes = route_all(g, demands)
+    stats = crossing_stats(g, routes)
+    cycle = [NodeArchitecture(SHARE_PER_NODE, 2), NodeArchitecture(FULL),
+             NodeArchitecture(SHARE_PER_LINK, 1), SIMPLE_NODE]
+    archs = {
+        "share_per_node:2": uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 2)),
+        "full": uniform_architectures(g, NodeArchitecture(FULL)),
+        "mixed": {v: cycle[v % 4] for v in g.nodes},
+    }[setting]
+    rng = np.random.default_rng(11)
+    phis = {link.id: float(x) for link, x in zip(g.links, rng.uniform(0.75, 1.0, len(g.links)))}
+    plan = compile_plan(((r, d.slot_counts) for d, r in zip(demands, routes)), archs, stats, slot_count)
+    values = plan.evaluate(phis)
+    again = plan.evaluate({lid: phi / 2 for lid, phi in phis.items()})
+    assert values.index is again.index is plan.index
+    assert values.values != again.values
+
+    assert max(r.hop_count for r in routes) == 8
+    assert set(plan.passes) == {
+        (s, r.link_ids) for d, r in zip(demands, routes) for s in d.slot_counts if s <= slot_count
+    }
+    route_of = {r.link_ids: r for r in routes}
+    partly_free = 0
+    for (s, link_ids), i in plan.index.items():
+        route = route_of[link_ids]
+        assert values.values[i] == stop_walk_blocking(s, route, archs, phis, stats, slot_count)
+        partly_free += any(
+            0.0 < converter_availability(pos, route, archs, stats, phis) < 1.0
+            for pos in converter_layout(route, archs)[1:-1]
+        )
+    assert (partly_free > 0) == (setting != "full")
+    too_big = lightpath_blocking(slot_count + 1, routes[5], archs, phis, stats, slot_count, values)
+    assert too_big == 1.0
 
 
 def test_blocking_is_a_probability_without_clamping():

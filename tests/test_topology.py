@@ -11,7 +11,7 @@ from eonspectra.errors import (
     TopologyParseError,
     UnreachableError,
 )
-from eonspectra.fixtures import nsf14
+from eonspectra.fixtures import nsf14, sixnode
 from eonspectra.lightpath import crossing_stats
 from eonspectra.topology import (
     DemandSpec,
@@ -22,7 +22,7 @@ from eonspectra.topology import (
     shortest_path,
 )
 
-from oracles import best_path_bruteforce
+from oracles import best_path_bruteforce, chorded_ring
 
 
 def doc(nodes, edges, slot_count=10, **extra):
@@ -103,6 +103,29 @@ def test_rejects_non_finite_link_weight(weight):
     # json parses NaN and Infinity; neither compares <= 0
     with pytest.raises(TopologyParseError):
         load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": weight}]))
+
+
+@pytest.mark.parametrize("weight", ["1", None, [1], True, False, {"w": 1}, 10**400])
+def test_rejects_link_weight_that_is_not_a_finite_number(weight):
+    # float() of raw JSON used to turn "1" and true into weights and to
+    # crash on null or a list with a bare TypeError
+    with pytest.raises(TopologyParseError, match="weight"):
+        load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": weight}]))
+
+
+@pytest.mark.parametrize("directed", ["false", "true", 0, 1, None, []])
+def test_rejects_directed_that_is_not_a_boolean(directed):
+    # bool("false") is True: a string used to make a one-way link and drop
+    # the reverse link silently
+    edges = [{"a": 1, "b": 2, "weight": 1}, {"a": 2, "b": 3, "weight": 1, "directed": directed}]
+    with pytest.raises(TopologyParseError, match="directed"):
+        load_topology(doc([1, 2, 3], edges))
+
+
+def test_integer_weight_and_explicit_undirected_edge():
+    g = load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 2, "directed": False}]))
+    assert [(l.tail, l.head, l.weight) for l in g.links] == [(1, 2, 2.0), (2, 1, 2.0)]
+    assert all(type(l.weight) is float for l in g.links)
 
 
 @pytest.mark.parametrize(
@@ -195,6 +218,47 @@ def test_route_all_reports_every_unreachable_pair():
     with pytest.raises(UnreachableError) as info:
         route_all(g, demands)
     assert info.value.pairs == [(1, 3), (2, 4)]
+    # one search per source still lists every unreachable pair, in demand order
+    demands = [DemandSpec(s, d, 1.0, 1.0, {1: 1.0}) for s in (3, 1, 4) for d in (1, 2, 4) if s != d]
+    with pytest.raises(UnreachableError) as info:
+        route_all(g, demands)
+    assert info.value.pairs == [(3, 1), (3, 2), (3, 4), (1, 4), (4, 1), (4, 2)]
+
+
+def _all_pairs(g):
+    return [DemandSpec(s, d, 1.0, 1.0, {1: 1.0}) for s in g.nodes for d in g.nodes if s != d]
+
+
+def _square_with_a_tie():
+    # 1->3 has two paths of weight 2, through 2 and through 4
+    return load_topology(doc([1, 2, 3, 4], [
+        {"a": 1, "b": 2, "weight": 1},
+        {"a": 2, "b": 3, "weight": 1},
+        {"a": 3, "b": 4, "weight": 1},
+        {"a": 4, "b": 1, "weight": 1},
+    ]))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [lambda: chorded_ring(1), lambda: chorded_ring(2), lambda: chorded_ring(3), nsf14, sixnode,
+     _square_with_a_tie],
+    ids=["ring-1", "ring-2", "ring-3", "nsf", "sixnode", "square"],
+)
+def test_route_all_equals_shortest_path_per_demand(graph):
+    # route_all runs one search per source to completion; every route must
+    # be the one a search stopped at the demand's destination returns
+    g = graph()
+    demands = _all_pairs(g)
+    demands += demands[::7]  # repeated pairs get their own routes
+    routes = route_all(g, demands)
+    for demand, route in zip(demands, routes):
+        alone = shortest_path(g, demand.src, demand.dst)
+        assert route.nodes == alone.nodes
+        assert route.links == alone.links
+        assert route.demand is demand
+    if g.node_count == 4:
+        assert routes[1].nodes == (1, 2, 3)  # the tie breaks toward the smaller sequence
 
 
 def test_route_all_nsf_all_pairs():
