@@ -6,7 +6,6 @@ from .analyzer import (
     AnalysisResult,
     demand_blocking,
     fixed_point,
-    network_blocking,
     phi_update,
 )
 from .errors import InputError, SimulatorFault, UnreachableError
@@ -32,7 +31,7 @@ from .placement import (
     place_brute_force,
     place_heuristic,
 )
-from .runprob import run_probability, run_probability_bruteforce
+from .runprob import run_probability
 from .simulator import (
     NetworkState,
     SimConfig,
@@ -50,7 +49,6 @@ from .topology import (
     load_topology,
     network_traffic,
     route_all,
-    shortest_path,
 )
 
 __version__ = "0.1.0"

@@ -75,15 +75,9 @@ def demand_blocking(
     return total
 
 
-def network_blocking(demands: list[DemandSpec], blockings: list[float]) -> float:
-    """Offered-load (rate * hold) weighted average of per-demand blocking."""
-    if len(demands) != len(blockings):
-        raise ValueError("demands and blockings are not aligned")
-    loads = [d.offered_load for d in demands]
-    return _weighted_blocking(loads, sum(loads), blockings)
-
-
 def _weighted_blocking(loads: list[float], weight: float, blockings: list[float]) -> float:
+    """Network blocking: the per-demand blockings weighted by the demands'
+    offered loads (rate * hold), whose sum is ``weight``."""
     if not loads:
         log.warning("network blocking over an empty demand set is 0 by convention")
         return 0.0

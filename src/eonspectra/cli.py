@@ -3,7 +3,8 @@
 Subcommands: ``analyze`` (fixed-point blocking), ``simulate`` (Monte
 Carlo), ``place`` (converter placement), ``sweep`` (blocking vs. traffic
 table) and ``gen-demands`` (random demand sets).  Exit codes: 0 success,
-1 input error, 2 analysis did not converge (the result is still written).
+1 input error, 2 analysis did not converge (the result is still written):
+for ``place``, some trial solve of a placement did not converge.
 """
 
 from __future__ import annotations
@@ -268,11 +269,12 @@ def _cmd_place(args) -> tuple[int, dict]:
     else:
         result = place_heuristic(graph, demands, inventory, config, archs)
     write_placement(args.out, args.format, result, graph)
-    return 0, {
+    return 0 if result.all_converged else 2, {
         "converters": args.converters,
         "oracle": args.oracle,
         **_analysis_parameters(config),
         "evaluations": result.evaluations,
+        "all_converged": result.all_converged,
     }
 
 

@@ -287,11 +287,6 @@ class SolvePlan:
     closes: np.ndarray
     draws: np.ndarray
 
-    @property
-    def passes(self) -> tuple[PassKey, ...]:
-        """Every forward pass of the plan, in the order of ``index``."""
-        return tuple(self.index)
-
     def evaluate(self, phis: LinkFreeProbs) -> PlanValues:
         """Every forward pass of the plan at link state ``phis``.
 

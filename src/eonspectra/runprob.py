@@ -10,26 +10,16 @@ with P(S, F) = 0 for F < S.  ``rho`` may be a float or an ndarray: the
 recurrence runs elementwise with the same float operations in the same
 order, so an array call returns exactly the floats of the scalar calls.
 The lightpath engine makes one array call per slot count each time it
-evaluates a plan; the scalar call serves the closed forms.
-``run_probability_bruteforce`` recomputes the same quantity by exhaustive
-enumeration of all 2^F slot masks and exists purely as an independent
-check.
+evaluates a plan; the scalar call serves the closed forms.  The tests
+check the recurrence against exhaustive enumeration of all 2^F slot masks,
+which lives with their other oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _RHO_TOL = 1e-12
-_BRUTEFORCE_MAX_SLOTS = 20
-
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-# per slot count F: array of shape (F+1, F+1) counting masks by
-# (longest free run, number of free slots)
-_mask_counts: dict[int, np.ndarray] = {}
 
 
 def _check_args(min_run: int, slots: int, free_prob):
@@ -75,46 +65,3 @@ def run_probability(min_run: int, slots: int, free_prob):
     if isinstance(rho, np.ndarray):
         return np.minimum(values[slots], 1.0)
     return min(values[slots], 1.0)
-
-
-def _counts_for(slots: int) -> np.ndarray:
-    counts = _mask_counts.get(slots)
-    if counts is not None:
-        return counts
-    masks = np.arange(1 << slots, dtype=np.uint32)
-    free = np.zeros(masks.shape, dtype=np.int64)
-    for _ in range(4):  # popcount via byte lookup
-        free += _POPCOUNT8[masks & 0xFF]
-        masks >>= 8
-    masks = np.arange(1 << slots, dtype=np.uint32)
-    longest = np.zeros(masks.shape, dtype=np.int64)
-    work = masks.copy()
-    length = 0
-    while work.any():
-        length += 1
-        longest[work != 0] = length
-        work &= work >> 1
-    counts = np.zeros((slots + 1, slots + 1), dtype=np.int64)
-    np.add.at(counts, (longest, free), 1)
-    _mask_counts[slots] = counts
-    return counts
-
-
-def run_probability_bruteforce(min_run: int, slots: int, free_prob: float) -> float:
-    """Exact run probability by enumerating every slot mask.
-
-    Limited to ``slots`` <= 20; masks are tallied by (longest run, free-slot
-    count), then weighted by rho^free * (1-rho)^busy.
-    """
-    rho = _check_args(min_run, slots, free_prob)
-    if slots > _BRUTEFORCE_MAX_SLOTS:
-        raise ValueError(f"bruteforce enumeration limited to {_BRUTEFORCE_MAX_SLOTS} slots")
-    if slots < min_run:
-        return 0.0
-    counts = _counts_for(slots)
-    qualifying = counts[min_run:, :].sum(axis=0)  # by free-slot count
-    terms = []
-    for free in range(slots + 1):
-        if qualifying[free]:
-            terms.append(float(qualifying[free]) * rho**free * (1.0 - rho) ** (slots - free))
-    return math.fsum(terms)

@@ -320,11 +320,10 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
 # routing
 
 
-def _settled(g: NetworkGraph, src: int, dst: int | None = None) -> dict[int, tuple[int, ...]]:
+def _settled(g: NetworkGraph, src: int) -> dict[int, tuple[int, ...]]:
     """The node sequence of the lexicographically least ``(cost, nodes)``
-    label of every node reached from ``src``, taken when the label-setting
-    search first pops the node, as a search stopped at ``dst`` returns it;
-    the search stops once ``dst`` is popped, or never when ``dst`` is None.
+    label of every node reached from ``src``: a label-setting search over
+    simple paths, each node's label final once the search first pops it.
     """
     best: dict[int, tuple[float, tuple[int, ...]]] = {src: (0.0, (src,))}
     settled: dict[int, tuple[int, ...]] = {}
@@ -335,8 +334,6 @@ def _settled(g: NetworkGraph, src: int, dst: int | None = None) -> dict[int, tup
         if best.get(node, (float("inf"), ())) != (cost, path):
             continue
         settled.setdefault(node, path)
-        if node == dst:
-            break
         for link in g.out_links(node):
             if link.head in path:
                 continue
@@ -348,32 +345,19 @@ def _settled(g: NetworkGraph, src: int, dst: int | None = None) -> dict[int, tup
     return settled
 
 
-def _routed(
-    g: NetworkGraph, nodes: tuple[int, ...], demand: DemandSpec | None = None
-) -> RoutedPath:
+def _routed(g: NetworkGraph, nodes: tuple[int, ...], demand: DemandSpec) -> RoutedPath:
     links = tuple(g.link_between(a, b) for a, b in zip(nodes, nodes[1:]))
     return RoutedPath(nodes=nodes, links=links, demand=demand)
 
 
-def shortest_path(g: NetworkGraph, src: int, dst: int) -> RoutedPath:
-    """Minimum-weight simple path from src to dst.
+def route_all(g: NetworkGraph, demands: list[DemandSpec]) -> list[RoutedPath]:
+    """Minimum-weight simple path for every demand, bound to that demand.
 
     Ties between equal-weight paths break toward the lexicographically
     smallest node sequence, which makes every downstream result
-    reproducible.
+    reproducible.  One search runs per distinct source; aborts listing all
+    unreachable pairs, in demand order.
     """
-    if src == dst:
-        raise ValueError("src == dst")
-    settled = _settled(g, src, dst)
-    if dst not in settled:
-        raise UnreachableError([(g.label_of(src), g.label_of(dst))])
-    return _routed(g, settled[dst])
-
-
-def route_all(g: NetworkGraph, demands: list[DemandSpec]) -> list[RoutedPath]:
-    """Shortest-path route for every demand, the path ``shortest_path``
-    finds, from one search per distinct source; aborts listing all
-    unreachable pairs."""
     searches: dict[int, dict[int, tuple[int, ...]]] = {}  # source -> settled paths
     routes = []
     unreachable = []

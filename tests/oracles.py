@@ -3,7 +3,8 @@
 Everything here recomputes quantities by a route the library does not
 take: exhaustive enumeration, closed teletraffic formulas, or direct Monte
 Carlo sampling of slot masks.  ``chorded_ring`` rebuilds the benchmark's
-28-node ring, so that tests can run on it without importing the benchmark.
+28-node ring, so that tests can run on it without importing the benchmark,
+and ``route`` is the library's own route for one source-destination pair.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from eonspectra.errors import SimulatorFault
 from eonspectra.lightpath import SIMPLE_NODE, bank_key, share_per_link_availability
-from eonspectra.runprob import run_probability
+from eonspectra.runprob import _check_args, run_probability
 from eonspectra.simulator import NetworkState, _BoundedDraws, admit, release
-from eonspectra.topology import load_topology
+from eonspectra.topology import DemandSpec, load_topology, route_all
 
 
 def erlang_b(servers: int, offered_load: float) -> float:
@@ -60,6 +61,40 @@ def best_path_bruteforce(links, src, dst):
     return min(paths)
 
 
+def route(graph, src: int, dst: int):
+    """The route ``route_all`` gives one demand from ``src`` to ``dst``."""
+    return route_all(graph, [DemandSpec(src, dst, 1.0, 1.0, {1: 1.0})])[0]
+
+
+def least_path_by_distances(graph, src: int, dst: int) -> tuple[int, ...] | None:
+    """The node sequence of the minimum-weight path from ``src`` to ``dst``
+    with the lexicographically smallest nodes, or None when ``dst`` is
+    unreachable.
+
+    Bellman-Ford distances to ``dst``, then a walk from ``src`` that always
+    steps to the smallest neighbour on some minimum-weight path.  Exact for
+    integer weights, whose sums are exact in any order.
+    """
+    dist = {dst: 0.0}
+    for _ in range(graph.node_count):
+        for link in graph.links:
+            if link.head in dist and dist[link.head] + link.weight < dist.get(link.tail, math.inf):
+                dist[link.tail] = dist[link.head] + link.weight
+    if src not in dist:
+        return None
+    nodes = [src]
+    while nodes[-1] != dst:
+        here = nodes[-1]
+        nodes.append(min(
+            link.head for link in graph.out_links(here)
+            if link.head in dist and link.weight + dist[link.head] == dist[here]
+        ))
+    return tuple(nodes)
+
+
+_MC_CHUNK = 1 << 16  # samples per batch of masks: 21 MB of draws at 5 hops of 16 slots
+
+
 def mc_segmented_blocking(
     min_run: int,
     slot_count: int,
@@ -69,22 +104,29 @@ def mc_segmented_blocking(
     rng: np.random.Generator,
 ) -> list[float]:
     """Monte Carlo blocking for several converter layouts over one shared
-    batch of per-link slot masks (i.i.d. Bernoulli per link)."""
-    hop_free_probs = np.asarray(hop_free_probs, dtype=np.float64)
-    hops = len(hop_free_probs)
-    masks = rng.random((samples, hops, slot_count), dtype=np.float32) < hop_free_probs[None, :, None].astype(np.float32)
+    batch of per-link slot masks (i.i.d. Bernoulli per link).
+
+    The masks are drawn and reduced ``_MC_CHUNK`` samples at a time.  The
+    float32 draws of successive chunks are those of one call for every
+    sample, so the estimates do not depend on the chunk size.
+    """
+    free_probs = np.asarray(hop_free_probs, dtype=np.float64).astype(np.float32)
+    hops = len(free_probs)
     width = slot_count - min_run + 1
-    results = []
-    for layout in layouts:
-        ok = np.ones(samples, dtype=bool)
-        for a, b in zip(layout, layout[1:]):
-            segment = masks[:, a - 1 : b - 1, :].all(axis=1)
-            windows = np.ones((samples, width), dtype=bool)
-            for k in range(min_run):
-                windows &= segment[:, k : k + width]
-            ok &= windows.any(axis=1)
-        results.append(1.0 - float(ok.mean()))
-    return results
+    carried = [0] * len(layouts)
+    for start in range(0, samples, _MC_CHUNK):
+        size = min(_MC_CHUNK, samples - start)
+        masks = rng.random((size, hops, slot_count), dtype=np.float32) < free_probs[None, :, None]
+        for i, layout in enumerate(layouts):
+            ok = np.ones(size, dtype=bool)
+            for a, b in zip(layout, layout[1:]):
+                segment = masks[:, a - 1 : b - 1, :].all(axis=1)
+                windows = np.ones((size, width), dtype=bool)
+                for k in range(min_run):
+                    windows &= segment[:, k : k + width]
+                ok &= windows.any(axis=1)
+            carried[i] += int(np.count_nonzero(ok))
+    return [1.0 - count / samples for count in carried]
 
 
 def longest_run(mask: int) -> int:
@@ -96,13 +138,67 @@ def longest_run(mask: int) -> int:
 
 
 def run_probability_direct(min_run: int, slots: int, rho: float) -> float:
-    """Plain-Python mask enumeration, independent of the packaged oracle."""
+    """Plain-Python mask enumeration, independent of the tally that
+    ``run_probability_bruteforce`` reads."""
     total = 0.0
     for mask in range(1 << slots):
         if longest_run(mask) >= min_run:
             free = mask.bit_count()
             total += rho**free * (1 - rho) ** (slots - free)
     return total
+
+
+_BRUTEFORCE_MAX_SLOTS = 20
+
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+# per slot count F: array of shape (F+1, F+1) counting masks by
+# (longest free run, number of free slots)
+_mask_counts: dict[int, np.ndarray] = {}
+
+
+def _counts_for(slots: int) -> np.ndarray:
+    counts = _mask_counts.get(slots)
+    if counts is not None:
+        return counts
+    masks = np.arange(1 << slots, dtype=np.uint32)
+    free = np.zeros(masks.shape, dtype=np.int64)
+    for _ in range(4):  # popcount via byte lookup
+        free += _POPCOUNT8[masks & 0xFF]
+        masks >>= 8
+    masks = np.arange(1 << slots, dtype=np.uint32)
+    longest = np.zeros(masks.shape, dtype=np.int64)
+    work = masks.copy()
+    length = 0
+    while work.any():
+        length += 1
+        longest[work != 0] = length
+        work &= work >> 1
+    counts = np.zeros((slots + 1, slots + 1), dtype=np.int64)
+    np.add.at(counts, (longest, free), 1)
+    _mask_counts[slots] = counts
+    return counts
+
+
+def run_probability_bruteforce(min_run: int, slots: int, free_prob: float) -> float:
+    """Exact run probability by enumerating every slot mask, vectorized.
+
+    Limited to ``slots`` <= 20; masks are tallied by (longest run, free-slot
+    count), then weighted by rho^free * (1-rho)^busy.  Arguments are
+    checked and clamped as ``run_probability`` checks them.
+    """
+    rho = _check_args(min_run, slots, free_prob)
+    if slots > _BRUTEFORCE_MAX_SLOTS:
+        raise ValueError(f"bruteforce enumeration limited to {_BRUTEFORCE_MAX_SLOTS} slots")
+    if slots < min_run:
+        return 0.0
+    counts = _counts_for(slots)
+    qualifying = counts[min_run:, :].sum(axis=0)  # by free-slot count
+    terms = []
+    for free in range(slots + 1):
+        if qualifying[free]:
+            terms.append(float(qualifying[free]) * rho**free * (1.0 - rho) ** (slots - free))
+    return math.fsum(terms)
 
 
 def exact_lightpath_blocking(

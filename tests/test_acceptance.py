@@ -24,11 +24,16 @@ from eonspectra.lightpath import (
     uniform_architectures,
 )
 from eonspectra.placement import place_brute_force, place_heuristic
-from eonspectra.runprob import run_probability, run_probability_bruteforce
+from eonspectra.runprob import run_probability
 from eonspectra.simulator import SimConfig, simulate
 from eonspectra.topology import DemandSpec, route_all
 
-from oracles import blocking_full_at, erlang_b, mc_segmented_blocking
+from oracles import (
+    blocking_full_at,
+    erlang_b,
+    mc_segmented_blocking,
+    run_probability_bruteforce,
+)
 
 
 def report(number, name, ok, detail):

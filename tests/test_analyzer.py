@@ -11,7 +11,6 @@ from eonspectra.analyzer import (
     AnalysisConfig,
     demand_blocking,
     fixed_point,
-    network_blocking,
     phi_update,
 )
 from eonspectra.errors import InputError
@@ -28,10 +27,10 @@ from eonspectra.lightpath import (
 )
 from eonspectra.topology import (
     DemandSpec,
+    RoutedPath,
     load_topology,
     route_all,
     scale_demands,
-    shortest_path,
 )
 from eonspectra.fixtures import generate_demands, nsf14, nsf14_demands, sixnode
 
@@ -76,18 +75,32 @@ def test_demand_blocking_oversized_request_blocks():
 
 
 def test_network_blocking_weighted_average():
-    demands = [
+    # the solve's network blocking is the offered-load (rate * hold)
+    # weighted mean of its own per-demand blockings
+    g = line(3, slot_count=4)
+    small = [
         DemandSpec(1, 2, 1.0, 1.0, {1: 1.0}),
-        DemandSpec(2, 1, 3.0, 1.0, {1: 1.0}),
+        DemandSpec(2, 1, 3.0, 1.0, {2: 1.0}),
+        DemandSpec(1, 3, 0.5, 2.0, {1: 0.5, 3: 0.5}),
     ]
-    assert network_blocking(demands, [0.1, 0.2]) == pytest.approx(0.175)
-    assert network_blocking(demands, [0.3, 0.3]) == pytest.approx(0.3)
-    assert network_blocking(demands[:1], [0.42]) == pytest.approx(0.42)
+    nsf = nsf14()
+    cases = [
+        (g, small, {}),
+        (nsf, nsf14_demands(nsf), uniform_architectures(nsf, NodeArchitecture(SHARE_PER_NODE, 1))),
+    ]
+    for graph, demands, archs in cases:
+        result = fixed_point(graph, demands, archs, AnalysisConfig(seed=4, damping=0.5))
+        assert result.converged
+        weighted = sum(d.rate * d.hold * b for d, b in zip(demands, result.demand_blockings))
+        assert result.network_blocking_prob == weighted / sum(d.rate * d.hold for d in demands)
+        assert 0.0 < result.network_blocking_prob < 1.0
 
 
 def test_network_blocking_empty_warns_and_returns_zero(caplog):
     with caplog.at_level(logging.WARNING):
-        assert network_blocking([], []) == 0.0
+        result = fixed_point(line(3), [], {})
+    assert result.network_blocking_prob == 0.0
+    assert result.demand_blockings == []
     assert any("empty" in rec.message for rec in caplog.records)
 
 
@@ -286,8 +299,8 @@ def test_demands_on_one_route_each_read_their_own_passes():
     stats = crossing_stats(g, routes)
     plan = compile_plan(((r, d.slot_counts) for d, r in zip(demands, routes)), archs, stats, 4)
     shared = routes[0].link_ids
-    assert len(plan.passes) == 4
-    assert set(plan.passes) == {(1, shared), (2, shared), (3, shared), (2, routes[3].link_ids)}
+    assert len(plan.index) == 4
+    assert set(plan.index) == {(1, shared), (2, shared), (3, shared), (2, routes[3].link_ids)}
     result = fixed_point(g, demands, archs, AnalysisConfig(seed=2, damping=0.5), routes)
     assert result.converged
     for demand, route, got in zip(demands, routes, result.demand_blockings):
@@ -382,7 +395,7 @@ def test_routes_without_their_demand_solve_like_routed_demands():
     demands = nsf14_demands(g)
     archs = uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 1))
     config = AnalysisConfig(damping=0.5, seed=3)
-    bare = [shortest_path(g, d.src, d.dst) for d in demands]
+    bare = [RoutedPath(r.nodes, r.links) for r in route_all(g, demands)]
     routed = fixed_point(g, demands, archs, config, route_all(g, demands))
     unbound = fixed_point(g, demands, archs, config, bare)
     assert unbound.iterations == routed.iterations

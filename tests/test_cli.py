@@ -6,8 +6,15 @@ import pytest
 
 from eonspectra.cli import main, parse_arch_sweep, parse_converter_spec
 from eonspectra.errors import InputError
+from eonspectra.fixtures import demands_document
 from eonspectra.lightpath import FULL, SHARE_PER_NODE, NodeArchitecture
-from eonspectra.topology import load_topology
+from eonspectra.topology import (
+    load_demands,
+    load_topology,
+    network_traffic,
+    route_all,
+    scale_demands,
+)
 
 TOPOLOGY = {
     "name": "square",
@@ -187,7 +194,7 @@ def test_place_reports_steps_and_assignment(inputs):
     code = main([
         "place", "--topology", str(topo), "--demands", str(demands),
         "--out", str(out), "--converters", "full,share_per_node:1",
-        "--epsilon", "1e-5",
+        "--epsilon", "1e-5", "--damping", "0.5",
     ])
     assert code == 0
     rows = read_csv(out)
@@ -228,6 +235,7 @@ def test_place_oracle_small(inputs):
     code = main([
         "place", "--topology", str(topo), "--demands", str(demands),
         "--out", str(out), "--converters", "full", "--oracle", "--format", "json",
+        "--damping", "0.5",
     ])
     assert code == 0
     doc = json.loads(out.read_text())
@@ -315,8 +323,6 @@ def test_gen_demands_roundtrip(tmp_path, inputs):
     rows = json.loads(out.read_text())
     assert len(rows) == 4 * 3  # one per ordered pair
     # generated demands load cleanly and hit the requested traffic
-    from eonspectra.topology import load_demands, load_topology, network_traffic, route_all
-
     graph = load_topology(Path(topo).read_text())
     demands = load_demands(out.read_text(), graph)
     routes = route_all(graph, demands)
@@ -428,6 +434,29 @@ def test_place_nsf_three_converters(tmp_path):
     rows = read_csv(out)
     assert len(rows) == 1 + 14 + 13 + 12  # per-step candidate trace
     assert summary["achieved_blocking"] < summary["baseline_blocking"]
+
+
+def test_place_unconverged_trials_exit_2_with_output(tmp_path):
+    # NSF at twice its bundled traffic (T = 0.4): undamped, every trial
+    # solve orbits, so the placement ranks iterates and must say so
+    topo, demands = _nsf_files(tmp_path)
+    graph = load_topology(topo.read_text())
+    bundled = load_demands(demands.read_text(), graph)
+    scale = 0.4 / network_traffic(graph, bundled, route_all(graph, bundled))
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(demands_document(graph, scale_demands(bundled, scale)))
+    out = tmp_path / "place.json"
+    code = main([
+        "place", "--topology", str(topo), "--demands", str(scaled), "--out", str(out),
+        "--converters", "full,full,share_per_node:1", "--max-iter", "50", "--format", "json",
+    ])
+    assert code == 2
+    doc = json.loads(out.read_text())
+    assert doc["all_converged"] is False
+    assert len(doc["assignment"]) == 3
+    manifest = json.loads((tmp_path / "place.manifest.json").read_text())
+    assert manifest["parameters"]["all_converged"] is False
+    assert manifest["parameters"]["damping"] == 1.0
 
 
 def test_analyze_long_all_full_line_exits_0(tmp_path):
@@ -606,8 +635,9 @@ def _assert_projects(path, records):
         ("analyze", ["--arch", "arch.json"]),
         ("simulate", ["--arch", "arch.json", "--warmup", "5", "--horizon", "60",
                       "--replications", "3"]),
-        ("place", ["--converters", "full,share_per_node:1"]),
-        ("place", ["--converters", "full,share_per_node:1", "--oracle"]),
+        # undamped, three of the four first-step trials orbit and place exits 2
+        ("place", ["--converters", "full,share_per_node:1", "--damping", "0.5"]),
+        ("place", ["--converters", "full,share_per_node:1", "--oracle", "--damping", "0.5"]),
         ("sweep", ["--traffic", "0.05,0.1", "--arch-sweep", "simple,full", "--with-sim",
                    "--warmup", "5", "--horizon", "60", "--replications", "2"]),
     ],

@@ -440,7 +440,7 @@ def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
     assert values.values != again.values
 
     assert max(r.hop_count for r in routes) == 8
-    assert set(plan.passes) == {
+    assert set(plan.index) == {
         (s, r.link_ids) for d, r in zip(demands, routes) for s in d.slot_counts if s <= slot_count
     }
     route_of = {r.link_ids: r for r in routes}

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from eonspectra.runprob import run_probability, run_probability_bruteforce
+from eonspectra.runprob import run_probability
 
-from oracles import run_probability_direct
+from oracles import run_probability_bruteforce, run_probability_direct
 
 
 def test_single_slot():

@@ -36,13 +36,14 @@ from eonspectra.simulator import (
     resolve_windows,
     simulate,
 )
-from eonspectra.topology import DemandSpec, load_topology, route_all, shortest_path
+from eonspectra.topology import DemandSpec, load_topology, route_all
 
 from oracles import (
     cuts_by_subsets,
     erlang_b,
     heap_replication,
     pick_start_from_list,
+    route,
     verify_conservation,
 )
 
@@ -63,7 +64,7 @@ def make_state(graph, archs=None):
 
 def test_unique_window_is_always_chosen():
     g = line(2, 4)
-    path = shortest_path(g, 1, 2)
+    path = route(g, 1, 2)
     rng = np.random.default_rng(0)
     for _ in range(50):
         state = make_state(g)
@@ -77,7 +78,7 @@ def test_unique_window_is_always_chosen():
 
 def test_random_fit_is_uniform_over_windows():
     g = line(2, 4)
-    path = shortest_path(g, 1, 2)
+    path = route(g, 1, 2)
     rng = np.random.default_rng(1)
     counts = {0: 0, 1: 0, 2: 0}
     state = make_state(g)
@@ -92,7 +93,7 @@ def test_random_fit_is_uniform_over_windows():
 
 def test_blocked_when_no_window():
     g = line(2, 4)
-    path = shortest_path(g, 1, 2)
+    path = route(g, 1, 2)
     state = make_state(g)
     state.occupied[path.links[0].id] = 0b0101  # free slots 2 and 4: no 2-window
     assert admit(state, path, 2, np.random.default_rng(2)) is None
@@ -100,7 +101,7 @@ def test_blocked_when_no_window():
 
 def test_conversion_bridges_disjoint_windows():
     g = line(3, 4)
-    path = shortest_path(g, 1, 3)
+    path = route(g, 1, 3)
     archs = {2: NodeArchitecture(FULL)}
     state = make_state(g, archs)
     plain = make_state(g)
@@ -119,7 +120,7 @@ def test_conversion_bridges_disjoint_windows():
 
 def test_shared_bank_exhaustion_blocks_conversion():
     g = line(3, 4)
-    path = shortest_path(g, 1, 3)
+    path = route(g, 1, 3)
     archs = {2: NodeArchitecture(SHARE_PER_NODE, 1)}
     state = make_state(g, archs)
     rng = np.random.default_rng(4)
@@ -139,7 +140,7 @@ def test_shared_bank_exhaustion_blocks_conversion():
 def test_minimal_conversions_preferred():
     # a window exists end to end, so no converter may be consumed
     g = line(3, 4)
-    path = shortest_path(g, 1, 3)
+    path = route(g, 1, 3)
     archs = uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 1))
     state = make_state(g, archs)
     rng = np.random.default_rng(5)
@@ -151,7 +152,7 @@ def test_minimal_conversions_preferred():
 
 def test_release_restores_masks_and_counters():
     g = line(3, 8)
-    path = shortest_path(g, 1, 3)
+    path = route(g, 1, 3)
     archs = {2: NodeArchitecture(SHARE_PER_LINK, 2)}
     state = make_state(g, archs)
     rng = np.random.default_rng(6)
@@ -180,7 +181,7 @@ def test_release_unknown_connection_is_a_fault():
 def test_long_route_converts_at_every_node():
     hops = 15
     g = line(hops + 1, 4)
-    path = shortest_path(g, 1, hops + 1)
+    path = route(g, 1, hops + 1)
     archs = {n: NodeArchitecture(FULL) for n in range(2, hops + 1)}
     state = make_state(g, archs)
     rng = np.random.default_rng(7)
@@ -220,7 +221,7 @@ def test_admit_matches_subset_enumeration():
         hops = int(draw.integers(1, 12))  # up to 10 interior converters
         if hops not in lines:
             g = line(hops + 1, slot_count)
-            lines[hops] = (g, shortest_path(g, 1, hops + 1))
+            lines[hops] = (g, route(g, 1, hops + 1))
         g, path = lines[hops]
         archs = {}
         for node in range(2, hops + 1):
@@ -313,7 +314,7 @@ def test_conservation_through_random_admit_release():
         3: NodeArchitecture(SHARE_PER_LINK, 2),
     }
     pairs = [(1, 4), (1, 3), (2, 4), (4, 1), (3, 1)]
-    paths = [shortest_path(g, s, d) for s, d in pairs]
+    paths = [route(g, s, d) for s, d in pairs]
     state = make_state(g, archs)
     rng = np.random.default_rng(23)
     active = []

@@ -19,10 +19,9 @@ from eonspectra.topology import (
     load_topology,
     network_traffic,
     route_all,
-    shortest_path,
 )
 
-from oracles import best_path_bruteforce, chorded_ring
+from oracles import best_path_bruteforce, chorded_ring, least_path_by_distances, route
 
 
 def doc(nodes, edges, slot_count=10, **extra):
@@ -147,7 +146,7 @@ def test_rejects_non_finite_demand_numbers(field, value):
 
 def test_shortest_path_single_hop():
     g = load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 1}]))
-    path = shortest_path(g, 1, 2)
+    path = route(g, 1, 2)
     assert path.nodes == (1, 2)
     assert path.hop_count == 1
 
@@ -158,7 +157,7 @@ def test_shortest_path_triangle():
         {"a": "b", "b": "c", "weight": 1},
         {"a": "a", "b": "c", "weight": 3},
     ]))
-    path = shortest_path(g, g.node_of("a"), g.node_of("c"))
+    path = route(g, g.node_of("a"), g.node_of("c"))
     assert [g.label_of(n) for n in path.nodes] == ["a", "b", "c"]
     assert sum(link.weight for link in path.links) == pytest.approx(2.0)
 
@@ -170,14 +169,14 @@ def test_shortest_path_tie_break_lexicographic():
         {"a": "a", "b": "c", "weight": 1},
         {"a": "c", "b": "d", "weight": 1},
     ]))
-    path = shortest_path(g, g.node_of("a"), g.node_of("d"))
+    path = route(g, g.node_of("a"), g.node_of("d"))
     assert [g.label_of(n) for n in path.nodes] == ["a", "b", "d"]
 
 
 def test_shortest_path_unreachable():
     g = load_topology(doc([1, 2, 3], [{"a": 1, "b": 2, "weight": 1}]))
     with pytest.raises(UnreachableError):
-        shortest_path(g, 1, 3)
+        route(g, 1, 3)
 
 
 def test_shortest_path_matches_exhaustive_enumeration():
@@ -201,9 +200,9 @@ def test_shortest_path_matches_exhaustive_enumeration():
         expected = best_path_bruteforce(table, src, dst)
         if expected is None:
             with pytest.raises(UnreachableError):
-                shortest_path(g, src, dst)
+                route(g, src, dst)
             continue
-        path = shortest_path(g, src, dst)
+        path = route(g, src, dst)
         assert sum(link.weight for link in path.links) == pytest.approx(expected[0])
         assert path.nodes == expected[1]
 
@@ -246,17 +245,17 @@ def _square_with_a_tie():
     ids=["ring-1", "ring-2", "ring-3", "nsf", "sixnode", "square"],
 )
 def test_route_all_equals_shortest_path_per_demand(graph):
-    # route_all runs one search per source to completion; every route must
-    # be the one a search stopped at the demand's destination returns
+    # route_all runs one search per source; every route must be the
+    # minimum-weight path with the smallest node sequence, as a walk over
+    # the distances to the demand's destination finds it
     g = graph()
     demands = _all_pairs(g)
     demands += demands[::7]  # repeated pairs get their own routes
     routes = route_all(g, demands)
-    for demand, route in zip(demands, routes):
-        alone = shortest_path(g, demand.src, demand.dst)
-        assert route.nodes == alone.nodes
-        assert route.links == alone.links
-        assert route.demand is demand
+    for demand, path in zip(demands, routes):
+        assert path.nodes == least_path_by_distances(g, demand.src, demand.dst)
+        assert path.links == tuple(map(g.link_between, path.nodes, path.nodes[1:]))
+        assert path.demand is demand
     if g.node_count == 4:
         assert routes[1].nodes == (1, 2, 3)  # the tie breaks toward the smaller sequence
 
