@@ -75,15 +75,6 @@ def demand_blocking(
     return total
 
 
-def _weighted_blocking(loads: list[float], weight: float, blockings: list[float]) -> float:
-    """Network blocking: the per-demand blockings weighted by the demands'
-    offered loads (rate * hold), whose sum is ``weight``."""
-    if not loads:
-        log.warning("network blocking over an empty demand set is 0 by convention")
-        return 0.0
-    return sum(load * b for load, b in zip(loads, blockings)) / weight
-
-
 def phi_update(
     demands: list[DemandSpec],
     routes: list[RoutedPath],
@@ -131,12 +122,17 @@ def fixed_point(
 ) -> AnalysisResult:
     """Iterate link-state and blocking updates to a self-consistent point.
 
-    Starts from independently random per-demand blockings, then loops:
-    back up the network blocking, refresh every link's free probability,
-    refresh every demand's blocking, refresh the network blocking.  Stops
-    when two successive network values and every link's two successive
-    free probabilities differ by at most epsilon, or at the iteration cap
-    (returned with ``converged=False``, never raised).
+    Starts from independently random per-demand blockings and the link
+    state their update gives.  Each iteration refreshes every demand's
+    blocking and the network blocking from the link state, then tests
+    convergence once: the network blocking and every link's free
+    probability moved by at most epsilon since the previous iteration (the
+    first has no previous link state).  Otherwise the next link state is
+    the update from the new blockings blended with the current one by
+    ``damping``; at 1.0 the blend returns the update exactly.  The loop
+    ends converged or at the iteration cap (``converged=False``, never
+    raised); ``iterations`` is the trajectory's length.  An empty demand
+    set warns once and has a network blocking of 0 by convention.
 
     Everything that does not move with the link state is compiled once per
     solve: the forward passes (``compile_plan``), the route-link incidence
@@ -168,43 +164,38 @@ def fixed_point(
     link_ids = [link.id for link in graph.links]
     loads = [d.offered_load for d in demands]
     weight = sum(loads)
+    if not demands:
+        log.warning("network blocking over an empty demand set is 0 by convention")
+        weight = 1.0  # the empty weighted sum stays 0
 
     rng = np.random.default_rng(config.seed)
     p_net = float(rng.random())
     blockings = [float(x) for x in rng.random(len(demands))]
-    p_prev = -1.0
-
-    phi = None  # every link's free probability, in graph.links order
+    phi = update(blockings)  # every link's free probability, in graph.links order
     phi_delta = math.inf  # max |change| of a link's free probability
+    d = config.damping
     trajectory: list[float] = []
-    iterations = 0
-    while (
-        abs(p_net - p_prev) > config.epsilon or phi_delta > config.epsilon
-    ) and iterations < config.max_iter:
-        p_prev = p_net
-        fresh = update(blockings)
-        if phi is not None:
-            d = config.damping
-            if d < 1.0:
-                fresh = d * fresh + (1.0 - d) * phi
-            phi_delta = float(np.max(np.abs(fresh - phi), initial=0.0))
-        phi = fresh
+    while True:
         phis = dict(zip(link_ids, phi.tolist()))
         memo = plan.evaluate(phis)
         blockings = [
             demand_blocking(demand, route, archs, phis, stats, graph.slot_count, memo)
             for demand, route in zip(demands, routes)
         ]
-        p_net = _weighted_blocking(loads, weight, blockings)
+        p_prev, p_net = p_net, sum(load * b for load, b in zip(loads, blockings)) / weight
         trajectory.append(p_net)
-        iterations += 1
+        converged = abs(p_net - p_prev) <= config.epsilon and phi_delta <= config.epsilon
+        if converged or len(trajectory) == config.max_iter:
+            break
+        fresh = d * update(blockings) + (1.0 - d) * phi
+        phi_delta = float(np.max(np.abs(fresh - phi), initial=0.0))
+        phi = fresh
 
-    converged = abs(p_net - p_prev) <= config.epsilon and phi_delta <= config.epsilon
     if not converged:
         log.warning(
             "fixed point not converged after %d iterations "
             "(last network delta %.3e, link delta %.3e)",
-            iterations,
+            len(trajectory),
             abs(p_net - p_prev),
             phi_delta,
         )
@@ -212,7 +203,7 @@ def fixed_point(
         phis=phis,
         demand_blockings=blockings,
         network_blocking_prob=p_net,
-        iterations=iterations,
+        iterations=len(trajectory),
         converged=converged,
         trajectory=trajectory,
     )

@@ -285,7 +285,7 @@ def _cmd_sweep(args) -> tuple[int, dict]:
     try:
         targets = [float(part) for part in args.traffic.split(",") if part.strip()]
     except ValueError as exc:
-        raise InputError(f"bad traffic list {args.traffic!r}") from exc
+        raise InputError(f"--traffic must be a list of numbers: {args.traffic!r}") from exc
     if (
         not targets
         or not all(math.isfinite(t) and t > 0 for t in targets)

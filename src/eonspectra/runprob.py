@@ -6,13 +6,15 @@ conditioning on the position of the first busy slot:
 
     P(S, F) = sum_{j=1..S} P(S, F - j) * rho^(j-1) * (1 - rho) + rho^S
 
-with P(S, F) = 0 for F < S.  ``rho`` may be a float or an ndarray: the
-recurrence runs elementwise with the same float operations in the same
-order, so an array call returns exactly the floats of the scalar calls.
-The lightpath engine makes one array call per slot count each time it
-evaluates a plan; the scalar call serves the closed forms.  The tests
-check the recurrence against exhaustive enumeration of all 2^F slot masks,
-which lives with their other oracles in ``tests/oracles.py``.
+with P(S, F) = 0 for F < S.  ``rho`` may be a float or an ndarray, and
+both take one path: the argument becomes an array (0-d for a float) and
+the recurrence runs elementwise on it, so an array call returns exactly
+the floats of the scalar calls, and a float in gives a float
+(``np.float64``) out.  The lightpath engine makes one array call per slot
+count each time it evaluates a plan; the scalar call serves the closed
+forms.  The tests check the recurrence against exhaustive enumeration of
+all 2^F slot masks, which lives with their other oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,21 +25,19 @@ _RHO_TOL = 1e-12
 
 
 def _check_args(min_run: int, slots: int, free_prob):
-    """Validate the arguments; returns ``free_prob`` clamped into [0, 1]."""
+    """Validate the arguments; returns ``free_prob`` as float64 values
+    clamped into [0, 1]."""
     if min_run < 1:
         raise ValueError(f"run length must be >= 1, got {min_run}")
     if slots < 0:
         raise ValueError(f"slot count must be >= 0, got {slots}")
-    if isinstance(free_prob, np.ndarray):
-        bad = ~((free_prob >= -_RHO_TOL) & (free_prob <= 1.0 + _RHO_TOL))  # NaN too
-        if bad.any():
-            raise ValueError(f"free-slot probability {free_prob[bad][0]} outside [0, 1]")
-        # np.clip's values without its Python-level wrapper, which costs more
-        # than the clamp itself on the plan's small arrays
-        return np.minimum(np.maximum(free_prob, 0.0), 1.0)
-    if not -_RHO_TOL <= free_prob <= 1.0 + _RHO_TOL:
-        raise ValueError(f"free-slot probability {free_prob} outside [0, 1]")
-    return min(max(free_prob, 0.0), 1.0)
+    rho = np.asarray(free_prob, dtype=float)
+    bad = ~((rho >= -_RHO_TOL) & (rho <= 1.0 + _RHO_TOL))  # NaN too
+    if bad.any():
+        raise ValueError(f"free-slot probability {rho[bad][0]} outside [0, 1]")
+    # np.clip's values without its Python-level wrapper, which costs more
+    # than the clamp itself on the plan's small arrays
+    return np.minimum(np.maximum(rho, 0.0), 1.0)
 
 
 def run_probability(min_run: int, slots: int, free_prob):
@@ -45,8 +45,6 @@ def run_probability(min_run: int, slots: int, free_prob):
     ``slots`` slots, each free independently with ``free_prob`` (a float,
     or an ndarray evaluated elementwise)."""
     rho = _check_args(min_run, slots, free_prob)
-    if slots < min_run:
-        return np.zeros_like(rho) if isinstance(rho, np.ndarray) else 0.0
     # rho^(j-1) * (1 - rho) for j = 1..min_run, plus the all-free tail rho^S;
     # products rather than ** so that scalars and arrays round alike
     weights = [1.0 - rho]
@@ -54,7 +52,7 @@ def run_probability(min_run: int, slots: int, free_prob):
     for _ in range(min_run - 1):
         weights.append(weights[-1] * rho)
         tail = tail * rho
-    values = [0.0] * min_run  # P(., f) for f < min_run
+    values = [np.zeros_like(rho)] * min_run  # P(., f) for f < min_run
     for f in range(min_run, slots + 1):
         # every term is nonnegative, so plain accumulation stays well below
         # the 1e-12 oracle tolerance (checked exhaustively in the tests)
@@ -62,6 +60,4 @@ def run_probability(min_run: int, slots: int, free_prob):
         for j in range(1, min_run + 1):
             acc = acc + values[f - j] * weights[j - 1]
         values.append(acc)
-    if isinstance(rho, np.ndarray):
-        return np.minimum(values[slots], 1.0)
-    return min(values[slots], 1.0)
+    return np.minimum(values[slots], 1.0)

@@ -11,11 +11,14 @@ grants one box per conversion and holds it for the whole connection.
 
 Per-link occupancy lives in Python integer bitmasks (bit s set = slot s
 occupied), one per link id in a list, which keeps the per-event work to a
-few dozen integer ops.  Most arrivals find a continuous window: ``admit``
-takes them in one inline pass (OR the route's masks, shift-AND for the
-window starts, pick one, mark it) before any converter is looked at.
-Most of the rest are blocked because one link has no window of its own,
-which no segmentation can cure; that test also comes before the scan.
+few dozen integer ops.  Most arrivals find a continuous window (OR the
+route's masks, shift-AND for the window starts, pick one) before any
+converter is looked at.  Most of the rest are blocked because one link
+has no window of its own, which no segmentation can cure; that test also
+comes before the scan.  Either way the pick is a tuple of ``(start slot,
+link ids)`` segments and one of bank keys, and one accept path marks
+the slots, takes the boxes and stores the connection.  Masks hold no bit
+at or above F, so no window start exceeds F - S and none needs masking.
 
 Each demand draws its requests from its own generator, ahead of time and
 in blocks: where the slot count is fixed, the inter-arrival and holding
@@ -131,14 +134,14 @@ class NetworkState:
         self.next_id = 1
 
 
-def _window_starts(mask: int, min_run: int, limit: int) -> int:
+def _window_starts(mask: int, min_run: int) -> int:
     """Bit i set in the result when slots i..i+min_run-1 are all set in mask."""
     result = mask
     for shift in range(1, min_run):
         result &= mask >> shift
         if not result:
             return 0
-    return result & limit
+    return result
 
 
 class _BoundedDraws:
@@ -206,45 +209,55 @@ def admit(
         return None
     occupied = state.occupied
     link_ids = route.link_ids
-    full = state.full_mask
-    limit = (1 << (state.slot_count - slots + 1)) - 1
 
-    # continuity: Random Fit over the windows free on every link, inline
+    # continuity: Random Fit over the windows free on every link
     busy = 0
     for lid in link_ids:
         busy |= occupied[lid]
-    common = full & ~busy
-    starts = common
-    for shift in range(1, slots):
-        starts &= common >> shift
-    starts &= limit
+    starts = _window_starts(state.full_mask & ~busy, slots)
     if starts:
-        candidates = starts.bit_count()
-        if candidates > 1:
-            for _ in range(rng.integers(candidates, dtype=np.int64)):
-                starts &= starts - 1
-        start = (starts & -starts).bit_length() - 1
-        shifted = ((1 << slots) - 1) << start
-        for lid in link_ids:
+        segments = ((_pick_start(starts, rng), link_ids),)
+        banks = ()
+    else:
+        converted = _fewest_cuts(state, route, slots, rng)
+        if converted is None:
+            return None
+        segments, banks = converted
+
+    window = (1 << slots) - 1
+    for start, segment_links in segments:
+        shifted = window << start
+        for lid in segment_links:
             mask = occupied[lid]
             if mask & shifted:
                 raise SimulatorFault(f"double allocation on link {lid}")
             occupied[lid] = mask | shifted
-        conn_id = state.next_id
-        state.connections[conn_id] = _new(Connection, (conn_id, slots, ((start, link_ids),), ()))
-        state.next_id = conn_id + 1
-        return conn_id
+    in_use = state.bank_in_use
+    for key in banks:
+        in_use[key] += 1
+    conn_id = state.next_id
+    state.connections[conn_id] = _new(Connection, (conn_id, slots, segments, banks))
+    state.next_id = conn_id + 1
+    return conn_id
 
-    # continuity failed: without converters nothing else can carry it
+
+def _fewest_cuts(state: NetworkState, route: RoutedPath, slots: int, rng):
+    """The ``(segments, banks)`` of a request that continuity cannot carry,
+    or None when no conversion can: the fewest usable cut points, earliest
+    first, with each segment's ``(start slot, link ids)`` placed by Random
+    Fit in path order and the bank key of every cut whose bank is finite."""
     converters = state.converters
     if not converters:
         return None
+    occupied = state.occupied
+    link_ids = route.link_ids
+    full = state.full_mask
     # Every segment's window is free on each of its links, so a link with
     # no window of its own blocks whatever converts.
     free = []
     for lid in link_ids:
         mask = full & ~occupied[lid]
-        if not _window_starts(mask, slots, limit):
+        if not _window_starts(mask, slots):
             return None
         free.append(mask)
 
@@ -273,7 +286,7 @@ def admit(
         mask = full
         for b in range(a + 1, end + 1):
             mask &= free[b - 2]
-            starts = _window_starts(mask, slots, limit)
+            starts = _window_starts(mask, slots)
             if not starts:
                 break
             if b == end:
@@ -287,34 +300,11 @@ def admit(
     a = 1
     while a != end:
         _, b, starts = plan[a]
-        segments.append((a, b, _pick_start(starts, rng)))
+        segments.append((_pick_start(starts, rng), link_ids[a - 1 : b - 1]))
         if b != end and usable[b] is not None:
             banks.append(usable[b])
         a = b
-    return _allocate(state, route, slots, segments, tuple(banks))
-
-
-def _allocate(state, route, slots, segments, banks) -> int:
-    window = (1 << slots) - 1
-    occupied = state.occupied
-    route_ids = route.link_ids
-    stored = []
-    for a, b, start in segments:
-        link_ids = route_ids[a - 1 : b - 1]
-        shifted = window << start
-        for lid in link_ids:
-            mask = occupied[lid]
-            if mask & shifted:
-                raise SimulatorFault(f"double allocation on link {lid}")
-            occupied[lid] = mask | shifted
-        stored.append((start, link_ids))
-    in_use = state.bank_in_use
-    for key in banks:
-        in_use[key] += 1
-    conn_id = state.next_id
-    state.connections[conn_id] = _new(Connection, (conn_id, slots, tuple(stored), tuple(banks)))
-    state.next_id = conn_id + 1
-    return conn_id
+    return tuple(segments), tuple(banks)
 
 
 def release(state: NetworkState, conn_id: int):

@@ -202,26 +202,39 @@ def _parse_document(document, what: str, error: type[InputError]) -> object:
     return document
 
 
+def _is_label(value) -> bool:
+    """Whether ``value`` can label a node: a string or an integer."""
+    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def load_topology(document) -> NetworkGraph:
     """Build a :class:`NetworkGraph` from a topology document.
 
     ``document`` is JSON text or an already-parsed dict of the form
     ``{"name", "slot_count", "nodes": [...], "edges": [{"a", "b", "weight",
-    "directed"?}, ...]}``, where ``weight`` is a positive finite number and
-    ``directed``, when present, a boolean.  Undirected edges expand into two
-    directed links; a document without edges is rejected.
+    "directed"?}, ...]}``, where ``nodes`` and ``edges`` are arrays, node
+    labels and edge endpoints strings or integers, ``weight`` a positive
+    finite number and ``directed``, when present, a boolean.  Undirected
+    edges expand into two directed links; a document without edges is
+    rejected.
     """
     doc = _parse_document(document, "topology", TopologyParseError)
     if not isinstance(doc, dict):
         raise TopologyParseError("topology document must be a JSON object")
     try:
-        raw_nodes = list(doc["nodes"])
-        raw_edges = list(doc["edges"])
+        raw_nodes = doc["nodes"]
+        raw_edges = doc["edges"]
         slot_count = doc["slot_count"]
     except KeyError as exc:
         raise TopologyParseError(f"topology document missing key {exc}") from exc
+    for key, value in (("nodes", raw_nodes), ("edges", raw_edges)):
+        if not isinstance(value, list):
+            raise TopologyParseError(f"{key} must be a JSON array, got {value!r}")
     if isinstance(slot_count, bool) or not isinstance(slot_count, int) or slot_count < 1:
         raise TopologyParseError(f"slot_count must be a positive integer, got {slot_count!r}")
+    for label in raw_nodes:
+        if not _is_label(label):
+            raise TopologyParseError(f"node label {label!r} is not a string or an integer")
     if len(set(map(repr, raw_nodes))) != len(raw_nodes):
         raise TopologyParseError("duplicate node labels")
     if not raw_edges:
@@ -242,6 +255,9 @@ def load_topology(document) -> NetworkGraph:
             a, b, weight = entry["a"], entry["b"], entry["weight"]
         except (KeyError, TypeError) as exc:
             raise TopologyParseError(f"malformed edge entry {entry!r}") from exc
+        for label in (a, b):
+            if not _is_label(label):
+                raise TopologyParseError(f"edge endpoint {label!r} is not a string or an integer")
         if isinstance(weight, bool) or not isinstance(weight, Real):
             raise TopologyParseError(f"edge {a!r}-{b!r}: weight must be a number, got {weight!r}")
         try:
@@ -269,6 +285,7 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
     """Parse a demands document against ``graph``.
 
     Entries look like ``{"src", "dst", "rate", "hold", "slots"}`` where
+    ``src`` and ``dst`` are node labels (strings or integers) and
     ``slots`` is either a fixed integer or a pmf table
     ``[{"s": int, "p": num}, ...]``.  Slot counts above the graph's
     slot_count are rejected: such a request could never be carried.
@@ -284,6 +301,9 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
             slots = entry["slots"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DemandError(f"malformed demand entry {entry!r}: {exc}") from exc
+        for label in (src, dst):
+            if not _is_label(label):
+                raise DemandError(f"demand endpoint {label!r} is not a string or an integer")
         if isinstance(slots, int):
             pmf = {slots: 1.0}
         elif isinstance(slots, list):
@@ -293,6 +313,8 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
                     s, p = row["s"], float(row["p"])
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DemandError(f"malformed pmf row {row!r}") from exc
+                if isinstance(s, bool) or not isinstance(s, int):
+                    raise DemandError(f"pmf slot count {s!r} must be an integer")
                 if s in pmf:
                     raise DemandError(f"duplicate pmf slot count {s}")
                 pmf[s] = p

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from eonspectra.cli import main, parse_arch_sweep, parse_converter_spec
+from eonspectra.analyzer import AnalysisConfig, fixed_point
+from eonspectra.cli import derive_seed, main, parse_arch_sweep, parse_converter_spec
 from eonspectra.errors import InputError
 from eonspectra.fixtures import demands_document
-from eonspectra.lightpath import FULL, SHARE_PER_NODE, NodeArchitecture
+from eonspectra.lightpath import FULL, SHARE_PER_NODE, NodeArchitecture, load_architectures
 from eonspectra.topology import (
     load_demands,
     load_topology,
@@ -264,6 +265,27 @@ def test_sweep_rows_and_scaling(inputs):
     assert float(simple_rows[0][3]) <= float(simple_rows[1][3]) + 1e-12
 
 
+def test_sweep_arch_file_is_one_setting(inputs):
+    tmp, topo, demands, arch = inputs
+    out = tmp / "sweep.json"
+    code = main([
+        "sweep", "--topology", str(topo), "--demands", str(demands), "--arch", str(arch),
+        "--out", str(out), "--format", "json", "--traffic", "0.05,0.1", "--seed", "5",
+    ])
+    assert code == 0
+    rows = json.loads(out.read_text())
+    assert [row["setting"] for row in rows] == ["arch-file", "arch-file"]
+    # each row is the solve of the file's architectures at that row's scale
+    graph = load_topology(topo.read_text())
+    base = load_demands(demands.read_text(), graph)
+    archs = load_architectures(arch.read_text(), graph)
+    config = AnalysisConfig(seed=derive_seed(5, "analysis"))
+    for row in rows:
+        scaled = scale_demands(base, row["scale"])
+        result = fixed_point(graph, scaled, archs, config)
+        assert row["analytic_blocking"] == result.network_blocking_prob
+
+
 def test_sweep_with_sim_adds_columns(inputs):
     tmp, topo, demands, _ = inputs
     out = tmp / "sweep.csv"
@@ -358,8 +380,11 @@ def test_gen_demands_slots_beyond_fiber_exits_1_without_output(capsys, tmp_path,
         ("gen-demands", "--traffic", "0"),
         ("gen-demands", "--traffic", "-1"),
         ("gen-demands", "--traffic", "nan"),
+        ("gen-demands", "--rate-range", "abc"),
+        ("gen-demands", "--rate-range", "1,0.5"),
         ("sweep", "--traffic", "nan"),
         ("sweep", "--traffic", "inf"),
+        ("sweep", "--traffic", "0.2,x"),
     ],
 )
 def test_bad_range_or_traffic_names_the_flag_and_exits_1(capsys, inputs, command, flag, value):
@@ -587,6 +612,18 @@ def test_malformed_edge_field_exits_1_without_output(capsys, inputs, field, valu
                  "--out", str(tmp / "nope.csv")])
     assert code == 1
     assert f"error: edge 1-2: {field}" in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before
+
+
+def test_topology_nodes_that_are_a_number_exit_1_without_output(capsys, inputs):
+    # list() of the number once ended in a TypeError traceback
+    tmp, topo, demands, _ = inputs
+    topo.write_text(json.dumps({**TOPOLOGY, "nodes": 5}))
+    before = sorted(tmp.iterdir())
+    code = main(["analyze", "--topology", str(topo), "--demands", str(demands),
+                 "--out", str(tmp / "nope.csv")])
+    assert code == 1
+    assert "error: nodes must be a JSON array" in capsys.readouterr().err
     assert sorted(tmp.iterdir()) == before
 
 

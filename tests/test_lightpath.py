@@ -548,6 +548,11 @@ def test_load_architectures_rejects_bad_entries():
         load_architectures(json.dumps({"2": {"kind": "share_per_node"}}), g)
     with pytest.raises(ArchitectureError):
         load_architectures(json.dumps({"9": {"kind": "full"}}), g)
+    with pytest.raises(ArchitectureError, match="JSON object"):
+        load_architectures(json.dumps([{"kind": "full"}]), g)
+    for entry in (5, "full", {"n_sc": 1}):  # malformed entries
+        with pytest.raises(ArchitectureError, match="malformed"):
+            load_architectures(json.dumps({"2": entry}), g)
     with pytest.raises(ArchitectureError):
         NodeArchitecture(SHARE_PER_LINK, 0)
     for n_sc in (1.5, 2.0, True, "2"):

@@ -99,6 +99,19 @@ def test_blocked_when_no_window():
     assert admit(state, path, 2, np.random.default_rng(2)) is None
 
 
+def test_request_wider_than_the_fiber_is_blocked_without_a_trace():
+    g = line(3, 4)
+    path = route(g, 1, 3)
+    state = make_state(g, {2: NodeArchitecture(SHARE_PER_NODE, 1)})
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    assert admit(state, path, 5, rng) is None
+    assert state.occupied == [0] * len(state.occupied)
+    assert state.bank_in_use == {("node", 2): 0}
+    assert state.connections == {} and state.next_id == 1
+    assert rng.bit_generator.state == before
+
+
 def test_conversion_bridges_disjoint_windows():
     g = line(3, 4)
     path = route(g, 1, 3)

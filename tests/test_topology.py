@@ -11,7 +11,7 @@ from eonspectra.errors import (
     TopologyParseError,
     UnreachableError,
 )
-from eonspectra.fixtures import nsf14, sixnode
+from eonspectra.fixtures import demands_document, nsf14, sixnode
 from eonspectra.lightpath import crossing_stats
 from eonspectra.topology import (
     DemandSpec,
@@ -74,6 +74,21 @@ def test_rejects_bad_documents():
         load_topology(doc([1, 2], [{"a": 1, "b": 1, "weight": 1}]))
     with pytest.raises(TopologyParseError, match="no edges"):
         load_topology(doc([1, 2], []))
+    edge = {"a": 1, "b": 2, "weight": 1}
+    for bad in (
+        "[1, 2]",  # not an object
+        json.dumps({"name": "t", "nodes": [1, 2], "edges": [edge]}),  # no slot_count
+        doc(5, [edge]),  # nodes not an array; these four once raised TypeError
+        doc([1, 2], 5),
+        doc([[1], 2], [edge]),  # unhashable label
+        doc([1, 2], [{"a": [1], "b": 2, "weight": 1}]),  # unhashable endpoint
+        doc([1.0, 2], [edge]),  # a label that is neither string nor integer
+        doc([1, 1], [edge]),  # duplicate labels
+        doc([1, 2], [5]),  # malformed edge entries
+        doc([1, 2], [{"a": 1, "b": 2}]),
+    ):
+        with pytest.raises(TopologyParseError):
+            load_topology(bad)
 
 
 def test_demand_loading_and_validation():
@@ -95,6 +110,40 @@ def test_demand_loading_and_validation():
         load_demands("[oops", g)
     with pytest.raises(DemandError):
         DemandSpec(1, 2, 1.0, 1.0, {1: 0.5, 2: 0.4})  # pmf sums to 0.9
+    with pytest.raises(DemandError, match="JSON array"):
+        load_demands(json.dumps({"src": 1}), g)
+    good = {"src": 1, "dst": 2, "rate": 1, "hold": 1, "slots": 1}
+    for bad in (
+        5,  # malformed entries
+        {"src": 1, "dst": 2, "hold": 1, "slots": 1},
+        dict(good, rate="fast"),
+        dict(good, slots=[{"s": 1}]),  # malformed pmf rows
+        dict(good, slots=[5]),
+        dict(good, slots=[{"s": [1], "p": 1}]),  # unhashable: once a TypeError
+        dict(good, slots=[{"s": 1.0, "p": 1}]),
+        dict(good, slots=[{"s": 1, "p": 0.5}, {"s": 1, "p": 0.5}]),  # duplicate
+        dict(good, slots="1"),  # slots of another type
+        dict(good, slots=1.0),
+        dict(good, rate=0),
+        dict(good, src=True),  # once taken for the node labelled 1
+        dict(good, dst=2.0),
+        dict(good, slots=[]),  # empty pmf
+    ):
+        with pytest.raises(DemandError):
+            load_demands(json.dumps([bad]), g)
+
+
+def test_demands_document_round_trips_a_multi_valued_pmf():
+    g = load_topology(doc(["a", "b", "c"], [
+        {"a": "a", "b": "b", "weight": 1},
+        {"a": "b", "b": "c", "weight": 1},
+    ], slot_count=4))
+    demands = [
+        DemandSpec(1, 3, 0.7, 1.3, {3: 0.2, 1: 0.5, 2: 0.3}),
+        DemandSpec(3, 2, 2.5, 0.4, {4: 1.0}),
+    ]
+    loaded = load_demands(demands_document(g, demands), g)
+    assert loaded == demands
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
