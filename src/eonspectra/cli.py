@@ -166,10 +166,10 @@ def _parse_spec_items(text: str) -> list[tuple[str, NodeArchitecture]]:
         kind, _, count = item.partition(":")
         n_sc = None
         if count:
-            try:
-                n_sc = int(count)
-            except ValueError as exc:
-                raise InputError(f"bad SCB count in {item!r}") from exc
+            # plain digits only: int() also takes "1_0", "+2" and " 3"
+            if not (count.isascii() and count.isdigit()):
+                raise InputError(f"bad SCB count in {item!r}")
+            n_sc = int(count)
         if kind in (SHARE_PER_LINK, SHARE_PER_NODE) and n_sc is None:
             raise InputError(f"{kind} needs an SCB count, e.g. {kind}:2")
         items.append((item, NodeArchitecture(kind=kind, n_sc=n_sc)))

@@ -23,26 +23,30 @@ strictly interior nodes can convert: conversion capability at the source
 or destination cannot help a request.
 
 During a fixed point the routes, layouts and pmfs stay fixed and only the
-link state moves.  ``compile_plan`` therefore compiles, once per solve,
-every forward pass the solve needs, one per route and slot count, into
-index arrays over the passes' stops: the bank each stop draws from, and
-the table row of every segment that can close there.  Its Python work is
-one walk per distinct route over the route's converting interior nodes,
-each node's stop resolved once per exit link, which lists the route's
-stops and segment rows; the passes are then laid out by numpy gathers
-over the routes' offsets in those lists.  The plan also holds the
-position of every pass in its results (``SolvePlan.index``), compiled
-with it.  Each iteration ``SolvePlan.evaluate`` computes the success of
-every row, in one array call of ``run_probability`` per slot count, and
-the availability of every bank, then runs all the passes at once as array
-operations, stop by stop and, within a stop, opening by opening, and
-returns the blockings with that same index.  Each pass sees the float
-operations of its own scalar walk in the same order.  The padding that
-lines the passes up adds only exact zeros (an opening a pass does not have
-holds mass 0.0 and reads success 1.0), and a stop that is never or always
-free scales the masses by exactly 1.0 or 0.0, so every blocking equals the
-scalar walk's bit for bit.  A single call without a solve compiles a plan
-of its own route, so every blocking comes from the same pass.
+link state moves, so ``compile_plan`` compiles, once per solve, every
+forward pass the solve needs, one per route and slot count, into the index
+arrays of a ``SolvePlan``.  Its Python work is one walk per distinct route
+over the route's converting interior nodes, which lists the route's stops
+(the bank each draws from and how many openings it closes; openings are
+where segments start: the source and each shared stop since the last full
+node) and, stop by stop and opening by opening, the table row of the
+segment that closes there.  Each route then becomes one column of two
+grids, one with a row per stop and one with a row per (stop, opening), and
+the passes, ordered by their number of stops so that those still running
+at a stop are a prefix of them, take their routes' columns, masked at each
+stop to the passes that reach it.  Each iteration ``SolvePlan.evaluate``
+computes the success of every table row, in one array call of
+``run_probability`` per slot count, and the availability of every bank,
+then runs all the passes side by side, stop by stop and, within a stop,
+opening by opening, with the float operations of each pass's scalar walk
+in the same order.  The padding that lines the passes up adds only exact
+zeros (an opening a pass does not have holds mass 0.0 and reads success
+1.0), and a stop that is never or always free scales the masses by exactly
+1.0 or 0.0, so every blocking equals the scalar walk's bit for bit.  The
+plan also holds the position of every pass in its results
+(``SolvePlan.index``), so an iteration builds no map, and a single call
+without a solve compiles a plan of its own route, so every blocking comes
+from the same pass.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ArchitectureError, InputError, MissingNodeError
+from .errors import ArchitectureError, InputError
 from .runprob import run_probability
 from .topology import NetworkGraph, RoutedPath, _parse_document
 
@@ -119,16 +123,14 @@ def load_architectures(document, graph: NetworkGraph) -> ArchitectureMap:
     return archs
 
 
-def _resolve_label(label, graph: NetworkGraph):
-    # JSON object keys are strings even when node labels are integers
-    try:
-        return graph.node_of(label)
-    except MissingNodeError:
-        pass
-    try:
-        return graph.node_of(int(label))
-    except (ValueError, TypeError):
-        raise ArchitectureError(f"unknown node label {label!r}") from None
+def _resolve_label(key, graph: NetworkGraph) -> int:
+    """The node whose label ``key`` spells exactly, as ``str(label)``: JSON
+    object keys are strings even when node labels are integers, so a key
+    that spells two labels (``1`` and ``"1"``) names no node."""
+    nodes = [node for node, label in enumerate(graph.labels, 1) if str(label) == key]
+    if len(nodes) != 1:
+        raise ArchitectureError(f"{'ambiguous' if nodes else 'unknown'} node label {key!r}")
+    return nodes[0]
 
 
 def uniform_architectures(graph: NetworkGraph, arch: NodeArchitecture) -> ArchitectureMap:
@@ -253,22 +255,20 @@ class PlanValues:
 
 @dataclass(frozen=True)
 class SolvePlan:
-    """The compiled forward passes of one solve, as index arrays.
+    """The compiled forward passes of one solve (see the module docstring).
 
     ``index`` numbers every (slot count, link ids) pair once, the passes
-    with more stops first, so the passes that reach stop j are a prefix of
-    them; each evaluation returns it with the blockings in that order, so
-    no map is built per iteration.  ``stops[j]`` is (active, width,
-    targets): the length of that prefix, the number of openings that can
-    be open at stop j in any of its passes, and for each pass of the prefix
-    the index its new opening takes in the raveled (opening, pass) array of
-    masses.  Stop by stop,
-    ``draws`` holds each active pass's index into the availabilities
-    (0, always 1.0, for a full node and for the destination), and
-    ``closes`` holds, opening by opening, each active pass's index of the
-    success of its segment from that opening.  The successes run over the
-    slot counts of ``rows`` and, within one, over its rows; one padding
-    entry of 1.0 follows, for an opening that a pass does not have.
+    with more stops first and in request order among equals; each
+    evaluation returns it with the blockings in that order.  ``stops[j]``
+    is (active, width, targets): the number of passes that reach stop j,
+    the most openings any of them has there, and for each of them the
+    index its new opening takes in the raveled (opening, pass) array of
+    masses.  Stop by stop, ``draws`` holds each active pass's index into
+    the availabilities (0, always 1.0, for a full node and for the
+    destination), and ``closes`` holds, opening by opening, each active
+    pass's index of the success of its segment from that opening.  The
+    successes run over the slot counts of ``rows`` and, within one, over
+    its rows; one padding entry of 1.0 follows.
 
     The segment table lists the link ids its rows cross in ``columns``; row
     i of ``hops`` holds segment i's columns in path order, padded with
@@ -288,19 +288,10 @@ class SolvePlan:
     draws: np.ndarray
 
     def evaluate(self, phis: LinkFreeProbs) -> PlanValues:
-        """Every forward pass of the plan at link state ``phis``.
-
-        The successes of the table rows come from one array call of
-        ``run_probability`` per slot count, over the products of the rows'
-        link free probabilities taken column by column in path order; each
-        bank's availability is computed once.  The passes then run side by
-        side over arrays, stop by stop and, within a stop, opening by
-        opening in ascending order, with the float operations of
-        ``lightpath_blocking``'s pass in the same order.  A padded opening
-        holds mass 0.0 and reads success 1.0, so it adds exact zeros, and a
-        stop with availability 0.0 or 1.0 scales the masses by exactly 1.0
-        or 0.0: every blocking is the one pass's alone, bit for bit.
-        """
+        """Every forward pass of the plan at link state ``phis``.  A row's
+        success takes the product of its links' free probabilities column
+        by column in path order, and a bank's availability the same
+        ``share_per_link_availability`` arguments as a scalar call."""
         phi = np.array([phis[lid] for lid in self.columns] + [1.0])
         rho = phi[self.hops[:, 0]]
         for column in self.hops[:, 1:].T:
@@ -357,17 +348,11 @@ def compile_plan(
     route and slot count, each once however many requests share it.  Slot
     counts above ``slot_count`` are never carried and get no pass.
 
-    The Python work is one walk per distinct route over its converting
-    interior nodes; a route without one has only its destination as a
-    stop, found without a scan.  A converting node's stop is resolved once
-    per exit link: 0 (always free) at a full node, else the index of the
-    bank that ``bank_key`` names.  The walk appends the route's stops and,
-    stop by stop, the table row of the segment from each opening since the
-    last full node (openings are where segments start: the source and each
-    shared stop), O(k^2) for k converters.  Everything else is array work:
-    each stop's opening count and the number of its new opening, the
-    passes laid out by gathers over the routes' offsets in those lists,
-    and ``hops`` filled by one assignment.
+    The walk resolves a converting node's stop once per exit link: 0
+    (always free) at a full node, else the index of the bank that
+    ``bank_key`` names.  A route without a converting interior node has
+    only its destination as a stop, found without a scan; a route with k
+    converters lists O(k^2) segment rows.
     """
     segments: dict[tuple[int, ...], int] = {}  # link ids -> row
     bank_index: dict[Bank, int] = {}
@@ -376,13 +361,15 @@ def compile_plan(
     stop_at: dict[int, int] = {}  # exit link id -> stop of its tail, -1 if none
     route_of: dict[tuple[int, ...], int] = {}  # link ids -> route number
     passes: dict[PassKey, int] = {}  # pass -> route number, in request order
-    # route after route: each stop's availability index, and stop by stop
-    # and opening by opening, the row of each segment that closes there
+    # route after route: each stop's availability index and opening count,
+    # and stop by stop and opening by opening, the row of each segment that
+    # closes there
     stop_bank: list[int] = []
+    stop_width: list[int] = []
     entry_row: list[int] = []
     stop_end: list[int] = []  # per route, where its stops end in stop_bank
-    entry_end: list[int] = []  # and its segments in entry_row
-    add_stop, add_row, row_of = stop_bank.append, entry_row.append, segments.setdefault
+    add_stop, add_width = stop_bank.append, stop_width.append
+    add_row, row_of = entry_row.append, segments.setdefault
 
     def stop(node: int, link_id: int) -> int:
         """The stop of ``node`` on a route leaving it by ``link_id``."""
@@ -418,6 +405,7 @@ def compile_plan(
                     for o in openings:
                         add_row(row_of(link_ids[o:i], len(segments)))
                     add_stop(index)
+                    add_width(len(openings))
                     if index:
                         openings.append(i)
                     else:
@@ -425,29 +413,16 @@ def compile_plan(
             for o in openings:  # the destination
                 add_row(row_of(link_ids[o:], len(segments)))
             add_stop(0)
+            add_width(len(openings))
             stop_end.append(len(stop_bank))
-            entry_end.append(len(entry_row))
         for s in sizes:
             if s > slot_count:
                 break
             passes[s, link_ids] = number
 
-    # per stop, route after route: how many openings it closes and the number
-    # its own opening takes (0 at a full node or the destination, after which
-    # the openings start afresh).  The destination ends every route, so the
-    # stops after an index 0 are exactly those that start a run of openings.
-    stop_bank = np.array(stop_bank, dtype=np.intp)
-    shared = stop_bank != 0
-    before = np.cumsum(shared) - shared  # shared stops before each
-    fresh = np.flatnonzero(np.concatenate(([True], ~shared[:-1])))
-    run_start = np.repeat(fresh, np.diff(fresh, append=len(stop_bank)))
-    stop_width = 1 + before - before[run_start]
-    stop_opening = np.where(shared, stop_width, 0)
-
     # the passes with more stops first, in request order among equals
     keys = list(passes)
     count = len(keys)
-    stop_end, entry_end = np.array(stop_end, dtype=np.intp), np.array(entry_end, dtype=np.intp)
     depth = np.diff(stop_end, prepend=0)
     pass_route = np.fromiter(passes.values(), np.intp, count)
     # the sort keys are distinct, so any sort keeps request order among equals
@@ -455,37 +430,32 @@ def compile_plan(
     order = [keys[i] for i in by_depth.tolist()]
     pass_route = pass_route[by_depth]
 
-    # one entry per (pass, stop), passes in order, each pass's stops in path order
-    pass_depth = depth[pass_route]
-    stop_pass = np.repeat(np.arange(count), pass_depth)
-    stop_j = _offsets(pass_depth)
-    gather = np.repeat((stop_end - depth)[pass_route], pass_depth) + stop_j
-    stop_bank, stop_opening, stop_width = stop_bank[gather], stop_opening[gather], stop_width[gather]
-    entries = np.diff(entry_end, prepend=0)
-    pass_entries = entries[pass_route]
-    gather = np.repeat((entry_end - entries)[pass_route], pass_entries)
-    entry_row = np.array(entry_row, dtype=np.intp)[gather + _offsets(pass_entries)]
-    # per stop j: how many passes reach it, and the most openings any of them has there
-    active = np.bincount(stop_j, minlength=depth.max(initial=0))
-    width = np.zeros_like(active)
-    np.maximum.at(width, stop_j, stop_width)
-    at = np.cumsum(active) - active  # where stop j's entries start
-    slot = at[stop_j] + stop_pass
-    draws = np.empty_like(stop_bank)
-    draws[slot] = stop_bank
-    targets = np.empty_like(stop_opening)
-    targets[slot] = stop_opening * count + stop_pass
+    # the grids, one column per route: a row per stop (availability index,
+    # opening count), and a row per (stop, opening) up to the most openings
+    # any route has at that stop (segment row, -1 as padding)
+    has = np.arange(depth.max(initial=0))[:, None] < depth
+    bank, width = np.zeros((2, *has.shape), dtype=np.intp)
+    bank.T[has.T], width.T[has.T] = stop_bank, stop_width
+    widest = width.max(axis=1, initial=0)
+    entry_stop = np.repeat(np.arange(len(widest)), widest)
+    cell = _offsets(widest)[:, None] < width[entry_stop]
+    rows = np.full(cell.shape, -1, dtype=np.intp)
+    rows.T[cell.T] = entry_row
 
-    # one entry per (pass, stop, opening); the successes the passes close are
-    # numbered by slot count, then by table row
-    entry_stop = np.repeat(np.arange(len(stop_pass)), stop_width)
-    entry_o = _offsets(stop_width)
-    entry_j, entry_pass = stop_j[entry_stop], stop_pass[entry_stop]
+    # the passes' columns, stop by stop, masked to the passes still running
+    # there; a stop's new opening takes the number of openings it closes, or
+    # 0 at a full node or the destination, where the openings start afresh
+    running = has[:, pass_route]
+    active = running.sum(axis=1)
+    draws = bank[:, pass_route][running]
+    targets = (np.where(bank, width, 0)[:, pass_route] * count + np.arange(count))[running]
+    # the successes the passes close are numbered by slot count, then by row
     slot_counts, rank = np.unique([s for s, _ in order], return_inverse=True)
-    needed, position = np.unique(rank[entry_pass] * len(segments) + entry_row, return_inverse=True)
-    block = width * active  # stop j's entries, opening by opening
-    closes = np.full(block.sum(), len(needed), dtype=np.intp)  # padding reads 1.0
-    closes[(np.cumsum(block) - block)[entry_j] + entry_o * active[entry_j] + entry_pass] = position
+    cells, live = rows[:, pass_route], running[entry_stop]
+    real = cells[live] >= 0
+    needed, position = np.unique((cells + rank * len(segments))[live][real], return_inverse=True)
+    closes = np.full(len(real), len(needed), dtype=np.intp)  # padding reads 1.0
+    closes[real] = position
     split = np.searchsorted(needed, np.arange(1, len(slot_counts)) * len(segments))
 
     lengths = np.fromiter(map(len, segments), np.intp, len(segments))
@@ -502,8 +472,8 @@ def compile_plan(
         tuple(banks),
         dict(zip(order, range(count))),
         tuple(
-            (int(n), int(w), targets[start : start + n])
-            for n, w, start in zip(active, width, at)
+            (int(n), int(w), t)
+            for n, w, t in zip(active, widest, np.split(targets, np.cumsum(active)[:-1]))
         ),
         closes,
         draws,

@@ -202,6 +202,17 @@ def _parse_document(document, what: str, error: type[InputError]) -> object:
     return document
 
 
+def _number(value, what: str, error: type[InputError]) -> float:
+    """``value`` as a float when it is a JSON number (not a boolean), else
+    ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} {value} is not finite") from None
+
+
 def _is_label(value) -> bool:
     """Whether ``value`` can label a node: a string or an integer."""
     return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
@@ -258,12 +269,7 @@ def load_topology(document) -> NetworkGraph:
         for label in (a, b):
             if not _is_label(label):
                 raise TopologyParseError(f"edge endpoint {label!r} is not a string or an integer")
-        if isinstance(weight, bool) or not isinstance(weight, Real):
-            raise TopologyParseError(f"edge {a!r}-{b!r}: weight must be a number, got {weight!r}")
-        try:
-            weight = float(weight)
-        except OverflowError:
-            raise TopologyParseError(f"edge {a!r}-{b!r}: weight {weight} is not finite") from None
+        weight = _number(weight, f"edge {a!r}-{b!r}: weight", TopologyParseError)
         directed = entry.get("directed", False)
         if not isinstance(directed, bool):
             raise TopologyParseError(
@@ -296,11 +302,12 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
     demands = []
     for entry in doc:
         try:
-            src, dst = entry["src"], entry["dst"]
-            rate, hold = float(entry["rate"]), float(entry["hold"])
+            src, dst, rate, hold = entry["src"], entry["dst"], entry["rate"], entry["hold"]
             slots = entry["slots"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DemandError(f"malformed demand entry {entry!r}: {exc}") from exc
+        rate = _number(rate, f"demand {src!r}->{dst!r}: rate", DemandError)
+        hold = _number(hold, f"demand {src!r}->{dst!r}: hold", DemandError)
         for label in (src, dst):
             if not _is_label(label):
                 raise DemandError(f"demand endpoint {label!r} is not a string or an integer")
@@ -310,9 +317,10 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
             pmf = {}
             for row in slots:
                 try:
-                    s, p = row["s"], float(row["p"])
-                except (KeyError, TypeError, ValueError) as exc:
+                    s, p = row["s"], row["p"]
+                except (KeyError, TypeError) as exc:
                     raise DemandError(f"malformed pmf row {row!r}") from exc
+                p = _number(p, f"pmf row {row!r}: p", DemandError)
                 if isinstance(s, bool) or not isinstance(s, int):
                     raise DemandError(f"pmf slot count {s!r} must be an integer")
                 if s in pmf:

@@ -627,6 +627,66 @@ def test_topology_nodes_that_are_a_number_exit_1_without_output(capsys, inputs):
     assert sorted(tmp.iterdir()) == before
 
 
+@pytest.mark.parametrize("key", ["0_2", " 3 ", "+4", "02"])
+def test_architecture_key_that_is_not_a_label_exits_1_without_output(capsys, inputs, key):
+    # int() once read each of these as a node label of the square
+    tmp, topo, demands, arch = inputs
+    arch.write_text(json.dumps({key: {"kind": "full"}}))
+    before = sorted(tmp.iterdir())
+    code = main(["analyze", "--topology", str(topo), "--demands", str(demands),
+                 "--arch", str(arch), "--out", str(tmp / "nope.csv")])
+    assert code == 1
+    assert "error: unknown node label" in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "field, value", [("rate", True), ("hold", "1_0"), ("p", " 1 ")]
+)
+def test_demand_number_that_is_not_a_number_exits_1_without_output(capsys, inputs, field, value):
+    tmp, topo, demands, _ = inputs
+    entry = dict(DEMANDS[0], **{field: value})
+    if field == "p":
+        entry = dict(DEMANDS[2], slots=[{"s": 1, "p": value}])
+    demands.write_text(json.dumps([entry]))
+    before = sorted(tmp.iterdir())
+    code = main(["analyze", "--topology", str(topo), "--demands", str(demands),
+                 "--out", str(tmp / "nope.csv")])
+    assert code == 1
+    assert f"{field} must be a number" in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("place", ["--converters", "share_per_node:1_0"]),
+        ("place", ["--converters", "full,share_per_link:+1"]),
+        ("sweep", ["--traffic", "0.1", "--arch-sweep", "share_per_node:1_0"]),
+        ("sweep", ["--traffic", "0.1", "--arch-sweep", "share_per_node: 2"]),
+    ],
+)
+def test_converter_count_that_is_not_plain_digits_exits_1_without_output(capsys, inputs, command, flags):
+    tmp, topo, demands, _ = inputs
+    before = sorted(tmp.iterdir())
+    code = main([command, "--topology", str(topo), "--demands", str(demands),
+                 "--out", str(tmp / "nope.csv"), *flags])
+    assert code == 1
+    assert "error: bad SCB count" in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before
+
+
+def test_sweep_without_traffic_exits_1_without_output(capsys, inputs):
+    tmp, topo, demands, _ = inputs
+    demands.write_text("[]")
+    before = sorted(tmp.iterdir())
+    code = main(["sweep", "--topology", str(topo), "--demands", str(demands),
+                 "--out", str(tmp / "nope.csv"), "--traffic", "0.1"])
+    assert code == 1
+    assert "error: base demand set carries no traffic" in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before
+
+
 def test_converter_count_on_a_full_node_exits_1(capsys, inputs):
     tmp, topo, demands, _ = inputs
     out = tmp / "nope.csv"

@@ -408,10 +408,10 @@ def test_array_passes_equal_the_scalar_stop_walk():
     assert min(seen.values()) >= 10, seen
 
 
-@pytest.mark.parametrize("setting", ["share_per_node:2", "full", "mixed"])
-def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
-    """One plan of a 28-node chorded ring, routes of up to 8 hops, against
-    the scalar stop walk with ==, pass by pass; its index is compiled once."""
+def _long_routes(setting):
+    """A 28-node chorded ring with routes of up to 8 hops, requests of
+    several pmfs (one with a slot count above F), ``setting``'s converters
+    and a random link state."""
     g = chorded_ring(7)
     slot_count = g.slot_count
     pmfs = [{1: 1.0}, {2: 0.5, 4: 0.5}, {1: 0.2, 3: 0.3, 5: 0.5}, {2: 1.0}]
@@ -433,6 +433,14 @@ def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
     }[setting]
     rng = np.random.default_rng(11)
     phis = {link.id: float(x) for link, x in zip(g.links, rng.uniform(0.75, 1.0, len(g.links)))}
+    return slot_count, demands, routes, stats, archs, phis
+
+
+@pytest.mark.parametrize("setting", ["share_per_node:2", "full", "mixed"])
+def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
+    """One plan of a 28-node chorded ring, routes of up to 8 hops, against
+    the scalar stop walk with ==, pass by pass; its index is compiled once."""
+    slot_count, demands, routes, stats, archs, phis = _long_routes(setting)
     plan = compile_plan(((r, d.slot_counts) for d, r in zip(demands, routes)), archs, stats, slot_count)
     values = plan.evaluate(phis)
     again = plan.evaluate({lid: phi / 2 for lid, phi in phis.items()})
@@ -455,6 +463,25 @@ def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
     assert (partly_free > 0) == (setting != "full")
     too_big = lightpath_blocking(slot_count + 1, routes[5], archs, phis, stats, slot_count, values)
     assert too_big == 1.0
+
+
+@pytest.mark.parametrize("setting", ["share_per_node:2", "mixed"])
+def test_request_order_leaves_every_blocking_unchanged(setting):
+    """The same requests compiled in shuffled orders lay the passes out in
+    other columns and other orders among passes of equal length, but every
+    (S, link ids) keeps its blocking bit for bit."""
+    slot_count, demands, routes, stats, archs, phis = _long_routes(setting)
+    requests = [(r, d.slot_counts) for d, r in zip(demands, routes)]
+    plan = compile_plan(requests, archs, stats, slot_count)
+    values = plan.evaluate(phis)
+    expected = {key: values.values[i] for key, i in plan.index.items()}
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        shuffled = [requests[i] for i in rng.permutation(len(requests))]
+        other = compile_plan(shuffled, archs, stats, slot_count)
+        assert list(other.index) != list(plan.index)
+        got = other.evaluate(phis)
+        assert {key: got.values[i] for key, i in other.index.items()} == expected
 
 
 def test_blocking_is_a_probability_without_clamping():
@@ -568,6 +595,19 @@ def test_load_architectures_rejects_bad_entries():
             with pytest.raises(ArchitectureError):
                 load_architectures(json.dumps({"2": {"kind": kind, "n_sc": n_sc}}), g)
         assert load_architectures(json.dumps({"2": {"kind": kind, "n_sc": None}}), g)[2].n_sc is None
+
+
+def test_architecture_keys_must_spell_a_label_exactly():
+    g = line_graph(10, 4)  # integer labels 1..11
+    assert load_architectures(json.dumps({"10": {"kind": "full"}}), g) == {10: NodeArchitecture(FULL)}
+    # int() reads these as 10, 3, 4 and 5
+    for key in ("1_0", " 3 ", "+4", "05"):
+        with pytest.raises(ArchitectureError, match="unknown node label"):
+            load_architectures(json.dumps({key: {"kind": "full"}}), g)
+    twice = NetworkGraph(labels=[1, "1", 3], links=line_graph(2, 4).links, slot_count=4)
+    with pytest.raises(ArchitectureError, match="ambiguous node label '1'"):
+        load_architectures(json.dumps({"1": {"kind": "full"}}), twice)
+    assert load_architectures(json.dumps({"3": {"kind": "full"}}), twice) == {3: NodeArchitecture(FULL)}
 
 
 def test_uniform_architectures():

@@ -143,6 +143,18 @@ def test_inventory_larger_than_simple_nodes_rejected():
 # --- brute force -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("place", [place_heuristic, place_brute_force])
+def test_simple_inventory_item_is_rejected_before_routing(monkeypatch, place):
+    def no_routing(*args):
+        raise AssertionError("routed an inventory that holds a simple item")
+
+    monkeypatch.setattr("eonspectra.placement.route_all", no_routing)
+    g = ring3()
+    inventory = [NodeArchitecture(FULL), NodeArchitecture("simple")]
+    with pytest.raises(InputError, match="conversion capability"):
+        place(g, [DemandSpec(1, 3, 0.5, 1.0, {1: 1.0})], inventory, CONFIG)
+
+
 def test_brute_force_counts_and_guard():
     g = ring3()
     demands = uniform_demands(g)

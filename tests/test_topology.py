@@ -128,6 +128,12 @@ def test_demand_loading_and_validation():
         dict(good, src=True),  # once taken for the node labelled 1
         dict(good, dst=2.0),
         dict(good, slots=[]),  # empty pmf
+        # numbers only: float() once read these as 1.0, 10.0, 2.0 and 1.0
+        dict(good, rate=True),
+        dict(good, hold="1_0"),
+        dict(good, rate="2"),
+        dict(good, slots=[{"s": 1, "p": " 1 "}]),
+        dict(good, rate=10**400),  # once an OverflowError traceback
     ):
         with pytest.raises(DemandError):
             load_demands(json.dumps([bad]), g)
