@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import logging
 import math
+import re
 import sys
 import zlib
 from contextlib import nullcontext
@@ -67,25 +68,58 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# plain numerals: ASCII digits with an optional sign, decimal point and
+# exponent; float() and int() also take "1_0", " 3 ", "nan" and the digits
+# of other scripts
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_REAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _numeral(flag: str, text: str, kind=float):
+    """``text`` read as a ``kind`` (``float`` or ``int``) when it is a plain
+    numeral; anything else is an input error naming ``flag``."""
+    if (_INTEGER if kind is int else _REAL).fullmatch(text) is None:
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"{flag} must be {what}, got {text!r}")
+    return kind(text)
+
+
+class _Numeral(argparse.Action):
+    """Stores a flag's value read by ``_numeral``.  argparse turns only its
+    own errors into usage errors, so the ``InputError`` reaches ``main``
+    like every other bad number: exit 1 with an ``error:`` line."""
+
+    def __init__(self, option_strings, dest, kind=float, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.kind = kind
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, _numeral(option_string, values, self.kind))
+
+
 def _add_common(sub):
     sub.add_argument("--topology", required=True, help="topology JSON file")
     sub.add_argument("--demands", required=True, help="demands JSON file")
     sub.add_argument("--arch", help="architecture JSON file (default: all simple)")
     sub.add_argument("--out", required=True, help="output file")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
+    sub.add_argument(
+        "--seed", action=_Numeral, kind=int, default=0, help="root seed for all randomness"
+    )
 
 
 def _add_analysis_flags(sub):
-    sub.add_argument("--epsilon", type=float, default=1e-6)
-    sub.add_argument("--max-iter", type=int, default=1000)
-    sub.add_argument("--damping", type=float, default=1.0)
+    sub.add_argument("--epsilon", action=_Numeral, default=1e-6)
+    sub.add_argument("--max-iter", action=_Numeral, kind=int, default=1000)
+    sub.add_argument("--damping", action=_Numeral, default=1.0)
 
 
 def _add_sim_flags(sub):
-    sub.add_argument("--warmup", type=float, help="statistics start (default: 10 mean holds)")
-    sub.add_argument("--horizon", type=float, help="simulation end time")
-    sub.add_argument("--replications", type=int, default=1)
+    sub.add_argument(
+        "--warmup", action=_Numeral, help="statistics start (default: 10 mean holds)"
+    )
+    sub.add_argument("--horizon", action=_Numeral, help="simulation end time")
+    sub.add_argument("--replications", action=_Numeral, kind=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="inventory, e.g. full,full,share_per_node:1",
     )
     place.add_argument("--oracle", action="store_true", help="brute force instead of greedy")
-    place.add_argument("--guard", type=int, default=100_000, help="brute-force evaluation cap")
+    place.add_argument(
+        "--guard", action=_Numeral, kind=int, default=100_000, help="brute-force evaluation cap"
+    )
 
     sweep = commands.add_parser("sweep", help="blocking vs. traffic table")
     _add_common(sweep)
@@ -133,19 +169,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen = commands.add_parser("gen-demands", help="generate a random all-pairs demand set")
     gen.add_argument("--topology", required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", action=_Numeral, kind=int, default=0)
     gen.add_argument("--rate-range", default="0.5,1.5")
     gen.add_argument("--hold-range", default="0.5,1.5")
     gen.add_argument("--slots-range", default="1,3")
-    gen.add_argument("--traffic", type=float, help="rescale rates to hit this traffic")
+    gen.add_argument("--traffic", action=_Numeral, help="rescale rates to hit this traffic")
     return parser
 
 
 def _parse_range(flag: str, text: str, kind=float) -> tuple:
-    try:
-        lo, hi = (kind(part) for part in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"{flag} must be lo,hi: {text!r}") from exc
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise InputError(f"{flag} must be lo,hi: {text!r}")
+    lo, hi = (_numeral(flag, part.strip(), kind) for part in parts)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputError(f"{flag} bounds must be finite: {text!r}")
     if lo <= 0:
@@ -282,10 +318,8 @@ def _cmd_sweep(args) -> tuple[int, dict]:
     if args.arch and args.arch_sweep:
         raise InputError("--arch and --arch-sweep are exclusive")
     graph, demands, archs = _load_inputs(args)
-    try:
-        targets = [float(part) for part in args.traffic.split(",") if part.strip()]
-    except ValueError as exc:
-        raise InputError(f"--traffic must be a list of numbers: {args.traffic!r}") from exc
+    items = (part.strip() for part in args.traffic.split(","))
+    targets = [_numeral("--traffic", item) for item in items if item]
     if (
         not targets
         or not all(math.isfinite(t) and t > 0 for t in targets)
@@ -375,8 +409,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, parameters = _COMMANDS[args.command](args)
         # the manifest records the root seed and each input file the command takes
         leading = {key: getattr(args, key) for key in ("format", "seed") if hasattr(args, key)}

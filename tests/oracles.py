@@ -148,6 +148,35 @@ def run_probability_direct(min_run: int, slots: int, rho: float) -> float:
     return total
 
 
+def run_probability_recurrence(min_run: int, slots: int, free_prob):
+    """``run_probability``'s recurrence with nothing left out: zero padding
+    for P(S, f) at f < S, every term of every sum, and the elementwise range
+    check and clamp on every call.  The library skips the terms and the
+    check where they cannot change a bit; the tests compare the two with
+    ``==`` on the float bits."""
+    if min_run < 1:
+        raise ValueError(f"run length must be >= 1, got {min_run}")
+    if slots < 0:
+        raise ValueError(f"slot count must be >= 0, got {slots}")
+    rho = np.asarray(free_prob, dtype=float)
+    bad = ~((rho >= -1e-12) & (rho <= 1.0 + 1e-12))  # NaN too
+    if bad.any():
+        raise ValueError(f"free-slot probability {rho[bad][0]} outside [0, 1]")
+    rho = np.minimum(np.maximum(rho, 0.0), 1.0)
+    weights = [1.0 - rho]
+    tail = rho
+    for _ in range(min_run - 1):
+        weights.append(weights[-1] * rho)
+        tail = tail * rho
+    values = [np.zeros_like(rho)] * min_run  # P(., f) for f < min_run
+    for f in range(min_run, slots + 1):
+        acc = tail
+        for j in range(1, min_run + 1):
+            acc = acc + values[f - j] * weights[j - 1]
+        values.append(acc)
+    return np.minimum(values[slots], 1.0)
+
+
 _BRUTEFORCE_MAX_SLOTS = 20
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)

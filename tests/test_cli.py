@@ -59,7 +59,8 @@ def test_analyze_writes_results_and_manifest(inputs):
     out = tmp / "analysis.csv"
     code = main([
         "analyze", "--topology", str(topo), "--demands", str(demands),
-        "--arch", str(arch), "--out", str(out), "--seed", "3",
+        "--arch", str(arch), "--out", str(out), "--seed", "42",
+        "--epsilon", "1e-6", "--damping", "0.5",
     ])
     assert code == 0
     rows = read_csv(out)
@@ -72,7 +73,8 @@ def test_analyze_writes_results_and_manifest(inputs):
     manifest = json.loads((tmp / "analysis.manifest.json").read_text())
     assert manifest["command"] == "analyze"
     assert manifest["inputs"]["topology"]["sha256"]
-    assert manifest["parameters"]["seed"] == 3
+    parameters = manifest["parameters"]
+    assert (parameters["seed"], parameters["epsilon"], parameters["damping"]) == (42, 1e-6, 0.5)
 
 
 def test_analyze_json_format(inputs):
@@ -385,6 +387,12 @@ def test_gen_demands_slots_beyond_fiber_exits_1_without_output(capsys, tmp_path,
         ("sweep", "--traffic", "nan"),
         ("sweep", "--traffic", "inf"),
         ("sweep", "--traffic", "0.2,x"),
+        # float() and int() read these as 10, 20 and 3
+        ("gen-demands", "--rate-range", "1_0, 2_0"),
+        ("gen-demands", "--slots-range", "1,2_0"),
+        ("gen-demands", "--traffic", "1_0"),
+        ("gen-demands", "--traffic", " 3"),
+        ("sweep", "--traffic", "0.1, 1_0"),
     ],
 )
 def test_bad_range_or_traffic_names_the_flag_and_exits_1(capsys, inputs, command, flag, value):
@@ -573,6 +581,17 @@ def test_bad_flag_exits_1(capsys, inputs):
         ("place", ["--converters", "full", "--seed", "-1"]),
         ("sweep", ["--traffic", "0.1", "--seed", "-1"]),
         ("gen-demands", ["--seed", "-1"]),
+        # float() and int() read these as 10
+        ("analyze", ["--epsilon", "1_0"]),
+        ("analyze", ["--max-iter", "1_0"]),
+        ("analyze", ["--damping", "1_0"]),
+        ("analyze", ["--seed", "1_0"]),
+        ("simulate", ["--warmup", "1_0"]),
+        ("simulate", ["--horizon", "1_0"]),
+        ("simulate", ["--replications", "1_0"]),
+        ("place", ["--converters", "full", "--oracle", "--guard", "1_0"]),
+        ("sweep", ["--traffic", "0.1", "--max-iter", "1_0"]),
+        ("gen-demands", ["--seed", "1_0"]),
     ],
 )
 def test_out_of_range_flag_exits_1_without_output(capsys, inputs, command, flags):

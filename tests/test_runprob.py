@@ -5,7 +5,11 @@ import pytest
 
 from eonspectra.runprob import run_probability
 
-from oracles import run_probability_bruteforce, run_probability_direct
+from oracles import (
+    run_probability_bruteforce,
+    run_probability_direct,
+    run_probability_recurrence,
+)
 
 
 def test_single_slot():
@@ -15,6 +19,8 @@ def test_single_slot():
 def test_below_base_case_is_zero():
     assert run_probability(3, 2, 0.9) == 0.0
     assert run_probability(5, 0, 0.5) == 0.0
+    # a float in gives a np.float64 out on this path too, not a 0-d array
+    assert type(run_probability(3, 2, 0.9)) is np.float64
 
 
 def test_hand_enumerated_values():
@@ -120,3 +126,36 @@ def test_array_call_rejects_what_the_scalar_call_rejects():
             run_probability(2, 8, np.array([0.5, bad, 0.2]))
     with pytest.raises(ValueError):
         run_probability(0, 3, np.array([0.5]))
+
+
+def test_kernel_equals_the_full_recurrence_bit_for_bit():
+    # the kernel skips the elementwise check where every value lies in
+    # (0, 1] and the terms P(S, f') = 0; neither may change a bit, the sign
+    # of zero included
+    rng = np.random.default_rng(19)
+    edges = np.array([0.0, -0.0, 1.0, -1e-13, 1.0 + 1e-13, 5e-324, 1.0 - 2**-53])
+    for case in range(2400):
+        min_run = int(rng.integers(1, 7))
+        slots = int(rng.integers(0, 25))
+        if case % 4 == 0:  # 0-d: a Python float, a numpy scalar or a 0-d array
+            value = float(rng.choice(edges) if rng.random() < 0.5 else rng.random())
+            rhos = [value, np.float64(value), np.asarray(value)][case % 3]
+        else:
+            rhos = rng.random(int(rng.integers(0, 51)))
+            if rhos.size and case % 2:
+                picks = rng.integers(0, rhos.size, int(rng.integers(1, rhos.size + 1)))
+                rhos[picks] = rng.choice(edges, picks.size)
+        got = run_probability(min_run, slots, rhos)
+        expected = run_probability_recurrence(min_run, slots, rhos)
+        assert type(got) is type(expected), (min_run, slots, rhos)
+        assert _bits(got) == _bits(expected), (min_run, slots, rhos)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+def test_rejections_match_the_full_recurrence(bad):
+    for rhos in (bad, np.array([0.5, bad, 0.0])):
+        with pytest.raises(ValueError) as kernel:
+            run_probability(3, 8, rhos)
+        with pytest.raises(ValueError) as oracle:
+            run_probability_recurrence(3, 8, rhos)
+        assert str(kernel.value) == str(oracle.value)
