@@ -12,7 +12,6 @@ from pathlib import Path
 
 from eonspectra import (
     AnalysisConfig,
-    DemandSpec,
     FULL,
     NodeArchitecture,
     SHARE_PER_LINK,
@@ -21,6 +20,7 @@ from eonspectra import (
     fixed_point,
     network_traffic,
     route_all,
+    scale_demands,
     simulate,
     uniform_architectures,
 )
@@ -46,7 +46,7 @@ max_hold = max(d.hold for d in base)
 rows = []
 for target in targets:
     scale = target / base_traffic
-    demands = [DemandSpec(d.src, d.dst, d.rate * scale, d.hold, d.slot_pmf) for d in base]
+    demands = scale_demands(base, scale)
     sim_config = SimConfig(seed=7, warmup=10 * max_hold,
                            horizon=10 * max_hold + offered_per_point / (total_rate * scale))
     print(f"traffic T = {target}")

@@ -49,6 +49,7 @@ from .topology import (
     load_topology,
     network_traffic,
     route_all,
+    scale_demands,
 )
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ The per-link slot-free probabilities and the per-demand blocking
 probabilities are coupled: carried load determines how free the links
 look, and the free-slot picture determines blocking.  The solver iterates
 the two updates from random starting values until the network blocking
-probability stops moving.
+probability and every link's free probability stop moving.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .lightpath import (
     crossing_stats,
     lightpath_blocking,
 )
-from .topology import DemandSpec, NetworkGraph, RoutedPath, demand_routes
+from .topology import DemandSpec, NetworkGraph, RoutedPath, _integer, demand_routes
 
 log = logging.getLogger(__name__)
 
@@ -40,10 +40,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise InputError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.max_iter < 1:
-            raise InputError("max_iter must be >= 1")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        _integer(self.max_iter, "max_iter", InputError, 1)
+        _integer(self.seed, "seed", InputError, 0)
         if not (0.0 < self.damping <= 1.0):
             raise InputError(f"damping must be in (0, 1], got {self.damping}")
 

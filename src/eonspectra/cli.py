@@ -43,6 +43,7 @@ from .reports import (
 )
 from .simulator import SimConfig, resolve_windows, simulate
 from .topology import (
+    _integer,
     load_demands,
     load_topology,
     network_traffic,
@@ -55,8 +56,7 @@ log = logging.getLogger("eonspectra")
 
 def derive_seed(root: int, name: str) -> int:
     """Named substream of the root seed, stable across runs."""
-    if root < 0:
-        raise InputError(f"seed must be >= 0, got {root}")
+    _integer(root, "seed", InputError, 0)
     seq = np.random.SeedSequence([root, zlib.crc32(name.encode())])
     return int(seq.generate_state(1)[0])
 

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import ArchitectureError, InputError
 from .runprob import run_probability
-from .topology import NetworkGraph, RoutedPath, _parse_document
+from .topology import NetworkGraph, RoutedPath, _integer, _parse_document
 
 SIMPLE = "simple"
 FULL = "full"
@@ -80,14 +80,10 @@ class NodeArchitecture:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ArchitectureError(f"unknown architecture kind {self.kind!r}")
-        n_sc = self.n_sc
         if self.kind in _SHARED_KINDS:
-            if isinstance(n_sc, bool) or not isinstance(n_sc, int) or n_sc < 1:
-                raise ArchitectureError(
-                    f"{self.kind} requires an integer n_sc >= 1, got {n_sc!r}"
-                )
-        elif n_sc is not None:
-            raise ArchitectureError(f"{self.kind} has no converter bank, got n_sc {n_sc!r}")
+            _integer(self.n_sc, f"{self.kind} n_sc", ArchitectureError, 1)
+        elif self.n_sc is not None:
+            raise ArchitectureError(f"{self.kind} has no converter bank, got n_sc {self.n_sc!r}")
 
     @property
     def converts(self) -> bool:

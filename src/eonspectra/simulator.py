@@ -18,7 +18,9 @@ has no window of its own, which no segmentation can cure; that test also
 comes before the scan.  Either way the pick is a tuple of ``(start slot,
 link ids)`` segments and one of bank keys, and one accept path marks
 the slots, takes the boxes and stores the connection.  Masks hold no bit
-at or above F, so no window start exceeds F - S and none needs masking.
+at or above F, so no window start exceeds F - S and none needs masking,
+and a request for more than F slots finds no window: it is blocked with
+no draw.
 
 Each demand draws its requests from its own generator, ahead of time and
 in blocks: where the slot count is fixed, the inter-arrival and holding
@@ -35,7 +37,10 @@ the window's end.  Departures wait in a heap of (time, connection id).
 Ties: departures at time t go before an arrival at t, in connection
 order, and arrivals at equal times go in demand order.  This order can
 differ from that of one heap of every event, keyed by time and creation
-order, only when two events share one float time.
+order, only when two events share one float time.  The schedule ends
+with one event at the horizon (demand -1) that admits nothing, so the
+loop that releases departures before each arrival also releases the last
+ones, up to the horizon.
 
 Random Fit picks the k-th free window for one draw k uniform on
 [0, candidates).  In a run these draws come from ``_BoundedDraws``, which
@@ -61,7 +66,7 @@ import numpy as np
 
 from .errors import InputError, SimulatorFault
 from .lightpath import SIMPLE_NODE, ArchitectureMap, Bank, bank_key
-from .topology import DemandSpec, NetworkGraph, RoutedPath, demand_routes
+from .topology import DemandSpec, NetworkGraph, RoutedPath, _integer, demand_routes
 
 _WINDOW = 4096  # expected arrivals per window of the merged arrival schedule
 _REFILL = 3  # windows' worth of requests a demand draws at a time
@@ -76,10 +81,8 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise InputError("replications must be >= 1")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        _integer(self.replications, "replications", InputError, 1)
+        _integer(self.seed, "seed", InputError, 0)
         if self.warmup is not None and not (math.isfinite(self.warmup) and self.warmup >= 0):
             raise InputError(f"warmup must be finite and >= 0, got {self.warmup}")
         if self.horizon is not None and not math.isfinite(self.horizon):
@@ -115,7 +118,6 @@ class NetworkState:
     """
 
     def __init__(self, graph: NetworkGraph, archs: ArchitectureMap):
-        self.slot_count = graph.slot_count
         self.full_mask = (1 << graph.slot_count) - 1
         self.occupied = [0] * (max((link.id for link in graph.links), default=-1) + 1)
         self.converters: dict[tuple[int, int], Bank | None] = {}
@@ -205,8 +207,6 @@ def admit(
     mutates the state: slots are marked occupied and one converter box is
     drawn from the bank of every conversion point used.
     """
-    if slots > state.slot_count:
-        return None
     occupied = state.occupied
     link_ids = route.link_ids
 
@@ -338,7 +338,7 @@ class SimResult:
     demand_blocking: list[float]
     replication_blockings: list[float]
     network_blocking_prob: float
-    ci95_half_width: float
+    ci95_half_width: float | None  # None below two replications
     offered_total: int
     blocked_total: int
     fallback_admissions: int  # always 0: admission has no fallback path
@@ -456,7 +456,9 @@ def _run_replication(graph, demands, routes, archs, config, warmup, horizon, tra
     departures: list[tuple[float, int]] = []  # heap of (departure time, conn_id)
     push, pop = heapq.heappush, heapq.heappop
     next_departure = math.inf  # departures[0][0], or inf when none is pending
-    for t, d_idx, s, hold in chain.from_iterable(windows):
+    # one last event at the horizon (demand -1) releases the departures up to it
+    events = chain.from_iterable(chain(windows, ([(horizon, -1, 0, 0.0)],)))
+    for t, d_idx, s, hold in events:
         # a departure at the arrival's time goes first
         while next_departure <= t:
             _, conn_id = pop(departures)
@@ -464,6 +466,8 @@ def _run_replication(graph, demands, routes, archs, config, warmup, horizon, tra
             if trace is not None:
                 trace(f"{next_departure:.6f} departure conn={conn_id}\n")
             next_departure = departures[0][0] if departures else math.inf
+        if d_idx < 0:
+            break
         counted = t > warmup
         if counted:
             offered[d_idx] += 1
@@ -484,12 +488,6 @@ def _run_replication(graph, demands, routes, archs, config, warmup, horizon, tra
                     f"{t:.6f} arrival demand={d_idx} slots={s} "
                     f"accepted conn={conn_id} segments={segs}\n"
                 )
-    while next_departure <= horizon:
-        _, conn_id = pop(departures)
-        release(state, conn_id)
-        if trace is not None:
-            trace(f"{next_departure:.6f} departure conn={conn_id}\n")
-        next_departure = departures[0][0] if departures else math.inf
     return offered, blocked
 
 
@@ -521,7 +519,9 @@ def simulate(
     """Run ``config.replications`` independent replications and aggregate.
 
     Replication r draws every stream from (seed, r), so results are
-    reproducible bit for bit.  ``trace``, when given, is a callable
+    reproducible bit for bit.  ``ci95_half_width`` is the half-width of
+    the t-interval of the replications' blockings, or None when there is
+    one replication.  ``trace``, when given, is a callable
     receiving one text line per event.
     """
     config = config or SimConfig()
@@ -553,7 +553,7 @@ def simulate(
         spread = float(np.std(rep_blockings, ddof=1)) / math.sqrt(len(rep_blockings))
         half_width = float(sps.t.ppf(0.975, len(rep_blockings) - 1)) * spread
     else:
-        half_width = 0.0
+        half_width = None
     return SimResult(
         demand_offered=demand_offered,
         demand_blocked=demand_blocked,

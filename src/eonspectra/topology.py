@@ -51,8 +51,7 @@ class NetworkGraph:
     _by_pair: dict[tuple[int, int], Link] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.slot_count < 1:
-            raise TopologyParseError(f"slot_count must be >= 1, got {self.slot_count}")
+        _integer(self.slot_count, "slot_count", TopologyParseError, 1)
         n = len(self.labels)
         pairs = {}
         out: dict[int, list[Link]] = {v: [] for v in range(1, n + 1)}
@@ -132,10 +131,7 @@ class DemandSpec:
             raise DemandError(f"demand {self.src}->{self.dst}: empty slot pmf")
         total = 0.0
         for s, p in self.slot_pmf.items():
-            if isinstance(s, bool) or not isinstance(s, int) or s < 1:
-                raise DemandError(
-                    f"demand {self.src}->{self.dst}: slot count {s!r} must be int >= 1"
-                )
+            _integer(s, f"demand {self.src}->{self.dst}: slot count", DemandError, 1)
             if not math.isfinite(p) or p < 0:
                 raise DemandError(
                     f"demand {self.src}->{self.dst}: pmf entry {p} is not a probability"
@@ -213,6 +209,14 @@ def _number(value, what: str, error: type[InputError]) -> float:
         raise error(f"{what} {value} is not finite") from None
 
 
+def _integer(value, what: str, error: type[InputError], minimum: int) -> int:
+    """``value`` when it is an ``int`` (not a boolean) of at least
+    ``minimum``, else ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _is_label(value) -> bool:
     """Whether ``value`` can label a node: a string or an integer."""
     return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
@@ -241,8 +245,6 @@ def load_topology(document) -> NetworkGraph:
     for key, value in (("nodes", raw_nodes), ("edges", raw_edges)):
         if not isinstance(value, list):
             raise TopologyParseError(f"{key} must be a JSON array, got {value!r}")
-    if isinstance(slot_count, bool) or not isinstance(slot_count, int) or slot_count < 1:
-        raise TopologyParseError(f"slot_count must be a positive integer, got {slot_count!r}")
     for label in raw_nodes:
         if not _is_label(label):
             raise TopologyParseError(f"node label {label!r} is not a string or an integer")
@@ -311,9 +313,7 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
         for label in (src, dst):
             if not _is_label(label):
                 raise DemandError(f"demand endpoint {label!r} is not a string or an integer")
-        if isinstance(slots, int):
-            pmf = {slots: 1.0}
-        elif isinstance(slots, list):
+        if isinstance(slots, list):
             pmf = {}
             for row in slots:
                 try:
@@ -321,15 +321,14 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
                 except (KeyError, TypeError) as exc:
                     raise DemandError(f"malformed pmf row {row!r}") from exc
                 p = _number(p, f"pmf row {row!r}: p", DemandError)
-                if isinstance(s, bool) or not isinstance(s, int):
-                    raise DemandError(f"pmf slot count {s!r} must be an integer")
+                s = _integer(s, f"pmf row {row!r}: s", DemandError, 1)
                 if s in pmf:
                     raise DemandError(f"duplicate pmf slot count {s}")
                 pmf[s] = p
         else:
-            raise DemandError(f"demand slots must be int or pmf list, got {slots!r}")
+            pmf = {_integer(slots, f"demand {src!r}->{dst!r}: slots", DemandError, 1): 1.0}
         for s in pmf:
-            if isinstance(s, int) and s > graph.slot_count:
+            if s > graph.slot_count:
                 raise DemandError(
                     f"demand {src!r}->{dst!r} requests {s} slots but fibers carry "
                     f"{graph.slot_count}"
@@ -352,27 +351,26 @@ def load_demands(document, graph: NetworkGraph) -> list[DemandSpec]:
 
 def _settled(g: NetworkGraph, src: int) -> dict[int, tuple[int, ...]]:
     """The node sequence of the lexicographically least ``(cost, nodes)``
-    label of every node reached from ``src``: a label-setting search over
-    simple paths, each node's label final once the search first pops it.
+    label of every node reached from ``src``: a label-setting search that
+    keeps one label per node, the least found so far.  Weights are
+    positive, so a label that revisits a node never beats that node's own
+    label, and a label popped as its node's own is final.
     """
     best: dict[int, tuple[float, tuple[int, ...]]] = {src: (0.0, (src,))}
-    settled: dict[int, tuple[int, ...]] = {}
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
+    heap: list[tuple[float, tuple[int, ...]]] = [best[src]]
     while heap:
-        cost, path = heapq.heappop(heap)
+        label = heapq.heappop(heap)
+        cost, path = label
         node = path[-1]
-        if best.get(node, (float("inf"), ())) != (cost, path):
-            continue
-        settled.setdefault(node, path)
+        if best[node] is not label:
+            continue  # a better label of this node was found after this one
         for link in g.out_links(node):
-            if link.head in path:
-                continue
             cand = (cost + link.weight, path + (link.head,))
             cur = best.get(link.head)
             if cur is None or cand < cur:
                 best[link.head] = cand
                 heapq.heappush(heap, cand)
-    return settled
+    return {node: path for node, (_, path) in best.items()}
 
 
 def _routed(g: NetworkGraph, nodes: tuple[int, ...], demand: DemandSpec) -> RoutedPath:

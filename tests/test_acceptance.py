@@ -26,7 +26,7 @@ from eonspectra.lightpath import (
 from eonspectra.placement import place_brute_force, place_heuristic
 from eonspectra.runprob import run_probability
 from eonspectra.simulator import SimConfig, simulate
-from eonspectra.topology import DemandSpec, route_all
+from eonspectra.topology import DemandSpec, route_all, scale_demands
 
 from oracles import (
     blocking_full_at,
@@ -232,9 +232,7 @@ def test_c5_rank_order_and_factor_agreement_on_nsf():
     problems = []
     for target in targets:
         scale = target / base_traffic
-        demands = [
-            DemandSpec(d.src, d.dst, d.rate * scale, d.hold, d.slot_pmf) for d in base
-        ]
+        demands = scale_demands(base, scale)
         sim_config = SimConfig(
             seed=7,
             warmup=10.0 * max_hold,

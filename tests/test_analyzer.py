@@ -29,6 +29,7 @@ from eonspectra.topology import (
     DemandSpec,
     RoutedPath,
     load_topology,
+    network_traffic,
     route_all,
     scale_demands,
 )
@@ -224,7 +225,7 @@ def test_fixed_point_damping_reaches_same_answer():
     )
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         AnalysisConfig(epsilon=0)
     with pytest.raises(ValueError):
@@ -238,6 +239,24 @@ def test_config_validation():
                    {"damping": math.nan}, {"max_iter": 0}, {"seed": -1}):
         with pytest.raises(InputError):
             AnalysisConfig(**kwargs)
+    # counts and seeds are ints, checked when the config is built
+    for value in (2.5, True, 1.0, "3"):
+        for name in ("max_iter", "seed"):
+            with pytest.raises(InputError, match=name):
+                AnalysisConfig(**{name: value})
+    # undamped, NSF at T = 0.4 orbits, and the loop once never met
+    # len(trajectory) == 2.5
+    g = nsf14()
+    base = nsf14_demands(g)
+    routes = route_all(g, base)
+    demands = scale_demands(base, 0.4 / network_traffic(g, base, routes))
+
+    def no_plan(*args):
+        raise AssertionError("iterated with a fractional iteration cap")
+
+    monkeypatch.setattr(eonspectra.analyzer, "compile_plan", no_plan)
+    with pytest.raises(InputError, match="max_iter"):
+        fixed_point(g, demands, {}, AnalysisConfig(max_iter=2.5, seed=1), routes)
 
 
 def test_fixed_point_iteration_needs_no_scalar_run_probability(monkeypatch):

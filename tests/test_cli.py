@@ -302,6 +302,30 @@ def test_sweep_with_sim_adds_columns(inputs):
     assert rows[0][5] == "sim_blocking"
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("replications", [1, 3])
+def test_interval_needs_two_replications(inputs, command, replications):
+    # one replication measures no interval: JSON null and an empty CSV cell
+    tmp, topo, demands, _ = inputs
+    args = [command, "--topology", str(topo), "--demands", str(demands), "--warmup", "5",
+            "--horizon", "100", "--replications", str(replications)]
+    if command == "sweep":
+        args += ["--traffic", "0.08", "--with-sim"]
+    assert main([*args, "--out", str(tmp / "out.json"), "--format", "json"]) == 0
+    assert main([*args, "--out", str(tmp / "out.csv")]) == 0
+    doc = json.loads((tmp / "out.json").read_text())
+    header, *rows = read_csv(tmp / "out.csv")
+    if command == "simulate":
+        half_width, cell = doc["ci95_half_width"], rows[-1][header.index("ci95_half_width")]
+    else:
+        half_width, cell = doc[0]["sim_ci95"], rows[0][header.index("sim_ci95")]
+    if replications == 1:
+        assert (half_width, cell) == (None, "")
+    else:
+        assert half_width > 0.0
+        assert float(cell) == half_width
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -582,7 +582,7 @@ def test_load_architectures_rejects_bad_entries():
             load_architectures(json.dumps({"2": entry}), g)
     with pytest.raises(ArchitectureError):
         NodeArchitecture(SHARE_PER_LINK, 0)
-    for n_sc in (1.5, 2.0, True, "2"):
+    for n_sc in (1.5, 2.0, 2.5, 1.0, True, "2", "3"):
         with pytest.raises(ArchitectureError):
             NodeArchitecture(SHARE_PER_NODE, n_sc)
         with pytest.raises(ArchitectureError):

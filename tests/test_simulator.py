@@ -437,6 +437,19 @@ def test_upgrade_dominance_statistical():
     assert upgraded.network_blocking_prob <= plain.network_blocking_prob
 
 
+def test_one_replication_reports_no_interval():
+    g = line(2, 2)
+    demands = [DemandSpec(1, 2, 1.0, 1.0, {1: 1.0})]
+    one = simulate(g, demands, {}, SimConfig(seed=3, warmup=5.0, horizon=500.0))
+    assert one.ci95_half_width is None
+    three = simulate(g, demands, {}, SimConfig(seed=3, warmup=5.0, horizon=500.0,
+                                               replications=3))
+    assert three.replication_blockings[0] == one.network_blocking_prob
+    spread = np.std(three.replication_blockings, ddof=1) / math.sqrt(3)
+    assert three.ci95_half_width == pytest.approx(sps.t.ppf(0.975, 2) * spread, rel=1e-12)
+    assert three.ci95_half_width > 0.0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(replications=0)
@@ -448,6 +461,11 @@ def test_config_validation():
                    {"seed": -1}):
         with pytest.raises(InputError):
             SimConfig(**kwargs)
+    # counts and seeds are ints, checked when the config is built
+    for value in (2.5, True, 1.0, "3"):
+        for name in ("replications", "seed"):
+            with pytest.raises(InputError, match=name):
+                SimConfig(**{name: value})
     # the default horizon offers 1e4 requests to the slowest demand: inf here
     with pytest.raises(InputError):
         resolve_windows([DemandSpec(1, 2, 1e-320, 1.0, {1: 1.0})], SimConfig())

@@ -15,6 +15,8 @@ from eonspectra.fixtures import demands_document, nsf14, sixnode
 from eonspectra.lightpath import crossing_stats
 from eonspectra.topology import (
     DemandSpec,
+    Link,
+    NetworkGraph,
     load_demands,
     load_topology,
     network_traffic,
@@ -58,9 +60,11 @@ def test_string_labels_map_to_dense_ids():
 def test_rejects_bad_documents():
     with pytest.raises(TopologyParseError):
         load_topology("{not json")
-    for slot_count in (0, True):
-        with pytest.raises(TopologyParseError):
+    for slot_count in (0, True, 2.5, 1.0, "3"):
+        with pytest.raises(TopologyParseError, match="slot_count"):
             load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 1}], slot_count=slot_count))
+        with pytest.raises(TopologyParseError, match="slot_count"):
+            NetworkGraph(labels=[1, 2], links=[Link(1, 1, 2, 1.0)], slot_count=slot_count)
     with pytest.raises(NonpositiveWeightError):
         load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 0}]))
     with pytest.raises(DuplicateEdgeError):
@@ -104,6 +108,13 @@ def test_demand_loading_and_validation():
         entry = {"src": 1, "dst": 2, "rate": 1, "hold": 1, "slots": slots}
         with pytest.raises(DemandError):
             load_demands(json.dumps([entry]), g)
+    for s in (2.5, True, 1.0, "3"):
+        for slots in (s, [{"s": s, "p": 1.0}]):
+            entry = {"src": 1, "dst": 2, "rate": 1, "hold": 1, "slots": slots}
+            with pytest.raises(DemandError, match="must be an integer"):
+                load_demands(json.dumps([entry]), g)
+        with pytest.raises(DemandError, match="slot count"):
+            DemandSpec(1, 2, 1.0, 1.0, {s: 1.0})
     with pytest.raises(DemandError):
         load_demands(json.dumps([{"src": 1, "dst": 1, "rate": 1, "hold": 1, "slots": 1}]), g)
     with pytest.raises(DemandError, match="invalid demands JSON"):
