@@ -10,7 +10,6 @@ for ``place``, some trial solve of a placement did not converge.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import math
 import re
@@ -177,18 +176,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(flag: str, text: str, kind=float) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InputError(f"{flag} must be lo,hi: {text!r}")
-    lo, hi = (_numeral(flag, part.strip(), kind) for part in parts)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InputError(f"{flag} bounds must be finite: {text!r}")
-    if lo <= 0:
-        raise InputError(f"{flag} bounds must be positive: {text!r}")
-    if hi < lo:
-        raise InputError(f"{flag} must be increasing: {text!r}")
-    return lo, hi
+def _positive_list(flag: str, text: str, kind=float, count=None) -> list:
+    """Comma-separated plain numerals, each read by ``_numeral``; spaces
+    around an item are allowed and empty items skipped.  The values must be
+    finite, positive and nondecreasing, and exactly ``count`` of them when
+    ``count`` is given; anything else is an input error naming ``flag``."""
+    values = [_numeral(flag, item.strip(), kind) for item in text.split(",") if item.strip()]
+    if count is not None and len(values) != count:
+        raise InputError(f"{flag} must hold {count} values: {text!r}")
+    if not (values and all(math.isfinite(v) and v > 0 for v in values)) or sorted(values) != values:
+        raise InputError(f"{flag} must list finite, positive, nondecreasing numbers: {text!r}")
+    return values
 
 
 def _parse_spec_items(text: str) -> list[tuple[str, NodeArchitecture]]:
@@ -240,48 +238,37 @@ def _load_inputs(args):
     return graph, demands, archs
 
 
-def _analysis_config(args, seed: int) -> AnalysisConfig:
+def _analysis_config(args) -> AnalysisConfig:
     return AnalysisConfig(
         epsilon=args.epsilon,
         max_iter=args.max_iter,
-        seed=seed,
+        seed=derive_seed(args.seed, "analysis"),
         damping=args.damping,
     )
 
 
-def _analysis_parameters(config: AnalysisConfig) -> dict:
-    """Manifest entries of an analysis config, without the derived seed:
-    manifests record the user's root seed."""
-    parameters = dataclasses.asdict(config)
-    del parameters["seed"]
-    return parameters
-
-
-def _cmd_analyze(args) -> tuple[int, dict]:
-    graph, demands, archs = _load_inputs(args)
-    config = _analysis_config(args, derive_seed(args.seed, "analysis"))
-    routes = route_all(graph, demands)
-    result = fixed_point(graph, demands, archs, config, routes=routes)
-    write_analysis(args.out, args.format, result, graph, demands, routes)
-    return 0 if result.converged else 2, {
-        **_analysis_parameters(config),
-        "converged": result.converged,
-        "iterations": result.iterations,
-    }
-
-
-def _sim_config(args, seed: int) -> SimConfig:
+def _sim_config(args) -> SimConfig:
     return SimConfig(
-        seed=seed,
+        seed=derive_seed(args.seed, "simulation"),
         warmup=args.warmup,
         horizon=args.horizon,
         replications=args.replications,
     )
 
 
+def _cmd_analyze(args) -> tuple[int, dict]:
+    graph, demands, archs = _load_inputs(args)
+    config = _analysis_config(args)
+    routes = route_all(graph, demands)
+    result = fixed_point(graph, demands, archs, config, routes=routes)
+    write_analysis(args.out, args.format, result, graph, demands, routes)
+    outcome = {"converged": result.converged, "iterations": result.iterations}
+    return 0 if result.converged else 2, outcome
+
+
 def _cmd_simulate(args) -> tuple[int, dict]:
     graph, demands, archs = _load_inputs(args)
-    config = _sim_config(args, derive_seed(args.seed, "simulation"))
+    config = _sim_config(args)
     # input errors surface here, before the trace file is created
     routes = route_all(graph, demands)
     resolve_windows(demands, config)
@@ -289,26 +276,19 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         trace = trace_file.write if trace_file else None
         result = simulate(graph, demands, archs, config, routes=routes, trace=trace)
     write_simulation(args.out, args.format, result, graph, demands)
-    return 0, {
-        "warmup": result.warmup,
-        "horizon": result.horizon,
-        "replications": config.replications,
-    }
+    return 0, {"warmup": result.warmup, "horizon": result.horizon}
 
 
 def _cmd_place(args) -> tuple[int, dict]:
     graph, demands, archs = _load_inputs(args)
     inventory = parse_converter_spec(args.converters)
-    config = _analysis_config(args, derive_seed(args.seed, "analysis"))
+    config = _analysis_config(args)
     if args.oracle:
         result = place_brute_force(graph, demands, inventory, config, archs, guard=args.guard)
     else:
         result = place_heuristic(graph, demands, inventory, config, archs)
     write_placement(args.out, args.format, result, graph)
     return 0 if result.all_converged else 2, {
-        "converters": args.converters,
-        "oracle": args.oracle,
-        **_analysis_parameters(config),
         "evaluations": result.evaluations,
         "all_converged": result.all_converged,
     }
@@ -318,14 +298,7 @@ def _cmd_sweep(args) -> tuple[int, dict]:
     if args.arch and args.arch_sweep:
         raise InputError("--arch and --arch-sweep are exclusive")
     graph, demands, archs = _load_inputs(args)
-    items = (part.strip() for part in args.traffic.split(","))
-    targets = [_numeral("--traffic", item) for item in items if item]
-    if (
-        not targets
-        or not all(math.isfinite(t) and t > 0 for t in targets)
-        or sorted(targets) != targets
-    ):
-        raise InputError(f"--traffic targets must be finite, positive and increasing: {args.traffic!r}")
+    targets = _positive_list("--traffic", args.traffic)
     if args.arch_sweep:
         settings = parse_arch_sweep(args.arch_sweep, graph)
     elif args.arch:
@@ -337,9 +310,9 @@ def _cmd_sweep(args) -> tuple[int, dict]:
     base_traffic = network_traffic(graph, demands, routes)
     if base_traffic <= 0:
         raise InputError("base demand set carries no traffic")
-    config = _analysis_config(args, derive_seed(args.seed, "analysis"))
+    config = _analysis_config(args)
     # checked also without --with-sim: the manifest records these flags
-    sim_config = _sim_config(args, derive_seed(args.seed, "simulation"))
+    sim_config = _sim_config(args)
 
     rows = []
     any_unconverged = False
@@ -367,11 +340,6 @@ def _cmd_sweep(args) -> tuple[int, dict]:
     return 2 if any_unconverged else 0, {
         "traffic": targets,
         "settings": [name for name, _ in settings],
-        "with_sim": args.with_sim,
-        **_analysis_parameters(config),
-        "warmup": args.warmup,
-        "horizon": args.horizon,
-        "replications": args.replications,
         "base_traffic": base_traffic,
     }
 
@@ -383,19 +351,13 @@ def _cmd_gen_demands(args) -> tuple[int, dict]:
     demands = generate_demands(
         graph,
         seed=derive_seed(args.seed, "demands"),
-        rate_range=_parse_range("--rate-range", args.rate_range),
-        hold_range=_parse_range("--hold-range", args.hold_range),
-        slots_range=_parse_range("--slots-range", args.slots_range, int),
+        rate_range=_positive_list("--rate-range", args.rate_range, count=2),
+        hold_range=_positive_list("--hold-range", args.hold_range, count=2),
+        slots_range=_positive_list("--slots-range", args.slots_range, int, count=2),
         traffic_target=args.traffic,
     )
     Path(args.out).write_text(demands_document(graph, demands) + "\n")
-    return 0, {
-        "rate_range": args.rate_range,
-        "hold_range": args.hold_range,
-        "slots_range": args.slots_range,
-        "traffic": args.traffic,
-        "pairs": len(demands),
-    }
+    return 0, {"pairs": len(demands)}
 
 
 _COMMANDS = {
@@ -411,11 +373,14 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
     try:
         args = build_parser().parse_args(argv)
-        code, parameters = _COMMANDS[args.command](args)
-        # the manifest records the root seed and each input file the command takes
-        leading = {key: getattr(args, key) for key in ("format", "seed") if hasattr(args, key)}
-        inputs = {r: getattr(args, r) for r in ("topology", "demands", "arch") if hasattr(args, r)}
-        write_manifest(args.out, args.command, {**leading, **parameters}, inputs)
+        code, outcome = _COMMANDS[args.command](args)
+        # the manifest records every flag as parsed (the root seed, not a
+        # derived one), the input files with their hashes, and on top what
+        # the command resolved or measured
+        flags = dict(vars(args))
+        command, out = flags.pop("command"), flags.pop("out")
+        inputs = {r: flags.pop(r) for r in ("topology", "demands", "arch") if r in flags}
+        write_manifest(out, command, {**flags, **outcome}, inputs)
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

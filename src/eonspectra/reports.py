@@ -1,8 +1,8 @@
 """Result document writers and the reproducibility manifest.
 
 Every CLI run writes its primary document plus ``<stem>.manifest.json``
-recording the artifact version, the resolved parameters and the SHA-256 of
-each input file: enough to reproduce the run byte for byte.  Each result is
+recording the artifact version, the parameters and the SHA-256 of each
+input file: enough to reproduce the run byte for byte.  Each result is
 one document: ``--format json`` writes it whole, ``--format csv`` writes
 projections of it as fixed-order tables (see the README for the schemas).
 Some results carry more than one table, which CSV cannot hold in a single
@@ -119,7 +119,6 @@ def write_simulation(out_path, fmt, result, graph, demands) -> None:
         "blocked": result.blocked_total,
         "network_blocking": result.network_blocking_prob,
         "ci95_half_width": result.ci95_half_width,
-        "fallback_admissions": result.fallback_admissions,
         "replication_blockings": result.replication_blockings,
         "demands": [
             {

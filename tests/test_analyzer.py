@@ -407,6 +407,31 @@ def test_network_blocking_is_nondecreasing_in_traffic(spec):
     assert values == sorted(values), values
 
 
+def test_network_blocking_is_nonincreasing_along_the_converter_ladder():
+    # the fixed point, not only one lightpath, gains from every step up:
+    # simple, then 1, 2, 4 and 8 shared SCBs per node or per link, then full
+    g = nsf14()
+    demands = nsf14_demands(g)
+    routes = route_all(g, demands)
+    bundled = network_traffic(g, demands, routes)
+    config = AnalysisConfig(epsilon=1e-8, seed=3, damping=0.5)
+    for traffic in (0.2, 0.3, 0.4):
+        scaled = scale_demands(demands, traffic / bundled)
+        for kind in (SHARE_PER_NODE, SHARE_PER_LINK):
+            ladder = [
+                NodeArchitecture(SIMPLE),
+                *(NodeArchitecture(kind, n_sc) for n_sc in (1, 2, 4, 8)),
+                NodeArchitecture(FULL),
+            ]
+            values = []
+            for arch in ladder:
+                archs = uniform_architectures(g, arch)
+                result = fixed_point(g, scaled, archs, config, routes)
+                assert result.converged, (traffic, arch)
+                values.append(result.network_blocking_prob)
+            assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), (traffic, kind, values)
+
+
 def test_routes_without_their_demand_solve_like_routed_demands():
     # crossing_stats weights each route's transit slots by its demand, so a
     # bare path must be bound to the demand it serves before it is counted;

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -5,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from eonspectra.analyzer import AnalysisConfig, fixed_point
-from eonspectra.cli import derive_seed, main, parse_arch_sweep, parse_converter_spec
+from eonspectra.cli import (
+    build_parser,
+    derive_seed,
+    main,
+    parse_arch_sweep,
+    parse_converter_spec,
+)
 from eonspectra.errors import InputError
 from eonspectra.fixtures import demands_document
 from eonspectra.lightpath import FULL, SHARE_PER_NODE, NodeArchitecture, load_architectures
@@ -358,6 +365,37 @@ def test_sweep_rejects_unsorted_targets(inputs):
         "--out", str(tmp / "s.csv"), "--traffic", "0.2,0.1",
     ])
     assert code == 1
+
+
+def test_manifest_records_every_flag_as_parsed(monkeypatch, inputs):
+    # hand-kept per-command lists once left out place's --guard, simulate's
+    # --trace and sweep's --arch-sweep
+    tmp, topo, demands, _ = inputs
+    monkeypatch.chdir(tmp)
+    minimal_flags = {
+        "analyze": ["--damping", "0.5"],
+        "simulate": ["--warmup", "5", "--horizon", "60"],
+        "place": ["--converters", "full", "--damping", "0.5"],
+        "sweep": ["--traffic", "0.05", "--arch-sweep", "simple"],
+        "gen-demands": [],
+    }
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == sorted(minimal_flags)
+    # what the command resolved stands in the manifest for the flag
+    resolved = {"simulate": {"warmup": 5.0, "horizon": 60.0}, "sweep": {"traffic": [0.05]}}
+    for command, sub in commands.choices.items():
+        demand_flags = [] if command == "gen-demands" else ["--demands", str(demands)]
+        argv = [command, "--topology", str(topo), *demand_flags, "--out", f"{command}.json",
+                *minimal_flags[command]]
+        assert main(argv) == 0
+        parsed = vars(parser.parse_args(argv))
+        parameters = json.loads((tmp / f"{command}.manifest.json").read_text())["parameters"]
+        for action in sub._actions:
+            if action.dest in ("help", "command", "out", "topology", "demands", "arch"):
+                continue
+            expected = resolved.get(command, {}).get(action.dest, parsed[action.dest])
+            assert parameters.get(action.dest, "absent") == expected, (command, action.dest)
 
 
 def test_gen_demands_roundtrip(tmp_path, inputs):
@@ -810,6 +848,8 @@ def test_csv_projects_the_json_document(monkeypatch, inputs, command, flags):
         assert sum(r["blocked"] for r in replications) == doc["blocked"]
         _assert_projects(main_csv, [*replications, aggregate])
         _assert_projects(tmp / "out.demands.csv", doc["demands"])
+        # admission has no fallback path, so the document has no count of one
+        assert "fallback_admissions" not in doc
     elif command == "place":
         trials = [
             dict(step, **cand, step=i, chosen=int(cand["node"] == step["chosen_node"]))
