@@ -31,6 +31,7 @@ from eonspectra.simulator import (
     _pick_start,
     _request_blocks,
     _window_ends,
+    _window_starts,
     admit,
     release,
     resolve_windows,
@@ -681,6 +682,50 @@ def test_pick_start_matches_list_based_pick():
         starts = int(masks.integers(1, 1 << 16))
         assert _pick_start(starts, rng_a) == pick_start_from_list(starts, rng_b)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_window_starts_match_a_bit_scan():
+    for mask in range(1 << 10):
+        for min_run in range(1, 12):
+            scan = _window_starts_of(mask, min_run, 10)
+            assert _window_starts(mask, min_run) == scan, (bin(mask), min_run)
+
+
+@pytest.mark.parametrize("source", ["bounded", "generator"])
+@pytest.mark.parametrize("slot_count", [4, 8, 16])
+def test_admit_picks_the_continuity_start_by_the_window_rule(slot_count, source):
+    # admit's in-place continuity pick against _pick_start(_window_starts(...))
+    # on a twin draw source: same start, same draws
+    g = line(2, slot_count)
+    path = route(g, 1, 2)
+    (lid,) = path.link_ids
+    full = (1 << slot_count) - 1
+    generators = np.random.default_rng(31), np.random.default_rng(31)
+    if source == "bounded":
+        rng, twin = (_BoundedDraws(gen) for gen in generators)
+    else:
+        rng, twin = generators
+    cases = np.random.default_rng(slot_count)
+    accepted = 0
+    for _ in range(2000):
+        state = make_state(g)
+        state.occupied[lid] = occupancy = int(cases.integers(0, full + 1))
+        slots = int(cases.integers(1, slot_count + 1))
+        conn = admit(state, path, slots, rng)
+        starts = _window_starts(full & ~occupancy, slots)
+        if not starts:
+            assert conn is None and state.occupied[lid] == occupancy
+            continue
+        (start, links), = state.connections[conn].segments
+        assert links == path.link_ids
+        assert start == _pick_start(starts, twin)
+        assert state.occupied[lid] == occupancy | ((1 << slots) - 1) << start
+        accepted += 1
+    assert 200 < accepted < 1800  # both branches, many times
+    for slots in range(slot_count + 1, slot_count + 4):  # wider than the fiber
+        assert admit(make_state(g), path, slots, rng) is None
+    assert generators[0].bit_generator.state == generators[1].bit_generator.state
+    assert rng.integers(1 << 31) == twin.integers(1 << 31)
 
 
 # --- pinned sample paths -----------------------------------------------------

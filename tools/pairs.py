@@ -58,7 +58,8 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
-    result = json.loads(done.stdout.splitlines()[-1]) if done.returncode == 0 else {}
+    lines = done.stdout.splitlines() if done.returncode == 0 else []
+    result = json.loads(lines[-1]) if lines else {}
     if result.get("correct") is not True:
         sys.exit(f"error: a run in {checkout} is not correct:\n{done.stdout}{done.stderr}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
@@ -73,6 +74,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, required=True, help="run length of each run")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
 
     metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
