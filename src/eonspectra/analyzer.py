@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -66,7 +67,12 @@ def demand_blocking(
     memo: PlanValues | None = None,
 ) -> float:
     """Average blocking of one demand: its slot-count pmf weighting the
-    per-slot-count lightpath blocking."""
+    per-slot-count lightpath blocking, summed from 0.0 in ``pmf_items``
+    order.
+
+    This is the one-demand call.  ``fixed_point`` does not call it: its
+    weighted ``np.bincount`` over all demands' reads adds the same terms
+    in the same order, so it gives this value bit for bit."""
     total = 0.0
     for s, p in demand.pmf_items:
         total += p * lightpath_blocking(s, path, archs, phis, stats, slot_count, memo)
@@ -134,15 +140,21 @@ def fixed_point(
 
     Everything that does not move with the link state is compiled once per
     solve: the forward passes (``compile_plan``), the route-link incidence
-    of the link update and the network blocking's total offered load.  An
-    iteration is then array work: one ``np.bincount`` of the carried loads,
-    which adds each link's loads in demand order as ``phi_update`` does;
-    the damping blend and the largest link change; and the plan evaluated
-    at the new link state, which runs every forward pass side by side.
-    The per-demand blockings only read its values, so every number equals
-    that of a per-route scalar pass bit for bit.  Demands whose summed
-    offered slot load overflows a float raise ``DemandError`` before any
-    work.
+    of the link update, the (demand, slot count) reads with each one's
+    demand and pmf weight, and the network blocking's total offered load.
+    An iteration then evaluates the plan at the link state, which runs
+    every forward pass side by side, and reads its values through
+    ``lightpath_blocking`` once per (demand, slot count), in demand order
+    and each demand's ``pmf_items`` order.  One weighted ``np.bincount``
+    turns the reads into the demand blockings: it adds each demand's
+    ``p * b`` terms in input order from 0.0, exactly as
+    ``demand_blocking`` does.  The network blocking sums ``load * b`` in
+    demand order as before, and a second ``np.bincount`` of the carried
+    loads adds each link's loads in demand order as ``phi_update`` does;
+    then come the damping blend and the largest link change.  So every
+    number equals that of per-demand ``demand_blocking`` calls over
+    per-route scalar passes bit for bit.  Demands whose summed offered slot
+    load overflows a float raise ``DemandError`` before any work.
     """
     if config is None:
         config = AnalysisConfig()
@@ -160,6 +172,9 @@ def fixed_point(
 
     update = _link_update(demands, routes, graph)
     link_ids = [link.id for link in graph.links]
+    reads = [(s, route) for demand, route in zip(demands, routes) for s, _ in demand.pmf_items]
+    owner = np.repeat(np.arange(len(demands)), [len(d.pmf_items) for d in demands])
+    pmf_weight = np.array([p for d in demands for _, p in d.pmf_items])
     loads = [d.offered_load for d in demands]
     weight = sum(loads)
     if not demands:
@@ -176,11 +191,10 @@ def fixed_point(
     while True:
         phis = dict(zip(link_ids, phi.tolist()))
         memo = plan.evaluate(phis)
-        blockings = [
-            demand_blocking(demand, route, archs, phis, stats, graph.slot_count, memo)
-            for demand, route in zip(demands, routes)
-        ]
-        p_prev, p_net = p_net, sum(load * b for load, b in zip(loads, blockings)) / weight
+        values = [lightpath_blocking(s, route, archs, phis, stats, graph.slot_count, memo)
+                  for s, route in reads]
+        blockings = np.bincount(owner, pmf_weight * values, len(demands))
+        p_prev, p_net = p_net, sum(map(mul, loads, blockings.tolist())) / weight
         trajectory.append(p_net)
         converged = abs(p_net - p_prev) <= config.epsilon and phi_delta <= config.epsilon
         if converged or len(trajectory) == config.max_iter:
@@ -199,7 +213,7 @@ def fixed_point(
         )
     return AnalysisResult(
         phis=phis,
-        demand_blockings=blockings,
+        demand_blockings=blockings.tolist(),
         network_blocking_prob=p_net,
         iterations=len(trajectory),
         converged=converged,

@@ -259,6 +259,19 @@ def test_config_validation(monkeypatch):
         fixed_point(g, demands, {}, AnalysisConfig(max_iter=2.5, seed=1), routes)
 
 
+def multi_slot_nsf_demands(g):
+    """NSF's bundled demands with every third one asking for 1, 2 or 4
+    slots, and demand 1 asking for 2 slots or for one more than the fiber
+    holds."""
+    demands = [
+        DemandSpec(d.src, d.dst, d.rate, d.hold, {1: 0.2, 2: 0.5, 4: 0.3}) if i % 3 == 0 else d
+        for i, d in enumerate(nsf14_demands(g))
+    ]
+    d = demands[1]
+    demands[1] = DemandSpec(d.src, d.dst, d.rate, d.hold, {2: 0.5, g.slot_count + 1: 0.5})
+    return demands
+
+
 def test_fixed_point_iteration_needs_no_scalar_run_probability(monkeypatch):
     # every run probability of a solve comes from its plan's array calls,
     # and a solve's blockings are those of single-route calls at its link state
@@ -272,13 +285,7 @@ def test_fixed_point_iteration_needs_no_scalar_run_probability(monkeypatch):
         11: NodeArchitecture(SHARE_PER_LINK, 2),
         3: NodeArchitecture(SIMPLE),
     }
-    demands = nsf14_demands(g)
-    demands = [
-        DemandSpec(d.src, d.dst, d.rate, d.hold, {1: 0.2, 2: 0.5, 4: 0.3}) if i % 3 == 0 else d
-        for i, d in enumerate(demands)
-    ]
-    d = demands[1]
-    demands[1] = DemandSpec(d.src, d.dst, d.rate, d.hold, {2: 0.5, g.slot_count + 1: 0.5})
+    demands = multi_slot_nsf_demands(g)
     routes = route_all(g, demands)
     assert any(len(r.links) >= 3 for r in routes)
 
@@ -389,6 +396,65 @@ def test_pinned_nsf_solves_are_unchanged_bit_for_bit(setting):
     assert tuple(result.demand_blockings[i].hex() for i in (0, 20, 181)) == blockings
     every = " ".join(b.hex() for b in result.demand_blockings)
     assert hashlib.sha256(every.encode()).hexdigest()[:16] == digest
+
+
+# ``multi_slot_nsf_demands`` under the "mixed" map, seed 10, damping 0.5,
+# in the format of PINNED_NSF_SOLVES, with the blockings of demands 0 (1, 2
+# or 4 slots), 1 (half of its requests never fit), 20 and 181.  Recorded
+# from the solve that called ``demand_blocking`` once per demand.
+PINNED_MULTI_SLOT_SOLVE = (
+    17, "0x1.297b49de5139cp-3", "c139947471c532dd",
+    ("0x1.0f9736ead7977p-5", "0x1.0002b456a930cp-1", "0x1.d24ec1e69851cp-9", "0x1.3e62cda000000p-26"),
+)
+
+
+def test_pinned_multi_slot_solve_is_unchanged_bit_for_bit():
+    g = nsf14()
+    demands = multi_slot_nsf_demands(g)
+    cycle = [NodeArchitecture(SHARE_PER_NODE, 1), NodeArchitecture(FULL), NodeArchitecture(SHARE_PER_LINK, 1)]
+    archs = {v: cycle[v % 3] for v in g.nodes}
+    result = fixed_point(g, demands, archs, AnalysisConfig(seed=10, damping=0.5))
+    assert result.converged
+    every = " ".join(b.hex() for b in result.demand_blockings)
+    assert (
+        result.iterations,
+        result.network_blocking_prob.hex(),
+        hashlib.sha256(every.encode()).hexdigest()[:16],
+        tuple(result.demand_blockings[i].hex() for i in (0, 1, 20, 181)),
+    ) == PINNED_MULTI_SLOT_SOLVE
+
+
+def test_solve_reads_each_demand_slot_count_once_per_iteration(monkeypatch):
+    # one lightpath_blocking read per (demand, slot count) and iteration,
+    # slot counts above the fiber included, and no demand_blocking call
+    g = line(4, slot_count=4)
+    archs = {2: NodeArchitecture(SHARE_PER_NODE, 1), 3: NodeArchitecture(FULL)}
+    demands = [
+        DemandSpec(1, 4, 1.0, 1.0, {1: 0.5, 2: 0.5}),
+        DemandSpec(2, 4, 0.5, 2.0, {1: 0.2, 3: 0.3, 5: 0.5}),
+        DemandSpec(4, 1, 1.0, 1.0, {2: 1.0}),
+    ]
+    config = AnalysisConfig(seed=2, damping=0.5)
+    plain = fixed_point(g, demands, archs, config)
+
+    calls = {"lightpath_blocking": 0, "demand_blocking": 0}
+
+    def counted(name):
+        inner = getattr(eonspectra.analyzer, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(eonspectra.analyzer, name, counted(name))
+    result = fixed_point(g, demands, archs, config)
+    reads = result.iterations * sum(len(d.pmf_items) for d in demands)
+    assert calls == {"lightpath_blocking": reads, "demand_blocking": 0}
+    assert result.iterations > 1
+    assert result == plain
 
 
 @pytest.mark.parametrize("spec", ["simple", "full", "share_per_node:1"])

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,38 @@ def test_a_run_with_empty_output_is_not_correct(monkeypatch):
     with pytest.raises(SystemExit) as exit_info:
         pairs.main(_argv(2))
     assert str(exit_info.value).startswith(f"error: a run in {ROOT} is not correct")
+
+
+def test_record_holds_every_pair_and_one_claim_per_end_to_end_metric(monkeypatch, tmp_path):
+    # the parent's pass_s is 1.0, 1.1, ...; the change's is half of it, and
+    # its other metrics tie with the parent's
+    counts = {}
+
+    def fake_run(command, cwd, **kwargs):
+        side = "change" if Path(cwd) == tmp_path else "parent"
+        counts[side] = counts.get(side, 0) + 1
+        pass_s = (0.9 + 0.1 * counts[side]) * (0.5 if side == "change" else 1.0)
+        metrics = {"pass_s": pass_s, "peak_rss_mb": 40.0, "setup_s": 0.3}
+        line = json.dumps({"correct": True, "metrics": {
+            name: {"value": value} for name, value in metrics.items()}})
+        return subprocess.CompletedProcess(command, 0, stdout=f"log\n{line}\n", stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    record = tmp_path / "pairs.json"
+    argv = _argv(3)
+    argv[argv.index("--change") + 1] = str(tmp_path)
+    assert pairs.main(argv + ["--record", str(record)]) == 0
+
+    written = json.loads(record.read_text())
+    assert written["settings"] == {"workload": "nsf-place", "seed": 1, "pairs": 3, "seconds": 0.0}
+    assert [p["first"] for p in written["pairs"]] == ["parent", "change", "parent"]
+    assert [p["parent"]["pass_s"] for p in written["pairs"]] == pytest.approx([1.0, 1.1, 1.2])
+    assert [p["change"]["pass_s"] for p in written["pairs"]] == pytest.approx([0.5, 0.55, 0.6])
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert list(written["end_to_end"]) == names
+    claim = written["end_to_end"]["pass_s"]
+    assert claim["parent"] == pytest.approx({"q1": 1.05, "median": 1.1, "q3": 1.15})
+    assert claim["change"]["median"] == pytest.approx(0.55)
+    assert (claim["wins"], claim["pairs"], claim["claimable"]) == (3, 3, True)
+    rss = written["end_to_end"]["peak_rss_mb"]
+    assert (rss["wins"], rss["claimable"]) == (0, False)

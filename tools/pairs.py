@@ -11,6 +11,9 @@ not report ``correct: true``.  For each end-to-end metric of
 the change won (ties count for neither side) and whether a gain may be
 claimed: the change wins at least nine tenths of the pairs, and its median
 beats the parent's by more than the parent's interquartile range.
+``--record PATH`` also writes the run as JSON: the settings, every pair's
+metrics for both sides, and per end-to-end metric each side's median and
+quartiles, the wins and whether the claim holds.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, required=True, help="run length of each run")
+    parser.add_argument("--record", type=Path, help="write the run and its verdicts here as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
@@ -80,14 +84,17 @@ def main(argv=None) -> int:
     metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {side: [] for side in sides}
+    firsts = []
     for pair in range(args.pairs):
         order = list(sides) if pair % 2 == 0 else list(reversed(sides))
+        firsts.append(order[0])
         for side in order:
             runs[side].append(_run(sides[side], args.workload, args.seed, args.seconds))
         print(f"pair {pair + 1}: " + ", ".join(
             f"{side} pass_s {runs[side][-1]['pass_s']:.6g}" for side in order), flush=True)
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
+    claims = {}
     for metric in metrics:
         name = metric["name"]
         parent = [run[name] for run in runs["parent"]]
@@ -99,6 +106,24 @@ def main(argv=None) -> int:
               f"change {c2:.6g} [{c1:.6g}, {c3:.6g}] ({(c2 - p2) / p2:+.1%}); "
               f"change better in {result.wins}/{result.pairs}; "
               f"gain claimable: {'yes' if result.holds else 'no'}")
+        claims[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": {"q1": p1, "median": p2, "q3": p3},
+            "change": {"q1": c1, "median": c2, "q3": c3},
+            "wins": result.wins,
+            "pairs": result.pairs,
+            "claimable": result.holds,
+        }
+    if args.record:
+        record = {
+            "settings": {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+                         "seconds": args.seconds},
+            "pairs": [{"first": first, "parent": parent, "change": change}
+                      for first, parent, change in zip(firsts, runs["parent"], runs["change"])],
+            "end_to_end": claims,
+        }
+        args.record.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 
