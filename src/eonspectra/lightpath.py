@@ -35,11 +35,14 @@ grids, one with a row per stop and one with a row per (stop, opening), and
 the passes, ordered by their number of stops so that those still running
 at a stop are a prefix of them, take their routes' columns, masked at each
 stop to the passes that reach it.  Each iteration ``SolvePlan.evaluate``
-computes the success of every table row, in one array call of
-``run_probability`` per slot count, and the availability of every bank,
-then runs all the passes side by side, stop by stop and, within a stop,
-opening by opening, with the float operations of each pass's scalar walk
-in the same order.  The padding that lines the passes up adds only exact
+computes the success of every (slot count, table row) pair the passes
+close, all in one array call of ``run_probability`` whose run lengths are
+the pairs' slot counts, and the availability of every bank, then runs all
+the passes side by side, stop by stop.  At a stop it forms the blocked
+mass avail * mass * failure and the closed mass mass * success of every
+(opening, pass) at once, then adds them up opening by opening, in opening
+order, so every pass gets the float operations of its scalar walk in the
+same order.  The padding that lines the passes up adds only exact
 zeros (an opening a pass does not have holds mass 0.0 and reads success
 1.0), and a stop that is never or always free scales the masses by exactly
 1.0 or 0.0, so every blocking equals the scalar walk's bit for bit.  The
@@ -262,21 +265,22 @@ class SolvePlan:
     masses.  Stop by stop, ``draws`` holds each active pass's index into
     the availabilities (0, always 1.0, for a full node and for the
     destination), and ``closes`` holds, opening by opening, each active
-    pass's index of the success of its segment from that opening.  The
-    successes run over the slot counts of ``rows`` and, within one, over
-    its rows; one padding entry of 1.0 follows.
+    pass's index of the success of its segment from that opening.  Success
+    i is that of a request for ``sizes[i]`` slots on table row
+    ``segment[i]``, ordered by slot count and then by row, so ``sizes`` is
+    nondecreasing; one padding entry of 1.0 follows.
 
     The segment table lists the link ids its rows cross in ``columns``; row
     i of ``hops`` holds segment i's columns in path order, padded with
-    ``len(columns)``, a column whose free probability is always 1.0, and
-    ``rows[S]`` indexes the segments of the requests for S slots.
+    ``len(columns)``, a column whose free probability is always 1.0.
     ``banks`` holds the ``BankArgs`` of the banks the stops name.
     """
 
     slot_count: int
     columns: tuple[int, ...]
     hops: np.ndarray
-    rows: dict[int, np.ndarray]
+    sizes: np.ndarray
+    segment: np.ndarray
     banks: tuple[BankArgs, ...]
     index: dict[PassKey, int]
     stops: tuple[tuple[int, int, np.ndarray], ...]
@@ -292,11 +296,9 @@ class SolvePlan:
         rho = phi[self.hops[:, 0]]
         for column in self.hops[:, 1:].T:
             rho = rho * phi[column]
-        successes = [
-            run_probability(min_run, self.slot_count, rho[rows])
-            for min_run, rows in self.rows.items()
-        ]
-        success = np.concatenate(successes + [np.ones(1)])[self.closes]
+        success = np.concatenate(
+            (run_probability(self.sizes, self.slot_count, rho[self.segment]), np.ones(1))
+        )[self.closes]
         failure = 1.0 - success
         availability = np.array(
             [1.0]
@@ -316,13 +318,17 @@ class SolvePlan:
         for active, width, targets in self.stops:
             avail = availability[stop : stop + active]
             head = blocked[:active]
+            block = masses[:width, :active]
+            end = row + width * active
+            lost = avail * block * failure[row:end].reshape(width, active)
+            kept = block * success[row:end].reshape(width, active)
             closed = np.zeros(active)
-            for mass in masses[:width, :active]:
-                head += avail * mass * failure[row : row + active]
-                closed += mass * success[row : row + active]
-                row += active
-            masses[:width, :active] *= busy[stop : stop + active]
+            for lost_row, kept_row in zip(lost, kept):  # in opening order
+                head += lost_row
+                closed += kept_row
+            block *= busy[stop : stop + active]
             masses.reshape(-1)[targets] = avail * closed
+            row = end
             stop += active
         return PlanValues(self.index, blocked.tolist())
 
@@ -446,13 +452,17 @@ def compile_plan(
     draws = bank[:, pass_route][running]
     targets = (np.where(bank, width, 0)[:, pass_route] * count + np.arange(count))[running]
     # the successes the passes close are numbered by slot count, then by row
-    slot_counts, rank = np.unique([s for s, _ in order], return_inverse=True)
+    slot_counts, rank = np.unique(np.array([s for s, _ in order], np.intp), return_inverse=True)
+    rows_per_count = max(len(segments), 1)
     cells, live = rows[:, pass_route], running[entry_stop]
     real = cells[live] >= 0
-    needed, position = np.unique((cells + rank * len(segments))[live][real], return_inverse=True)
+    needed, position = np.unique((cells + rank * rows_per_count)[live][real], return_inverse=True)
     closes = np.full(len(real), len(needed), dtype=np.intp)  # padding reads 1.0
     closes[real] = position
-    split = np.searchsorted(needed, np.arange(1, len(slot_counts)) * len(segments))
+    # where each slot count's successes start; a division would touch numpy's
+    # integer division loops, code no other step of a solve runs, and so
+    # raise the process's peak resident memory
+    starts = np.searchsorted(needed, np.arange(len(slot_counts) + 1) * rows_per_count)
 
     lengths = np.fromiter(map(len, segments), np.intp, len(segments))
     columns, column = np.unique(
@@ -464,7 +474,8 @@ def compile_plan(
         slot_count,
         tuple(columns.tolist()),
         hops,
-        dict(zip(slot_counts.tolist(), np.split(needed % max(len(segments), 1), split))),
+        np.repeat(slot_counts, np.diff(starts)),
+        needed % rows_per_count,
         tuple(banks),
         dict(zip(order, range(count))),
         tuple(

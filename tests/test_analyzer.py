@@ -290,9 +290,11 @@ def test_fixed_point_iteration_needs_no_scalar_run_probability(monkeypatch):
     assert any(len(r.links) >= 3 for r in routes)
 
     scalar_calls = []
+    calls = []
     batched = eonspectra.lightpath.run_probability
 
     def counting(min_run, slots, rho):
+        calls.append(min_run)
         if not isinstance(rho, np.ndarray):
             scalar_calls.append((min_run, slots, rho))
         return batched(min_run, slots, rho)
@@ -302,6 +304,8 @@ def test_fixed_point_iteration_needs_no_scalar_run_probability(monkeypatch):
     result = fixed_point(g, demands, archs, config, routes)
     assert result.converged
     assert scalar_calls == []
+    # one call per iteration, over every slot count of the plan at once
+    assert len(calls) == result.iterations
 
     monkeypatch.setattr(eonspectra.lightpath, "run_probability", batched)
     stats = crossing_stats(g, routes)

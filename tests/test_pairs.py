@@ -1,8 +1,11 @@
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +91,10 @@ def test_record_holds_every_pair_and_one_claim_per_end_to_end_metric(monkeypatch
 
     written = json.loads(record.read_text())
     assert written["settings"] == {"workload": "nsf-place", "seed": 1, "pairs": 3, "seconds": 0.0}
+    host = written["machine"]
+    assert set(host) == {"nproc", "cpu", "python", "numpy"}
+    assert 1 <= host["nproc"] <= os.cpu_count() and host["cpu"]
+    assert (host["python"], host["numpy"]) == (platform.python_version(), np.__version__)
     assert [p["first"] for p in written["pairs"]] == ["parent", "change", "parent"]
     assert [p["parent"]["pass_s"] for p in written["pairs"]] == pytest.approx([1.0, 1.1, 1.2])
     assert [p["change"]["pass_s"] for p in written["pairs"]] == pytest.approx([0.5, 0.55, 0.6])

@@ -159,3 +159,51 @@ def test_rejections_match_the_full_recurrence(bad):
         with pytest.raises(ValueError) as oracle:
             run_probability_recurrence(3, 8, rhos)
         assert str(kernel.value) == str(oracle.value)
+
+
+def test_run_length_array_equals_per_slot_count_calls_bit_for_bit():
+    # one call with a run length per element gives each element the floats
+    # of its own slot count's call, and of the full recurrence; slot counts
+    # above ``slots`` read +0.0, and exact 0.0 and 1.0 take the clamp path
+    rng = np.random.default_rng(23)
+    for case in range(600):
+        slots = case % 21
+        count = int(rng.integers(0, 40))
+        sizes = np.sort(rng.integers(1, slots + 3, count)).astype([np.int64, np.int32][case % 2])
+        rhos = rng.random(count)
+        if count and case % 3:
+            picks = rng.integers(0, count, int(rng.integers(1, count + 1)))
+            rhos[picks] = rng.choice([0.0, 1.0], picks.size)
+        got = run_probability(sizes, slots, rhos)
+        assert isinstance(got, np.ndarray) and got.shape == rhos.shape
+        grouped = np.empty(count)
+        for s in np.unique(sizes).tolist():
+            grouped[sizes == s] = run_probability(s, slots, rhos[sizes == s])
+        assert _bits(got) == _bits(grouped), (slots, sizes, rhos)
+        expected = [run_probability_recurrence(s, slots, r) for s, r in zip(sizes.tolist(), rhos)]
+        assert _bits(got) == _bits(expected), (slots, sizes, rhos)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        np.array([1, 3, 2]),  # decreasing
+        np.array([0, 1, 2]),  # a run length below 1
+        np.array([-2, 1, 2]),
+        np.array([1.0, 2.0, 3.0]),  # not integers
+        np.array([True, True, True]),
+        np.array([1, 2]),  # shaped unlike the probabilities
+        np.array([[1, 2, 3]]),
+        np.array(2),
+    ],
+)
+def test_run_length_array_rejects_bad_arrays(sizes):
+    with pytest.raises(ValueError, match="run lengths must be"):
+        run_probability(sizes, 8, np.array([0.5, 0.6, 0.7]))
+
+
+@pytest.mark.parametrize("min_run", [2.0, 2.5, np.float64(3.0), "2"])
+def test_scalar_run_length_must_be_an_integer(min_run):
+    # a run length counts slots: a float is refused, not rounded
+    with pytest.raises(TypeError, match="run length must be an integer"):
+        run_probability(min_run, 8, 0.5)

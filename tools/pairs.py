@@ -11,7 +11,8 @@ not report ``correct: true``.  For each end-to-end metric of
 the change won (ties count for neither side) and whether a gain may be
 claimed: the change wins at least nine tenths of the pairs, and its median
 beats the parent's by more than the parent's interquartile range.
-``--record PATH`` also writes the run as JSON: the settings, every pair's
+``--record PATH`` also writes the run as JSON: the settings, the machine
+(processors available, CPU model, Python and numpy versions), every pair's
 metrics for both sides, and per end-to-end metric each side's median and
 quartiles, the wins and whether the claim holds.
 """
@@ -20,10 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 from dataclasses import dataclass
+from importlib.metadata import version
 from pathlib import Path
 
 
@@ -53,6 +57,20 @@ def verdict(parent: list[float], change: list[float], lower_is_better: bool = Tr
     gap = sign * (p2 - statistics.median(change))
     holds = wins >= 0.9 * len(parent) and gap > p3 - p1
     return Verdict(wins, len(parent), gap, p3 - p1, holds)
+
+
+def machine() -> dict:
+    """The host both sides ran on, read as ``perfbench/run.py`` reads it:
+    the processors this process may use, the CPU model, and the Python and
+    numpy versions that run the benchmark."""
+    lines = Path("/proc/cpuinfo").read_text().splitlines()
+    models = [line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")]
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu": models[0] if models else platform.machine(),
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+    }
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -119,6 +137,7 @@ def main(argv=None) -> int:
         record = {
             "settings": {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                          "seconds": args.seconds},
+            "machine": machine(),
             "pairs": [{"first": first, "parent": parent, "change": change}
                       for first, parent, change in zip(firsts, runs["parent"], runs["change"])],
             "end_to_end": claims,
