@@ -88,29 +88,33 @@ def phi_update(
     """Estimate per-link slot-free probabilities from carried load:
     each crossing demand contributes its unblocked share of rate * hold *
     mean slots, normalized by the fiber capacity and clamped at full."""
-    free = _link_update(demands, routes, graph)(blockings)
-    return dict(zip((link.id for link in graph.links), free.tolist()))
+    position = {link.id: i for i, link in enumerate(graph.links)}
+    hop_links = np.array([position[lid] for route in routes for lid in route.link_ids], np.intp)
+    hop_demands = np.repeat(np.arange(len(routes)), [route.hop_count for route in routes])
+    slot_loads = [d.offered_load * d.mean_slots for d in demands]
+    free = _link_update(slot_loads, hop_links, hop_demands, graph)(blockings)
+    return dict(zip(position, free.tolist()))
 
 
-def _link_update(demands: list[DemandSpec], routes: list[RoutedPath], graph: NetworkGraph):
+def _link_update(
+    slot_loads: list[float], hop_links: np.ndarray, hop_demands: np.ndarray, graph: NetworkGraph
+):
     """``phi_update`` compiled for one set of routes: a function from the
     demands' blockings to the free probability of every link, in
-    ``graph.links`` order.
+    ``graph.links`` order.  ``slot_loads`` holds each demand's offered slot
+    load, and hop i of the route-link incidence puts demand
+    ``hop_demands[i]`` on link ``hop_links[i]`` (a position in
+    ``graph.links``).
 
-    The route-link incidence lists every hop, demand by demand, so the one
+    The incidence lists every hop, demand by demand, so the one
     ``np.bincount`` over it adds each link's loads in demand order.
     """
-    position = {link.id: i for i, link in enumerate(graph.links)}
-    hop_links = np.array(
-        [position[lid] for route in routes for lid in route.link_ids], dtype=np.intp
-    )
-    hop_demands = np.repeat(np.arange(len(routes)), [route.hop_count for route in routes])
-    slot_loads = np.array([d.offered_load * d.mean_slots for d in demands])
+    slot_loads = np.array(slot_loads, dtype=float)
     slots = float(graph.slot_count)
 
     def update(blockings) -> np.ndarray:
         loads = slot_loads * (1.0 - np.asarray(blockings, dtype=float))
-        carried = np.bincount(hop_links, loads[hop_demands], len(position))
+        carried = np.bincount(hop_links, loads[hop_demands], len(graph.links))
         return 1.0 - np.minimum(carried / slots, 1.0)
 
     return update
@@ -140,8 +144,11 @@ def fixed_point(
 
     Everything that does not move with the link state is compiled once per
     solve: the forward passes (``compile_plan``), the route-link incidence
-    of the link update, the (demand, slot count) reads with each one's
-    demand and pmf weight, and the network blocking's total offered load.
+    of the link update (read off the plan's route grid, not from a second
+    walk over the routes), each demand's offered slot load (which the
+    overflow check sums too), the (demand, slot count) reads with each
+    one's demand and pmf weight, and the network blocking's total offered
+    load.
     An iteration then evaluates the plan at the link state, which runs
     every forward pass side by side, and reads its values through
     ``lightpath_blocking`` once per (demand, slot count), in demand order
@@ -159,7 +166,8 @@ def fixed_point(
     if config is None:
         config = AnalysisConfig()
     routes = demand_routes(graph, demands, routes)
-    if not math.isfinite(sum(d.offered_load * d.mean_slots for d in demands)):
+    slot_loads = [d.offered_load * d.mean_slots for d in demands]
+    if not math.isfinite(sum(slot_loads)):
         raise DemandError("the demands' summed offered slot load overflows")
     if stats is None:
         stats = crossing_stats(graph, routes)
@@ -170,8 +178,13 @@ def fixed_point(
         graph.slot_count,
     )
 
-    update = _link_update(demands, routes, graph)
-    link_ids = [link.id for link in graph.links]
+    # the link update's route-link incidence: the plan's route grid, one row
+    # per demand, with its columns as positions in graph.links
+    position = {link.id: i for i, link in enumerate(graph.links)}
+    on_route = plan.routes < len(plan.columns)
+    hop_links = np.array([position[lid] for lid in plan.columns], np.intp)[plan.routes[on_route]]
+    update = _link_update(slot_loads, hop_links, np.nonzero(on_route)[0], graph)
+    link_ids = list(position)
     reads = [(s, route) for demand, route in zip(demands, routes) for s, _ in demand.pmf_items]
     owner = np.repeat(np.arange(len(demands)), [len(d.pmf_items) for d in demands])
     pmf_weight = np.array([p for d in demands for _, p in d.pmf_items])
@@ -183,7 +196,7 @@ def fixed_point(
 
     rng = np.random.default_rng(config.seed)
     p_net = float(rng.random())
-    blockings = [float(x) for x in rng.random(len(demands))]
+    blockings = rng.random(len(demands)).tolist()
     phi = update(blockings)  # every link's free probability, in graph.links order
     phi_delta = math.inf  # max |change| of a link's free probability
     d = config.damping

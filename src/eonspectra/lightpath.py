@@ -25,13 +25,20 @@ or destination cannot help a request.
 During a fixed point the routes, layouts and pmfs stay fixed and only the
 link state moves, so ``compile_plan`` compiles, once per solve, every
 forward pass the solve needs, one per route and slot count, into the index
-arrays of a ``SolvePlan``.  Its Python work is one walk per distinct route
-over the route's converting interior nodes, which lists the route's stops
-(the bank each draws from and how many openings it closes; openings are
-where segments start: the source and each shared stop since the last full
-node) and, stop by stop and opening by opening, the table row of the
-segment that closes there.  Each route then becomes one column of two
-grids, one with a row per stop and one with a row per (stop, opening), and
+arrays of a ``SolvePlan``.  It walks no route in Python.  The distinct
+routes become one grid of their links, as columns in path order, and each
+column gets its stop code once: -1 when the node it leaves does not
+convert, 0 for a full node, else the index of its bank.  From the grid,
+array operations find each route's stops (its converting interior nodes,
+then the destination as a full stop) and each stop's openings, where the
+segments that close there start: the last full stop before it (or the
+source), then the shared stops since.  Every (stop, opening) cell's
+segment is packed into an int64, link by link in base ``len(columns) +
+1``, and ``np.unique`` of the packed codes numbers the table rows, so two
+cells share a row exactly when their segments cross the same links; the
+packed prefix is re-ranked with ``np.unique`` whenever the next link could
+overflow.  The stops and cells lay out as two grids with a column per
+route, one with a row per stop and one with a row per (stop, opening), and
 the passes, ordered by their number of stops so that those still running
 at a stop are a prefix of them, take their routes' columns, masked at each
 stop to the passes that reach it.  Each iteration ``SolvePlan.evaluate``
@@ -273,7 +280,9 @@ class SolvePlan:
     The segment table lists the link ids its rows cross in ``columns``; row
     i of ``hops`` holds segment i's columns in path order, padded with
     ``len(columns)``, a column whose free probability is always 1.0.
-    ``banks`` holds the ``BankArgs`` of the banks the stops name.
+    ``banks`` holds the ``BankArgs`` of the banks the stops name.  Row k of
+    ``routes`` holds the route of request k in the same columns, so a solve
+    takes its route-link incidence from the plan.
     """
 
     slot_count: int
@@ -286,6 +295,7 @@ class SolvePlan:
     stops: tuple[tuple[int, int, np.ndarray], ...]
     closes: np.ndarray
     draws: np.ndarray
+    routes: np.ndarray
 
     def evaluate(self, phis: LinkFreeProbs) -> PlanValues:
         """Every forward pass of the plan at link state ``phis``.  A row's
@@ -333,10 +343,119 @@ class SolvePlan:
         return PlanValues(self.index, blocked.tolist())
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _offsets(lengths: np.ndarray) -> np.ndarray:
     """Each element's position within its group, for groups of ``lengths``
     laid end to end."""
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _stops(
+    path: np.ndarray, hops: np.ndarray, code: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stops of the routes of the route grid ``path``, route r crossing
+    ``hops[r]`` links, where ``code`` gives each column's stop code (-1 for
+    the pad): the converting interior nodes, then the destination as a full
+    stop.
+
+    Returns, with a column per route, each route's number of stops and
+    grids with a row per stop: whether the route has it, its availability
+    index (0 for a full node and the destination), the number of openings
+    it closes, and, in a grid with one more row, its node position, the
+    source being row 0 and stop j row j + 1.
+    """
+    at_node = np.full((len(path), path.shape[1] + 1), -1, dtype=np.intp)
+    at_node[:, 1:-1] = code[path[:, 1:]]
+    at_node[np.arange(len(path)), hops] = 0
+    route_at, node_at = np.nonzero(at_node >= 0)
+    depth = np.bincount(route_at, minlength=len(path))
+    stop_of = _offsets(depth)
+    has = np.arange(depth.max(initial=0))[:, None] < depth
+    bank = np.zeros(has.shape, dtype=np.intp)
+    bank[stop_of, route_at] = at_node[route_at, node_at]
+    stop_node = np.zeros((len(has) + 1, len(path)), dtype=np.intp)
+    stop_node[stop_of + 1, route_at] = node_at
+    # a stop's openings are the last full stop before it (or the source)
+    # and the shared stops since, so it has one more than the stop before
+    # it unless that one is full
+    width = np.ones(has.shape, dtype=np.intp)
+    for j in range(1, len(has)):
+        width[j] = np.where(bank[j - 1] > 0, width[j - 1] + 1, 1)
+    width *= has
+    return depth, has, bank, width, stop_node
+
+
+def _cells(
+    path: np.ndarray,
+    width: np.ndarray,
+    stop_node: np.ndarray,
+    widest: np.ndarray,
+    entry_stop: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (stop, opening) cells of the routes of the route grid ``path``:
+    ``width[j, r]`` is the number of openings route r's stop j closes,
+    ``stop_node[j + 1, r]`` that stop's node position and ``stop_node[0]``
+    the source, and stop j has a row of cells per opening, ``widest[j]``
+    of them, each labelled with its stop in ``entry_stop``.
+
+    Returns the (cell row, route) mask of the cells that exist and, cell by
+    cell in the mask's order, where its segment starts in the raveled route
+    grid and how many links it crosses.
+    """
+    routes = len(path)
+    opening = _offsets(widest)
+    cell = opening[:, None] < width[entry_stop]
+    entry, route_in = np.nonzero(cell)
+    # stop j of route r is at j * routes + r in the raveled stop grids, and
+    # its node at (j + 1) * routes + r in stop_node's; opening o of it is
+    # the stop width - o places before it
+    at = entry_stop[entry] * routes + route_in
+    node_of = stop_node.ravel()
+    start = node_of[at + (opening[entry] + 1 - width.ravel()[at]) * routes]
+    span = node_of[at + routes] - start
+    start += route_in * path.shape[1]
+    return cell, start, span
+
+
+def _segment_rows(
+    path: np.ndarray, pad: int, cell: np.ndarray, start: np.ndarray, span: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Number the segments of the cells that ``_cells`` lists, on the
+    route grid ``path`` padded with ``pad``.
+
+    Returns the grid of each cell's table row, -1 where a route has no such
+    cell, and the table: row i holds segment i's columns in path order,
+    padded with ``pad``.  Two cells share a row exactly when their segments
+    cross the same links.
+    """
+    # each segment's links packed link by link as digits 1..pad in base
+    # pad + 1, and 0 past its end, so that no two link sequences share a
+    # code; the packed prefix is re-ranked whenever the next link could
+    # overflow an int64
+    longest = span.max(initial=1)
+    flat = np.concatenate((path.ravel(), np.full(longest, pad)))
+    base = pad + 1
+    packed = np.zeros(len(start), dtype=np.int64)
+    largest = 0  # the largest value the packed prefix can hold
+    for step in range(longest):
+        if largest > (_INT64_MAX - pad) // base:
+            ranks, packed = np.unique(packed, return_inverse=True)
+            largest = len(ranks) - 1
+        digits = flat[start + step]
+        digits += 1
+        digits *= step < span
+        packed *= base
+        packed += digits
+        largest = largest * base + pad
+    codes, segment_of = np.unique(packed, return_inverse=True)
+    rows = np.full(cell.shape, -1, dtype=np.intp)
+    rows[cell] = segment_of
+    first = np.zeros(len(codes), dtype=np.intp)  # a cell of each row
+    first[segment_of] = np.arange(len(start))
+    step = np.arange(longest)
+    return rows, np.where(step < span[first, None], flat[start[first, None] + step], pad)
 
 
 def compile_plan(
@@ -348,101 +467,103 @@ def compile_plan(
     """Compile the forward passes of every route in ``requests``, an
     iterable of (route, slot counts in ascending order) pairs: one pass per
     route and slot count, each once however many requests share it.  Slot
-    counts above ``slot_count`` are never carried and get no pass.
+    counts above ``slot_count`` are never carried and get no pass, but
+    every request's route has its row in ``SolvePlan.routes``.
 
-    The walk resolves a converting node's stop once per exit link: 0
-    (always free) at a full node, else the index of the bank that
-    ``bank_key`` names.  A route without a converting interior node has
-    only its destination as a stop, found without a scan; a route with k
-    converters lists O(k^2) segment rows.
+    ``columns`` holds the link ids the routes cross, ascending.  A
+    converting node's stop is resolved once per exit link: 0 (always free)
+    at a full node, else the index of the bank that ``bank_key`` names.
+    Everything else is array operations over the route grid: the stops,
+    their openings, and the O(k^2) segments of a route with k converters,
+    numbered by their links packed into integers.  The table rows and
+    banks are numbered otherwise than in a walk over the routes, but every
+    pass keeps its stops, its openings in order and each segment's links
+    in path order, and each row's success and each bank's availability is
+    computed on its own.
     """
-    segments: dict[tuple[int, ...], int] = {}  # link ids -> row
-    bank_index: dict[Bank, int] = {}
-    banks: list[BankArgs] = []
-    converting = {node for node, arch in archs.items() if arch.converts}
-    stop_at: dict[int, int] = {}  # exit link id -> stop of its tail, -1 if none
     route_of: dict[tuple[int, ...], int] = {}  # link ids -> route number
+    distinct: list[RoutedPath] = []
+    request_route: list[int] = []
     passes: dict[PassKey, int] = {}  # pass -> route number, in request order
-    # route after route: each stop's availability index and opening count,
-    # and stop by stop and opening by opening, the row of each segment that
-    # closes there
-    stop_bank: list[int] = []
-    stop_width: list[int] = []
-    entry_row: list[int] = []
-    stop_end: list[int] = []  # per route, where its stops end in stop_bank
-    add_stop, add_width = stop_bank.append, stop_width.append
-    add_row, row_of = entry_row.append, segments.setdefault
-
-    def stop(node: int, link_id: int) -> int:
-        """The stop of ``node`` on a route leaving it by ``link_id``."""
-        if node not in converting:
-            return -1
-        bank = bank_key(node, link_id, archs[node])
-        if bank is None:
-            return 0
-        index = bank_index.get(bank)
-        if index is None:
-            index = bank_index[bank] = len(banks) + 1
-            banks.append((archs[node].n_sc, stats.paths[bank], stats.slots[bank], stats.shares[bank]))
-        return index
-
     for route, sizes in requests:
-        if not sizes or sizes[0] > slot_count:
-            continue
         link_ids = route.link_ids
-        number = route_of.get(link_ids)
-        if number is None:
-            number = route_of[link_ids] = len(stop_end)
-            # openings as link offsets: the segment from opening o to the
-            # stop at node i (path position i + 1) crosses link_ids[o:i]
-            openings = [0]
-            nodes = route.nodes
-            if not converting.isdisjoint(nodes[1:-1]):
-                for i in range(1, len(link_ids)):
-                    index = stop_at.get(link_ids[i])
-                    if index is None:
-                        index = stop_at[link_ids[i]] = stop(nodes[i], link_ids[i])
-                    if index < 0:
-                        continue
-                    for o in openings:
-                        add_row(row_of(link_ids[o:i], len(segments)))
-                    add_stop(index)
-                    add_width(len(openings))
-                    if index:
-                        openings.append(i)
-                    else:
-                        openings = [i]
-            for o in openings:  # the destination
-                add_row(row_of(link_ids[o:], len(segments)))
-            add_stop(0)
-            add_width(len(openings))
-            stop_end.append(len(stop_bank))
+        number = route_of.setdefault(link_ids, len(distinct))
+        if number == len(distinct):
+            distinct.append(route)
+        request_route.append(number)
         for s in sizes:
             if s > slot_count:
                 break
             passes[s, link_ids] = number
 
-    # the passes with more stops first, in request order among equals
+    # the route grid: route by route, its links as columns in path order,
+    # padded with len(columns)
+    lengths = np.fromiter(map(len, route_of), np.intp, len(route_of))
+    columns, column = np.unique(
+        np.fromiter(chain.from_iterable(route_of), np.intp, lengths.sum()), return_inverse=True
+    )
+    pad = len(columns)
+    on_route = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    grid = np.full(on_route.shape, pad, dtype=np.intp)
+    grid[on_route] = column
+
+    # only the routes that carry a pass get stops
     keys = list(passes)
     count = len(keys)
-    depth = np.diff(stop_end, prepend=0)
     pass_route = np.fromiter(passes.values(), np.intp, count)
-    # the sort keys are distinct, so any sort keeps request order among equals
+    carried = np.zeros(len(distinct), dtype=bool)
+    carried[pass_route] = True
+    path, hops_of = grid, lengths
+    if not carried.all():
+        pass_route = (np.cumsum(carried) - 1)[pass_route]
+        path, hops_of = grid[carried], lengths[carried]
+
+    # each column's stop as the exit link of an interior node: -1 for none,
+    # 0 for a full node, else its bank's availability index; -1 for the pad
+    code = np.full(pad + 1, -1, dtype=np.intp)
+    bank_index: dict[Bank, int] = {}
+    banks: list[BankArgs] = []
+    converting = {node for node, arch in archs.items() if arch.converts}
+    if converting:
+        interior = np.zeros(pad + 1, dtype=bool)
+        interior[path[:, 1:]] = True
+        inner = np.flatnonzero(interior[:pad])
+        # a (route, hop) where each such column appears: its tail is the
+        # route's node at that hop
+        seen = np.zeros(pad, dtype=np.intp)
+        seen[column] = np.arange(len(column))
+        ends = np.cumsum(lengths)
+        route_no = ends.searchsorted(seen[inner], "right")
+        hop = seen[inner] - ends[route_no] + lengths[route_no]
+        for c, r, h in zip(inner.tolist(), route_no.tolist(), hop.tolist()):
+            node = distinct[r].nodes[h]
+            if node not in converting:
+                continue
+            bank = bank_key(node, int(columns[c]), archs[node])
+            if bank is None:
+                code[c] = 0
+                continue
+            index = bank_index.get(bank)
+            if index is None:
+                index = bank_index[bank] = len(banks) + 1
+                banks.append(
+                    (archs[node].n_sc, stats.paths[bank], stats.slots[bank], stats.shares[bank])
+                )
+            code[c] = index
+
+    depth, has, bank, width, stop_node = _stops(path, hops_of, code)
+
+    # the (stop, opening) cells, a row per opening up to the most any route
+    # has at that stop, and the segment table
+    widest = width.max(axis=1, initial=0)
+    entry_stop = np.repeat(np.arange(len(widest)), widest)
+    rows, hops = _segment_rows(path, pad, *_cells(path, width, stop_node, widest, entry_stop))
+
+    # the passes with more stops first, in request order among equals: the
+    # sort keys are distinct, so any sort keeps that order
     by_depth = np.argsort(np.arange(count) - depth[pass_route] * count)
     order = [keys[i] for i in by_depth.tolist()]
     pass_route = pass_route[by_depth]
-
-    # the grids, one column per route: a row per stop (availability index,
-    # opening count), and a row per (stop, opening) up to the most openings
-    # any route has at that stop (segment row, -1 as padding)
-    has = np.arange(depth.max(initial=0))[:, None] < depth
-    bank, width = np.zeros((2, *has.shape), dtype=np.intp)
-    bank.T[has.T], width.T[has.T] = stop_bank, stop_width
-    widest = width.max(axis=1, initial=0)
-    entry_stop = np.repeat(np.arange(len(widest)), widest)
-    cell = _offsets(widest)[:, None] < width[entry_stop]
-    rows = np.full(cell.shape, -1, dtype=np.intp)
-    rows.T[cell.T] = entry_row
 
     # the passes' columns, stop by stop, masked to the passes still running
     # there; a stop's new opening takes the number of openings it closes, or
@@ -453,29 +574,23 @@ def compile_plan(
     targets = (np.where(bank, width, 0)[:, pass_route] * count + np.arange(count))[running]
     # the successes the passes close are numbered by slot count, then by row
     slot_counts, rank = np.unique(np.array([s for s, _ in order], np.intp), return_inverse=True)
-    rows_per_count = max(len(segments), 1)
+    segments = len(hops)
     cells, live = rows[:, pass_route], running[entry_stop]
     real = cells[live] >= 0
-    needed, position = np.unique((cells + rank * rows_per_count)[live][real], return_inverse=True)
-    closes = np.full(len(real), len(needed), dtype=np.intp)  # padding reads 1.0
-    closes[real] = position
-    # where each slot count's successes start; a division would touch numpy's
-    # integer division loops, code no other step of a solve runs, and so
-    # raise the process's peak resident memory
-    starts = np.searchsorted(needed, np.arange(len(slot_counts) + 1) * rows_per_count)
+    cells += rank * segments  # (slot count, row) as one key; padding stays masked by real
+    wanted = cells[live][real]
+    needed = np.zeros((len(slot_counts), segments), dtype=bool)
+    needed.ravel()[wanted] = True
+    closes = np.full(len(real), needed.sum(), dtype=np.intp)  # padding reads 1.0
+    closes[real] = (np.cumsum(needed) - 1)[wanted]
+    size_of, segment = np.nonzero(needed)
 
-    lengths = np.fromiter(map(len, segments), np.intp, len(segments))
-    columns, column = np.unique(
-        np.fromiter(chain.from_iterable(segments), np.intp, lengths.sum()), return_inverse=True
-    )
-    hops = np.full((len(segments), lengths.max(initial=1)), len(columns), dtype=np.intp)
-    hops[np.repeat(np.arange(len(segments)), lengths), _offsets(lengths)] = column
     return SolvePlan(
         slot_count,
         tuple(columns.tolist()),
         hops,
-        np.repeat(slot_counts, np.diff(starts)),
-        needed % rows_per_count,
+        slot_counts[size_of],
+        segment,
         tuple(banks),
         dict(zip(order, range(count))),
         tuple(
@@ -484,6 +599,7 @@ def compile_plan(
         ),
         closes,
         draws,
+        grid if len(distinct) == len(request_route) else grid[request_route],
     )
 
 

@@ -91,16 +91,21 @@ def run_probability(min_run: int | np.ndarray, slots: int, free_prob):
     nondecreasing integer array shaped like ``free_prob`` that gives each
     element its own run length."""
     rho = _check_args(min_run, slots, free_prob)
-    # an int is one run length for every element: each bound below is then
-    # 0 or 1, so every slice covers the whole argument
-    sizes = min_run if isinstance(min_run, np.ndarray) else np.full(1, min_run)
-    count = len(sizes)
-    if not count or slots < sizes[0]:
-        return rho * 0.0  # +0.0 each, and a np.float64 for a float in
-    shortest, longest = int(sizes[0]), int(sizes[-1])
-    # ends[k]: how many elements need a run of at most k slots, so the
-    # elements with j <= S <= k are the slice ends[j - 1]:ends[k]
-    ends = sizes.searchsorted(np.arange(slots + 1), "right").tolist()
+    if isinstance(min_run, np.ndarray):
+        count = len(min_run)
+        if not count or slots < min_run[0]:
+            return rho * 0.0  # +0.0 each
+        shortest, longest = int(min_run[0]), int(min_run[-1])
+        # ends[k]: how many elements need a run of at most k slots, so the
+        # elements with j <= S <= k are the slice ends[j - 1]:ends[k]
+        ends = min_run.searchsorted(np.arange(slots + 1), "right").tolist()
+    else:
+        if slots < min_run:
+            return rho * 0.0  # +0.0, and a np.float64 for a float in
+        # one run length for every element: each bound is 0 or 1, so every
+        # slice covers the whole argument
+        count, shortest, longest = 1, int(min_run), int(min_run)
+        ends = [0] * shortest + [1] * (slots + 1 - shortest)
     # rho^(j-1) * (1 - rho) for every j a term uses, and each element's rho^S
     weights = [1.0 - rho]
     for _ in range(min(longest, slots - shortest) - 1):

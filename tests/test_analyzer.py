@@ -35,6 +35,8 @@ from eonspectra.topology import (
 )
 from eonspectra.fixtures import generate_demands, nsf14, nsf14_demands, sixnode
 
+from oracles import chorded_ring
+
 
 def line(nodes, slot_count=10):
     labels = list(range(1, nodes + 1))
@@ -426,6 +428,46 @@ def test_pinned_multi_slot_solve_is_unchanged_bit_for_bit():
         hashlib.sha256(every.encode()).hexdigest()[:16],
         tuple(result.demand_blockings[i].hex() for i in (0, 1, 20, 181)),
     ) == PINNED_MULTI_SLOT_SOLVE
+
+
+# The 28-node chorded ring of ``oracles.chorded_ring(4)``, with demands
+# generated at seed 9 (1 to 4 slots, traffic 0.3) and every fifth one
+# asking for 1, 2 or 4 slots, solved at seed 10, damping 0.5: the iteration
+# count, float.hex of the network blocking and the digest of the demand
+# blockings, as in PINNED_NSF_SOLVES.  Its routes run up to 8 hops, so
+# under share_per_node:2 a destination closes 8 openings, which no NSF
+# route reaches; "mixed" cycles share_per_node:2, full, share_per_link:1 and
+# simple over the node ids.  Recorded from the plan compiled by a walk over
+# each route's converting nodes.
+PINNED_RING_SOLVES = {
+    "share_per_node:2": (16, "0x1.529d903302e53p-2", "f2ac75ef2d90bf94"),
+    "mixed": (16, "0x1.29f6282226348p-2", "f29bfd85cd4dea3f"),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(PINNED_RING_SOLVES))
+def test_pinned_ring_solve_is_unchanged_bit_for_bit(setting):
+    g = chorded_ring(4)
+    demands = [
+        DemandSpec(d.src, d.dst, d.rate, d.hold, {1: 0.25, 2: 0.25, 4: 0.5}) if i % 5 == 0 else d
+        for i, d in enumerate(generate_demands(g, seed=9, slots_range=(1, 4), traffic_target=0.3))
+    ]
+    routes = route_all(g, demands)
+    assert max(r.hop_count for r in routes) == 8
+    cycle = [NodeArchitecture(SHARE_PER_NODE, 2), NodeArchitecture(FULL),
+             NodeArchitecture(SHARE_PER_LINK, 1), NodeArchitecture(SIMPLE)]
+    archs = {
+        "share_per_node:2": uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 2)),
+        "mixed": {v: cycle[v % 4] for v in g.nodes},
+    }[setting]
+    result = fixed_point(g, demands, archs, AnalysisConfig(seed=10, damping=0.5), routes)
+    assert result.converged
+    every = " ".join(b.hex() for b in result.demand_blockings)
+    assert (
+        result.iterations,
+        result.network_blocking_prob.hex(),
+        hashlib.sha256(every.encode()).hexdigest()[:16],
+    ) == PINNED_RING_SOLVES[setting]
 
 
 def test_solve_reads_each_demand_slot_count_once_per_iteration(monkeypatch):

@@ -484,6 +484,67 @@ def test_request_order_leaves_every_blocking_unchanged(setting):
         assert {key: got.values[i] for key, i in other.index.items()} == expected
 
 
+def test_array_compile_at_its_edges_equals_the_stop_walk():
+    """Plans whose segment rows cannot be packed into an int64 without
+    re-ranking, against the scalar stop walk with ==.  A 62-hop line
+    1 -> 63 plus a side link 64 -> 2 gives the plan 63 link columns, so a
+    link is a digit in base 64, and two converter-free 12-hop routes into
+    node 13 that differ only in their first link: packed without a
+    re-rank, a segment's first digits wrap out of the int64 and such
+    segments would share a row.  The requests also put two demands on one
+    route, ask for more slots than a fiber has, and draw converters on the
+    rest of the line, with a full node between two shared ones on some."""
+    rng = np.random.default_rng(29)
+    line = line_path(62)
+    side = Link(63, 64, 2, 1.0)
+    main = RoutedPath(nodes=tuple(range(1, 14)), links=line.links[:12])
+    kinds = [
+        SIMPLE_NODE,
+        NodeArchitecture(FULL),
+        NodeArchitecture(SHARE_PER_LINK, 1),
+        NodeArchitecture(SHARE_PER_NODE, 1),
+        NodeArchitecture(SHARE_PER_NODE, 2),
+    ]
+    seen = dict.fromkeys(("full between shared", "partly free"), 0)
+    for trial in range(12):
+        slot_count = int(rng.integers(2, 7))
+        phis = {lid: float(x) for lid, x in zip(range(1, 64), rng.uniform(0.9, 1.0, 63))}
+        stats = _busy_stats(rng, line, 62, slot_count)
+        archs = {v: kinds[int(rng.integers(len(kinds)))] for v in range(13, 63)}
+        if trial % 2:
+            archs.update({20: kinds[3], 21: kinds[1], 22: kinds[2]})
+        requests = [
+            (main, (1, 3)),
+            (RoutedPath(nodes=(64, *range(2, 14)), links=(side, *line.links[1:12])), (2,)),
+            (RoutedPath(main.nodes, main.links), (1, slot_count + 1)),  # the same route again
+            (RoutedPath(nodes=tuple(range(13, 64)), links=line.links[12:]), (1, 2)),
+        ]
+        for _ in range(4):
+            a = int(rng.integers(13, 63))
+            b = int(rng.integers(a + 1, 64))
+            path = RoutedPath(nodes=tuple(range(a, b + 1)), links=line.links[a - 1 : b - 1])
+            requests.append((path, tuple(sorted({int(rng.integers(1, slot_count + 2)), 1}))))
+        plan = compile_plan(requests, archs, stats, slot_count)
+        base = len(plan.columns) + 1
+        assert base == 64 and base ** plan.hops.shape[1] > 2**63  # the packing must re-rank
+        memo = plan.evaluate(phis)
+        for path, sizes in requests:
+            kinds_on = [archs.get(v, SIMPLE_NODE).kind for v in path.nodes[1:-1]]
+            seen["full between shared"] += any(
+                FULL in kinds_on[i + 1 : j] and {kinds_on[i], kinds_on[j]} <= {SHARE_PER_LINK, SHARE_PER_NODE}
+                for i in range(len(kinds_on))
+                for j in range(i + 2, len(kinds_on))
+            )
+            seen["partly free"] += any(
+                0.0 < converter_availability(pos, path, archs, stats, phis) < 1.0
+                for pos in converter_layout(path, archs)[1:-1]
+            )
+            for s in sizes:
+                expected = stop_walk_blocking(s, path, archs, phis, stats, slot_count)
+                assert lightpath_blocking(s, path, archs, phis, stats, slot_count, memo) == expected
+    assert min(seen.values()) >= 6, seen
+
+
 def test_blocking_is_a_probability_without_clamping():
     rng = np.random.default_rng(31)
     kinds = [

@@ -81,7 +81,11 @@ def test_record_holds_every_pair_and_one_claim_per_end_to_end_metric(monkeypatch
         metrics = {"pass_s": pass_s, "peak_rss_mb": 40.0, "setup_s": 0.3}
         line = json.dumps({"correct": True, "metrics": {
             name: {"value": value} for name, value in metrics.items()}})
-        return subprocess.CompletedProcess(command, 0, stdout=f"log\n{line}\n", stderr="")
+        # run.py's line, with a reference time of 20 ms plus the run's number
+        reference = (f"  reference kernel: median {20 + counts[side]:.3f} ms over 9 runs; "
+                     f"pass_s {pass_s:.4f} s wall, scaled to a 20 ms kernel below")
+        return subprocess.CompletedProcess(command, 0, stdout=f"log\n{reference}\n{line}\n",
+                                           stderr="")
 
     monkeypatch.setattr(pairs.subprocess, "run", fake_run)
     record = tmp_path / "pairs.json"
@@ -98,6 +102,10 @@ def test_record_holds_every_pair_and_one_claim_per_end_to_end_metric(monkeypatch
     assert [p["first"] for p in written["pairs"]] == ["parent", "change", "parent"]
     assert [p["parent"]["pass_s"] for p in written["pairs"]] == pytest.approx([1.0, 1.1, 1.2])
     assert [p["change"]["pass_s"] for p in written["pairs"]] == pytest.approx([0.5, 0.55, 0.6])
+    assert [p["reference_ms"] for p in written["pairs"]] == [
+        {"parent": 21.0, "change": 21.0}, {"parent": 22.0, "change": 22.0},
+        {"parent": 23.0, "change": 23.0},
+    ]
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     assert list(written["end_to_end"]) == names
     claim = written["end_to_end"]["pass_s"]
@@ -106,3 +114,15 @@ def test_record_holds_every_pair_and_one_claim_per_end_to_end_metric(monkeypatch
     assert (claim["wins"], claim["pairs"], claim["claimable"]) == (3, 3, True)
     rss = written["end_to_end"]["peak_rss_mb"]
     assert (rss["wins"], rss["claimable"]) == (0, False)
+
+
+def test_a_run_without_a_reference_time_is_rejected(monkeypatch):
+    line = json.dumps({"correct": True, "metrics": {"pass_s": {"value": 1.0}}})
+    monkeypatch.setattr(
+        pairs.subprocess, "run",
+        lambda command, **kwargs: subprocess.CompletedProcess(
+            command, 0, stdout=f"log\n{line}\n", stderr=""),
+    )
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(_argv(2))
+    assert str(exit_info.value).startswith(f"error: a run in {ROOT} printed no reference-kernel time")

@@ -13,8 +13,11 @@ claimed: the change wins at least nine tenths of the pairs, and its median
 beats the parent's by more than the parent's interquartile range.
 ``--record PATH`` also writes the run as JSON: the settings, the machine
 (processors available, CPU model, Python and numpy versions), every pair's
-metrics for both sides, and per end-to-end metric each side's median and
-quartiles, the wins and whether the claim holds.
+metrics and reference-kernel time for both sides, and per end-to-end
+metric each side's median and quartiles, the wins and whether the claim
+holds.  The reference-kernel time is the median that ``perfbench/run.py``
+prints for the run (``reference kernel: median ... ms``), the host's speed
+while that run was timed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -73,7 +77,12 @@ def machine() -> dict:
     }
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+_REFERENCE = re.compile(r"reference kernel: median ([0-9.]+) ms")
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, float]:
+    """One untraced run: its end-to-end metrics and its reference-kernel
+    time in ms."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -83,7 +92,11 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1]) if lines else {}
     if result.get("correct") is not True:
         sys.exit(f"error: a run in {checkout} is not correct:\n{done.stdout}{done.stderr}")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    reference = _REFERENCE.search(done.stdout)
+    if reference is None:
+        sys.exit(f"error: a run in {checkout} printed no reference-kernel time:\n{done.stdout}")
+    metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+    return metrics, float(reference.group(1))
 
 
 def main(argv=None) -> int:
@@ -102,12 +115,15 @@ def main(argv=None) -> int:
     metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {side: [] for side in sides}
+    references: dict[str, list[float]] = {side: [] for side in sides}
     firsts = []
     for pair in range(args.pairs):
         order = list(sides) if pair % 2 == 0 else list(reversed(sides))
         firsts.append(order[0])
         for side in order:
-            runs[side].append(_run(sides[side], args.workload, args.seed, args.seconds))
+            values, reference_ms = _run(sides[side], args.workload, args.seed, args.seconds)
+            runs[side].append(values)
+            references[side].append(reference_ms)
         print(f"pair {pair + 1}: " + ", ".join(
             f"{side} pass_s {runs[side][-1]['pass_s']:.6g}" for side in order), flush=True)
 
@@ -138,8 +154,13 @@ def main(argv=None) -> int:
             "settings": {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                          "seconds": args.seconds},
             "machine": machine(),
-            "pairs": [{"first": first, "parent": parent, "change": change}
-                      for first, parent, change in zip(firsts, runs["parent"], runs["change"])],
+            "pairs": [
+                {"first": first, "parent": parent, "change": change,
+                 "reference_ms": {"parent": parent_ms, "change": change_ms}}
+                for first, parent, change, parent_ms, change_ms in zip(
+                    firsts, runs["parent"], runs["change"], references["parent"],
+                    references["change"])
+            ],
             "end_to_end": claims,
         }
         args.record.write_text(json.dumps(record, indent=2) + "\n")
