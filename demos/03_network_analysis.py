@@ -12,6 +12,7 @@ from eonspectra import (
     NodeArchitecture,
     SHARE_PER_LINK,
     SHARE_PER_NODE,
+    compile_routing,
     fixed_point,
     route_all,
     uniform_architectures,
@@ -21,6 +22,7 @@ from eonspectra.fixtures import nsf14, nsf14_demands
 graph = nsf14()
 demands = nsf14_demands(graph)
 routes = route_all(graph, demands)
+routing = compile_routing(graph, demands, routes)  # shared by every setting's solve
 config = AnalysisConfig(epsilon=1e-6, seed=1)
 
 print(f"NSF backbone: {graph.node_count} nodes, {len(graph.links)} directed links, "
@@ -34,7 +36,7 @@ for label, archs in [
     ("share-per-link(1)", uniform_architectures(graph, NodeArchitecture(SHARE_PER_LINK, 1))),
     ("full", uniform_architectures(graph, NodeArchitecture(FULL))),
 ]:
-    result = fixed_point(graph, demands, archs, config, routes=routes)
+    result = fixed_point(graph, demands, archs, config, routing=routing)
     results[label] = result
     print(f"  {label:18s} P_B = {result.network_blocking_prob:.6f} "
           f"({result.iterations} iterations, converged={result.converged})")

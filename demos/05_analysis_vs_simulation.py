@@ -17,6 +17,7 @@ from eonspectra import (
     SHARE_PER_LINK,
     SHARE_PER_NODE,
     SimConfig,
+    compile_routing,
     fixed_point,
     network_traffic,
     route_all,
@@ -47,11 +48,12 @@ rows = []
 for target in targets:
     scale = target / base_traffic
     demands = scale_demands(base, scale)
+    routing = compile_routing(graph, demands, routes)  # shared by the point's settings
     sim_config = SimConfig(seed=7, warmup=10 * max_hold,
                            horizon=10 * max_hold + offered_per_point / (total_rate * scale))
     print(f"traffic T = {target}")
     for name, archs in settings:
-        analytic = fixed_point(graph, demands, archs, config, routes=routes)
+        analytic = fixed_point(graph, demands, archs, config, routing=routing)
         sim = simulate(graph, demands, archs, sim_config, routes=routes)
         rows.append((target, name, analytic.network_blocking_prob, sim.network_blocking_prob))
         print(f"  {name:18s} analytic {analytic.network_blocking_prob:.5f}   "

@@ -4,6 +4,8 @@ networks with spectrum-conversion-capable cross-connects."""
 from .analyzer import (
     AnalysisConfig,
     AnalysisResult,
+    Routing,
+    compile_routing,
     demand_blocking,
     fixed_point,
     phi_update,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -22,9 +23,11 @@ from .lightpath import (
     CrossingStats,
     LinkFreeProbs,
     PlanValues,
+    RouteGrid,
     compile_plan,
     crossing_stats,
     lightpath_blocking,
+    route_grid,
 )
 from .topology import DemandSpec, NetworkGraph, RoutedPath, _integer, demand_routes
 
@@ -120,6 +123,73 @@ def _link_update(
     return update
 
 
+@dataclass(frozen=True, eq=False)
+class Routing:
+    """What every solve over one graph, demand list and set of routes
+    shares, whatever the architecture map: ``compile_routing`` builds it.
+
+    It holds the routes, checked and bound to their demands, and their
+    ``CrossingStats``; the plans' ``RouteGrid``; the link update, with the
+    route-link incidence read off the grid's request rows; the (demand,
+    slot count) reads, in demand order and each demand's ``pmf_items``
+    order, with each read's demand in ``owner`` and its pmf weight; and
+    each demand's offered load with their total, the network blocking's
+    weight (1.0 for no demands, so that the empty sum stays 0).
+    """
+
+    graph: NetworkGraph
+    demands: list[DemandSpec]
+    routes: list[RoutedPath]
+    stats: CrossingStats
+    grid: RouteGrid
+    update: Callable[[np.ndarray], np.ndarray]
+    reads: list[tuple[int, RoutedPath]]
+    owner: np.ndarray
+    pmf_weight: np.ndarray
+    loads: list[float]
+    weight: float
+
+
+def compile_routing(
+    graph: NetworkGraph,
+    demands: list[DemandSpec],
+    routes: list[RoutedPath] | None = None,
+    stats: CrossingStats | None = None,
+) -> Routing:
+    """The ``Routing`` of ``demands`` on ``routes`` (the shortest paths
+    when None), with ``stats`` computed from the routes when None.  The
+    routes are checked before any other work, and demands whose summed
+    offered slot load overflows a float raise ``DemandError``."""
+    routes = demand_routes(graph, demands, routes)
+    slot_loads = [d.offered_load * d.mean_slots for d in demands]
+    if not math.isfinite(sum(slot_loads)):
+        raise DemandError("the demands' summed offered slot load overflows")
+    if stats is None:
+        stats = crossing_stats(graph, routes)
+    grid = route_grid(
+        ((route, demand.slot_counts) for demand, route in zip(demands, routes)), graph.slot_count
+    )
+    # the link update's route-link incidence: the grid's request rows, one
+    # per demand, with its columns as positions in graph.links
+    position = {link.id: i for i, link in enumerate(graph.links)}
+    on_route = grid.routes < len(grid.columns)
+    hop_links = np.array([position[lid] for lid in grid.columns], np.intp)[grid.routes[on_route]]
+    loads = [d.offered_load for d in demands]
+    return Routing(
+        graph,
+        demands,
+        routes,
+        stats,
+        grid,
+        _link_update(slot_loads, hop_links, np.nonzero(on_route)[0], graph),
+        [(s, route) for demand, route in zip(demands, routes) for s, _ in demand.pmf_items],
+        np.repeat(np.arange(len(demands)), [len(d.pmf_items) for d in demands]),
+        np.array([p for d in demands for _, p in d.pmf_items]),
+        loads,
+        sum(loads) if demands else 1.0,
+    )
+
+
 def fixed_point(
     graph: NetworkGraph,
     demands: list[DemandSpec],
@@ -127,6 +197,8 @@ def fixed_point(
     config: AnalysisConfig | None = None,
     routes: list[RoutedPath] | None = None,
     stats: CrossingStats | None = None,
+    *,
+    routing: Routing | None = None,
 ) -> AnalysisResult:
     """Iterate link-state and blocking updates to a self-consistent point.
 
@@ -142,13 +214,18 @@ def fixed_point(
     raised); ``iterations`` is the trajectory's length.  An empty demand
     set warns once and has a network blocking of 0 by convention.
 
-    Everything that does not move with the link state is compiled once per
-    solve: the forward passes (``compile_plan``), the route-link incidence
-    of the link update (read off the plan's route grid, not from a second
-    walk over the routes), each demand's offered slot load (which the
-    overflow check sums too), the (demand, slot count) reads with each
-    one's demand and pmf weight, and the network blocking's total offered
-    load.
+    Everything that does not move with the link state is compiled before
+    the first iteration, in two halves.  What the architecture map does
+    not move is the ``Routing`` (``compile_routing``): the checked routes
+    and their crossing statistics, the route grid, the link update's
+    route-link incidence, the reads with their demands and pmf weights,
+    and the loads.  Many solves over the same graph and demands share one
+    by passing it as ``routing``, in place of ``routes`` and ``stats``; a
+    routing compiled for another graph or demand list raises
+    ``InputError``.  Without one, the solve compiles its own from
+    ``routes`` and ``stats``, so both run the same code.  What the map
+    moves, the converter stops of the forward passes (``compile_plan``),
+    is compiled once per solve.
     An iteration then evaluates the plan at the link state, which runs
     every forward pass side by side, and reads its values through
     ``lightpath_blocking`` once per (demand, slot count), in demand order
@@ -165,34 +242,17 @@ def fixed_point(
     """
     if config is None:
         config = AnalysisConfig()
-    routes = demand_routes(graph, demands, routes)
-    slot_loads = [d.offered_load * d.mean_slots for d in demands]
-    if not math.isfinite(sum(slot_loads)):
-        raise DemandError("the demands' summed offered slot load overflows")
-    if stats is None:
-        stats = crossing_stats(graph, routes)
-    plan = compile_plan(
-        ((route, demand.slot_counts) for demand, route in zip(demands, routes)),
-        archs,
-        stats,
-        graph.slot_count,
-    )
-
-    # the link update's route-link incidence: the plan's route grid, one row
-    # per demand, with its columns as positions in graph.links
-    position = {link.id: i for i, link in enumerate(graph.links)}
-    on_route = plan.routes < len(plan.columns)
-    hop_links = np.array([position[lid] for lid in plan.columns], np.intp)[plan.routes[on_route]]
-    update = _link_update(slot_loads, hop_links, np.nonzero(on_route)[0], graph)
-    link_ids = list(position)
-    reads = [(s, route) for demand, route in zip(demands, routes) for s, _ in demand.pmf_items]
-    owner = np.repeat(np.arange(len(demands)), [len(d.pmf_items) for d in demands])
-    pmf_weight = np.array([p for d in demands for _, p in d.pmf_items])
-    loads = [d.offered_load for d in demands]
-    weight = sum(loads)
+    if routing is None:
+        routing = compile_routing(graph, demands, routes, stats)
+    elif routes is not None or stats is not None:
+        raise InputError("a routing replaces routes and stats; pass one or the other")
+    elif routing.graph != graph or routing.demands != demands:
+        raise InputError("the routing was compiled for another graph or demand list")
     if not demands:
         log.warning("network blocking over an empty demand set is 0 by convention")
-        weight = 1.0  # the empty weighted sum stays 0
+    plan = compile_plan(routing.grid, archs, routing.stats)
+    update, reads, loads, stats = routing.update, routing.reads, routing.loads, routing.stats
+    link_ids = [link.id for link in graph.links]
 
     rng = np.random.default_rng(config.seed)
     p_net = float(rng.random())
@@ -206,8 +266,8 @@ def fixed_point(
         memo = plan.evaluate(phis)
         values = [lightpath_blocking(s, route, archs, phis, stats, graph.slot_count, memo)
                   for s, route in reads]
-        blockings = np.bincount(owner, pmf_weight * values, len(demands))
-        p_prev, p_net = p_net, sum(map(mul, loads, blockings.tolist())) / weight
+        blockings = np.bincount(routing.owner, routing.pmf_weight * values, len(demands))
+        p_prev, p_net = p_net, sum(map(mul, loads, blockings.tolist())) / routing.weight
         trajectory.append(p_net)
         converged = abs(p_net - p_prev) <= config.epsilon and phi_delta <= config.epsilon
         if converged or len(trajectory) == config.max_iter:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analyzer import AnalysisConfig, fixed_point
+from .analyzer import AnalysisConfig, compile_routing, fixed_point
 from .errors import InputError
 from .fixtures import demands_document, generate_demands
 from .lightpath import (
@@ -319,8 +319,9 @@ def _cmd_sweep(args) -> tuple[int, dict]:
     for target in targets:
         scale = target / base_traffic
         scaled = scale_demands(demands, scale)
+        routing = compile_routing(graph, scaled, routes)
         for name, setting in settings:
-            analytic = fixed_point(graph, scaled, setting, config, routes=routes)
+            analytic = fixed_point(graph, scaled, setting, config, routing=routing)
             any_unconverged = any_unconverged or not analytic.converged
             row = {
                 "traffic": target,

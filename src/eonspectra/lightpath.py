@@ -23,21 +23,23 @@ strictly interior nodes can convert: conversion capability at the source
 or destination cannot help a request.
 
 During a fixed point the routes, layouts and pmfs stay fixed and only the
-link state moves, so ``compile_plan`` compiles, once per solve, every
-forward pass the solve needs, one per route and slot count, into the index
-arrays of a ``SolvePlan``.  It walks no route in Python.  The distinct
-routes become one grid of their links, as columns in path order, and each
-column gets its stop code once: -1 when the node it leaves does not
-convert, 0 for a full node, else the index of its bank.  From the grid,
-array operations find each route's stops (its converting interior nodes,
-then the destination as a full stop) and each stop's openings, where the
-segments that close there start: the last full stop before it (or the
-source), then the shared stops since.  Every (stop, opening) cell's
-segment is packed into an int64, link by link in base ``len(columns) +
-1``, and ``np.unique`` of the packed codes numbers the table rows, so two
-cells share a row exactly when their segments cross the same links; the
-packed prefix is re-ranked with ``np.unique`` whenever the next link could
-overflow.  The stops and cells lay out as two grids with a column per
+link state moves, so every forward pass the solve needs, one per route
+and slot count, is compiled once into the index arrays of a
+``SolvePlan``, in two halves.  ``route_grid`` compiles what the routes
+alone fix, once for every solve over the same routes: the passes, and the
+distinct routes as one grid of their links, as columns in path order.
+``compile_plan`` compiles the rest once per architecture map, walking no
+route in Python.  Each column gets its stop code once: -1 when the node it
+leaves does not convert, 0 for a full node, else the index of its bank.
+From the grid, array operations find each route's stops (its converting
+interior nodes, then the destination as a full stop) and each stop's
+openings, where the segments that close there start: the last full stop
+before it (or the source), then the shared stops since.  Every (stop,
+opening) cell's segment is packed into an int64, link by link in base
+``len(columns) + 1``, and ``np.unique`` of the packed codes numbers the
+table rows, so two cells share a row exactly when their segments cross
+the same links; the packed prefix is re-ranked with ``np.unique``
+whenever the next link could overflow.  The stops and cells lay out as two grids with a column per
 route, one with a row per stop and one with a row per (stop, opening), and
 the passes, ordered by their number of stops so that those still running
 at a stop are a prefix of them, take their routes' columns, masked at each
@@ -53,8 +55,8 @@ same order.  The padding that lines the passes up adds only exact
 zeros (an opening a pass does not have holds mass 0.0 and reads success
 1.0), and a stop that is never or always free scales the masses by exactly
 1.0 or 0.0, so every blocking equals the scalar walk's bit for bit.  The
-plan also holds the position of every pass in its results
-(``SolvePlan.index``), so an iteration builds no map, and a single call
+grid also holds the position of every pass in the results, in request
+order (``SolvePlan.index``), so no solve builds a map, and a single call
 without a solve compiles a plan of its own route, so every blocking comes
 from the same pass.
 """
@@ -253,7 +255,8 @@ class PlanValues:
     """A ``SolvePlan`` evaluated at one link state: ``values[index[S,
     link_ids]]`` is the blocking of a request for S slots on the route with
     those link ids, for every forward pass of the plan.  ``index`` is the
-    plan's own, compiled with it, so every evaluation shares it."""
+    plan's ``RouteGrid``'s, so every evaluation of every plan compiled
+    over that grid shares it."""
 
     index: dict[PassKey, int]
     values: list[float]
@@ -263,9 +266,10 @@ class PlanValues:
 class SolvePlan:
     """The compiled forward passes of one solve (see the module docstring).
 
-    ``index`` numbers every (slot count, link ids) pair once, the passes
-    with more stops first and in request order among equals; each
-    evaluation returns it with the blockings in that order.  ``stops[j]``
+    ``index`` is the ``RouteGrid``'s, numbering every (slot count, link
+    ids) pair once in request order; each evaluation returns it with the
+    blockings in that order.  The passes run with more stops first and in
+    request order among equals, pass i in place ``rank[i]``.  ``stops[j]``
     is (active, width, targets): the number of passes that reach stop j,
     the most openings any of them has there, and for each of them the
     index its new opening takes in the raveled (opening, pass) array of
@@ -280,9 +284,7 @@ class SolvePlan:
     The segment table lists the link ids its rows cross in ``columns``; row
     i of ``hops`` holds segment i's columns in path order, padded with
     ``len(columns)``, a column whose free probability is always 1.0.
-    ``banks`` holds the ``BankArgs`` of the banks the stops name.  Row k of
-    ``routes`` holds the route of request k in the same columns, so a solve
-    takes its route-link incidence from the plan.
+    ``banks`` holds the ``BankArgs`` of the banks the stops name.
     """
 
     slot_count: int
@@ -292,10 +294,10 @@ class SolvePlan:
     segment: np.ndarray
     banks: tuple[BankArgs, ...]
     index: dict[PassKey, int]
+    rank: np.ndarray
     stops: tuple[tuple[int, int, np.ndarray], ...]
     closes: np.ndarray
     draws: np.ndarray
-    routes: np.ndarray
 
     def evaluate(self, phis: LinkFreeProbs) -> PlanValues:
         """Every forward pass of the plan at link state ``phis``.  A row's
@@ -340,7 +342,7 @@ class SolvePlan:
             masses.reshape(-1)[targets] = avail * closed
             row = end
             stop += active
-        return PlanValues(self.index, blocked.tolist())
+        return PlanValues(self.index, blocked[self.rank].tolist())
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -458,43 +460,57 @@ def _segment_rows(
     return rows, np.where(step < span[first, None], flat[start[first, None] + step], pad)
 
 
-def compile_plan(
-    requests,
-    archs: ArchitectureMap,
-    stats: CrossingStats,
-    slot_count: int,
-) -> SolvePlan:
-    """Compile the forward passes of every route in ``requests``, an
-    iterable of (route, slot counts in ascending order) pairs: one pass per
-    route and slot count, each once however many requests share it.  Slot
-    counts above ``slot_count`` are never carried and get no pass, but
-    every request's route has its row in ``SolvePlan.routes``.
+@dataclass(frozen=True)
+class RouteGrid:
+    """The half of a plan that the routes and slot counts fix, whatever
+    the architecture map: ``route_grid`` compiles it once, and every
+    ``compile_plan`` over the same requests shares it.
 
-    ``columns`` holds the link ids the routes cross, ascending.  A
-    converting node's stop is resolved once per exit link: 0 (always free)
-    at a full node, else the index of the bank that ``bank_key`` names.
-    Everything else is array operations over the route grid: the stops,
-    their openings, and the O(k^2) segments of a route with k converters,
-    numbered by their links packed into integers.  The table rows and
-    banks are numbered otherwise than in a walk over the routes, but every
-    pass keeps its stops, its openings in order and each segment's links
-    in path order, and each row's success and each bank's availability is
-    computed on its own.
+    ``index`` numbers every forward pass, a (slot count, link ids) pair,
+    once in request order; pass i is for ``sizes[i]`` slots, and
+    ``pass_route[i]`` is its row of
+    ``path``: the route grid of the distinct routes that carry a pass, a
+    row per route with its links as columns in path order, padded with
+    ``len(columns)``, route r crossing ``hops[r]`` links.  ``columns``
+    holds the link ids the routes cross, ascending.  ``exits`` maps each
+    node to the columns that leave it at an interior hop of such a route,
+    the only places where it can convert.  Row k of ``routes`` holds the
+    route of request k in the same columns, so a solve takes its
+    route-link incidence from the grid.
     """
+
+    slot_count: int
+    index: dict[PassKey, int]
+    sizes: np.ndarray
+    columns: tuple[int, ...]
+    path: np.ndarray
+    hops: np.ndarray
+    pass_route: np.ndarray
+    exits: dict[int, list[int]]
+    routes: np.ndarray
+
+
+def route_grid(requests, slot_count: int) -> RouteGrid:
+    """The ``RouteGrid`` of ``requests``, an iterable of (route, slot
+    counts in ascending order) pairs: one pass per route and slot count,
+    each once however many requests share it.  Slot counts above
+    ``slot_count`` are never carried and get no pass, but every request's
+    route has its row in ``RouteGrid.routes``.  Each request's link ids
+    are hashed once, to find its route's number; its passes are keyed by
+    that number."""
     route_of: dict[tuple[int, ...], int] = {}  # link ids -> route number
     distinct: list[RoutedPath] = []
     request_route: list[int] = []
-    passes: dict[PassKey, int] = {}  # pass -> route number, in request order
+    passes: dict[tuple[int, int], int] = {}  # (S, route number) -> pass, in request order
     for route, sizes in requests:
-        link_ids = route.link_ids
-        number = route_of.setdefault(link_ids, len(distinct))
+        number = route_of.setdefault(route.link_ids, len(distinct))
         if number == len(distinct):
             distinct.append(route)
         request_route.append(number)
         for s in sizes:
             if s > slot_count:
                 break
-            passes[s, link_ids] = number
+            passes.setdefault((s, number), len(passes))
 
     # the route grid: route by route, its links as columns in path order,
     # padded with len(columns)
@@ -508,50 +524,79 @@ def compile_plan(
     grid[on_route] = column
 
     # only the routes that carry a pass get stops
-    keys = list(passes)
-    count = len(keys)
-    pass_route = np.fromiter(passes.values(), np.intp, count)
+    pass_route = np.fromiter((number for _, number in passes), np.intp, len(passes))
     carried = np.zeros(len(distinct), dtype=bool)
     carried[pass_route] = True
-    path, hops_of = grid, lengths
+    path, hops = grid, lengths
     if not carried.all():
         pass_route = (np.cumsum(carried) - 1)[pass_route]
-        path, hops_of = grid[carried], lengths[carried]
+        path, hops = grid[carried], lengths[carried]
+
+    # the node each interior column leaves, read off a (route, hop) where
+    # the column appears
+    interior = np.zeros(pad + 1, dtype=bool)
+    interior[path[:, 1:]] = True
+    inner = np.flatnonzero(interior[:pad])
+    seen = np.zeros(pad, dtype=np.intp)
+    seen[column] = np.arange(len(column))
+    ends = np.cumsum(lengths)
+    route_no = ends.searchsorted(seen[inner], "right")
+    hop = seen[inner] - ends[route_no] + lengths[route_no]
+    exits: dict[int, list[int]] = {}
+    for c, r, h in zip(inner.tolist(), route_no.tolist(), hop.tolist()):
+        exits.setdefault(distinct[r].nodes[h], []).append(c)
+
+    links = list(route_of)
+    return RouteGrid(
+        slot_count,
+        {(s, links[number]): i for (s, number), i in passes.items()},
+        np.fromiter((s for s, _ in passes), np.intp, len(passes)),
+        tuple(columns.tolist()),
+        path,
+        hops,
+        pass_route,
+        exits,
+        grid if len(distinct) == len(request_route) else grid[request_route],
+    )
+
+
+def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) -> SolvePlan:
+    """Compile the stops of every forward pass of ``grid`` under
+    ``archs``: the half of a plan that the architecture map fixes.
+
+    A converting node's stop is resolved once per exit column: 0 (always
+    free) at a full node, else the index of the bank that ``bank_key``
+    names.  Everything else is array operations over the route grid: the
+    stops, their openings, and the O(k^2) segments of a route with k
+    converters, numbered by their links packed into integers.  The table
+    rows and banks are numbered otherwise than in a walk over the routes,
+    but every pass keeps its stops, its openings in order and each
+    segment's links in path order, and each row's success and each bank's
+    availability is computed on its own.
+    """
+    path, count = grid.path, len(grid.index)
+    pad = len(grid.columns)
 
     # each column's stop as the exit link of an interior node: -1 for none,
     # 0 for a full node, else its bank's availability index; -1 for the pad
     code = np.full(pad + 1, -1, dtype=np.intp)
     bank_index: dict[Bank, int] = {}
     banks: list[BankArgs] = []
-    converting = {node for node, arch in archs.items() if arch.converts}
-    if converting:
-        interior = np.zeros(pad + 1, dtype=bool)
-        interior[path[:, 1:]] = True
-        inner = np.flatnonzero(interior[:pad])
-        # a (route, hop) where each such column appears: its tail is the
-        # route's node at that hop
-        seen = np.zeros(pad, dtype=np.intp)
-        seen[column] = np.arange(len(column))
-        ends = np.cumsum(lengths)
-        route_no = ends.searchsorted(seen[inner], "right")
-        hop = seen[inner] - ends[route_no] + lengths[route_no]
-        for c, r, h in zip(inner.tolist(), route_no.tolist(), hop.tolist()):
-            node = distinct[r].nodes[h]
-            if node not in converting:
-                continue
-            bank = bank_key(node, int(columns[c]), archs[node])
+    for node, arch in archs.items():
+        if not arch.converts:
+            continue
+        for c in grid.exits.get(node, ()):
+            bank = bank_key(node, grid.columns[c], arch)
             if bank is None:
                 code[c] = 0
                 continue
             index = bank_index.get(bank)
             if index is None:
                 index = bank_index[bank] = len(banks) + 1
-                banks.append(
-                    (archs[node].n_sc, stats.paths[bank], stats.slots[bank], stats.shares[bank])
-                )
+                banks.append((arch.n_sc, stats.paths[bank], stats.slots[bank], stats.shares[bank]))
             code[c] = index
 
-    depth, has, bank, width, stop_node = _stops(path, hops_of, code)
+    depth, has, bank, width, stop_node = _stops(path, grid.hops, code)
 
     # the (stop, opening) cells, a row per opening up to the most any route
     # has at that stop, and the segment table
@@ -561,9 +606,10 @@ def compile_plan(
 
     # the passes with more stops first, in request order among equals: the
     # sort keys are distinct, so any sort keeps that order
-    by_depth = np.argsort(np.arange(count) - depth[pass_route] * count)
-    order = [keys[i] for i in by_depth.tolist()]
-    pass_route = pass_route[by_depth]
+    by_depth = np.argsort(np.arange(count) - depth[grid.pass_route] * count)
+    pass_route = grid.pass_route[by_depth]
+    rank = np.empty(count, dtype=np.intp)  # each pass's place in that order
+    rank[by_depth] = np.arange(count)
 
     # the passes' columns, stop by stop, masked to the passes still running
     # there; a stop's new opening takes the number of openings it closes, or
@@ -573,11 +619,11 @@ def compile_plan(
     draws = bank[:, pass_route][running]
     targets = (np.where(bank, width, 0)[:, pass_route] * count + np.arange(count))[running]
     # the successes the passes close are numbered by slot count, then by row
-    slot_counts, rank = np.unique(np.array([s for s, _ in order], np.intp), return_inverse=True)
+    slot_counts, size_rank = np.unique(grid.sizes[by_depth], return_inverse=True)
     segments = len(hops)
     cells, live = rows[:, pass_route], running[entry_stop]
     real = cells[live] >= 0
-    cells += rank * segments  # (slot count, row) as one key; padding stays masked by real
+    cells += size_rank * segments  # (slot count, row) as one key; padding stays masked by real
     wanted = cells[live][real]
     needed = np.zeros((len(slot_counts), segments), dtype=bool)
     needed.ravel()[wanted] = True
@@ -586,20 +632,20 @@ def compile_plan(
     size_of, segment = np.nonzero(needed)
 
     return SolvePlan(
-        slot_count,
-        tuple(columns.tolist()),
+        grid.slot_count,
+        grid.columns,
         hops,
         slot_counts[size_of],
         segment,
         tuple(banks),
-        dict(zip(order, range(count))),
+        grid.index,
+        rank,
         tuple(
             (int(n), int(w), t)
             for n, w, t in zip(active, widest, np.split(targets, np.cumsum(active)[:-1]))
         ),
         closes,
         draws,
-        grid if len(distinct) == len(request_route) else grid[request_route],
     )
 
 
@@ -637,7 +683,8 @@ def lightpath_blocking(
     if min_run > slot_count:
         return 1.0
     if memo is None:
-        memo = compile_plan([(path, (min_run,))], archs, stats, slot_count).evaluate(phis)
+        grid = route_grid([(path, (min_run,))], slot_count)
+        memo = compile_plan(grid, archs, stats).evaluate(phis)
     return memo.values[memo.index[min_run, path.link_ids]]
 
 

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .analyzer import AnalysisConfig, fixed_point
+from .analyzer import AnalysisConfig, compile_routing, fixed_point
 from .errors import InputError
 from .lightpath import (
     FULL,
@@ -24,7 +24,6 @@ from .lightpath import (
     SIMPLE_NODE,
     ArchitectureMap,
     NodeArchitecture,
-    crossing_stats,
 )
 from .topology import DemandSpec, NetworkGraph, route_all
 
@@ -102,20 +101,20 @@ def _candidates(graph: NetworkGraph, inventory: list[NodeArchitecture], base: Ar
 
 
 def _scorer(graph: NetworkGraph, demands: list[DemandSpec], config: AnalysisConfig):
-    """Route the demands once and return the trial scorer.
+    """Route the demands and compile their routing once, and return the
+    trial scorer.
 
-    ``score(maps)`` solves each architecture map in turn and returns the
-    index of the best one and each map's ``(blocking, converged)``.  A later
-    map wins only when its blocking is lower by more than epsilon, so ties
-    resolve to the earliest map.
+    ``score(maps)`` solves each architecture map in turn over that one
+    routing and returns the index of the best one and each map's
+    ``(blocking, converged)``.  A later map wins only when its blocking is
+    lower by more than epsilon, so ties resolve to the earliest map.
     """
-    routes = route_all(graph, demands)
-    stats = crossing_stats(graph, routes)
+    routing = compile_routing(graph, demands, route_all(graph, demands))
 
     def score(maps: Iterable[ArchitectureMap]) -> tuple[int, list[tuple[float, bool]]]:
         best, scores = 0, []
         for i, archs in enumerate(maps):
-            trial = fixed_point(graph, demands, archs, config, routes, stats)
+            trial = fixed_point(graph, demands, archs, config, routing=routing)
             scores.append((trial.network_blocking_prob, trial.converged))
             if scores[i][0] < scores[best][0] - config.epsilon:
                 best = i

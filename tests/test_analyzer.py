@@ -9,6 +9,7 @@ import eonspectra.analyzer
 import eonspectra.lightpath
 from eonspectra.analyzer import (
     AnalysisConfig,
+    compile_routing,
     demand_blocking,
     fixed_point,
     phi_update,
@@ -23,6 +24,7 @@ from eonspectra.lightpath import (
     compile_plan,
     crossing_stats,
     lightpath_blocking,
+    route_grid,
     uniform_architectures,
 )
 from eonspectra.topology import (
@@ -154,6 +156,28 @@ def test_fixed_point_rejects_routes_not_aligned_with_demands(case, monkeypatch):
     monkeypatch.setattr(eonspectra.analyzer, "compile_plan", no_work)
     with pytest.raises(InputError):
         fixed_point(g, demands, {}, routes=routes)
+
+
+def test_fixed_point_rejects_a_routing_compiled_for_other_inputs():
+    g = nsf14()
+    demands = nsf14_demands(g)[:6]
+    routing = compile_routing(g, demands)
+    config = AnalysisConfig(seed=1)
+    shared = fixed_point(g, demands, {}, config, routing=routing)
+    assert shared.network_blocking_prob == fixed_point(g, demands, {}, config).network_blocking_prob
+    # an equal demand list is the same input
+    again = fixed_point(g, list(demands), {}, config, routing=routing)
+    assert again.network_blocking_prob == shared.network_blocking_prob
+    with pytest.raises(InputError, match="another graph or demand list"):
+        fixed_point(g, demands[:5], {}, config, routing=routing)
+    with pytest.raises(InputError, match="another graph or demand list"):
+        fixed_point(g, scale_demands(demands, 2.0), {}, config, routing=routing)
+    with pytest.raises(InputError, match="another graph or demand list"):
+        fixed_point(sixnode(), demands, {}, config, routing=routing)
+    with pytest.raises(InputError, match="routes and stats"):
+        fixed_point(g, demands, {}, config, routing.routes, routing=routing)
+    with pytest.raises(InputError, match="routes and stats"):
+        fixed_point(g, demands, {}, config, stats=routing.stats, routing=routing)
 
 
 def test_fixed_point_nearly_uncoupled_matches_one_shot():
@@ -330,7 +354,8 @@ def test_demands_on_one_route_each_read_their_own_passes():
     ]
     routes = route_all(g, demands)
     stats = crossing_stats(g, routes)
-    plan = compile_plan(((r, d.slot_counts) for d, r in zip(demands, routes)), archs, stats, 4)
+    grid = route_grid(((r, d.slot_counts) for d, r in zip(demands, routes)), 4)
+    plan = compile_plan(grid, archs, stats)
     shared = routes[0].link_ids
     assert len(plan.index) == 4
     assert set(plan.index) == {(1, shared), (2, shared), (3, shared), (2, routes[3].link_ids)}

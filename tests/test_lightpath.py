@@ -20,6 +20,7 @@ from eonspectra.lightpath import (
     crossing_stats,
     lightpath_blocking,
     load_architectures,
+    route_grid,
     share_per_link_availability,
     uniform_architectures,
 )
@@ -384,7 +385,7 @@ def test_array_passes_equal_the_scalar_stop_walk():
             count = int(rng.integers(1, 4))
             sizes = tuple(sorted(rng.choice(np.arange(1, slot_count + 3), count, replace=False).tolist()))
             requests.append((path, sizes))
-        memo = compile_plan(requests, archs, stats, slot_count).evaluate(phis)
+        memo = compile_plan(route_grid(requests, slot_count), archs, stats).evaluate(phis)
         for path, sizes in requests:
             kinds_on = [archs.get(v, SIMPLE_NODE).kind for v in path.nodes[1:-1]]
             free = [
@@ -441,7 +442,8 @@ def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
     """One plan of a 28-node chorded ring, routes of up to 8 hops, against
     the scalar stop walk with ==, pass by pass; its index is compiled once."""
     slot_count, demands, routes, stats, archs, phis = _long_routes(setting)
-    plan = compile_plan(((r, d.slot_counts) for d, r in zip(demands, routes)), archs, stats, slot_count)
+    grid = route_grid(((r, d.slot_counts) for d, r in zip(demands, routes)), slot_count)
+    plan = compile_plan(grid, archs, stats)
     values = plan.evaluate(phis)
     again = plan.evaluate({lid: phi / 2 for lid, phi in phis.items()})
     assert values.index is again.index is plan.index
@@ -472,13 +474,13 @@ def test_request_order_leaves_every_blocking_unchanged(setting):
     (S, link ids) keeps its blocking bit for bit."""
     slot_count, demands, routes, stats, archs, phis = _long_routes(setting)
     requests = [(r, d.slot_counts) for d, r in zip(demands, routes)]
-    plan = compile_plan(requests, archs, stats, slot_count)
+    plan = compile_plan(route_grid(requests, slot_count), archs, stats)
     values = plan.evaluate(phis)
     expected = {key: values.values[i] for key, i in plan.index.items()}
     rng = np.random.default_rng(5)
     for _ in range(3):
         shuffled = [requests[i] for i in rng.permutation(len(requests))]
-        other = compile_plan(shuffled, archs, stats, slot_count)
+        other = compile_plan(route_grid(shuffled, slot_count), archs, stats)
         assert list(other.index) != list(plan.index)
         got = other.evaluate(phis)
         assert {key: got.values[i] for key, i in other.index.items()} == expected
@@ -524,7 +526,7 @@ def test_array_compile_at_its_edges_equals_the_stop_walk():
             b = int(rng.integers(a + 1, 64))
             path = RoutedPath(nodes=tuple(range(a, b + 1)), links=line.links[a - 1 : b - 1])
             requests.append((path, tuple(sorted({int(rng.integers(1, slot_count + 2)), 1}))))
-        plan = compile_plan(requests, archs, stats, slot_count)
+        plan = compile_plan(route_grid(requests, slot_count), archs, stats)
         base = len(plan.columns) + 1
         assert base == 64 and base ** plan.hops.shape[1] > 2**63  # the packing must re-rank
         memo = plan.evaluate(phis)

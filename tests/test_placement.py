@@ -5,14 +5,17 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import eonspectra.analyzer
+import eonspectra.placement
 from eonspectra.analyzer import AnalysisConfig, fixed_point
 from eonspectra.errors import InputError
-from eonspectra.fixtures import sixnode, sixnode_demands
+from eonspectra.fixtures import nsf14, nsf14_demands, sixnode, sixnode_demands
 from eonspectra.lightpath import (
     FULL,
     SHARE_PER_LINK,
     SHARE_PER_NODE,
     NodeArchitecture,
+    crossing_stats,
 )
 from eonspectra.placement import (
     _distinct_orders,
@@ -21,7 +24,7 @@ from eonspectra.placement import (
     place_heuristic,
     rank_inventory,
 )
-from eonspectra.topology import DemandSpec, load_topology
+from eonspectra.topology import DemandSpec, load_topology, route_all
 
 from oracles import placement_assignments
 
@@ -259,3 +262,106 @@ def test_base_architectures_are_respected():
     result = place_heuristic(g, demands, [NodeArchitecture(FULL)], CONFIG, base_archs=base)
     assert 1 not in result.assignment
     assert result.evaluations == 5  # only the remaining simple nodes
+
+
+# --- one routing per placement -------------------------------------------------
+
+
+def _recorded_trials(monkeypatch):
+    """Record every solve a placement makes, as (architecture map, result)."""
+    trials = []
+    solve = eonspectra.placement.fixed_point
+
+    def recording(graph, demands, archs, *args, **kwargs):
+        result = solve(graph, demands, archs, *args, **kwargs)
+        trials.append((dict(archs), result))
+        return result
+
+    monkeypatch.setattr(eonspectra.placement, "fixed_point", recording)
+    return trials
+
+
+_SIXNODE_K2 = [NodeArchitecture(FULL), NodeArchitecture(SHARE_PER_LINK, 1)]
+_NSF_K3 = [NodeArchitecture(FULL), NodeArchitecture(FULL), NodeArchitecture(SHARE_PER_NODE, 1)]
+
+
+@pytest.mark.parametrize(
+    "topology, demand_set, inventory, brute_inventory",
+    [
+        (sixnode, sixnode_demands, _SIXNODE_K2, _SIXNODE_K2),
+        (nsf14, nsf14_demands, _NSF_K3, [NodeArchitecture(SHARE_PER_NODE, 1)]),
+    ],
+    ids=["sixnode", "nsf"],
+)
+def test_trials_on_a_shared_routing_equal_standalone_solves(
+    monkeypatch, topology, demand_set, inventory, brute_inventory
+):
+    """Every trial of a placement solves over the placement's one routing
+    and gets the blocking, convergence flag and iteration count of a
+    standalone solve of its architecture map, bit for bit."""
+    g = topology()
+    demands = demand_set(g)
+    config = AnalysisConfig(epsilon=1e-6, seed=1)
+    routes = route_all(g, demands)
+    stats = crossing_stats(g, routes)
+
+    trials = _recorded_trials(monkeypatch)
+    greedy = place_heuristic(g, demands, inventory, config)
+    oracle = place_brute_force(g, demands, brute_inventory, config)
+    assert len(trials) == 2 + greedy.evaluations + oracle.evaluations
+    alone = [fixed_point(g, demands, archs, config, routes, stats) for archs, _ in trials]
+    for (_, shared), expected in zip(trials, alone):
+        assert shared.network_blocking_prob == expected.network_blocking_prob
+        assert shared.converged == expected.converged
+        assert shared.iterations == expected.iterations
+        assert shared.demand_blockings == expected.demand_blockings
+
+    # the results report those solves: the greedy's baseline, then its
+    # step tables in trial order, then the brute force's baseline and trials
+    assert greedy.baseline_blocking == alone[0].network_blocking_prob
+    placed: dict = {}
+    trial = 1
+    for step in greedy.steps:
+        for node, blocking, converged in step.candidates:
+            assert trials[trial][0] == {**placed, node: step.arch}
+            expected = alone[trial]
+            assert (blocking, converged) == (expected.network_blocking_prob, expected.converged)
+            trial += 1
+        placed[step.chosen_node] = step.arch
+    assert oracle.baseline_blocking == alone[trial].network_blocking_prob
+    (chosen,) = [
+        expected
+        for (archs, _), expected in zip(trials[trial + 1 :], alone[trial + 1 :])
+        if archs == oracle.assignment
+    ]
+    assert oracle.achieved_blocking == chosen.network_blocking_prob
+
+
+def test_a_placement_compiles_its_routing_once(monkeypatch):
+    """Each placement builds the routing half once, however many trials it
+    solves: ``fixed_point`` compiles none of its own."""
+    builds = []
+    for module in (eonspectra.analyzer, eonspectra.placement):
+        build = getattr(module, "compile_routing")
+
+        def counting(*args, build=build, **kwargs):
+            builds.append(args[1])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(module, "compile_routing", counting)
+    grids = []
+    route_grid = eonspectra.analyzer.route_grid
+
+    def counting_grid(*args):
+        grids.append(args)
+        return route_grid(*args)
+
+    monkeypatch.setattr(eonspectra.analyzer, "route_grid", counting_grid)
+    g = sixnode()
+    demands = sixnode_demands(g)
+    greedy = place_heuristic(g, demands, _SIXNODE_K2, CONFIG)
+    assert greedy.evaluations == 11
+    assert len(builds) == len(grids) == 1 and builds[0] is demands
+    oracle = place_brute_force(g, demands, _SIXNODE_K2, CONFIG)
+    assert oracle.evaluations == 30
+    assert len(builds) == len(grids) == 2 and builds[1] is demands
