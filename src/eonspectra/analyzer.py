@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -22,7 +21,6 @@ from .lightpath import (
     ArchitectureMap,
     CrossingStats,
     LinkFreeProbs,
-    PlanValues,
     RouteGrid,
     compile_plan,
     crossing_stats,
@@ -67,18 +65,14 @@ def demand_blocking(
     phis: LinkFreeProbs,
     stats: CrossingStats,
     slot_count: int,
-    memo: PlanValues | None = None,
 ) -> float:
     """Average blocking of one demand: its slot-count pmf weighting the
     per-slot-count lightpath blocking, summed from 0.0 in ``pmf_items``
-    order.
-
-    This is the one-demand call.  ``fixed_point`` does not call it: its
-    weighted ``np.bincount`` over all demands' reads adds the same terms
-    in the same order, so it gives this value bit for bit."""
+    order.  ``fixed_point`` gives this value bit for bit without calling
+    it."""
     total = 0.0
     for s, p in demand.pmf_items:
-        total += p * lightpath_blocking(s, path, archs, phis, stats, slot_count, memo)
+        total += p * lightpath_blocking(s, path, archs, phis, stats, slot_count)
     return total
 
 
@@ -88,39 +82,18 @@ def phi_update(
     blockings: list[float],
     graph: NetworkGraph,
 ) -> LinkFreeProbs:
-    """Estimate per-link slot-free probabilities from carried load:
-    each crossing demand contributes its unblocked share of rate * hold *
-    mean slots, normalized by the fiber capacity and clamped at full."""
-    position = {link.id: i for i, link in enumerate(graph.links)}
-    hop_links = np.array([position[lid] for route in routes for lid in route.link_ids], np.intp)
-    hop_demands = np.repeat(np.arange(len(routes)), [route.hop_count for route in routes])
-    slot_loads = [d.offered_load * d.mean_slots for d in demands]
-    free = _link_update(slot_loads, hop_links, hop_demands, graph)(blockings)
-    return dict(zip(position, free.tolist()))
-
-
-def _link_update(
-    slot_loads: list[float], hop_links: np.ndarray, hop_demands: np.ndarray, graph: NetworkGraph
-):
-    """``phi_update`` compiled for one set of routes: a function from the
-    demands' blockings to the free probability of every link, in
-    ``graph.links`` order.  ``slot_loads`` holds each demand's offered slot
-    load, and hop i of the route-link incidence puts demand
-    ``hop_demands[i]`` on link ``hop_links[i]`` (a position in
-    ``graph.links``).
-
-    The incidence lists every hop, demand by demand, so the one
-    ``np.bincount`` over it adds each link's loads in demand order.
-    """
-    slot_loads = np.array(slot_loads, dtype=float)
-    slots = float(graph.slot_count)
-
-    def update(blockings) -> np.ndarray:
-        loads = slot_loads * (1.0 - np.asarray(blockings, dtype=float))
-        carried = np.bincount(hop_links, loads[hop_demands], len(graph.links))
-        return 1.0 - np.minimum(carried / slots, 1.0)
-
-    return update
+    """Every link's slot-free probability, by link id, from the demands'
+    ``blockings``: the link update ``Routing.update`` of
+    ``compile_routing(graph, demands, routes)``.  Routes not aligned with
+    the demands, or blockings that are not one finite probability in
+    [0, 1] per demand, raise ``InputError``."""
+    values = np.asarray(blockings, dtype=float)
+    if values.shape != (len(demands),):
+        raise InputError(f"{values.size} blockings for {len(demands)} demands")
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise InputError("a blocking is not a finite probability in [0, 1]")
+    free = compile_routing(graph, demands, routes).update(values)
+    return dict(zip((link.id for link in graph.links), free.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +101,19 @@ class Routing:
     """What every solve over one graph, demand list and set of routes
     shares, whatever the architecture map: ``compile_routing`` builds it.
 
-    It holds the routes, checked and bound to their demands, and their
-    ``CrossingStats``; the plans' ``RouteGrid``; the link update, with the
-    route-link incidence read off the grid's request rows; the (demand,
-    slot count) reads, in demand order and each demand's ``pmf_items``
-    order, with each read's demand in ``owner`` and its pmf weight; and
-    each demand's offered load with their total, the network blocking's
-    weight (1.0 for no demands, so that the empty sum stays 0).
+    ``routes`` holds one route per demand from its source to its
+    destination, bound to that demand, and ``stats`` their
+    ``CrossingStats``; ``grid`` is the plans' ``RouteGrid`` of the
+    (route, slot counts) requests in demand order.  The route-link
+    incidence lists every hop demand by demand, each route in path order:
+    hop i puts demand ``hop_demands[i]`` on link ``hop_links[i]``, a
+    position in ``graph.links``, and ``slot_loads`` holds each demand's
+    offered slot load.  ``reads`` lists the (slot count, route) reads of
+    the plans' values, in demand order and each demand's ``pmf_items``
+    order, with each read's demand in ``owner`` and its pmf weight in
+    ``pmf_weight``.  ``loads`` holds each demand's offered load and
+    ``weight`` their total, the network blocking's weight (1.0 for no
+    demands, so that the empty sum stays 0).
     """
 
     graph: NetworkGraph
@@ -142,12 +121,25 @@ class Routing:
     routes: list[RoutedPath]
     stats: CrossingStats
     grid: RouteGrid
-    update: Callable[[np.ndarray], np.ndarray]
+    slot_loads: np.ndarray
+    hop_links: np.ndarray
+    hop_demands: np.ndarray
     reads: list[tuple[int, RoutedPath]]
     owner: np.ndarray
     pmf_weight: np.ndarray
     loads: list[float]
     weight: float
+
+    def update(self, blockings) -> np.ndarray:
+        """The link update: every link's free probability, in
+        ``graph.links`` order, from the demands' blockings.  Each demand
+        carries its unblocked share of its offered slot load on every link
+        of its route; one ``np.bincount`` over the incidence adds each
+        link's loads in demand order, normalized by the fiber capacity and
+        clamped at full."""
+        loads = self.slot_loads * (1.0 - np.asarray(blockings, dtype=float))
+        carried = np.bincount(self.hop_links, loads[self.hop_demands], len(self.graph.links))
+        return 1.0 - np.minimum(carried / self.graph.slot_count, 1.0)
 
 
 def compile_routing(
@@ -158,8 +150,9 @@ def compile_routing(
 ) -> Routing:
     """The ``Routing`` of ``demands`` on ``routes`` (the shortest paths
     when None), with ``stats`` computed from the routes when None.  The
-    routes are checked before any other work, and demands whose summed
-    offered slot load overflows a float raise ``DemandError``."""
+    routes are checked with ``demand_routes`` before any other work, and
+    demands whose summed offered slot load overflows a float raise
+    ``DemandError``."""
     routes = demand_routes(graph, demands, routes)
     slot_loads = [d.offered_load * d.mean_slots for d in demands]
     if not math.isfinite(sum(slot_loads)):
@@ -169,11 +162,12 @@ def compile_routing(
     grid = route_grid(
         ((route, demand.slot_counts) for demand, route in zip(demands, routes)), graph.slot_count
     )
-    # the link update's route-link incidence: the grid's request rows, one
-    # per demand, with its columns as positions in graph.links
+    # the route-link incidence, read off each demand's row of the route
+    # grid, with the grid's columns as positions in graph.links
     position = {link.id: i for i, link in enumerate(graph.links)}
-    on_route = grid.routes < len(grid.columns)
-    hop_links = np.array([position[lid] for lid in grid.columns], np.intp)[grid.routes[on_route]]
+    cells = grid.path[grid.request_route]
+    on_route = cells < len(grid.columns)
+    hop_links = np.array([position[lid] for lid in grid.columns], np.intp)[cells[on_route]]
     loads = [d.offered_load for d in demands]
     return Routing(
         graph,
@@ -181,7 +175,9 @@ def compile_routing(
         routes,
         stats,
         grid,
-        _link_update(slot_loads, hop_links, np.nonzero(on_route)[0], graph),
+        np.array(slot_loads, dtype=float),
+        hop_links,
+        np.nonzero(on_route)[0],
         [(s, route) for demand, route in zip(demands, routes) for s, _ in demand.pmf_items],
         np.repeat(np.arange(len(demands)), [len(d.pmf_items) for d in demands]),
         np.array([p for d in demands for _, p in d.pmf_items]),
@@ -215,30 +211,22 @@ def fixed_point(
     set warns once and has a network blocking of 0 by convention.
 
     Everything that does not move with the link state is compiled before
-    the first iteration, in two halves.  What the architecture map does
-    not move is the ``Routing`` (``compile_routing``): the checked routes
-    and their crossing statistics, the route grid, the link update's
-    route-link incidence, the reads with their demands and pmf weights,
-    and the loads.  Many solves over the same graph and demands share one
-    by passing it as ``routing``, in place of ``routes`` and ``stats``; a
-    routing compiled for another graph or demand list raises
-    ``InputError``.  Without one, the solve compiles its own from
-    ``routes`` and ``stats``, so both run the same code.  What the map
-    moves, the converter stops of the forward passes (``compile_plan``),
-    is compiled once per solve.
-    An iteration then evaluates the plan at the link state, which runs
-    every forward pass side by side, and reads its values through
-    ``lightpath_blocking`` once per (demand, slot count), in demand order
-    and each demand's ``pmf_items`` order.  One weighted ``np.bincount``
-    turns the reads into the demand blockings: it adds each demand's
-    ``p * b`` terms in input order from 0.0, exactly as
-    ``demand_blocking`` does.  The network blocking sums ``load * b`` in
-    demand order as before, and a second ``np.bincount`` of the carried
-    loads adds each link's loads in demand order as ``phi_update`` does;
-    then come the damping blend and the largest link change.  So every
-    number equals that of per-demand ``demand_blocking`` calls over
-    per-route scalar passes bit for bit.  Demands whose summed offered slot
-    load overflows a float raise ``DemandError`` before any work.
+    the first iteration.  The ``Routing`` (``compile_routing``) holds what
+    the architecture map does not move, and its ``update`` is the link
+    update.  Solves over the same graph and demands may share one, passed
+    as ``routing`` in place of ``routes`` and ``stats``; a routing
+    compiled for another graph or demand list raises ``InputError``, and
+    without one the solve compiles its own from ``routes`` and ``stats``.
+    The converter stops of the forward passes (``compile_plan``) are
+    compiled once per solve.  An iteration evaluates the plan at the link
+    state and reads its values through ``lightpath_blocking`` once per
+    (demand, slot count), in demand order and each demand's ``pmf_items``
+    order.  One weighted ``np.bincount`` turns the reads into the demand
+    blockings, adding each demand's ``p * b`` terms in that order from
+    0.0, and the network blocking sums ``load * b`` in demand order.  So
+    every number equals that of per-demand ``demand_blocking`` calls over
+    per-route scalar passes bit for bit.  Demands whose summed offered
+    slot load overflows a float raise ``DemandError`` before any work.
     """
     if config is None:
         config = AnalysisConfig()

@@ -466,17 +466,17 @@ class RouteGrid:
     the architecture map: ``route_grid`` compiles it once, and every
     ``compile_plan`` over the same requests shares it.
 
-    ``index`` numbers every forward pass, a (slot count, link ids) pair,
-    once in request order; pass i is for ``sizes[i]`` slots, and
-    ``pass_route[i]`` is its row of
-    ``path``: the route grid of the distinct routes that carry a pass, a
-    row per route with its links as columns in path order, padded with
-    ``len(columns)``, route r crossing ``hops[r]`` links.  ``columns``
-    holds the link ids the routes cross, ascending.  ``exits`` maps each
-    node to the columns that leave it at an interior hop of such a route,
-    the only places where it can convert.  Row k of ``routes`` holds the
-    route of request k in the same columns, so a solve takes its
-    route-link incidence from the grid.
+    ``path`` is the route grid: a row per distinct route, numbered in
+    order of first request, with its links as columns in path order,
+    padded with ``len(columns)``; route r crosses ``hops[r]`` links.
+    ``columns`` holds the link ids the routes cross, ascending.
+    ``request_route[k]`` is the number of request k's route.  ``index``
+    numbers every forward pass, a (slot count, link ids) pair with a slot
+    count of at most ``slot_count``, once in request order; pass i is for
+    ``sizes[i]`` slots on route ``pass_route[i]``.  A route whose every
+    slot count exceeds ``slot_count`` has a row but no pass.  ``exits``
+    maps each node to the columns that leave it at an interior hop of a
+    route, the only places where it can convert.
     """
 
     slot_count: int
@@ -487,17 +487,15 @@ class RouteGrid:
     hops: np.ndarray
     pass_route: np.ndarray
     exits: dict[int, list[int]]
-    routes: np.ndarray
+    request_route: np.ndarray
 
 
 def route_grid(requests, slot_count: int) -> RouteGrid:
     """The ``RouteGrid`` of ``requests``, an iterable of (route, slot
-    counts in ascending order) pairs: one pass per route and slot count,
-    each once however many requests share it.  Slot counts above
-    ``slot_count`` are never carried and get no pass, but every request's
-    route has its row in ``RouteGrid.routes``.  Each request's link ids
-    are hashed once, to find its route's number; its passes are keyed by
-    that number."""
+    counts in ascending order) pairs: one pass per route and slot count up
+    to ``slot_count``, each once however many requests share it.  Each
+    request's link ids are hashed once, to find its route's number; its
+    passes are keyed by that number."""
     route_of: dict[tuple[int, ...], int] = {}  # link ids -> route number
     distinct: list[RoutedPath] = []
     request_route: list[int] = []
@@ -520,17 +518,8 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
     )
     pad = len(columns)
     on_route = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    grid = np.full(on_route.shape, pad, dtype=np.intp)
-    grid[on_route] = column
-
-    # only the routes that carry a pass get stops
-    pass_route = np.fromiter((number for _, number in passes), np.intp, len(passes))
-    carried = np.zeros(len(distinct), dtype=bool)
-    carried[pass_route] = True
-    path, hops = grid, lengths
-    if not carried.all():
-        pass_route = (np.cumsum(carried) - 1)[pass_route]
-        path, hops = grid[carried], lengths[carried]
+    path = np.full(on_route.shape, pad, dtype=np.intp)
+    path[on_route] = column
 
     # the node each interior column leaves, read off a (route, hop) where
     # the column appears
@@ -553,10 +542,10 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
         np.fromiter((s for s, _ in passes), np.intp, len(passes)),
         tuple(columns.tolist()),
         path,
-        hops,
-        pass_route,
+        lengths,
+        np.fromiter((number for _, number in passes), np.intp, len(passes)),
         exits,
-        grid if len(distinct) == len(request_route) else grid[request_route],
+        np.array(request_route, dtype=np.intp),
     )
 
 

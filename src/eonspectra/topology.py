@@ -426,9 +426,9 @@ def demand_routes(
 
 def network_traffic(g: NetworkGraph, demands: list[DemandSpec], routes: list[RoutedPath]) -> float:
     """Normalized offered traffic: total carried slot-hops per slot of
-    installed directed-link capacity."""
-    if len(demands) != len(routes):
-        raise ValueError("demands and routes are not aligned")
+    installed directed-link capacity.  Routes not aligned with the demands
+    raise ``InputError``, as ``demand_routes`` checks them."""
+    routes = demand_routes(g, demands, routes)
     if not g.links:
         raise ValueError("graph has no links")
     total = sum(

@@ -127,6 +127,10 @@ def test_phi_update_values():
     # links nobody crosses stay fully free
     reverse_link = g.link_between(2, 1)
     assert phis[reverse_link.id] == 1.0
+    # blockings must be one finite probability per demand
+    for blockings in ([math.nan], [2.0], [-0.5], [math.inf], [], [0.0, 0.0]):
+        with pytest.raises(InputError):
+            phi_update(demands, routes, blockings, g)
 
 
 def test_fixed_point_no_demands():
@@ -156,6 +160,8 @@ def test_fixed_point_rejects_routes_not_aligned_with_demands(case, monkeypatch):
     monkeypatch.setattr(eonspectra.analyzer, "compile_plan", no_work)
     with pytest.raises(InputError):
         fixed_point(g, demands, {}, routes=routes)
+    with pytest.raises(InputError):
+        phi_update(demands, routes, [0.5] * len(demands), g)
 
 
 def test_fixed_point_rejects_a_routing_compiled_for_other_inputs():
@@ -439,12 +445,16 @@ PINNED_MULTI_SLOT_SOLVE = (
 )
 
 
-def test_pinned_multi_slot_solve_is_unchanged_bit_for_bit():
+def _multi_slot_solve():
     g = nsf14()
     demands = multi_slot_nsf_demands(g)
     cycle = [NodeArchitecture(SHARE_PER_NODE, 1), NodeArchitecture(FULL), NodeArchitecture(SHARE_PER_LINK, 1)]
     archs = {v: cycle[v % 3] for v in g.nodes}
-    result = fixed_point(g, demands, archs, AnalysisConfig(seed=10, damping=0.5))
+    return g, demands, fixed_point(g, demands, archs, AnalysisConfig(seed=10, damping=0.5))
+
+
+def test_pinned_multi_slot_solve_is_unchanged_bit_for_bit():
+    _, _, result = _multi_slot_solve()
     assert result.converged
     every = " ".join(b.hex() for b in result.demand_blockings)
     assert (
@@ -453,6 +463,22 @@ def test_pinned_multi_slot_solve_is_unchanged_bit_for_bit():
         hashlib.sha256(every.encode()).hexdigest()[:16],
         tuple(result.demand_blockings[i].hex() for i in (0, 1, 20, 181)),
     ) == PINNED_MULTI_SLOT_SOLVE
+
+
+@pytest.mark.parametrize("bound", [True, False])
+def test_phi_update_is_the_solves_link_update_bit_for_bit(bound):
+    """``phi_update`` at the pinned multi-slot solve's converged blockings
+    gives the floats of the solve's own link update, ``Routing.update``,
+    for routes bound to their demands and for the same routes without."""
+    g, demands, result = _multi_slot_solve()
+    routes = route_all(g, demands)
+    if not bound:
+        routes = [RoutedPath(r.nodes, r.links) for r in routes]
+    expected = compile_routing(g, demands, routes).update(result.demand_blockings)
+    phis = phi_update(demands, routes, result.demand_blockings, g)
+    assert list(phis) == [link.id for link in g.links]
+    assert [x.hex() for x in phis.values()] == [x.hex() for x in expected.tolist()]
+    assert min(phis.values()) < 1.0
 
 
 # The 28-node chorded ring of ``oracles.chorded_ring(4)``, with demands

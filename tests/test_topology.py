@@ -6,6 +6,7 @@ import pytest
 from eonspectra.errors import (
     DemandError,
     DuplicateEdgeError,
+    InputError,
     MissingNodeError,
     NonpositiveWeightError,
     TopologyParseError,
@@ -403,6 +404,11 @@ def test_network_traffic():
     assert network_traffic(g, demands, routes) == pytest.approx(2 * 2 / (4 * 10))
     doubled = [DemandSpec(1, 3, 4.0, 1.0, {1: 1.0})]
     assert network_traffic(g, doubled, routes) == pytest.approx(2 * network_traffic(g, demands, routes))
+    # routes must be aligned with the demands: one per demand, with its ends
+    other_ends = [DemandSpec(1, 2, 2.0, 1.0, {1: 1.0})]
+    for demands_, routes_ in ((other_ends, routes), (demands, []), (demands, routes * 2)):
+        with pytest.raises(InputError):
+            network_traffic(g, demands_, routes_)
 
 
 def test_network_traffic_invariant_under_relabeling():
