@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .lightpath import (
     lightpath_blocking,
     route_grid,
 )
-from .topology import DemandSpec, NetworkGraph, RoutedPath, _integer, demand_routes
+from .topology import DemandSpec, NetworkGraph, RoutedPath, _integer, demand_routes, left_sum
 
 log = logging.getLogger(__name__)
 
@@ -70,10 +70,9 @@ def demand_blocking(
     per-slot-count lightpath blocking, summed from 0.0 in ``pmf_items``
     order.  ``fixed_point`` gives this value bit for bit without calling
     it."""
-    total = 0.0
-    for s, p in demand.pmf_items:
-        total += p * lightpath_blocking(s, path, archs, phis, stats, slot_count)
-    return total
+    return left_sum(
+        p * lightpath_blocking(s, path, archs, phis, stats, slot_count) for s, p in demand.pmf_items
+    )
 
 
 def phi_update(
@@ -102,9 +101,8 @@ class Routing:
     shares, whatever the architecture map: ``compile_routing`` builds it.
 
     ``routes`` holds one route per demand from its source to its
-    destination, bound to that demand, and ``stats`` their
-    ``CrossingStats``; ``grid`` is the plans' ``RouteGrid`` of the
-    (route, slot counts) requests in demand order.  The route-link
+    destination, bound to that demand; ``grid`` is the plans' ``RouteGrid``
+    of the (route, slot counts) requests in demand order.  The route-link
     incidence lists every hop demand by demand, each route in path order:
     hop i puts demand ``hop_demands[i]`` on link ``hop_links[i]``, a
     position in ``graph.links``, and ``slot_loads`` holds each demand's
@@ -112,14 +110,14 @@ class Routing:
     the plans' values, in demand order and each demand's ``pmf_items``
     order, with each read's demand in ``owner`` and its pmf weight in
     ``pmf_weight``.  ``loads`` holds each demand's offered load and
-    ``weight`` their total, the network blocking's weight (1.0 for no
-    demands, so that the empty sum stays 0).
+    ``weight`` their ``left_sum`` (1.0 for none).  The routes'
+    ``CrossingStats`` are counted on first read of ``stats`` unless given.
     """
 
     graph: NetworkGraph
     demands: list[DemandSpec]
     routes: list[RoutedPath]
-    stats: CrossingStats
+    given_stats: CrossingStats | None
     grid: RouteGrid
     slot_loads: np.ndarray
     hop_links: np.ndarray
@@ -127,8 +125,12 @@ class Routing:
     reads: list[tuple[int, RoutedPath]]
     owner: np.ndarray
     pmf_weight: np.ndarray
-    loads: list[float]
+    loads: np.ndarray
     weight: float
+
+    @cached_property
+    def stats(self) -> CrossingStats:
+        return self.given_stats or crossing_stats(self.graph, self.routes)
 
     def update(self, blockings) -> np.ndarray:
         """The link update: every link's free probability, in
@@ -155,19 +157,16 @@ def compile_routing(
     ``DemandError``."""
     routes = demand_routes(graph, demands, routes)
     slot_loads = [d.offered_load * d.mean_slots for d in demands]
-    if not math.isfinite(sum(slot_loads)):
+    if not math.isfinite(left_sum(slot_loads)):
         raise DemandError("the demands' summed offered slot load overflows")
-    if stats is None:
-        stats = crossing_stats(graph, routes)
-    grid = route_grid(
-        ((route, demand.slot_counts) for demand, route in zip(demands, routes)), graph.slot_count
-    )
+    grid = route_grid(zip(routes, [d.slot_counts for d in demands]), graph.slot_count)
     # the route-link incidence, read off each demand's row of the route
     # grid, with the grid's columns as positions in graph.links
     position = {link.id: i for i, link in enumerate(graph.links)}
     cells = grid.path[grid.request_route]
     on_route = cells < len(grid.columns)
     hop_links = np.array([position[lid] for lid in grid.columns], np.intp)[cells[on_route]]
+    items = [d.pmf_items for d in demands]
     loads = [d.offered_load for d in demands]
     return Routing(
         graph,
@@ -178,11 +177,11 @@ def compile_routing(
         np.array(slot_loads, dtype=float),
         hop_links,
         np.nonzero(on_route)[0],
-        [(s, route) for demand, route in zip(demands, routes) for s, _ in demand.pmf_items],
-        np.repeat(np.arange(len(demands)), [len(d.pmf_items) for d in demands]),
-        np.array([p for d in demands for _, p in d.pmf_items]),
-        loads,
-        sum(loads) if demands else 1.0,
+        [(s, route) for pmf, route in zip(items, routes) for s, _ in pmf],
+        np.repeat(np.arange(len(demands)), list(map(len, items))),
+        np.array([p for pmf in items for _, p in pmf], dtype=float),
+        np.array(loads, dtype=float),
+        left_sum(loads) if demands else 1.0,
     )
 
 
@@ -210,23 +209,21 @@ def fixed_point(
     raised); ``iterations`` is the trajectory's length.  An empty demand
     set warns once and has a network blocking of 0 by convention.
 
-    Everything that does not move with the link state is compiled before
-    the first iteration.  The ``Routing`` (``compile_routing``) holds what
-    the architecture map does not move, and its ``update`` is the link
-    update.  Solves over the same graph and demands may share one, passed
-    as ``routing`` in place of ``routes`` and ``stats``; a routing
-    compiled for another graph or demand list raises ``InputError``, and
-    without one the solve compiles its own from ``routes`` and ``stats``.
-    The converter stops of the forward passes (``compile_plan``) are
-    compiled once per solve.  An iteration evaluates the plan at the link
-    state and reads its values through ``lightpath_blocking`` once per
-    (demand, slot count), in demand order and each demand's ``pmf_items``
-    order.  One weighted ``np.bincount`` turns the reads into the demand
-    blockings, adding each demand's ``p * b`` terms in that order from
-    0.0, and the network blocking sums ``load * b`` in demand order.  So
-    every number equals that of per-demand ``demand_blocking`` calls over
-    per-route scalar passes bit for bit.  Demands whose summed offered
-    slot load overflows a float raise ``DemandError`` before any work.
+    What does not move with the link state is compiled first.  The
+    ``Routing`` (``compile_routing``) holds what the architecture map does
+    not move, its ``update`` being the link update; solves over the same
+    graph and demands may share one, passed as ``routing`` in place of
+    ``routes`` and ``stats`` (one compiled for another graph or demand
+    list raises ``InputError``).  The converter stops (``compile_plan``)
+    are compiled per solve.  An iteration evaluates the plan at the link
+    state and reads it through ``lightpath_blocking`` once per (demand,
+    slot count), in demand and ``pmf_items`` order.  One weighted
+    ``np.bincount`` adds each demand's ``p * b`` terms in that order from
+    0.0, and one more adds the ``load * b`` terms of the network blocking
+    into one bin in demand order, as ``left_sum`` does.  So every number
+    equals that of per-demand ``demand_blocking`` calls over scalar passes
+    bit for bit.  Demands whose summed offered slot load overflows a float
+    raise ``DemandError`` before any work.
     """
     if config is None:
         config = AnalysisConfig()
@@ -238,24 +235,25 @@ def fixed_point(
         raise InputError("the routing was compiled for another graph or demand list")
     if not demands:
         log.warning("network blocking over an empty demand set is 0 by convention")
-    plan = compile_plan(routing.grid, archs, routing.stats)
     update, reads, loads, stats = routing.update, routing.reads, routing.loads, routing.stats
-    link_ids = [link.id for link in graph.links]
+    plan = compile_plan(routing.grid, archs, stats)
+    link_ids, slot_count = [link.id for link in graph.links], graph.slot_count
 
     rng = np.random.default_rng(config.seed)
     p_net = float(rng.random())
     blockings = rng.random(len(demands)).tolist()
     phi = update(blockings)  # every link's free probability, in graph.links order
     phi_delta = math.inf  # max |change| of a link's free probability
-    d = config.damping
+    d, weight = config.damping, routing.weight
+    one_bin = np.zeros(len(demands), np.intp)
     trajectory: list[float] = []
     while True:
         phis = dict(zip(link_ids, phi.tolist()))
         memo = plan.evaluate(phis)
-        values = [lightpath_blocking(s, route, archs, phis, stats, graph.slot_count, memo)
+        values = [lightpath_blocking(s, route, archs, phis, stats, slot_count, memo)
                   for s, route in reads]
         blockings = np.bincount(routing.owner, routing.pmf_weight * values, len(demands))
-        p_prev, p_net = p_net, sum(map(mul, loads, blockings.tolist())) / routing.weight
+        p_prev, p_net = p_net, float(np.bincount(one_bin, loads * blockings, 1)[0]) / weight
         trajectory.append(p_net)
         converged = abs(p_net - p_prev) <= config.epsilon and phi_delta <= config.epsilon
         if converged or len(trajectory) == config.max_iter:

@@ -22,43 +22,35 @@ nonnegative, so the result is a probability by construction.  Only
 strictly interior nodes can convert: conversion capability at the source
 or destination cannot help a request.
 
-During a fixed point the routes, layouts and pmfs stay fixed and only the
-link state moves, so every forward pass the solve needs, one per route
-and slot count, is compiled once into the index arrays of a
-``SolvePlan``, in two halves.  ``route_grid`` compiles what the routes
-alone fix, once for every solve over the same routes: the passes, and the
-distinct routes as one grid of their links, as columns in path order.
-``compile_plan`` compiles the rest once per architecture map, walking no
-route in Python.  Each column gets its stop code once: -1 when the node it
-leaves does not convert, 0 for a full node, else the index of its bank.
-From the grid, array operations find each route's stops (its converting
-interior nodes, then the destination as a full stop) and each stop's
-openings, where the segments that close there start: the last full stop
-before it (or the source), then the shared stops since.  Every (stop,
-opening) cell's segment is packed into an int64, link by link in base
-``len(columns) + 1``, and ``np.unique`` of the packed codes numbers the
-table rows, so two cells share a row exactly when their segments cross
-the same links; the packed prefix is re-ranked with ``np.unique``
-whenever the next link could overflow.  The stops and cells lay out as two grids with a column per
-route, one with a row per stop and one with a row per (stop, opening), and
-the passes, ordered by their number of stops so that those still running
-at a stop are a prefix of them, take their routes' columns, masked at each
-stop to the passes that reach it.  Each iteration ``SolvePlan.evaluate``
-computes the success of every (slot count, table row) pair the passes
-close, all in one array call of ``run_probability`` whose run lengths are
-the pairs' slot counts, and the availability of every bank, then runs all
-the passes side by side, stop by stop.  At a stop it forms the blocked
-mass avail * mass * failure and the closed mass mass * success of every
-(opening, pass) at once, then adds them up opening by opening, in opening
+During a fixed point only the link state moves, so every forward pass a
+solve needs, one per route and slot count, is compiled once into the index
+arrays of a ``SolvePlan``, in two halves.  ``route_grid`` compiles what the
+routes alone fix: the passes, and the distinct routes as one grid of their
+links.  ``compile_plan`` compiles the rest once per architecture map with
+array operations: each column's stop code (-1 when the node it leaves does
+not convert, 0 for a full node, else its bank's index), each route's stops
+(its converting interior nodes, then the destination as a full stop) and
+each stop's openings, where the segments closing there start: the last
+full stop before it (or the source), then the shared stops since.  Each
+(stop, opening) cell's segment is packed into an int64, link by link in
+base ``len(columns) + 1`` (re-ranked with ``np.unique`` whenever the next
+link could overflow), and ``np.unique`` of the codes numbers the table
+rows, so two cells share a row exactly when their segments cross the same
+links.  The passes, ordered by their number of stops so that those still
+running at a stop are a prefix, take their routes' columns of a grid with
+a row per stop and of one with a row per (stop, opening).  Each iteration
+``SolvePlan.evaluate`` computes the success of every (slot count, table
+row) pair in one array call of ``run_probability`` and the availability
+of every bank, then runs the passes side by side, stop by stop: it forms
+the blocked mass avail * mass * failure and the closed mass mass *
+success of every (opening, pass) at once and adds each up in opening
 order, so every pass gets the float operations of its scalar walk in the
-same order.  The padding that lines the passes up adds only exact
-zeros (an opening a pass does not have holds mass 0.0 and reads success
-1.0), and a stop that is never or always free scales the masses by exactly
-1.0 or 0.0, so every blocking equals the scalar walk's bit for bit.  The
-grid also holds the position of every pass in the results, in request
-order (``SolvePlan.index``), so no solve builds a map, and a single call
-without a solve compiles a plan of its own route, so every blocking comes
-from the same pass.
+same order.  The padding that lines the passes up adds only exact zeros
+(an opening a pass lacks holds mass 0.0 and reads success 1.0), and a
+stop that is never or always free scales the masses by exactly 1.0 or
+0.0, so every blocking equals the scalar walk's bit for bit.  A single
+call without a solve compiles a plan of its own route, so every blocking
+comes from the same pass.
 """
 
 from __future__ import annotations
@@ -303,7 +295,12 @@ class SolvePlan:
         """Every forward pass of the plan at link state ``phis``.  A row's
         success takes the product of its links' free probabilities column
         by column in path order, and a bank's availability the same
-        ``share_per_link_availability`` arguments as a scalar call."""
+        ``share_per_link_availability`` arguments as a scalar call.
+
+        A stop wider than 1 adds up its blocked rows (the first holding the
+        blocking so far) and its closed rows in opening order by one
+        ``np.add.reduce`` over both side by side: numpy sums a lone column
+        pairwise from 8 rows on.  Tests check that order."""
         phi = np.array([phis[lid] for lid in self.columns] + [1.0])
         rho = phi[self.hops[:, 0]]
         for column in self.hops[:, 1:].T:
@@ -334,10 +331,10 @@ class SolvePlan:
             end = row + width * active
             lost = avail * block * failure[row:end].reshape(width, active)
             kept = block * success[row:end].reshape(width, active)
-            closed = np.zeros(active)
-            for lost_row, kept_row in zip(lost, kept):  # in opening order
-                head += lost_row
-                closed += kept_row
+            lost[0] += head
+            if width > 1:  # both added up in opening order, side by side
+                lost, kept = np.add.reduce(np.concatenate((lost, kept), 1), 0).reshape(2, 1, -1)
+            head[:], closed = lost[0], kept[0]
             block *= busy[stop : stop + active]
             masses.reshape(-1)[targets] = avail * closed
             row = end
@@ -494,56 +491,54 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
     """The ``RouteGrid`` of ``requests``, an iterable of (route, slot
     counts in ascending order) pairs: one pass per route and slot count up
     to ``slot_count``, each once however many requests share it.  Each
-    request's link ids are hashed once, to find its route's number; its
-    passes are keyed by that number."""
-    route_of: dict[tuple[int, ...], int] = {}  # link ids -> route number
-    distinct: list[RoutedPath] = []
+    request's link ids are hashed once to find its route's number, and
+    once per pass to key it; a table indexed by link id numbers the
+    columns."""
+    route_of: dict[tuple[int, ...], tuple[int, RoutedPath]] = {}  # link ids -> (number, route)
     request_route: list[int] = []
-    passes: dict[tuple[int, int], int] = {}  # (S, route number) -> pass, in request order
+    index: dict[PassKey, int] = {}
+    pass_route: list[int] = []
     for route, sizes in requests:
-        number = route_of.setdefault(route.link_ids, len(distinct))
-        if number == len(distinct):
-            distinct.append(route)
+        number = route_of.setdefault(route.link_ids, (len(route_of), route))[0]
         request_route.append(number)
         for s in sizes:
             if s > slot_count:
                 break
-            passes.setdefault((s, number), len(passes))
+            if index.setdefault((s, route.link_ids), len(pass_route)) == len(pass_route):
+                pass_route.append(number)
 
     # the route grid: route by route, its links as columns in path order,
     # padded with len(columns)
     lengths = np.fromiter(map(len, route_of), np.intp, len(route_of))
-    columns, column = np.unique(
-        np.fromiter(chain.from_iterable(route_of), np.intp, lengths.sum()), return_inverse=True
-    )
+    ids = np.fromiter(chain.from_iterable(route_of), np.intp, lengths.sum())
+    crossed = np.zeros(ids.max(initial=0) + 1, dtype=bool)
+    crossed[ids] = True
+    columns, column = np.flatnonzero(crossed), (np.cumsum(crossed) - 1)[ids]
     pad = len(columns)
     on_route = np.arange(lengths.max(initial=0)) < lengths[:, None]
     path = np.full(on_route.shape, pad, dtype=np.intp)
     path[on_route] = column
 
     # the node each interior column leaves, read off a (route, hop) where
-    # the column appears
-    interior = np.zeros(pad + 1, dtype=bool)
-    interior[path[:, 1:]] = True
-    inner = np.flatnonzero(interior[:pad])
-    seen = np.zeros(pad, dtype=np.intp)
-    seen[column] = np.arange(len(column))
-    ends = np.cumsum(lengths)
-    route_no = ends.searchsorted(seen[inner], "right")
-    hop = seen[inner] - ends[route_no] + lengths[route_no]
+    # the column leaves an interior node
+    inside = path[:, 1:].ravel()
+    at = np.full(pad + 1, -1, dtype=np.intp)
+    at[inside] = np.arange(len(inside))
+    inner = np.flatnonzero(at[:pad] >= 0)
+    distinct = [route for _, route in route_of.values()]
     exits: dict[int, list[int]] = {}
-    for c, r, h in zip(inner.tolist(), route_no.tolist(), hop.tolist()):
-        exits.setdefault(distinct[r].nodes[h], []).append(c)
+    for c, a in zip(inner.tolist(), at[inner].tolist()):
+        r, h = divmod(a, path.shape[1] - 1)
+        exits.setdefault(distinct[r].nodes[h + 1], []).append(c)
 
-    links = list(route_of)
     return RouteGrid(
         slot_count,
-        {(s, links[number]): i for (s, number), i in passes.items()},
-        np.fromiter((s for s, _ in passes), np.intp, len(passes)),
+        index,
+        np.fromiter((s for s, _ in index), np.intp, len(index)),
         tuple(columns.tolist()),
         path,
         lengths,
-        np.fromiter((number for _, number in passes), np.intp, len(passes)),
+        np.array(pass_route, dtype=np.intp),
         exits,
         np.array(request_route, dtype=np.intp),
     )

@@ -428,6 +428,7 @@ def _arrival_windows(demands: list[DemandSpec], rngs, horizon: float):
     ``_REFILL`` windows' worth of requests at a time, and only when its last
     drawn arrival is not past the window's end.
     """
+    # sum() rounds otherwise from Python 3.12; this only places windows
     total = sum(d.rate for d in demands)
     draws = [_request_blocks(d, rng) for d, rng in zip(demands, rngs)]
     sizes = [max(1, math.ceil(_REFILL * _WINDOW * (d.rate / total))) for d in demands]

@@ -11,8 +11,9 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from numbers import Real
+from operator import add
 
 from .errors import (
     DemandError,
@@ -106,6 +107,12 @@ class NetworkGraph:
         return self._by_pair[(tail, head)]
 
 
+def left_sum(values) -> float:
+    """``values`` added left to right from 0.0: the built-in ``sum``
+    compensates float rounding from Python 3.12 on."""
+    return reduce(add, values, 0.0)
+
+
 @dataclass
 class DemandSpec:
     """One source-destination connection-request process.
@@ -147,7 +154,7 @@ class DemandSpec:
 
     @cached_property
     def mean_slots(self) -> float:
-        return sum(s * p for s, p in self.slot_pmf.items())
+        return left_sum(s * p for s, p in self.slot_pmf.items())
 
     @cached_property
     def pmf_items(self) -> tuple[tuple[int, float], ...]:
@@ -431,7 +438,7 @@ def network_traffic(g: NetworkGraph, demands: list[DemandSpec], routes: list[Rou
     routes = demand_routes(g, demands, routes)
     if not g.links:
         raise ValueError("graph has no links")
-    total = sum(
+    total = left_sum(
         d.offered_load * d.mean_slots * r.hop_count for d, r in zip(demands, routes)
     )
     return total / (len(g.links) * g.slot_count)

@@ -361,6 +361,52 @@ def stop_walk_blocking(min_run: int, path, archs, phis, stats, slot_count: int) 
     return blocked
 
 
+def opening_loop_values(plan, phis) -> list[float]:
+    """The blockings of ``SolvePlan.evaluate`` with each stop's openings
+    added up by a Python loop, one opening at a time into a zeroed buffer,
+    as the plans were evaluated before the stop sums became reductions:
+    the reference those reductions must match with ==."""
+    phi = np.array([phis[lid] for lid in plan.columns] + [1.0])
+    rho = phi[plan.hops[:, 0]]
+    for column in plan.hops[:, 1:].T:
+        rho = rho * phi[column]
+    success = np.concatenate(
+        (run_probability(plan.sizes, plan.slot_count, rho[plan.segment]), np.ones(1))
+    )[plan.closes]
+    failure = 1.0 - success
+    availability = np.array(
+        [1.0]
+        + [
+            share_per_link_availability(
+                n_sc, paths, slots, math.fsum(share * phis[j] for j, share in shares)
+            )
+            for n_sc, paths, slots, shares in plan.banks
+        ]
+    )[plan.draws]
+    busy = 1.0 - availability
+    count = len(plan.index)
+    masses = np.zeros((max((width for _, width, _ in plan.stops), default=1), count))
+    masses[0] = 1.0
+    blocked = np.zeros(count)
+    row = stop = 0
+    for active, width, targets in plan.stops:
+        avail = availability[stop : stop + active]
+        head = blocked[:active]
+        block = masses[:width, :active]
+        end = row + width * active
+        lost = avail * block * failure[row:end].reshape(width, active)
+        kept = block * success[row:end].reshape(width, active)
+        closed = np.zeros(active)
+        for lost_row, kept_row in zip(lost, kept):
+            head += lost_row
+            closed += kept_row
+        block *= busy[stop : stop + active]
+        masses.reshape(-1)[targets] = avail * closed
+        row = end
+        stop += active
+    return blocked[plan.rank].tolist()
+
+
 def blocking_by_converter_states(
     min_run: int,
     slot_count: int,

@@ -30,6 +30,7 @@ from eonspectra.lightpath import (
 from eonspectra.topology import (
     DemandSpec,
     RoutedPath,
+    left_sum,
     load_topology,
     network_traffic,
     route_all,
@@ -81,7 +82,11 @@ def test_demand_blocking_oversized_request_blocks():
 
 def test_network_blocking_weighted_average():
     # the solve's network blocking is the offered-load (rate * hold)
-    # weighted mean of its own per-demand blockings
+    # weighted mean of its own per-demand blockings, both totals added left
+    # to right: the built-in sum compensates its rounding from Python 3.12
+    # on, and on NSF that moves the last bit.  An exactly rounded total
+    # gives other bits on some case, so the order of the additions is what
+    # is checked
     g = line(3, slot_count=4)
     small = [
         DemandSpec(1, 2, 1.0, 1.0, {1: 1.0}),
@@ -89,16 +94,28 @@ def test_network_blocking_weighted_average():
         DemandSpec(1, 3, 0.5, 2.0, {1: 0.5, 3: 0.5}),
     ]
     nsf = nsf14()
+    ring = chorded_ring(5)
     cases = [
         (g, small, {}),
         (nsf, nsf14_demands(nsf), uniform_architectures(nsf, NodeArchitecture(SHARE_PER_NODE, 1))),
+        (
+            ring,
+            generate_demands(ring, seed=5, slots_range=(1, 4), traffic_target=0.3),
+            uniform_architectures(ring, NodeArchitecture(SHARE_PER_NODE, 2)),
+        ),
     ]
+    exact_differs = False
     for graph, demands, archs in cases:
         result = fixed_point(graph, demands, archs, AnalysisConfig(seed=4, damping=0.5))
         assert result.converged
-        weighted = sum(d.rate * d.hold * b for d, b in zip(demands, result.demand_blockings))
-        assert result.network_blocking_prob == weighted / sum(d.rate * d.hold for d in demands)
+        terms = [d.rate * d.hold * b for d, b in zip(demands, result.demand_blockings)]
+        loads = [d.rate * d.hold for d in demands]
+        assert result.network_blocking_prob == left_sum(terms) / left_sum(loads)
+        assert result.trajectory[-1] == result.network_blocking_prob
+        assert compile_routing(graph, demands).weight == left_sum(loads)
         assert 0.0 < result.network_blocking_prob < 1.0
+        exact_differs |= math.fsum(terms) / math.fsum(loads) != result.network_blocking_prob
+    assert exact_differs
 
 
 def test_network_blocking_empty_warns_and_returns_zero(caplog):
@@ -131,6 +148,31 @@ def test_phi_update_values():
     for blockings in ([math.nan], [2.0], [-0.5], [math.inf], [], [0.0, 0.0]):
         with pytest.raises(InputError):
             phi_update(demands, routes, blockings, g)
+
+
+def test_phi_update_counts_no_crossing_stats(monkeypatch):
+    """A link update alone never counts the routes' crossing statistics:
+    a routing compiled without them counts them on the first read of
+    ``stats``, once, and one compiled with them keeps those."""
+    g = nsf14()
+    demands = nsf14_demands(g)
+    routes = route_all(g, demands)
+    expected = crossing_stats(g, routes)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return crossing_stats(*args)
+
+    monkeypatch.setattr(eonspectra.analyzer, "crossing_stats", counting)
+    phis = phi_update(demands, routes, [0.5] * len(demands), g)
+    assert len(phis) == len(g.links) and calls == []
+    routing = compile_routing(g, demands, routes)
+    assert calls == []
+    assert routing.stats == expected and routing.stats is routing.stats
+    assert len(calls) == 1
+    given = compile_routing(g, demands, routes, expected)
+    assert given.stats is expected and len(calls) == 1
 
 
 def test_fixed_point_no_demands():

@@ -34,6 +34,7 @@ from oracles import (
     converter_layout,
     exact_lightpath_blocking,
     mc_segmented_blocking,
+    opening_loop_values,
     segment_success_prob,
     stop_walk_blocking,
 )
@@ -465,6 +466,47 @@ def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
     assert (partly_free > 0) == (setting != "full")
     too_big = lightpath_blocking(slot_count + 1, routes[5], archs, phis, stats, slot_count, values)
     assert too_big == 1.0
+
+
+def test_stop_sums_equal_the_opening_loop():
+    """``SolvePlan.evaluate`` adds up each stop's openings by reductions;
+    the opening-by-opening loop of ``oracles.opening_loop_values`` gives
+    the same blockings with ==.  Plans of random route sets of the 28-node
+    chorded ring, under share_per_node:2 and under a mixed map, have stops
+    that close 1 to 8 openings for many passes side by side, and the plan
+    of one 8-hop route alone has a stop where a single pass closes 8
+    openings, a column numpy would sum pairwise if it reduced it alone."""
+    rng = np.random.default_rng(23)
+    g = chorded_ring(3)
+    demands = [DemandSpec(s, d, 0.1, 1.0, {1: 1.0}) for s in g.nodes for d in g.nodes if s != d]
+    routes = route_all(g, demands)
+    stats = crossing_stats(g, routes)
+    shared = uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 2))
+    cycle = [NodeArchitecture(SHARE_PER_NODE, 2), NodeArchitecture(FULL),
+             NodeArchitecture(SHARE_PER_LINK, 1), SIMPLE_NODE]
+    mixed = {v: cycle[v % 4] for v in g.nodes}
+    widths = set()
+    for trial in range(8):
+        archs = mixed if trial % 4 == 3 else shared
+        phis = {link.id: float(x) for link, x in zip(g.links, rng.uniform(0.6, 1.0, len(g.links)))}
+        picked = rng.choice(len(routes), size=int(rng.integers(50, 400)), replace=False)
+        requests = [
+            (routes[i], tuple(sorted(rng.choice(np.arange(1, 6), 2, replace=False).tolist())))
+            for i in picked
+        ]
+        plan = compile_plan(route_grid(requests, g.slot_count), archs, stats)
+        assert plan.evaluate(phis).values == opening_loop_values(plan, phis)
+        widths |= {width for active, width, _ in plan.stops if active > 1}
+    assert widths == set(range(1, 9))
+    longest = [route for route in routes if route.hop_count == 8]
+    assert longest
+    for route in longest[:4]:
+        plan = compile_plan(route_grid([(route, (2,))], g.slot_count), shared, stats)
+        assert [(active, width) for active, width, _ in plan.stops] == [(1, w) for w in range(1, 9)]
+        values = plan.evaluate(phis).values
+        assert values == opening_loop_values(plan, phis)
+        assert values == [stop_walk_blocking(2, route, shared, phis, stats, g.slot_count)]
+        assert 0.0 < values[0] < 1.0
 
 
 @pytest.mark.parametrize("setting", ["share_per_node:2", "mixed"])

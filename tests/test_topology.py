@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from eonspectra.topology import (
     DemandSpec,
     Link,
     NetworkGraph,
+    left_sum,
     load_demands,
     load_topology,
     network_traffic,
@@ -409,6 +411,24 @@ def test_network_traffic():
     for demands_, routes_ in ((other_ends, routes), (demands, []), (demands, routes * 2)):
         with pytest.raises(InputError):
             network_traffic(g, demands_, routes_)
+
+
+def test_float_totals_add_left_to_right():
+    # 1.0 then four 2**-53: each addition rounds back to 1.0 left to right,
+    # while a compensated sum, as the built-in sum from Python 3.12 on,
+    # keeps them and gives 1.0000000000000004
+    terms = [1.0] + [2.0**-53] * 4
+    assert left_sum(terms) == left_sum(iter(terms)) == 1.0
+    assert math.fsum(terms) == 1.0000000000000004
+    assert left_sum([]) == 0.0
+    # the slot-hop total of network_traffic: one demand of load 1 and four
+    # of load 2**-53, each on one hop of a fiber of one slot
+    g = load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 1}], slot_count=1))
+    demands = [DemandSpec(1, 2, 1.0, 1.0, {1: 1.0})] + [DemandSpec(1, 2, 2.0**-53, 1.0, {1: 1.0})] * 4
+    assert network_traffic(g, demands, route_all(g, demands)) == 1.0 / 2
+    # the mean slot count of a pmf, in the pmf's order
+    pmf = {1: 0.5, 2: 0.25, 3: 0.125, 4: 0.125}
+    assert DemandSpec(1, 2, 1.0, 1.0, pmf).mean_slots == left_sum(s * p for s, p in pmf.items())
 
 
 def test_network_traffic_invariant_under_relabeling():
