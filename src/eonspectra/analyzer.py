@@ -13,6 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -92,7 +93,7 @@ def phi_update(
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise InputError("a blocking is not a finite probability in [0, 1]")
     free = compile_routing(graph, demands, routes).update(values)
-    return dict(zip((link.id for link in graph.links), free.tolist()))
+    return dict(enumerate(free.tolist(), 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,24 +102,25 @@ class Routing:
     shares, whatever the architecture map: ``compile_routing`` builds it.
 
     ``routes`` holds one route per demand from its source to its
-    destination, bound to that demand; ``grid`` is the plans' ``RouteGrid``
-    of the (route, slot counts) requests in demand order.  The route-link
-    incidence lists every hop demand by demand, each route in path order:
-    hop i puts demand ``hop_demands[i]`` on link ``hop_links[i]``, a
-    position in ``graph.links``, and ``slot_loads`` holds each demand's
-    offered slot load.  ``reads`` lists the (slot count, route) reads of
-    the plans' values, in demand order and each demand's ``pmf_items``
-    order, with each read's demand in ``owner`` and its pmf weight in
-    ``pmf_weight``.  ``loads`` holds each demand's offered load and
-    ``weight`` their ``left_sum`` (1.0 for none).  The routes'
-    ``CrossingStats`` are counted on first read of ``stats`` unless given.
+    destination, bound to that demand.  The route-link incidence lists
+    every hop demand by demand, each route in path order: hop i puts demand
+    ``hop_demands[i]`` on link ``hop_links[i]``, a position in
+    ``graph.links`` (its id less one), and ``slot_loads`` holds each
+    demand's offered slot load.  ``reads`` lists the (slot count, route)
+    reads of the plans' values, in demand order and each demand's
+    ``pmf_items`` order, with each read's demand in ``owner`` and its pmf
+    weight in ``pmf_weight``.  ``loads`` holds each demand's offered load and
+    ``weight`` their ``left_sum`` (1.0 for none).  The plans'
+    ``RouteGrid`` of the (route, slot counts) requests in demand order is
+    built on first read of ``grid``, and the routes' ``CrossingStats`` on
+    first read of ``stats`` unless given, so a lone link update builds
+    neither.
     """
 
     graph: NetworkGraph
     demands: list[DemandSpec]
     routes: list[RoutedPath]
     given_stats: CrossingStats | None
-    grid: RouteGrid
     slot_loads: np.ndarray
     hop_links: np.ndarray
     hop_demands: np.ndarray
@@ -131,6 +133,11 @@ class Routing:
     @cached_property
     def stats(self) -> CrossingStats:
         return self.given_stats or crossing_stats(self.graph, self.routes)
+
+    @cached_property
+    def grid(self) -> RouteGrid:
+        requests = zip(self.routes, [d.slot_counts for d in self.demands])
+        return route_grid(requests, self.graph.slot_count)
 
     def update(self, blockings) -> np.ndarray:
         """The link update: every link's free probability, in
@@ -159,13 +166,6 @@ def compile_routing(
     slot_loads = [d.offered_load * d.mean_slots for d in demands]
     if not math.isfinite(left_sum(slot_loads)):
         raise DemandError("the demands' summed offered slot load overflows")
-    grid = route_grid(zip(routes, [d.slot_counts for d in demands]), graph.slot_count)
-    # the route-link incidence, read off each demand's row of the route
-    # grid, with the grid's columns as positions in graph.links
-    position = {link.id: i for i, link in enumerate(graph.links)}
-    cells = grid.path[grid.request_route]
-    on_route = cells < len(grid.columns)
-    hop_links = np.array([position[lid] for lid in grid.columns], np.intp)[cells[on_route]]
     items = [d.pmf_items for d in demands]
     loads = [d.offered_load for d in demands]
     return Routing(
@@ -173,10 +173,9 @@ def compile_routing(
         demands,
         routes,
         stats,
-        grid,
         np.array(slot_loads, dtype=float),
-        hop_links,
-        np.nonzero(on_route)[0],
+        np.fromiter(chain.from_iterable(route.link_ids for route in routes), np.intp) - 1,
+        np.repeat(np.arange(len(demands)), [route.hop_count for route in routes]),
         [(s, route) for pmf, route in zip(items, routes) for s, _ in pmf],
         np.repeat(np.arange(len(demands)), list(map(len, items))),
         np.array([p for pmf in items for _, p in pmf], dtype=float),
@@ -215,8 +214,10 @@ def fixed_point(
     graph and demands may share one, passed as ``routing`` in place of
     ``routes`` and ``stats`` (one compiled for another graph or demand
     list raises ``InputError``).  The converter stops (``compile_plan``)
-    are compiled per solve.  An iteration evaluates the plan at the link
-    state and reads it through ``lightpath_blocking`` once per (demand,
+    are compiled per solve.  The link state is one float64 array in
+    ``graph.links`` order, link id i at position i - 1, and the result's
+    ``phis`` is its dict by link id.  An iteration evaluates the plan at
+    it and reads the plan through ``lightpath_blocking`` once per (demand,
     slot count), in demand and ``pmf_items`` order.  One weighted
     ``np.bincount`` adds each demand's ``p * b`` terms in that order from
     0.0, and one more adds the ``load * b`` terms of the network blocking
@@ -236,8 +237,7 @@ def fixed_point(
     if not demands:
         log.warning("network blocking over an empty demand set is 0 by convention")
     update, reads, loads, stats = routing.update, routing.reads, routing.loads, routing.stats
-    plan = compile_plan(routing.grid, archs, stats)
-    link_ids, slot_count = [link.id for link in graph.links], graph.slot_count
+    plan, slot_count = compile_plan(routing.grid, archs, stats), graph.slot_count
 
     rng = np.random.default_rng(config.seed)
     p_net = float(rng.random())
@@ -248,9 +248,8 @@ def fixed_point(
     one_bin = np.zeros(len(demands), np.intp)
     trajectory: list[float] = []
     while True:
-        phis = dict(zip(link_ids, phi.tolist()))
-        memo = plan.evaluate(phis)
-        values = [lightpath_blocking(s, route, archs, phis, stats, slot_count, memo)
+        memo = plan.evaluate(phi)
+        values = [lightpath_blocking(s, route, archs, phi, stats, slot_count, memo)
                   for s, route in reads]
         blockings = np.bincount(routing.owner, routing.pmf_weight * values, len(demands))
         p_prev, p_net = p_net, float(np.bincount(one_bin, loads * blockings, 1)[0]) / weight
@@ -271,7 +270,7 @@ def fixed_point(
             phi_delta,
         )
     return AnalysisResult(
-        phis=phis,
+        phis=dict(enumerate(phi.tolist(), 1)),  # the state evaluated last
         demand_blockings=blockings.tolist(),
         network_blocking_prob=p_net,
         iterations=len(trajectory),

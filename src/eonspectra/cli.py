@@ -4,7 +4,8 @@ Subcommands: ``analyze`` (fixed-point blocking), ``simulate`` (Monte
 Carlo), ``place`` (converter placement), ``sweep`` (blocking vs. traffic
 table) and ``gen-demands`` (random demand sets).  Exit codes: 0 success,
 1 input error, 2 analysis did not converge (the result is still written):
-for ``place``, some trial solve of a placement did not converge.
+for ``place``, any solve of a placement, the baseline included, did not
+converge.
 """
 
 from __future__ import annotations

@@ -22,13 +22,15 @@ nonnegative, so the result is a probability by construction.  Only
 strictly interior nodes can convert: conversion capability at the source
 or destination cannot help a request.
 
-During a fixed point only the link state moves, so every forward pass a
-solve needs, one per route and slot count, is compiled once into the index
-arrays of a ``SolvePlan``, in two halves.  ``route_grid`` compiles what the
-routes alone fix: the passes, and the distinct routes as one grid of their
-links.  ``compile_plan`` compiles the rest once per architecture map with
-array operations: each column's stop code (-1 when the node it leaves does
-not convert, 0 for a full node, else its bank's index), each route's stops
+During a fixed point only the link state moves: a float64 array of the
+links' free probabilities, link i at position i - 1 of ``graph.links``.
+Every forward pass a solve needs, one per route and slot count, is
+compiled once into the index arrays of a ``SolvePlan``, in two halves.
+``route_grid`` compiles what the routes alone fix: the passes, and the
+distinct routes as one grid of their links' positions.  ``compile_plan``
+compiles the rest once per architecture map with array operations: each
+column's stop code (-1 when the node it leaves does not convert, 0 for a
+full node, else its bank's index), each route's stops
 (its converting interior nodes, then the destination as a full stop) and
 each stop's openings, where the segments closing there start: the last
 full stop before it (or the source), then the shared stops since.  Each
@@ -39,10 +41,11 @@ rows, so two cells share a row exactly when their segments cross the same
 links.  The passes, ordered by their number of stops so that those still
 running at a stop are a prefix, take their routes' columns of a grid with
 a row per stop and of one with a row per (stop, opening).  Each iteration
-``SolvePlan.evaluate`` computes the success of every (slot count, table
-row) pair in one array call of ``run_probability`` and the availability
-of every bank, then runs the passes side by side, stop by stop: it forms
-the blocked mass avail * mass * failure and the closed mass mass *
+``SolvePlan.evaluate`` gathers its links from that array, computes the
+success of every (slot count, table row) pair in one array call of
+``run_probability`` and the availability of every bank, then runs the
+passes side by side, stop by stop: it forms the blocked mass
+avail * mass * failure and the closed mass mass *
 success of every (opening, pass) at once and adds each up in opening
 order, so every pass gets the float operations of its scalar walk in the
 same order.  The padding that lines the passes up adds only exact zeros
@@ -235,7 +238,7 @@ def share_per_link_availability(n_sc: int, n_port: int, s_port: float, phi_port:
 
 
 # per bank index from 1: the n_sc, transit routes, slot total and port
-# shares that ``share_per_link_availability`` takes
+# shares (ports by position) that ``share_per_link_availability`` takes
 BankArgs = tuple[int, int, float, tuple[tuple[int, float], ...]]
 
 # one forward pass: the slot count of its requests and its route's link ids
@@ -273,14 +276,15 @@ class SolvePlan:
     ``segment[i]``, ordered by slot count and then by row, so ``sizes`` is
     nondecreasing; one padding entry of 1.0 follows.
 
-    The segment table lists the link ids its rows cross in ``columns``; row
-    i of ``hops`` holds segment i's columns in path order, padded with
-    ``len(columns)``, a column whose free probability is always 1.0.
-    ``banks`` holds the ``BankArgs`` of the banks the stops name.
+    The segment table lists the positions of the links its rows cross in
+    ``columns``; row i of ``hops`` holds segment i's columns in path order,
+    padded with ``len(columns)``, a column whose free probability is
+    always 1.0.  ``banks`` holds the ``BankArgs`` of the banks the stops
+    name.
     """
 
     slot_count: int
-    columns: tuple[int, ...]
+    columns: np.ndarray
     hops: np.ndarray
     sizes: np.ndarray
     segment: np.ndarray
@@ -291,8 +295,9 @@ class SolvePlan:
     closes: np.ndarray
     draws: np.ndarray
 
-    def evaluate(self, phis: LinkFreeProbs) -> PlanValues:
-        """Every forward pass of the plan at link state ``phis``.  A row's
+    def evaluate(self, link_state: np.ndarray) -> PlanValues:
+        """Every forward pass of the plan at ``link_state``, the links'
+        free probabilities in ``graph.links`` order.  A row's
         success takes the product of its links' free probabilities column
         by column in path order, and a bank's availability the same
         ``share_per_link_availability`` arguments as a scalar call.
@@ -301,7 +306,7 @@ class SolvePlan:
         blocking so far) and its closed rows in opening order by one
         ``np.add.reduce`` over both side by side: numpy sums a lone column
         pairwise from 8 rows on.  Tests check that order."""
-        phi = np.array([phis[lid] for lid in self.columns] + [1.0])
+        phi = np.concatenate((link_state[self.columns], np.ones(1)))
         rho = phi[self.hops[:, 0]]
         for column in self.hops[:, 1:].T:
             rho = rho * phi[column]
@@ -309,11 +314,12 @@ class SolvePlan:
             (run_probability(self.sizes, self.slot_count, rho[self.segment]), np.ones(1))
         )[self.closes]
         failure = 1.0 - success
+        free = link_state.tolist()
         availability = np.array(
             [1.0]
             + [
                 share_per_link_availability(
-                    n_sc, paths, slots, math.fsum(share * phis[j] for j, share in shares)
+                    n_sc, paths, slots, math.fsum(share * free[j] for j, share in shares)
                 )
                 for n_sc, paths, slots, shares in self.banks
             ]
@@ -466,8 +472,8 @@ class RouteGrid:
     ``path`` is the route grid: a row per distinct route, numbered in
     order of first request, with its links as columns in path order,
     padded with ``len(columns)``; route r crosses ``hops[r]`` links.
-    ``columns`` holds the link ids the routes cross, ascending.
-    ``request_route[k]`` is the number of request k's route.  ``index``
+    ``columns`` holds the positions of the links the routes cross,
+    ascending.  ``index``
     numbers every forward pass, a (slot count, link ids) pair with a slot
     count of at most ``slot_count``, once in request order; pass i is for
     ``sizes[i]`` slots on route ``pass_route[i]``.  A route whose every
@@ -479,12 +485,11 @@ class RouteGrid:
     slot_count: int
     index: dict[PassKey, int]
     sizes: np.ndarray
-    columns: tuple[int, ...]
+    columns: np.ndarray
     path: np.ndarray
     hops: np.ndarray
     pass_route: np.ndarray
     exits: dict[int, list[int]]
-    request_route: np.ndarray
 
 
 def route_grid(requests, slot_count: int) -> RouteGrid:
@@ -492,15 +497,13 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
     counts in ascending order) pairs: one pass per route and slot count up
     to ``slot_count``, each once however many requests share it.  Each
     request's link ids are hashed once to find its route's number, and
-    once per pass to key it; a table indexed by link id numbers the
+    once per pass to key it; a table indexed by link position numbers the
     columns."""
     route_of: dict[tuple[int, ...], tuple[int, RoutedPath]] = {}  # link ids -> (number, route)
-    request_route: list[int] = []
     index: dict[PassKey, int] = {}
     pass_route: list[int] = []
     for route, sizes in requests:
         number = route_of.setdefault(route.link_ids, (len(route_of), route))[0]
-        request_route.append(number)
         for s in sizes:
             if s > slot_count:
                 break
@@ -510,10 +513,10 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
     # the route grid: route by route, its links as columns in path order,
     # padded with len(columns)
     lengths = np.fromiter(map(len, route_of), np.intp, len(route_of))
-    ids = np.fromiter(chain.from_iterable(route_of), np.intp, lengths.sum())
-    crossed = np.zeros(ids.max(initial=0) + 1, dtype=bool)
-    crossed[ids] = True
-    columns, column = np.flatnonzero(crossed), (np.cumsum(crossed) - 1)[ids]
+    links = np.fromiter(chain.from_iterable(route_of), np.intp, lengths.sum()) - 1
+    crossed = np.zeros(links.max(initial=-1) + 1, dtype=bool)
+    crossed[links] = True
+    columns, column = np.flatnonzero(crossed), (np.cumsum(crossed) - 1)[links]
     pad = len(columns)
     on_route = np.arange(lengths.max(initial=0)) < lengths[:, None]
     path = np.full(on_route.shape, pad, dtype=np.intp)
@@ -535,12 +538,11 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
         slot_count,
         index,
         np.fromiter((s for s, _ in index), np.intp, len(index)),
-        tuple(columns.tolist()),
+        columns,
         path,
         lengths,
         np.array(pass_route, dtype=np.intp),
         exits,
-        np.array(request_route, dtype=np.intp),
     )
 
 
@@ -570,14 +572,15 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
         if not arch.converts:
             continue
         for c in grid.exits.get(node, ()):
-            bank = bank_key(node, grid.columns[c], arch)
+            bank = bank_key(node, int(grid.columns[c]) + 1, arch)
             if bank is None:
                 code[c] = 0
                 continue
             index = bank_index.get(bank)
             if index is None:
                 index = bank_index[bank] = len(banks) + 1
-                banks.append((arch.n_sc, stats.paths[bank], stats.slots[bank], stats.shares[bank]))
+                ports = tuple((j - 1, share) for j, share in stats.shares[bank])
+                banks.append((arch.n_sc, stats.paths[bank], stats.slots[bank], ports))
             code[c] = index
 
     depth, has, bank, width, stop_node = _stops(path, grid.hops, code)
@@ -641,7 +644,7 @@ def lightpath_blocking(
     min_run: int,
     path: RoutedPath,
     archs: ArchitectureMap,
-    phis: LinkFreeProbs,
+    phis: LinkFreeProbs | np.ndarray,
     stats: CrossingStats,
     slot_count: int,
     memo: PlanValues | None = None,
@@ -661,14 +664,17 @@ def lightpath_blocking(
 
     ``memo`` is the solve's ``SolvePlan`` evaluated at ``phis`` and
     compiled from ``archs`` and ``stats``, with ``path`` and ``min_run``
-    among its requests; without one, the call compiles and evaluates a plan
-    of ``path`` alone.
+    among its requests.  Without one, the call compiles a plan of ``path``
+    alone and reads the links it needs from ``phis``, a dict by link id.
     """
     if min_run > slot_count:
         return 1.0
     if memo is None:
-        grid = route_grid([(path, (min_run,))], slot_count)
-        memo = compile_plan(grid, archs, stats).evaluate(phis)
+        plan = compile_plan(route_grid([(path, (min_run,))], slot_count), archs, stats)
+        read = plan.columns.tolist() + [j for *_, ports in plan.banks for j, _ in ports]
+        link_state = np.zeros(max(read, default=-1) + 1)
+        link_state[read] = [phis[j + 1] for j in read]
+        memo = plan.evaluate(link_state)
     return memo.values[memo.index[min_run, path.link_ids]]
 
 

@@ -141,7 +141,7 @@ def place_heuristic(
     base = dict(base_archs or {})
     candidates = _candidates(graph, inventory, base)
     score = _scorer(graph, demands, config)
-    _, [(baseline, _)] = score([base])
+    _, [(baseline, converged)] = score([base])
     ranked = rank_inventory(inventory, graph)
 
     assignment: dict[int, NodeArchitecture] = {}
@@ -160,7 +160,7 @@ def place_heuristic(
         evaluations=sum(len(step.candidates) for step in steps),
         ranked=ranked,
         method="heuristic",
-        all_converged=all(c for step in steps for _, _, c in step.candidates),
+        all_converged=converged and all(c for step in steps for _, _, c in step.candidates),
     )
 
 
@@ -202,7 +202,7 @@ def place_brute_force(
     if total > guard:
         raise InputError(f"brute force would need {total} evaluations (guard {guard})")
     score = _scorer(graph, demands, config)
-    _, [(baseline, _)] = score([base])
+    _, [(baseline, converged)] = score([base])
 
     orders = list(_distinct_orders(inventory))
     assignments = [
@@ -217,5 +217,5 @@ def place_brute_force(
         evaluations=len(assignments),
         ranked=rank_inventory(inventory, graph),
         method="brute-force",
-        all_converged=all(converged for _, converged in scores),
+        all_converged=converged and all(c for _, c in scores),
     )

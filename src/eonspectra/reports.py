@@ -93,7 +93,7 @@ def write_analysis(out_path, fmt, result, graph, demands, routes) -> None:
                 "link": link.id,
                 "tail": graph.label_of(link.tail),
                 "head": graph.label_of(link.head),
-                "phi": result.phis.get(link.id, 1.0),
+                "phi": result.phis[link.id],
             }
             for link in graph.links
         ],

@@ -116,7 +116,7 @@ _new = tuple.__new__
 class NetworkState:
     """Mutable spectrum and converter-bank state of one replication.
 
-    ``occupied[link id]`` is that link's slot bitmask.
+    ``occupied[link id]`` is that link's slot bitmask (entry 0 is unused).
     ``converters`` maps (node, exit link id) to the ``bank_key`` of the
     bank that grants a conversion there, the same bank the analytic engine
     counts, or None for a full node, which has no finite bank; nodes
@@ -125,7 +125,7 @@ class NetworkState:
 
     def __init__(self, graph: NetworkGraph, archs: ArchitectureMap):
         self.full_mask = (1 << graph.slot_count) - 1
-        self.occupied = [0] * (max((link.id for link in graph.links), default=-1) + 1)
+        self.occupied = [0] * (len(graph.links) + 1)
         self.converters: dict[tuple[int, int], Bank | None] = {}
         self.bank_capacity: dict[Bank, int] = {}
         for node in graph.nodes:

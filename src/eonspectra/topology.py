@@ -41,7 +41,8 @@ class NetworkGraph:
     """Weighted directed graph of optical nodes, every fiber carrying
     ``slot_count`` spectrum slots.
 
-    ``labels[i - 1]`` is the original label of node ``i``.
+    ``labels[i - 1]`` is the original label of node ``i`` and
+    ``links[i - 1]`` the link with id ``i``.
     """
 
     labels: list
@@ -56,7 +57,9 @@ class NetworkGraph:
         n = len(self.labels)
         pairs = {}
         out: dict[int, list[Link]] = {v: [] for v in range(1, n + 1)}
-        for link in self.links:
+        for i, link in enumerate(self.links, 1):
+            if link.id != i:
+                raise TopologyParseError(f"link {i} has id {link.id!r}")
             if not (1 <= link.tail <= n) or not (1 <= link.head <= n):
                 raise MissingNodeError(f"link {link.id} references unknown node")
             if link.tail == link.head:

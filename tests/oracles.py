@@ -361,12 +361,12 @@ def stop_walk_blocking(min_run: int, path, archs, phis, stats, slot_count: int) 
     return blocked
 
 
-def opening_loop_values(plan, phis) -> list[float]:
-    """The blockings of ``SolvePlan.evaluate`` with each stop's openings
-    added up by a Python loop, one opening at a time into a zeroed buffer,
-    as the plans were evaluated before the stop sums became reductions:
-    the reference those reductions must match with ==."""
-    phi = np.array([phis[lid] for lid in plan.columns] + [1.0])
+def opening_loop_values(plan, link_state) -> list[float]:
+    """The blockings of ``SolvePlan.evaluate`` at ``link_state`` with each
+    stop's openings added up by a Python loop, one opening at a time into a
+    zeroed buffer, as the plans were evaluated before the stop sums became
+    reductions: the reference those reductions must match with ==."""
+    phi = np.array([link_state[j] for j in plan.columns] + [1.0])
     rho = phi[plan.hops[:, 0]]
     for column in plan.hops[:, 1:].T:
         rho = rho * phi[column]
@@ -378,7 +378,7 @@ def opening_loop_values(plan, phis) -> list[float]:
         [1.0]
         + [
             share_per_link_availability(
-                n_sc, paths, slots, math.fsum(share * phis[j] for j, share in shares)
+                n_sc, paths, slots, math.fsum(share * float(link_state[j]) for j, share in shares)
             )
             for n_sc, paths, slots, shares in plan.banks
         ]
@@ -604,3 +604,12 @@ def chorded_ring(seed: int, nodes: int = 28, span: int = 3, slot_count: int = 16
             ],
         }
     )
+
+
+def link_state(phis) -> np.ndarray:
+    """``phis``, a dict by link id, as the link-state array that
+    ``SolvePlan.evaluate`` takes: link id i at position i - 1, and NaN at
+    every position the dict has no id for, so reading one shows."""
+    state = np.full(max(phis), np.nan)
+    state[[lid - 1 for lid in phis]] = list(phis.values())
+    return state

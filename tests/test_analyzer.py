@@ -38,7 +38,7 @@ from eonspectra.topology import (
 )
 from eonspectra.fixtures import generate_demands, nsf14, nsf14_demands, sixnode
 
-from oracles import chorded_ring
+from oracles import chorded_ring, link_state
 
 
 def line(nodes, slot_count=10):
@@ -173,6 +173,18 @@ def test_phi_update_counts_no_crossing_stats(monkeypatch):
     assert len(calls) == 1
     given = compile_routing(g, demands, routes, expected)
     assert given.stats is expected and len(calls) == 1
+
+
+def test_routing_incidence_is_the_routes_link_positions_in_demand_order():
+    # read straight off the routes, with no route grid built for it
+    for g in (nsf14(), chorded_ring(2)):
+        demands = generate_demands(g, seed=3, slots_range=(1, 2))
+        routes = route_all(g, demands)
+        routing = compile_routing(g, demands, routes)
+        hops = [(k, g.links.index(link)) for k, route in enumerate(routes) for link in route.links]
+        assert list(zip(routing.hop_demands.tolist(), routing.hop_links.tolist())) == hops
+        assert "grid" not in vars(routing)
+        assert routing.grid is routing.grid
 
 
 def test_fixed_point_no_demands():
@@ -411,7 +423,7 @@ def test_demands_on_one_route_each_read_their_own_passes():
     assert result.converged
     for demand, route, got in zip(demands, routes, result.demand_blockings):
         assert got == demand_blocking(demand, route, archs, result.phis, stats, g.slot_count)
-    memo = plan.evaluate(result.phis)
+    memo = plan.evaluate(link_state(result.phis))
     for s in (1, 2, 3):
         alone = lightpath_blocking(s, routes[0], archs, result.phis, stats, g.slot_count)
         assert lightpath_blocking(s, routes[1], archs, result.phis, stats, g.slot_count, memo) == alone

@@ -14,7 +14,7 @@ from eonspectra.cli import (
     parse_converter_spec,
 )
 from eonspectra.errors import InputError
-from eonspectra.fixtures import demands_document
+from eonspectra.fixtures import demands_document, generate_demands
 from eonspectra.lightpath import FULL, SHARE_PER_NODE, NodeArchitecture, load_architectures
 from eonspectra.topology import (
     load_demands,
@@ -217,14 +217,18 @@ def test_place_reports_steps_and_assignment(inputs):
 
 
 def test_place_baseline_only(inputs):
+    # undamped, the square's baseline orbits (its network blocking
+    # alternates between about 0.085 and 0.349), and with nothing to place
+    # it is the only solve, so the placement exits 2
     tmp, topo, demands, _ = inputs
     out = tmp / "place.json"
     code = main([
         "place", "--topology", str(topo), "--demands", str(demands),
         "--out", str(out), "--converters", "", "--format", "json",
     ])
-    assert code == 0
+    assert code == 2
     doc = json.loads(out.read_text())
+    assert doc["all_converged"] is False
     assert doc["assignment"] == []
     assert doc["evaluations"] == 0
     assert doc["achieved_blocking"] == pytest.approx(doc["baseline_blocking"])
@@ -552,6 +556,27 @@ def test_place_unconverged_trials_exit_2_with_output(tmp_path):
     manifest = json.loads((tmp_path / "place.manifest.json").read_text())
     assert manifest["parameters"]["all_converged"] is False
     assert manifest["parameters"]["damping"] == 1.0
+
+
+def test_place_unconverged_baseline_exits_2_with_output(tmp_path):
+    # NSF at T = 0.4 with nothing to place: the baseline is the only solve,
+    # and undamped it orbits (its last network delta is about 0.48), so the
+    # placement reports a baseline blocking that is an iterate
+    topo, _ = _nsf_files(tmp_path)
+    graph = load_topology(topo.read_text())
+    demands = tmp_path / "demands.json"
+    demands.write_text(demands_document(graph, generate_demands(graph, seed=1, traffic_target=0.4)))
+    out = tmp_path / "place.json"
+    code = main([
+        "place", "--topology", str(topo), "--demands", str(demands), "--out", str(out),
+        "--converters", "", "--max-iter", "50", "--format", "json",
+    ])
+    assert code == 2
+    doc = json.loads(out.read_text())
+    assert doc["all_converged"] is False
+    assert doc["evaluations"] == 0 and doc["assignment"] == []
+    manifest = json.loads((tmp_path / "place.manifest.json").read_text())
+    assert manifest["parameters"]["all_converged"] is False
 
 
 def test_analyze_long_all_full_line_exits_0(tmp_path):

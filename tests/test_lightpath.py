@@ -33,6 +33,7 @@ from oracles import (
     converter_availability,
     converter_layout,
     exact_lightpath_blocking,
+    link_state,
     mc_segmented_blocking,
     opening_loop_values,
     segment_success_prob,
@@ -249,6 +250,26 @@ def test_bank_with_zero_availability_blocks_like_a_simple_node():
             assert 0.0 < got < 1.0
 
 
+def test_single_call_reads_only_the_links_of_its_plan():
+    # without a solve's memo the call fills a link state from its dict at
+    # the route's links and the bank's ports: a sparse dict works, one
+    # lacking a route link or a bank port raises
+    path = line_path(3)
+    archs = {2: NodeArchitecture(SHARE_PER_NODE, 1), 3: NodeArchitecture(FULL)}
+    stats = CrossingStats(
+        paths={("node", 2): 2}, slots={("node", 2): 3.0}, shares={("node", 2): ((9, 1.0),)}
+    )
+    phis = {1: 0.9, 2: 0.7, 3: 0.8, 9: 0.6}
+    for s in (1, 2, 3):
+        got = lightpath_blocking(s, path, archs, phis, stats, 4)
+        assert got == stop_walk_blocking(s, path, archs, phis, stats, 4)
+        assert 0.0 < got < 1.0
+    for missing in (2, 9):
+        sparse = {lid: phi for lid, phi in phis.items() if lid != missing}
+        with pytest.raises(KeyError):
+            lightpath_blocking(2, path, archs, sparse, stats, 4)
+
+
 def test_blocking_request_larger_than_fiber():
     stats = empty_stats(2)
     assert lightpath_blocking(5, TWO_HOP, {}, PHIS_HALF, stats, 3) == 1.0
@@ -386,7 +407,8 @@ def test_array_passes_equal_the_scalar_stop_walk():
             count = int(rng.integers(1, 4))
             sizes = tuple(sorted(rng.choice(np.arange(1, slot_count + 3), count, replace=False).tolist()))
             requests.append((path, sizes))
-        memo = compile_plan(route_grid(requests, slot_count), archs, stats).evaluate(phis)
+        plan = compile_plan(route_grid(requests, slot_count), archs, stats)
+        memo = plan.evaluate(link_state(phis))
         for path, sizes in requests:
             kinds_on = [archs.get(v, SIMPLE_NODE).kind for v in path.nodes[1:-1]]
             free = [
@@ -445,8 +467,8 @@ def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
     slot_count, demands, routes, stats, archs, phis = _long_routes(setting)
     grid = route_grid(((r, d.slot_counts) for d, r in zip(demands, routes)), slot_count)
     plan = compile_plan(grid, archs, stats)
-    values = plan.evaluate(phis)
-    again = plan.evaluate({lid: phi / 2 for lid, phi in phis.items()})
+    values = plan.evaluate(link_state(phis))
+    again = plan.evaluate(link_state({lid: phi / 2 for lid, phi in phis.items()}))
     assert values.index is again.index is plan.index
     assert values.values != again.values
 
@@ -495,7 +517,8 @@ def test_stop_sums_equal_the_opening_loop():
             for i in picked
         ]
         plan = compile_plan(route_grid(requests, g.slot_count), archs, stats)
-        assert plan.evaluate(phis).values == opening_loop_values(plan, phis)
+        state = link_state(phis)
+        assert plan.evaluate(state).values == opening_loop_values(plan, state)
         widths |= {width for active, width, _ in plan.stops if active > 1}
     assert widths == set(range(1, 9))
     longest = [route for route in routes if route.hop_count == 8]
@@ -503,8 +526,8 @@ def test_stop_sums_equal_the_opening_loop():
     for route in longest[:4]:
         plan = compile_plan(route_grid([(route, (2,))], g.slot_count), shared, stats)
         assert [(active, width) for active, width, _ in plan.stops] == [(1, w) for w in range(1, 9)]
-        values = plan.evaluate(phis).values
-        assert values == opening_loop_values(plan, phis)
+        values = plan.evaluate(state).values
+        assert values == opening_loop_values(plan, state)
         assert values == [stop_walk_blocking(2, route, shared, phis, stats, g.slot_count)]
         assert 0.0 < values[0] < 1.0
 
@@ -517,14 +540,14 @@ def test_request_order_leaves_every_blocking_unchanged(setting):
     slot_count, demands, routes, stats, archs, phis = _long_routes(setting)
     requests = [(r, d.slot_counts) for d, r in zip(demands, routes)]
     plan = compile_plan(route_grid(requests, slot_count), archs, stats)
-    values = plan.evaluate(phis)
+    values = plan.evaluate(link_state(phis))
     expected = {key: values.values[i] for key, i in plan.index.items()}
     rng = np.random.default_rng(5)
     for _ in range(3):
         shuffled = [requests[i] for i in rng.permutation(len(requests))]
         other = compile_plan(route_grid(shuffled, slot_count), archs, stats)
         assert list(other.index) != list(plan.index)
-        got = other.evaluate(phis)
+        got = other.evaluate(link_state(phis))
         assert {key: got.values[i] for key, i in other.index.items()} == expected
 
 
@@ -571,7 +594,7 @@ def test_array_compile_at_its_edges_equals_the_stop_walk():
         plan = compile_plan(route_grid(requests, slot_count), archs, stats)
         base = len(plan.columns) + 1
         assert base == 64 and base ** plan.hops.shape[1] > 2**63  # the packing must re-rank
-        memo = plan.evaluate(phis)
+        memo = plan.evaluate(link_state(phis))
         for path, sizes in requests:
             kinds_on = [archs.get(v, SIMPLE_NODE).kind for v in path.nodes[1:-1]]
             seen["full between shared"] += any(

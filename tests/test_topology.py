@@ -60,6 +60,21 @@ def test_string_labels_map_to_dense_ids():
     assert g.label_of(3) == "nyc"
 
 
+@pytest.mark.parametrize(
+    "ids", [(1, 3, 4), (1, 2, 2), (2, 1, 3), (1, 2, 10**6)], ids=["gap", "repeat", "swapped", "huge"]
+)
+def test_graph_rejects_link_ids_out_of_place(ids):
+    # a link's id is its place in graph.links counted from 1, so arrays over
+    # the links are indexed by id - 1 and sized by the link count
+    ends = [(1, 2), (2, 3), (3, 1)]
+    with pytest.raises(TopologyParseError, match="has id"):
+        NetworkGraph(labels=[1, 2, 3], links=[Link(i, *e, 1.0) for i, e in zip(ids, ends)],
+                     slot_count=4)
+    g = NetworkGraph(labels=[1, 2, 3], links=[Link(i, *e, 1.0) for i, e in enumerate(ends, 1)],
+                     slot_count=4)
+    assert [link.id for link in g.links] == [1, 2, 3]
+
+
 def test_rejects_bad_documents():
     with pytest.raises(TopologyParseError):
         load_topology("{not json")
