@@ -25,35 +25,36 @@ or destination cannot help a request.
 During a fixed point only the link state moves: a float64 array of the
 links' free probabilities, link i at position i - 1 of ``graph.links``.
 Every forward pass a solve needs, one per route and slot count, is
-compiled once into the index arrays of a ``SolvePlan``, in two halves.
-``route_grid`` compiles what the routes alone fix: the passes, and the
-distinct routes as one grid of their links' positions.  ``compile_plan``
-compiles the rest once per architecture map with array operations: each
-column's stop code (-1 when the node it leaves does not convert, 0 for a
-full node, else its bank's index), each route's stops
-(its converting interior nodes, then the destination as a full stop) and
-each stop's openings, where the segments closing there start: the last
-full stop before it (or the source), then the shared stops since.  Each
-(stop, opening) cell's segment is packed into an int64, link by link in
-base ``len(columns) + 1`` (re-ranked with ``np.unique`` whenever the next
-link could overflow), and ``np.unique`` of the codes numbers the table
-rows, so two cells share a row exactly when their segments cross the same
-links.  The passes, ordered by their number of stops so that those still
-running at a stop are a prefix, take their routes' columns of a grid with
-a row per stop and of one with a row per (stop, opening).  Each iteration
-``SolvePlan.evaluate`` gathers its links from that array, computes the
-success of every (slot count, table row) pair in one array call of
-``run_probability`` and the availability of every bank, then runs the
-passes side by side, stop by stop: it forms the blocked mass
-avail * mass * failure and the closed mass mass *
-success of every (opening, pass) at once and adds each up in opening
-order, so every pass gets the float operations of its scalar walk in the
-same order.  The padding that lines the passes up adds only exact zeros
-(an opening a pass lacks holds mass 0.0 and reads success 1.0), and a
-stop that is never or always free scales the masses by exactly 1.0 or
-0.0, so every blocking equals the scalar walk's bit for bit.  A single
-call without a solve compiles a plan of its own route, so every blocking
-comes from the same pass.
+compiled once into the index arrays of a ``SolvePlan``, in two halves,
+both naming each link by that position.  ``route_grid`` compiles what the
+routes alone fix: the passes, and the distinct routes as one grid of
+their links' positions, padded with ``pad``, one past the largest
+position they cross.  ``compile_plan`` compiles the rest once per
+architecture map with array operations: each link's stop code (-1 when
+the node it leaves does not convert, 0 for a full node, else its bank's
+index), each route's stops (its converting interior nodes, then the
+destination as a full stop) and each stop's openings, where the segments
+closing there start: the last full stop before it (or the source), then
+the shared stops since.  Each (stop, opening) cell's segment is packed
+into an int64, link by link in base ``pad + 1`` (re-ranked with
+``np.unique`` whenever the next link could overflow), and ``np.unique``
+of the codes numbers the table rows, so two cells share a row exactly
+when their segments cross the same links.  The passes, ordered by their
+number of stops so that those still running at a stop are a prefix, take
+their routes' columns of a grid with a row per stop and of one with a row
+per (stop, opening).  Each iteration ``SolvePlan.evaluate`` reads the
+first ``pad`` links of that array, computes the success of every (slot
+count, table row) pair in one array call of ``run_probability`` and the
+availability of every bank, then runs the passes side by side, stop by
+stop: it forms the blocked mass avail * mass * failure and the closed
+mass mass * success of every (opening, pass) at once and adds each up one
+opening at a time, in opening order, so every pass gets the float
+operations of its scalar walk in the same order.  The padding that lines
+the passes up adds only exact zeros (an opening a pass lacks holds mass
+0.0 and reads success 1.0), and a stop that is never or always free
+scales the masses by exactly 1.0 or 0.0, so every blocking equals the
+scalar walk's bit for bit.  A single call without a solve compiles a plan
+of its own route, so every blocking comes from the same pass.
 """
 
 from __future__ import annotations
@@ -276,15 +277,15 @@ class SolvePlan:
     ``segment[i]``, ordered by slot count and then by row, so ``sizes`` is
     nondecreasing; one padding entry of 1.0 follows.
 
-    The segment table lists the positions of the links its rows cross in
-    ``columns``; row i of ``hops`` holds segment i's columns in path order,
-    padded with ``len(columns)``, a column whose free probability is
-    always 1.0.  ``banks`` holds the ``BankArgs`` of the banks the stops
-    name.
+    Row i of the segment table ``hops`` holds the positions in
+    ``graph.links`` of segment i's links in path order, padded with
+    ``pad``, one past the largest position any route crosses, where
+    ``evaluate`` reads a free probability of 1.0.  ``banks`` holds the
+    ``BankArgs`` of the banks the stops name.
     """
 
     slot_count: int
-    columns: np.ndarray
+    pad: int
     hops: np.ndarray
     sizes: np.ndarray
     segment: np.ndarray
@@ -302,11 +303,9 @@ class SolvePlan:
         by column in path order, and a bank's availability the same
         ``share_per_link_availability`` arguments as a scalar call.
 
-        A stop wider than 1 adds up its blocked rows (the first holding the
-        blocking so far) and its closed rows in opening order by one
-        ``np.add.reduce`` over both side by side: numpy sums a lone column
-        pairwise from 8 rows on.  Tests check that order."""
-        phi = np.concatenate((link_state[self.columns], np.ones(1)))
+        Each stop adds its blocked masses to the blocking so far and its
+        closed masses up one opening at a time, in opening order."""
+        phi = np.concatenate((link_state[: self.pad], np.ones(1)))
         rho = phi[self.hops[:, 0]]
         for column in self.hops[:, 1:].T:
             rho = rho * phi[column]
@@ -337,10 +336,11 @@ class SolvePlan:
             end = row + width * active
             lost = avail * block * failure[row:end].reshape(width, active)
             kept = block * success[row:end].reshape(width, active)
-            lost[0] += head
-            if width > 1:  # both added up in opening order, side by side
-                lost, kept = np.add.reduce(np.concatenate((lost, kept), 1), 0).reshape(2, 1, -1)
-            head[:], closed = lost[0], kept[0]
+            head += lost[0]
+            closed = kept[0]
+            for o in range(1, width):
+                head += lost[o]
+                closed += kept[o]
             block *= busy[stop : stop + active]
             masses.reshape(-1)[targets] = avail * closed
             row = end
@@ -361,7 +361,7 @@ def _stops(
     path: np.ndarray, hops: np.ndarray, code: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The stops of the routes of the route grid ``path``, route r crossing
-    ``hops[r]`` links, where ``code`` gives each column's stop code (-1 for
+    ``hops[r]`` links, where ``code`` gives each link's stop code (-1 for
     the pad): the converting interior nodes, then the destination as a full
     stop.
 
@@ -431,9 +431,9 @@ def _segment_rows(
     route grid ``path`` padded with ``pad``.
 
     Returns the grid of each cell's table row, -1 where a route has no such
-    cell, and the table: row i holds segment i's columns in path order,
-    padded with ``pad``.  Two cells share a row exactly when their segments
-    cross the same links.
+    cell, and the table: row i holds segment i's link positions in path
+    order, padded with ``pad``.  Two cells share a row exactly when their
+    segments cross the same links.
     """
     # each segment's links packed link by link as digits 1..pad in base
     # pad + 1, and 0 past its end, so that no two link sequences share a
@@ -470,22 +470,21 @@ class RouteGrid:
     ``compile_plan`` over the same requests shares it.
 
     ``path`` is the route grid: a row per distinct route, numbered in
-    order of first request, with its links as columns in path order,
-    padded with ``len(columns)``; route r crosses ``hops[r]`` links.
-    ``columns`` holds the positions of the links the routes cross,
-    ascending.  ``index``
-    numbers every forward pass, a (slot count, link ids) pair with a slot
-    count of at most ``slot_count``, once in request order; pass i is for
-    ``sizes[i]`` slots on route ``pass_route[i]``.  A route whose every
-    slot count exceeds ``slot_count`` has a row but no pass.  ``exits``
-    maps each node to the columns that leave it at an interior hop of a
-    route, the only places where it can convert.
+    order of first request, with the positions of its links in
+    ``graph.links`` in path order, padded with ``pad``, one past the
+    largest position the routes cross; route r crosses ``hops[r]`` links.
+    ``index`` numbers every forward pass, a (slot count, link ids) pair
+    with a slot count of at most ``slot_count``, once in request order;
+    pass i is for ``sizes[i]`` slots on route ``pass_route[i]``.  A route
+    whose every slot count exceeds ``slot_count`` has a row but no pass.
+    ``exits`` maps each node to the positions of the links that leave it
+    at an interior hop of a route, the only places where it can convert.
     """
 
     slot_count: int
     index: dict[PassKey, int]
     sizes: np.ndarray
-    columns: np.ndarray
+    pad: int
     path: np.ndarray
     hops: np.ndarray
     pass_route: np.ndarray
@@ -497,8 +496,7 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
     counts in ascending order) pairs: one pass per route and slot count up
     to ``slot_count``, each once however many requests share it.  Each
     request's link ids are hashed once to find its route's number, and
-    once per pass to key it; a table indexed by link position numbers the
-    columns."""
+    once per pass to key it."""
     route_of: dict[tuple[int, ...], tuple[int, RoutedPath]] = {}  # link ids -> (number, route)
     index: dict[PassKey, int] = {}
     pass_route: list[int] = []
@@ -510,20 +508,17 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
             if index.setdefault((s, route.link_ids), len(pass_route)) == len(pass_route):
                 pass_route.append(number)
 
-    # the route grid: route by route, its links as columns in path order,
-    # padded with len(columns)
+    # the route grid: route by route, its links' positions in path order,
+    # padded with pad (a Python int, so that powers of it do not wrap)
     lengths = np.fromiter(map(len, route_of), np.intp, len(route_of))
     links = np.fromiter(chain.from_iterable(route_of), np.intp, lengths.sum()) - 1
-    crossed = np.zeros(links.max(initial=-1) + 1, dtype=bool)
-    crossed[links] = True
-    columns, column = np.flatnonzero(crossed), (np.cumsum(crossed) - 1)[links]
-    pad = len(columns)
+    pad = int(links.max(initial=-1)) + 1
     on_route = np.arange(lengths.max(initial=0)) < lengths[:, None]
     path = np.full(on_route.shape, pad, dtype=np.intp)
-    path[on_route] = column
+    path[on_route] = links
 
-    # the node each interior column leaves, read off a (route, hop) where
-    # the column leaves an interior node
+    # the node each interior link leaves, read off a (route, hop) where
+    # the link leaves an interior node
     inside = path[:, 1:].ravel()
     at = np.full(pad + 1, -1, dtype=np.intp)
     at[inside] = np.arange(len(inside))
@@ -538,7 +533,7 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
         slot_count,
         index,
         np.fromiter((s for s, _ in index), np.intp, len(index)),
-        columns,
+        pad,
         path,
         lengths,
         np.array(pass_route, dtype=np.intp),
@@ -550,7 +545,7 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
     """Compile the stops of every forward pass of ``grid`` under
     ``archs``: the half of a plan that the architecture map fixes.
 
-    A converting node's stop is resolved once per exit column: 0 (always
+    A converting node's stop is resolved once per exit link: 0 (always
     free) at a full node, else the index of the bank that ``bank_key``
     names.  Everything else is array operations over the route grid: the
     stops, their openings, and the O(k^2) segments of a route with k
@@ -560,10 +555,9 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
     segment's links in path order, and each row's success and each bank's
     availability is computed on its own.
     """
-    path, count = grid.path, len(grid.index)
-    pad = len(grid.columns)
+    path, pad, count = grid.path, grid.pad, len(grid.index)
 
-    # each column's stop as the exit link of an interior node: -1 for none,
+    # each link's stop as the exit link of an interior node: -1 for none,
     # 0 for a full node, else its bank's availability index; -1 for the pad
     code = np.full(pad + 1, -1, dtype=np.intp)
     bank_index: dict[Bank, int] = {}
@@ -572,7 +566,7 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
         if not arch.converts:
             continue
         for c in grid.exits.get(node, ()):
-            bank = bank_key(node, int(grid.columns[c]) + 1, arch)
+            bank = bank_key(node, c + 1, arch)
             if bank is None:
                 code[c] = 0
                 continue
@@ -620,7 +614,7 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
 
     return SolvePlan(
         grid.slot_count,
-        grid.columns,
+        pad,
         hops,
         slot_counts[size_of],
         segment,
@@ -671,7 +665,7 @@ def lightpath_blocking(
         return 1.0
     if memo is None:
         plan = compile_plan(route_grid([(path, (min_run,))], slot_count), archs, stats)
-        read = plan.columns.tolist() + [j for *_, ports in plan.banks for j, _ in ports]
+        read = [j - 1 for j in path.link_ids] + [j for *_, ports in plan.banks for j, _ in ports]
         link_state = np.zeros(max(read, default=-1) + 1)
         link_state[read] = [phis[j + 1] for j in read]
         memo = plan.evaluate(link_state)

@@ -102,7 +102,6 @@ class SimConfig:
 
 
 class Connection(NamedTuple):
-    id: int
     slots: int
     segments: tuple[tuple[int, tuple[int, ...]], ...]  # (start slot, link ids)
     banks: tuple[Bank, ...]
@@ -117,16 +116,18 @@ class NetworkState:
     """Mutable spectrum and converter-bank state of one replication.
 
     ``occupied[link id]`` is that link's slot bitmask (entry 0 is unused).
-    ``converters`` maps (node, exit link id) to the ``bank_key`` of the
-    bank that grants a conversion there, the same bank the analytic engine
-    counts, or None for a full node, which has no finite bank; nodes
-    without conversion have no entry.
+    ``converters`` maps the id of each link that leaves a converting node,
+    the conversion onto that link at its tail, to the ``bank_key`` of the
+    bank that grants it, the same bank the analytic engine counts, or None
+    for a full node, which has no finite bank; links that leave a node
+    without conversion have no entry.  ``connections`` maps each
+    connection id to its ``Connection``.
     """
 
     def __init__(self, graph: NetworkGraph, archs: ArchitectureMap):
         self.full_mask = (1 << graph.slot_count) - 1
         self.occupied = [0] * (len(graph.links) + 1)
-        self.converters: dict[tuple[int, int], Bank | None] = {}
+        self.converters: dict[int, Bank | None] = {}
         self.bank_capacity: dict[Bank, int] = {}
         for node in graph.nodes:
             arch = archs.get(node, SIMPLE_NODE)
@@ -136,7 +137,7 @@ class NetworkState:
                 key = bank_key(node, link.id, arch)
                 if key is not None:
                     self.bank_capacity[key] = arch.n_sc
-                self.converters[(node, link.id)] = key
+                self.converters[link.id] = key
         self.bank_in_use = dict.fromkeys(self.bank_capacity, 0)
         self.connections: dict[int, Connection] = {}
         self.next_id = 1
@@ -251,7 +252,7 @@ def admit(
     for key in banks:
         in_use[key] += 1
     conn_id = state.next_id
-    state.connections[conn_id] = _new(Connection, (conn_id, slots, segments, banks))
+    state.connections[conn_id] = _new(Connection, (slots, segments, banks))
     state.next_id = conn_id + 1
     return conn_id
 
@@ -281,7 +282,7 @@ def _fewest_cuts(state: NetworkState, route: RoutedPath, slots: int, rng):
     in_use, capacity = state.bank_in_use, state.bank_capacity
     usable: dict[int, Bank | None] = {}  # path position -> bank key
     for pos in range(2, hops + 1):
-        cut = (route.nodes[pos - 1], link_ids[pos - 1])
+        cut = link_ids[pos - 1]
         if cut not in converters:
             continue
         key = converters[cut]
@@ -327,7 +328,7 @@ def release(state: NetworkState, conn_id: int):
     conn = state.connections.pop(conn_id, None)
     if conn is None:
         raise SimulatorFault(f"release of unknown connection {conn_id}")
-    _, slots, segments, banks = conn
+    slots, segments, banks = conn
     window = (1 << slots) - 1
     occupied = state.occupied
     for start, link_ids in segments:

@@ -363,10 +363,10 @@ def stop_walk_blocking(min_run: int, path, archs, phis, stats, slot_count: int) 
 
 def opening_loop_values(plan, link_state) -> list[float]:
     """The blockings of ``SolvePlan.evaluate`` at ``link_state`` with each
-    stop's openings added up by a Python loop, one opening at a time into a
-    zeroed buffer, as the plans were evaluated before the stop sums became
-    reductions: the reference those reductions must match with ==."""
-    phi = np.array([link_state[j] for j in plan.columns] + [1.0])
+    stop's openings added up by a Python loop over the rows, one opening at
+    a time into a zeroed buffer: the reference the stop sums of
+    ``evaluate`` must match with ==."""
+    phi = np.array([link_state[j] for j in range(plan.pad)] + [1.0])
     rho = phi[plan.hops[:, 0]]
     for column in plan.hops[:, 1:].T:
         rho = rho * phi[column]

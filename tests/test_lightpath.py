@@ -491,13 +491,14 @@ def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
 
 
 def test_stop_sums_equal_the_opening_loop():
-    """``SolvePlan.evaluate`` adds up each stop's openings by reductions;
-    the opening-by-opening loop of ``oracles.opening_loop_values`` gives
-    the same blockings with ==.  Plans of random route sets of the 28-node
-    chorded ring, under share_per_node:2 and under a mixed map, have stops
-    that close 1 to 8 openings for many passes side by side, and the plan
-    of one 8-hop route alone has a stop where a single pass closes 8
-    openings, a column numpy would sum pairwise if it reduced it alone."""
+    """``SolvePlan.evaluate`` adds up each stop's openings one at a time,
+    in opening order; the loop of ``oracles.opening_loop_values``, which
+    adds every opening into a zeroed buffer, gives the same blockings with
+    ==.  Plans of random route sets of the 28-node chorded ring, under
+    share_per_node:2 and under a mixed map, have stops that close 1 to 8
+    openings for many passes side by side, and the plan of one 8-hop route
+    alone has a stop where a single pass closes 8 openings, a column numpy
+    would sum pairwise if it reduced it alone."""
     rng = np.random.default_rng(23)
     g = chorded_ring(3)
     demands = [DemandSpec(s, d, 0.1, 1.0, {1: 1.0}) for s in g.nodes for d in g.nodes if s != d]
@@ -554,13 +555,14 @@ def test_request_order_leaves_every_blocking_unchanged(setting):
 def test_array_compile_at_its_edges_equals_the_stop_walk():
     """Plans whose segment rows cannot be packed into an int64 without
     re-ranking, against the scalar stop walk with ==.  A 62-hop line
-    1 -> 63 plus a side link 64 -> 2 gives the plan 63 link columns, so a
-    link is a digit in base 64, and two converter-free 12-hop routes into
-    node 13 that differ only in their first link: packed without a
-    re-rank, a segment's first digits wrap out of the int64 and such
-    segments would share a row.  The requests also put two demands on one
-    route, ask for more slots than a fiber has, and draw converters on the
-    rest of the line, with a full node between two shared ones on some."""
+    1 -> 63 plus a side link 64 -> 2 gives the plan a pad of 63, one past
+    the largest link position, so a link is a digit in base 64, and two
+    converter-free 12-hop routes into node 13 that differ only in their
+    first link: packed without a re-rank, a segment's first digits wrap
+    out of the int64 and such segments would share a row.  The requests
+    also put two demands on one route, ask for more slots than a fiber
+    has, and draw converters on the rest of the line, with a full node
+    between two shared ones on some."""
     rng = np.random.default_rng(29)
     line = line_path(62)
     side = Link(63, 64, 2, 1.0)
@@ -592,7 +594,7 @@ def test_array_compile_at_its_edges_equals_the_stop_walk():
             path = RoutedPath(nodes=tuple(range(a, b + 1)), links=line.links[a - 1 : b - 1])
             requests.append((path, tuple(sorted({int(rng.integers(1, slot_count + 2)), 1}))))
         plan = compile_plan(route_grid(requests, slot_count), archs, stats)
-        base = len(plan.columns) + 1
+        base = plan.pad + 1
         assert base == 64 and base ** plan.hops.shape[1] > 2**63  # the packing must re-rank
         memo = plan.evaluate(link_state(phis))
         for path, sizes in requests:
@@ -610,6 +612,36 @@ def test_array_compile_at_its_edges_equals_the_stop_walk():
                 expected = stop_walk_blocking(s, path, archs, phis, stats, slot_count)
                 assert lightpath_blocking(s, path, archs, phis, stats, slot_count, memo) == expected
     assert min(seen.values()) >= 6, seen
+
+
+def test_pad_below_the_link_count_reads_as_always_free():
+    """A plan's pad is one past the largest link position its routes
+    cross, so it can fall on a link of the graph: here the last link, a
+    weight-100 chord 1 -> 5 of a 5-node line that no shortest route
+    takes, holds free probability 0.3 in the link state.  The pad must
+    still read 1.0, so every pass equals the scalar stop walk with ==."""
+    g = load_topology({
+        "slot_count": 8,
+        "nodes": [1, 2, 3, 4, 5],
+        "edges": [{"a": a, "b": a + 1, "weight": 1} for a in range(1, 5)]
+        + [{"a": 1, "b": 5, "weight": 100, "directed": True}],
+    })
+    pmf = {1: 0.5, 3: 0.5}
+    demands = [DemandSpec(s, d, 0.1, 1.0, pmf) for s in g.nodes for d in g.nodes if s != d]
+    routes = route_all(g, demands)
+    stats = crossing_stats(g, routes)
+    archs = uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 1))
+    rng = np.random.default_rng(37)
+    phis = {link.id: float(x) for link, x in zip(g.links, rng.uniform(0.6, 1.0, len(g.links)))}
+    phis[g.links[-1].id] = 0.3
+    grid = route_grid(((r, d.slot_counts) for d, r in zip(demands, routes)), g.slot_count)
+    plan = compile_plan(grid, archs, stats)
+    assert plan.pad == len(g.links) - 1
+    values = plan.evaluate(link_state(phis))
+    route_of = {r.link_ids: r for r in routes}
+    for (s, link_ids), i in plan.index.items():
+        expected = stop_walk_blocking(s, route_of[link_ids], archs, phis, stats, g.slot_count)
+        assert values.values[i] == expected
 
 
 def test_blocking_is_a_probability_without_clamping():
