@@ -55,5 +55,5 @@ print()
 tight = sorted(base.phis.items(), key=lambda item: item[1])[:5]
 print("five most loaded links (lowest slot-free probability):")
 for link_id, phi in tight:
-    link = next(l for l in graph.links if l.id == link_id)
+    link = graph.links[link_id - 1]
     print(f"  {graph.label_of(link.tail):>2} -> {graph.label_of(link.head):>2}: phi = {phi:.4f}")

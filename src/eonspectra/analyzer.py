@@ -68,11 +68,12 @@ def demand_blocking(
     slot_count: int,
 ) -> float:
     """Average blocking of one demand: its slot-count pmf weighting the
-    per-slot-count lightpath blocking, summed from 0.0 in ``pmf_items``
-    order.  ``fixed_point`` gives this value bit for bit without calling
+    per-slot-count lightpath blocking, summed from 0.0 in ascending slot
+    count.  ``fixed_point`` gives this value bit for bit without calling
     it."""
     return left_sum(
-        p * lightpath_blocking(s, path, archs, phis, stats, slot_count) for s, p in demand.pmf_items
+        p * lightpath_blocking(s, path, archs, phis, stats, slot_count)
+        for s, p in demand.slot_pmf.items()
     )
 
 
@@ -108,13 +109,13 @@ class Routing:
     ``graph.links`` (its id less one), and ``slot_loads`` holds each
     demand's offered slot load.  ``reads`` lists the (slot count, route)
     reads of the plans' values, in demand order and each demand's
-    ``pmf_items`` order, with each read's demand in ``owner`` and its pmf
-    weight in ``pmf_weight``.  ``loads`` holds each demand's offered load and
-    ``weight`` their ``left_sum`` (1.0 for none).  The plans'
-    ``RouteGrid`` of the (route, slot counts) requests in demand order is
-    built on first read of ``grid``, and the routes' ``CrossingStats`` on
-    first read of ``stats`` unless given, so a lone link update builds
-    neither.
+    ascending slot count (its ``slot_pmf`` order), with each read's demand
+    in ``owner`` and its pmf weight in ``pmf_weight``.  ``loads`` holds
+    each demand's offered load and ``weight`` their ``left_sum`` (1.0 for
+    none).  The plans' ``RouteGrid`` of the (route, slot counts) requests
+    in demand order is built on first read of ``grid``, and the routes'
+    ``CrossingStats`` on first read of ``stats`` unless given, so a lone
+    link update builds neither.
     """
 
     graph: NetworkGraph
@@ -136,7 +137,7 @@ class Routing:
 
     @cached_property
     def grid(self) -> RouteGrid:
-        requests = zip(self.routes, [d.slot_counts for d in self.demands])
+        requests = zip(self.routes, [d.slot_pmf for d in self.demands])
         return route_grid(requests, self.graph.slot_count)
 
     def update(self, blockings) -> np.ndarray:
@@ -158,15 +159,16 @@ def compile_routing(
     stats: CrossingStats | None = None,
 ) -> Routing:
     """The ``Routing`` of ``demands`` on ``routes`` (the shortest paths
-    when None), with ``stats`` computed from the routes when None.  The
-    routes are checked with ``demand_routes`` before any other work, and
-    demands whose summed offered slot load overflows a float raise
-    ``DemandError``."""
+    when None), with ``stats`` computed from the routes when None.  Each
+    demand's reads and weights follow its ``slot_pmf`` as built: nonzero
+    rows in ascending slot count.  The routes are checked with
+    ``demand_routes`` before any other work, and demands whose summed
+    offered slot load overflows a float raise ``DemandError``."""
     routes = demand_routes(graph, demands, routes)
     slot_loads = [d.offered_load * d.mean_slots for d in demands]
     if not math.isfinite(left_sum(slot_loads)):
         raise DemandError("the demands' summed offered slot load overflows")
-    items = [d.pmf_items for d in demands]
+    pmfs = [d.slot_pmf for d in demands]
     loads = [d.offered_load for d in demands]
     return Routing(
         graph,
@@ -176,9 +178,9 @@ def compile_routing(
         np.array(slot_loads, dtype=float),
         np.fromiter(chain.from_iterable(route.link_ids for route in routes), np.intp) - 1,
         np.repeat(np.arange(len(demands)), [route.hop_count for route in routes]),
-        [(s, route) for pmf, route in zip(items, routes) for s, _ in pmf],
-        np.repeat(np.arange(len(demands)), list(map(len, items))),
-        np.array([p for pmf in items for _, p in pmf], dtype=float),
+        [(s, route) for pmf, route in zip(pmfs, routes) for s in pmf],
+        np.repeat(np.arange(len(demands)), list(map(len, pmfs))),
+        np.array([p for pmf in pmfs for p in pmf.values()], dtype=float),
         np.array(loads, dtype=float),
         left_sum(loads) if demands else 1.0,
     )
@@ -218,7 +220,7 @@ def fixed_point(
     ``graph.links`` order, link id i at position i - 1, and the result's
     ``phis`` is its dict by link id.  An iteration evaluates the plan at
     it and reads the plan through ``lightpath_blocking`` once per (demand,
-    slot count), in demand and ``pmf_items`` order.  One weighted
+    slot count), in demand order and ascending slot count.  One weighted
     ``np.bincount`` adds each demand's ``p * b`` terms in that order from
     0.0, and one more adds the ``load * b`` terms of the network blocking
     into one bin in demand order, as ``left_sum`` does.  So every number

@@ -90,7 +90,7 @@ def demands_document(graph: NetworkGraph, demands: list[DemandSpec]) -> str:
         if len(pmf) == 1:
             slots = next(iter(pmf))
         else:
-            slots = [{"s": s, "p": p} for s, p in sorted(pmf.items())]
+            slots = [{"s": s, "p": p} for s, p in pmf.items()]
         rows.append(
             {
                 "src": graph.label_of(d.src),

@@ -371,18 +371,20 @@ def _request_blocks(demand: DemandSpec, rng):
 
     The values equal one ``rng.exponential(1 / rate)``, one slot draw and
     one ``rng.exponential(hold)`` per request, in that order, and each time
-    is the previous one plus its gap.  For a single-valued pmf the slot
-    draw takes nothing from ``rng``, so the 2n exponentials come in one
-    call: ``exponential(scale)`` is ``scale * standard_exponential()`` bit
-    for bit.  ``np.cumsum`` adds in sequence, so with ``last`` folded into
-    the first gap every time is the scalar ``t + gap``.
+    is the previous one plus its gap.  The slot draw inverts one uniform
+    over the pmf's cumulative mass in ascending slot count.  A pmf with one
+    row (zero rows were dropped when the demand was built) takes nothing
+    from ``rng`` for it, so the 2n exponentials come in one call:
+    ``exponential(scale)`` is ``scale * standard_exponential()`` bit for
+    bit.  ``np.cumsum`` adds in sequence, so with ``last`` folded into the
+    first gap every time is the scalar ``t + gap``.
     """
     scale = 1.0 / demand.rate
     hold = demand.hold
-    items = sorted(demand.slot_pmf.items())
+    pmf = demand.slot_pmf
     exponential = rng.standard_exponential
-    if len(items) == 1:
-        slots = items[0][0]
+    if len(pmf) == 1:
+        (slots,) = pmf
 
         def draw(last, n):
             draws = exponential(2 * n)
@@ -391,8 +393,8 @@ def _request_blocks(demand: DemandSpec, rng):
             return np.cumsum(gaps), np.full(n, slots), draws[1::2] * hold
 
         return draw
-    values = [s for s, _ in items]
-    cumulative = np.cumsum([p for _, p in items]).tolist()
+    values = list(pmf)
+    cumulative = np.cumsum(list(pmf.values())).tolist()
     top = len(values) - 1
     uniform = rng.random
 

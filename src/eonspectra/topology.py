@@ -122,6 +122,9 @@ class DemandSpec:
 
     Arrivals are Poisson with mean rate ``rate``, holds are exponential with
     mean ``hold`` and the requested slot count is drawn from ``slot_pmf``.
+    Once checked, ``slot_pmf`` is replaced by a new dict of its nonzero
+    rows in ascending slot count, the one order every reader iterates, so
+    every result depends only on the set of rows given.
     """
 
     src: int
@@ -139,16 +142,16 @@ class DemandSpec:
             raise DemandError(f"demand {self.src}->{self.dst}: rate and hold must be positive")
         if not self.slot_pmf:
             raise DemandError(f"demand {self.src}->{self.dst}: empty slot pmf")
-        total = 0.0
         for s, p in self.slot_pmf.items():
             _integer(s, f"demand {self.src}->{self.dst}: slot count", DemandError, 1)
             if not math.isfinite(p) or p < 0:
                 raise DemandError(
                     f"demand {self.src}->{self.dst}: pmf entry {p} is not a probability"
                 )
-            total += p
+        total = math.fsum(self.slot_pmf.values())
         if abs(total - 1.0) > 1e-12:
             raise DemandError(f"demand {self.src}->{self.dst}: pmf sums to {total}, not 1")
+        self.slot_pmf = {s: p for s, p in sorted(self.slot_pmf.items()) if p != 0.0}
         if not math.isfinite(self.offered_load * self.mean_slots):
             raise DemandError(
                 f"demand {self.src}->{self.dst}: offered slot load rate * hold * mean slots "
@@ -158,16 +161,6 @@ class DemandSpec:
     @cached_property
     def mean_slots(self) -> float:
         return left_sum(s * p for s, p in self.slot_pmf.items())
-
-    @cached_property
-    def pmf_items(self) -> tuple[tuple[int, float], ...]:
-        """The nonzero ``(slot count, probability)`` entries, by slot count."""
-        return tuple((s, p) for s, p in sorted(self.slot_pmf.items()) if p != 0.0)
-
-    @cached_property
-    def slot_counts(self) -> tuple[int, ...]:
-        """The slot counts of ``pmf_items``, ascending."""
-        return tuple(s for s, _ in self.pmf_items)
 
     @cached_property
     def offered_load(self) -> float:

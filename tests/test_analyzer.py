@@ -414,7 +414,7 @@ def test_demands_on_one_route_each_read_their_own_passes():
     ]
     routes = route_all(g, demands)
     stats = crossing_stats(g, routes)
-    grid = route_grid(((r, d.slot_counts) for d, r in zip(demands, routes)), 4)
+    grid = route_grid(((r, d.slot_pmf) for d, r in zip(demands, routes)), 4)
     plan = compile_plan(grid, archs, stats)
     shared = routes[0].link_ids
     assert len(plan.index) == 4
@@ -602,7 +602,7 @@ def test_solve_reads_each_demand_slot_count_once_per_iteration(monkeypatch):
     for name in calls:
         monkeypatch.setattr(eonspectra.analyzer, name, counted(name))
     result = fixed_point(g, demands, archs, config)
-    reads = result.iterations * sum(len(d.pmf_items) for d in demands)
+    reads = result.iterations * sum(len(d.slot_pmf) for d in demands)
     assert calls == {"lightpath_blocking": reads, "demand_blocking": 0}
     assert result.iterations > 1
     assert result == plain
@@ -667,3 +667,24 @@ def test_routes_without_their_demand_solve_like_routed_demands():
     ]
     with pytest.raises(InputError, match="no demand"):
         crossing_stats(g, bare)
+
+
+def test_solve_depends_only_on_the_set_of_pmf_rows():
+    # {1: 0.2, 2: 0.5, 4: 0.3} in row order (2, 4, 1) has another mean slot
+    # count when added in row order; the demand keeps its rows ascending
+    g = nsf14()
+    archs = uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 1))
+    config = AnalysisConfig(seed=1, damping=0.5)
+    results = []
+    for rows in ((1, 2, 4), (2, 4, 1)):
+        pmf = {s: {1: 0.2, 2: 0.5, 4: 0.3}[s] for s in rows}
+        demands = [
+            DemandSpec(d.src, d.dst, d.rate, d.hold, pmf) if i % 3 == 0 else d
+            for i, d in enumerate(nsf14_demands(g))
+        ]
+        results.append(fixed_point(g, demands, archs, config))
+    ascending, shuffled = results
+    assert ascending.converged
+    assert shuffled.phis == ascending.phis
+    assert shuffled.demand_blockings == ascending.demand_blockings
+    assert shuffled.network_blocking_prob == ascending.network_blocking_prob

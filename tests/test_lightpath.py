@@ -465,7 +465,7 @@ def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
     """One plan of a 28-node chorded ring, routes of up to 8 hops, against
     the scalar stop walk with ==, pass by pass; its index is compiled once."""
     slot_count, demands, routes, stats, archs, phis = _long_routes(setting)
-    grid = route_grid(((r, d.slot_counts) for d, r in zip(demands, routes)), slot_count)
+    grid = route_grid(((r, d.slot_pmf) for d, r in zip(demands, routes)), slot_count)
     plan = compile_plan(grid, archs, stats)
     values = plan.evaluate(link_state(phis))
     again = plan.evaluate(link_state({lid: phi / 2 for lid, phi in phis.items()}))
@@ -474,7 +474,7 @@ def test_compiled_plan_on_long_routes_equals_the_stop_walk(setting):
 
     assert max(r.hop_count for r in routes) == 8
     assert set(plan.index) == {
-        (s, r.link_ids) for d, r in zip(demands, routes) for s in d.slot_counts if s <= slot_count
+        (s, r.link_ids) for d, r in zip(demands, routes) for s in d.slot_pmf if s <= slot_count
     }
     route_of = {r.link_ids: r for r in routes}
     partly_free = 0
@@ -539,7 +539,7 @@ def test_request_order_leaves_every_blocking_unchanged(setting):
     other columns and other orders among passes of equal length, but every
     (S, link ids) keeps its blocking bit for bit."""
     slot_count, demands, routes, stats, archs, phis = _long_routes(setting)
-    requests = [(r, d.slot_counts) for d, r in zip(demands, routes)]
+    requests = [(r, d.slot_pmf) for d, r in zip(demands, routes)]
     plan = compile_plan(route_grid(requests, slot_count), archs, stats)
     values = plan.evaluate(link_state(phis))
     expected = {key: values.values[i] for key, i in plan.index.items()}
@@ -634,7 +634,7 @@ def test_pad_below_the_link_count_reads_as_always_free():
     rng = np.random.default_rng(37)
     phis = {link.id: float(x) for link, x in zip(g.links, rng.uniform(0.6, 1.0, len(g.links)))}
     phis[g.links[-1].id] = 0.3
-    grid = route_grid(((r, d.slot_counts) for d, r in zip(demands, routes)), g.slot_count)
+    grid = route_grid(((r, d.slot_pmf) for d, r in zip(demands, routes)), g.slot_count)
     plan = compile_plan(grid, archs, stats)
     assert plan.pad == len(g.links) - 1
     values = plan.evaluate(link_state(phis))

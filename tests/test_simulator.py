@@ -792,3 +792,18 @@ def test_pinned_sample_path_on_nsf():
     assert result.per_replication_offered == [NSF_OFFERED]
     assert result.per_replication_blocked == [NSF_BLOCKED]
     assert result.fallback_admissions == 0
+
+
+def test_zero_probability_rows_leave_the_sample_path_unchanged():
+    # a zero row must not send the slot draws down the per-request path,
+    # which takes one uniform per request from the demand's stream
+    g = nsf14()
+    archs = uniform_architectures(g, NodeArchitecture(FULL))
+    config = SimConfig(seed=3, warmup=10.0, horizon=60.0)
+    results = [
+        simulate(g, [DemandSpec(d.src, d.dst, d.rate, d.hold, pmf) for d in nsf14_demands(g)],
+                 archs, config)
+        for pmf in ({2: 1.0}, {2: 1.0, 3: 0.0})
+    ]
+    assert results[1].per_replication_offered == results[0].per_replication_offered
+    assert results[1].per_replication_blocked == results[0].per_replication_blocked

@@ -168,6 +168,20 @@ def test_demand_loading_and_validation():
             load_demands(json.dumps([bad]), g)
 
 
+def test_pmf_rows_are_kept_ascending_without_zero_rows():
+    g = load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 1}], slot_count=4))
+    rows = {1: 0.2, 2: 0.5, 4: 0.3}
+    ascending, shuffled = (
+        load_demands([{"src": 1, "dst": 2, "rate": 1.0, "hold": 1.0,
+                       "slots": [{"s": s, "p": rows[s]} for s in order]}], g)[0]
+        for order in ((1, 2, 4), (2, 4, 1))
+    )
+    assert list(shuffled.slot_pmf) == [1, 2, 4]
+    # added in row order (2, 4, 1) the mean reads one ulp higher
+    assert shuffled.mean_slots == ascending.mean_slots
+    assert DemandSpec(1, 2, 1.0, 1.0, {3: 0.0, 2: 1.0, 1: 0.0}).slot_pmf == {2: 1.0}
+
+
 def test_demands_document_round_trips_a_multi_valued_pmf():
     g = load_topology(doc(["a", "b", "c"], [
         {"a": "a", "b": "b", "weight": 1},
@@ -441,7 +455,7 @@ def test_float_totals_add_left_to_right():
     g = load_topology(doc([1, 2], [{"a": 1, "b": 2, "weight": 1}], slot_count=1))
     demands = [DemandSpec(1, 2, 1.0, 1.0, {1: 1.0})] + [DemandSpec(1, 2, 2.0**-53, 1.0, {1: 1.0})] * 4
     assert network_traffic(g, demands, route_all(g, demands)) == 1.0 / 2
-    # the mean slot count of a pmf, in the pmf's order
+    # the mean slot count of a pmf, in ascending slot count
     pmf = {1: 0.5, 2: 0.25, 3: 0.125, 4: 0.125}
     assert DemandSpec(1, 2, 1.0, 1.0, pmf).mean_slots == left_sum(s * p for s, p in pmf.items())
 
