@@ -83,11 +83,12 @@ def generate_demands(
 
 
 def demands_document(graph: NetworkGraph, demands: list[DemandSpec]) -> str:
-    """Serialize demands back to the JSON interchange form."""
+    """Serialize demands back to the JSON interchange form.  A pmf of one
+    row of probability exactly 1.0 is written as its bare slot count."""
     rows = []
     for d in demands:
         pmf = d.slot_pmf
-        if len(pmf) == 1:
+        if list(pmf.values()) == [1.0]:
             slots = next(iter(pmf))
         else:
             slots = [{"s": s, "p": p} for s, p in pmf.items()]

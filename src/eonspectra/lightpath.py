@@ -36,25 +36,31 @@ index), each route's stops (its converting interior nodes, then the
 destination as a full stop) and each stop's openings, where the segments
 closing there start: the last full stop before it (or the source), then
 the shared stops since.  Each (stop, opening) cell's segment is packed
-into an int64, link by link in base ``pad + 1`` (re-ranked with
-``np.unique`` whenever the next link could overflow), and ``np.unique``
-of the codes numbers the table rows, so two cells share a row exactly
-when their segments cross the same links.  The passes, ordered by their
-number of stops so that those still running at a stop are a prefix, take
-their routes' columns of a grid with a row per stop and of one with a row
-per (stop, opening).  Each iteration ``SolvePlan.evaluate`` reads the
-first ``pad`` links of that array, computes the success of every (slot
-count, table row) pair in one array call of ``run_probability`` and the
+into an int64, its length counted down from the longest first, then link
+by link in base ``pad + 1`` (re-ranked with ``np.unique`` whenever the
+next link could overflow), and ``np.unique`` of the codes numbers the
+table rows longest first, so two cells share a row exactly when their
+segments cross the same links.  The table is kept as its hop columns:
+column k holds hop k (from 0) of every segment of more than k links, and
+those are the first rows.  The passes, ordered by their number of stops
+so that those still running at a stop are a prefix, take their routes'
+columns of a grid with a row per stop and of one with a row per (stop,
+opening).  Each iteration ``SolvePlan.evaluate`` multiplies each hop
+column's free probabilities into the leading rows of the segment
+products, in path order, computes the success of every (slot count,
+table row) pair in one array call of ``run_probability`` and the
 availability of every bank, then runs the passes side by side, stop by
 stop: it forms the blocked mass avail * mass * failure and the closed
 mass mass * success of every (opening, pass) at once and adds each up one
 opening at a time, in opening order, so every pass gets the float
-operations of its scalar walk in the same order.  The padding that lines
-the passes up adds only exact zeros (an opening a pass lacks holds mass
-0.0 and reads success 1.0), and a stop that is never or always free
-scales the masses by exactly 1.0 or 0.0, so every blocking equals the
-scalar walk's bit for bit.  A single call without a solve compiles a plan
-of its own route, so every blocking comes from the same pass.
+operations of its scalar walk in the same order.  The padding that
+lines the passes up adds only exact zeros: an opening a pass lacks holds
+mass +0.0, so whatever success it reads it adds +0.0.  A stop that is
+never or always free scales the masses by exactly 1.0 or 0.0, and a plan
+without banks has only always free stops, so it builds no
+availabilities.  So every blocking equals the scalar walk's bit for bit.
+A single call without a solve compiles a plan of its own route, so
+every blocking comes from the same pass.
 """
 
 from __future__ import annotations
@@ -269,24 +275,25 @@ class SolvePlan:
     is (active, width, targets): the number of passes that reach stop j,
     the most openings any of them has there, and for each of them the
     index its new opening takes in the raveled (opening, pass) array of
-    masses.  Stop by stop, ``draws`` holds each active pass's index into
-    the availabilities (0, always 1.0, for a full node and for the
-    destination), and ``closes`` holds, opening by opening, each active
-    pass's index of the success of its segment from that opening.  Success
-    i is that of a request for ``sizes[i]`` slots on table row
-    ``segment[i]``, ordered by slot count and then by row, so ``sizes`` is
-    nondecreasing; one padding entry of 1.0 follows.
+    masses; ``width`` is the most openings of any stop.  Stop by stop,
+    ``draws`` holds each active pass's index into the availabilities (0,
+    always 1.0, for a full node and for the destination; a plan without
+    ``banks`` reads none), and ``closes`` holds, opening by opening, each
+    active pass's index of the success of its segment from that opening,
+    0 for an opening the pass lacks.  Success i is that of a request for
+    ``sizes[i]`` slots on table row ``segment[i]``, ordered by slot count
+    and then by row, so ``sizes`` is nondecreasing.
 
-    Row i of the segment table ``hops`` holds the positions in
-    ``graph.links`` of segment i's links in path order, padded with
-    ``pad``, one past the largest position any route crosses, where
-    ``evaluate`` reads a free probability of 1.0.  ``banks`` holds the
-    ``BankArgs`` of the banks the stops name.
+    The segment table is kept as its hop columns, rows longest first:
+    ``columns[k]`` holds, for each row with more than k links, the
+    position in ``graph.links`` of its link k (from 0), so a row's links
+    run in path order down the columns.  ``banks`` holds the ``BankArgs``
+    of the banks the stops name.
     """
 
     slot_count: int
-    pad: int
-    hops: np.ndarray
+    width: int
+    columns: tuple[np.ndarray, ...]
     sizes: np.ndarray
     segment: np.ndarray
     banks: tuple[BankArgs, ...]
@@ -305,32 +312,32 @@ class SolvePlan:
 
         Each stop adds its blocked masses to the blocking so far and its
         closed masses up one opening at a time, in opening order."""
-        phi = np.concatenate((link_state[: self.pad], np.ones(1)))
-        rho = phi[self.hops[:, 0]]
-        for column in self.hops[:, 1:].T:
-            rho = rho * phi[column]
-        success = np.concatenate(
-            (run_probability(self.sizes, self.slot_count, rho[self.segment]), np.ones(1))
-        )[self.closes]
+        rho = link_state[self.columns[0]]
+        for column in self.columns[1:]:
+            rho[: len(column)] *= link_state[column]
+        success = run_probability(self.sizes, self.slot_count, rho[self.segment])[self.closes]
         failure = 1.0 - success
-        free = link_state.tolist()
-        availability = np.array(
-            [1.0]
-            + [
-                share_per_link_availability(
-                    n_sc, paths, slots, math.fsum(share * free[j] for j, share in shares)
-                )
-                for n_sc, paths, slots, shares in self.banks
-            ]
-        )[self.draws]
-        busy = 1.0 - availability
+        avail, busy = 1.0, 0.0  # at every stop of a plan without banks
+        if self.banks:
+            free = link_state.tolist()
+            availability = np.array(
+                [1.0]
+                + [
+                    share_per_link_availability(
+                        n_sc, paths, slots, math.fsum(share * free[j] for j, share in shares)
+                    )
+                    for n_sc, paths, slots, shares in self.banks
+                ]
+            )[self.draws]
         count = len(self.index)
-        masses = np.zeros((max((width for _, width, _ in self.stops), default=1), count))
+        masses = np.zeros((self.width, count))
         masses[0] = 1.0  # the segment opened at the source
         blocked = np.zeros(count)
         row = stop = 0
         for active, width, targets in self.stops:
-            avail = availability[stop : stop + active]
+            if self.banks:
+                avail = availability[stop : stop + active]
+                busy = 1.0 - avail
             head = blocked[:active]
             block = masses[:width, :active]
             end = row + width * active
@@ -341,7 +348,7 @@ class SolvePlan:
             for o in range(1, width):
                 head += lost[o]
                 closed += kept[o]
-            block *= busy[stop : stop + active]
+            block *= busy
             masses.reshape(-1)[targets] = avail * closed
             row = end
             stop += active
@@ -426,24 +433,27 @@ def _cells(
 
 def _segment_rows(
     path: np.ndarray, pad: int, cell: np.ndarray, start: np.ndarray, span: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Number the segments of the cells that ``_cells`` lists, on the
     route grid ``path`` padded with ``pad``.
 
     Returns the grid of each cell's table row, -1 where a route has no such
-    cell, and the table: row i holds segment i's link positions in path
-    order, padded with ``pad``.  Two cells share a row exactly when their
-    segments cross the same links.
+    cell, and the table as its hop columns.  The rows are numbered longest
+    first, so column k, the link positions of every segment's hop k, holds
+    one entry for each of the first rows, those with more than k links.
+    Two cells share a row exactly when their segments cross the same
+    links.
     """
-    # each segment's links packed link by link as digits 1..pad in base
-    # pad + 1, and 0 past its end, so that no two link sequences share a
-    # code; the packed prefix is re-ranked whenever the next link could
-    # overflow an int64
+    # each segment packed into one code: its length counted down from
+    # longest, so that np.unique numbers the rows longest first, then its
+    # links link by link as digits 1..pad in base pad + 1, and 0 past its
+    # end, so that no two link sequences share a code; the packed prefix is
+    # re-ranked whenever the next link could overflow an int64
     longest = span.max(initial=1)
     flat = np.concatenate((path.ravel(), np.full(longest, pad)))
     base = pad + 1
-    packed = np.zeros(len(start), dtype=np.int64)
-    largest = 0  # the largest value the packed prefix can hold
+    packed = (longest - span).astype(np.int64)
+    largest = int(longest) - 1  # the largest value the packed prefix can hold
     for step in range(longest):
         if largest > (_INT64_MAX - pad) // base:
             ranks, packed = np.unique(packed, return_inverse=True)
@@ -459,8 +469,8 @@ def _segment_rows(
     rows[cell] = segment_of
     first = np.zeros(len(codes), dtype=np.intp)  # a cell of each row
     first[segment_of] = np.arange(len(start))
-    step = np.arange(longest)
-    return rows, np.where(step < span[first, None], flat[start[first, None] + step], pad)
+    begin, length = start[first], span[first]
+    return rows, tuple(flat[begin[length > step] + step] for step in range(longest))
 
 
 @dataclass(frozen=True)
@@ -583,7 +593,7 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
     # has at that stop, and the segment table
     widest = width.max(axis=1, initial=0)
     entry_stop = np.repeat(np.arange(len(widest)), widest)
-    rows, hops = _segment_rows(path, pad, *_cells(path, width, stop_node, widest, entry_stop))
+    rows, columns = _segment_rows(path, pad, *_cells(path, width, stop_node, widest, entry_stop))
 
     # the passes with more stops first, in request order among equals: the
     # sort keys are distinct, so any sort keeps that order
@@ -601,29 +611,30 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
     targets = (np.where(bank, width, 0)[:, pass_route] * count + np.arange(count))[running]
     # the successes the passes close are numbered by slot count, then by row
     slot_counts, size_rank = np.unique(grid.sizes[by_depth], return_inverse=True)
-    segments = len(hops)
+    segments = len(columns[0])
     cells, live = rows[:, pass_route], running[entry_stop]
     real = cells[live] >= 0
     cells += size_rank * segments  # (slot count, row) as one key; padding stays masked by real
     wanted = cells[live][real]
     needed = np.zeros((len(slot_counts), segments), dtype=bool)
     needed.ravel()[wanted] = True
-    closes = np.full(len(real), needed.sum(), dtype=np.intp)  # padding reads 1.0
+    # an opening a pass lacks holds mass +0.0, so any success will do
+    closes = np.zeros(len(real), dtype=np.intp)
     closes[real] = (np.cumsum(needed) - 1)[wanted]
     size_of, segment = np.nonzero(needed)
 
     return SolvePlan(
         grid.slot_count,
-        pad,
-        hops,
+        int(widest.max(initial=1)),
+        columns,
         slot_counts[size_of],
         segment,
         tuple(banks),
         grid.index,
         rank,
         tuple(
-            (int(n), int(w), t)
-            for n, w, t in zip(active, widest, np.split(targets, np.cumsum(active)[:-1]))
+            (n, w, targets[end - n : end])
+            for n, w, end in zip(active.tolist(), widest.tolist(), np.cumsum(active).tolist())
         ),
         closes,
         draws,

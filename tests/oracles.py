@@ -366,13 +366,10 @@ def opening_loop_values(plan, link_state) -> list[float]:
     stop's openings added up by a Python loop over the rows, one opening at
     a time into a zeroed buffer: the reference the stop sums of
     ``evaluate`` must match with ==."""
-    phi = np.array([link_state[j] for j in range(plan.pad)] + [1.0])
-    rho = phi[plan.hops[:, 0]]
-    for column in plan.hops[:, 1:].T:
-        rho = rho * phi[column]
-    success = np.concatenate(
-        (run_probability(plan.sizes, plan.slot_count, rho[plan.segment]), np.ones(1))
-    )[plan.closes]
+    rho = np.array([float(link_state[j]) for j in plan.columns[0]])
+    for column in plan.columns[1:]:
+        rho[: len(column)] *= [float(link_state[j]) for j in column]
+    success = run_probability(plan.sizes, plan.slot_count, rho[plan.segment])[plan.closes]
     failure = 1.0 - success
     availability = np.array(
         [1.0]
@@ -385,7 +382,7 @@ def opening_loop_values(plan, link_state) -> list[float]:
     )[plan.draws]
     busy = 1.0 - availability
     count = len(plan.index)
-    masses = np.zeros((max((width for _, width, _ in plan.stops), default=1), count))
+    masses = np.zeros((plan.width, count))
     masses[0] = 1.0
     blocked = np.zeros(count)
     row = stop = 0

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from eonspectra import lightpath
 from eonspectra.errors import ArchitectureError
 from eonspectra.lightpath import (
     FULL,
@@ -533,6 +535,125 @@ def test_stop_sums_equal_the_opening_loop():
         assert 0.0 < values[0] < 1.0
 
 
+def _cell_segments(plan, route_of, archs):
+    """Cell by cell, in the order of ``plan.closes`` (stop by stop, then
+    opening by opening, then place by place): the slot count and the link
+    positions of the segment the cell closes, or None where the pass at
+    that place lacks that opening.  A stop's openings are the last full
+    stop before it (or the source) and the shared stops since."""
+    passes = list(plan.index)
+    at_place = np.argsort(plan.rank)
+    openings_at = {}  # pass -> the openings of each of its stops
+    for s, link_ids in passes:
+        route = route_of[link_ids]
+        openings, by_stop = [1], []
+        for pos in converter_layout(route, archs)[1:]:
+            by_stop.append((pos, list(openings)))
+            node = route.nodes[pos - 1]
+            arch = archs.get(node, SIMPLE_NODE)
+            shared = pos <= route.hop_count and bank_key(node, route.links[pos - 1].id, arch)
+            openings = openings + [pos] if shared else [pos]
+        openings_at[s, link_ids] = by_stop
+    cells = []
+    for j, (active, width, _) in enumerate(plan.stops):
+        for o in range(width):
+            for p in range(active):
+                s, link_ids = passes[at_place[p]]
+                pos, openings = openings_at[s, link_ids][j]
+                if o >= len(openings):
+                    cells.append(None)
+                    continue
+                links = route_of[link_ids].links[openings[o] - 1 : pos - 1]
+                cells.append((s, [link.id - 1 for link in links]))
+    return cells
+
+
+def _check_layout_and_lacking_reads(plan, route_of, archs, state, rng, monkeypatch):
+    """The plan's segment table is its hop columns, rows longest first,
+    and every cell reads the success of its own segment and slot count.
+    Returns the number of cells whose pass lacks the opening, after
+    checking that a copy of the plan in which each of them reads a random
+    success in [0, 1] evaluates to the same blockings with ==."""
+    cells = _cell_segments(plan, route_of, archs)
+    assert len(cells) == len(plan.closes)
+    table = {}
+    for cell, closed in zip(plan.closes.tolist(), cells):
+        if closed is not None:
+            s, links = closed
+            assert plan.sizes[cell] == s
+            assert table.setdefault(int(plan.segment[cell]), links) == links
+    rows = [[int(c[r]) for c in plan.columns if r < len(c)] for r in range(len(plan.columns[0]))]
+    assert rows == [table[r] for r in range(len(rows))]
+    assert len({tuple(row) for row in rows}) == len(rows)
+    lengths = [len(row) for row in rows]
+    assert lengths == sorted(lengths, reverse=True)
+    assert [len(c) for c in plan.columns] == [
+        sum(n > k for n in lengths) for k in range(len(plan.columns))
+    ]
+
+    expected = plan.evaluate(state).values
+    lacking = np.array([closed is None for closed in cells], dtype=bool)
+    noise = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, lacking.sum())))
+    rng.shuffle(noise)
+    closes = plan.closes.copy()
+    closes[lacking] = len(plan.sizes) + np.arange(lacking.sum())
+    copy = replace(plan, closes=closes)
+    run_probability = lightpath.run_probability
+    monkeypatch.setattr(
+        lightpath,
+        "run_probability",
+        lambda sizes, slot_count, rho: np.concatenate((run_probability(sizes, slot_count, rho), noise)),
+    )
+    assert copy.evaluate(state).values == expected
+    monkeypatch.undo()
+    return int(lacking.sum())
+
+
+def test_lacking_openings_may_read_any_success(monkeypatch):
+    """An opening that a pass lacks at a stop holds mass +0.0, so the
+    success it reads adds +0.0 whatever it is: a plan reads a real
+    success there, and a copy that reads random values in [0, 1] instead,
+    exact 0.0 and 1.0 among them, gives the same blockings with ==.  Plans
+    of random request sets of the 28-node chorded ring under
+    share_per_node:2 and under a mixed map, whose stops close 1 to 8
+    openings, a plan whose segments are all one hop long, and the plan of
+    no requests also lay their segment table out as hop columns of rows
+    longest first."""
+    rng = np.random.default_rng(41)
+    g = chorded_ring(5)
+    demands = [DemandSpec(s, d, 0.1, 1.0, {1: 1.0}) for s in g.nodes for d in g.nodes if s != d]
+    routes = route_all(g, demands)
+    route_of = {r.link_ids: r for r in routes}
+    stats = crossing_stats(g, routes)
+    shared = uniform_architectures(g, NodeArchitecture(SHARE_PER_NODE, 2))
+    cycle = [NodeArchitecture(SHARE_PER_NODE, 2), NodeArchitecture(FULL),
+             NodeArchitecture(SHARE_PER_LINK, 1), SIMPLE_NODE]
+    mixed = {v: cycle[v % 4] for v in g.nodes}
+    widths, lacking = set(), 0
+    for trial in range(6):
+        archs = mixed if trial % 3 == 2 else shared
+        phis = {link.id: float(x) for link, x in zip(g.links, rng.uniform(0.6, 1.0, len(g.links)))}
+        picked = rng.choice(len(routes), size=int(rng.integers(50, 300)), replace=False)
+        requests = [
+            (routes[i], tuple(sorted(rng.choice(np.arange(1, 6), 2, replace=False).tolist())))
+            for i in picked
+        ]
+        plan = compile_plan(route_grid(requests, g.slot_count), archs, stats)
+        lacking += _check_layout_and_lacking_reads(plan, route_of, archs, link_state(phis), rng, monkeypatch)
+        widths |= {width for active, width, _ in plan.stops if active > 1}
+    assert widths == set(range(1, 9)) and lacking > 1000
+
+    full = uniform_architectures(g, NodeArchitecture(FULL))
+    plan = compile_plan(route_grid([(r, (1, 3)) for r in routes], g.slot_count), full, stats)
+    assert len(plan.columns) == 1 and len(plan.columns[0]) == len(g.links)
+    assert _check_layout_and_lacking_reads(plan, route_of, full, link_state(phis), rng, monkeypatch) == 0
+
+    plan = compile_plan(route_grid([], g.slot_count), shared, crossing_stats(g, []))
+    assert [len(c) for c in plan.columns] == [0]
+    assert _check_layout_and_lacking_reads(plan, {}, shared, link_state(phis), rng, monkeypatch) == 0
+    assert plan.evaluate(link_state(phis)).values == []
+
+
 @pytest.mark.parametrize("setting", ["share_per_node:2", "mixed"])
 def test_request_order_leaves_every_blocking_unchanged(setting):
     """The same requests compiled in shuffled orders lay the passes out in
@@ -555,8 +676,8 @@ def test_request_order_leaves_every_blocking_unchanged(setting):
 def test_array_compile_at_its_edges_equals_the_stop_walk():
     """Plans whose segment rows cannot be packed into an int64 without
     re-ranking, against the scalar stop walk with ==.  A 62-hop line
-    1 -> 63 plus a side link 64 -> 2 gives the plan a pad of 63, one past
-    the largest link position, so a link is a digit in base 64, and two
+    1 -> 63 plus a side link 64 -> 2 gives the route grid a pad of 63, one
+    past the largest link position, so a link is a digit in base 64, and two
     converter-free 12-hop routes into node 13 that differ only in their
     first link: packed without a re-rank, a segment's first digits wrap
     out of the int64 and such segments would share a row.  The requests
@@ -593,9 +714,10 @@ def test_array_compile_at_its_edges_equals_the_stop_walk():
             b = int(rng.integers(a + 1, 64))
             path = RoutedPath(nodes=tuple(range(a, b + 1)), links=line.links[a - 1 : b - 1])
             requests.append((path, tuple(sorted({int(rng.integers(1, slot_count + 2)), 1}))))
-        plan = compile_plan(route_grid(requests, slot_count), archs, stats)
-        base = plan.pad + 1
-        assert base == 64 and base ** plan.hops.shape[1] > 2**63  # the packing must re-rank
+        grid = route_grid(requests, slot_count)
+        plan = compile_plan(grid, archs, stats)
+        base = grid.pad + 1
+        assert base == 64 and base ** len(plan.columns) > 2**63  # the packing must re-rank
         memo = plan.evaluate(link_state(phis))
         for path, sizes in requests:
             kinds_on = [archs.get(v, SIMPLE_NODE).kind for v in path.nodes[1:-1]]
@@ -615,11 +737,11 @@ def test_array_compile_at_its_edges_equals_the_stop_walk():
 
 
 def test_pad_below_the_link_count_reads_as_always_free():
-    """A plan's pad is one past the largest link position its routes
-    cross, so it can fall on a link of the graph: here the last link, a
-    weight-100 chord 1 -> 5 of a 5-node line that no shortest route
-    takes, holds free probability 0.3 in the link state.  The pad must
-    still read 1.0, so every pass equals the scalar stop walk with ==."""
+    """A route grid's pad is one past the largest link position its
+    routes cross, so it can fall on a link of the graph: here the last
+    link, a weight-100 chord 1 -> 5 of a 5-node line that no shortest
+    route takes, holds free probability 0.3 in the link state.  No pass
+    may read it, so every pass equals the scalar stop walk with ==."""
     g = load_topology({
         "slot_count": 8,
         "nodes": [1, 2, 3, 4, 5],
@@ -636,7 +758,7 @@ def test_pad_below_the_link_count_reads_as_always_free():
     phis[g.links[-1].id] = 0.3
     grid = route_grid(((r, d.slot_pmf) for d, r in zip(demands, routes)), g.slot_count)
     plan = compile_plan(grid, archs, stats)
-    assert plan.pad == len(g.links) - 1
+    assert grid.pad == len(g.links) - 1
     values = plan.evaluate(link_state(phis))
     route_of = {r.link_ids: r for r in routes}
     for (s, link_ids), i in plan.index.items():

@@ -36,11 +36,15 @@ class Shape:
 
 def test_counts_code_without_docstrings_comments_and_blank_lines(tmp_path, capsys):
     # import, def and the four lines of the return; class and the four
-    # lines of the list
+    # lines of the list; the bytes count the whole file
     path = tmp_path / "module.py"
     path.write_text(MODULE)
     assert loc.code_lines(MODULE.encode()) == 11
     assert loc.main([str(path), str(path)]) == 0
+    size = len(MODULE.encode())
     assert capsys.readouterr().out == (
-        f"      11 {path}\n      11 {path}\n      22 lines of code in total\n"
+        f"    code    bytes\n"
+        f"      11 {size:8d} {path}\n"
+        f"      11 {size:8d} {path}\n"
+        f"      22 {2 * size:8d} in total\n"
     )

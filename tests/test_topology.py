@@ -195,6 +195,20 @@ def test_demands_document_round_trips_a_multi_valued_pmf():
     assert loaded == demands
 
 
+def test_demands_document_keeps_a_one_row_pmf_below_one():
+    # a one-row pmf is written as a bare slot count only when its
+    # probability is exactly 1.0; within the 1e-12 tolerance of 1 it is
+    # written as its row, and reads back with the same mean slot count
+    g = sixnode()
+    for p in (1 - 1e-13, 1 + 1e-13, 1.0):
+        demands = [DemandSpec(1, 2, 1.0, 1.0, {2: p})]
+        document = demands_document(g, demands)
+        assert isinstance(json.loads(document)[0]["slots"], int) == (p == 1.0)
+        (loaded,) = load_demands(document, g)
+        assert loaded.slot_pmf == {2: p}
+        assert loaded.mean_slots == demands[0].mean_slots
+
+
 @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
 def test_rejects_non_finite_link_weight(weight):
     # json parses NaN and Infinity; neither compares <= 0

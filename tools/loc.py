@@ -1,10 +1,11 @@
-"""Lines of code per Python module, and their total.
+"""Lines of code and source bytes per Python module, and their totals.
 
     python tools/loc.py src/eonspectra/*.py
 
 prints, for each file named, the number of lines that hold code, without
-docstrings, comments and blank lines, then the total over all files.  A
-statement that spans several lines counts every line it spans.
+docstrings, comments and blank lines, and the size of the file in bytes,
+then the totals over all files.  A statement that spans several lines
+counts every line it spans.
 """
 
 from __future__ import annotations
@@ -38,13 +39,16 @@ def code_lines(source: bytes) -> int:
 
 
 def main(argv=None) -> int:
-    total = 0
+    print(f"{'code':>8} {'bytes':>8}")
+    total = size = 0
     for name in sys.argv[1:] if argv is None else argv:
         with open(name, "rb") as f:
-            count = code_lines(f.read())
+            source = f.read()
+        count = code_lines(source)
         total += count
-        print(f"{count:8d} {name}")
-    print(f"{total:8d} lines of code in total")
+        size += len(source)
+        print(f"{count:8d} {len(source):8d} {name}")
+    print(f"{total:8d} {size:8d} in total")
     return 0
 
 
