@@ -27,15 +27,16 @@ links' free probabilities, link i at position i - 1 of ``graph.links``.
 Every forward pass a solve needs, one per route and slot count, is
 compiled once into the index arrays of a ``SolvePlan``, in two halves,
 both naming each link by that position.  ``route_grid`` compiles what the
-routes alone fix: the passes, and the distinct routes as one grid of
-their links' positions, padded with ``pad``, one past the largest
-position they cross.  ``compile_plan`` compiles the rest once per
-architecture map with array operations: each link's stop code (-1 when
-the node it leaves does not convert, 0 for a full node, else its bank's
-index), each route's stops (its converting interior nodes, then the
-destination as a full stop) and each stop's openings, where the segments
-closing there start: the last full stop before it (or the source), then
-the shared stops since.  Each (stop, opening) cell's segment is packed
+routes alone fix: the passes, the distinct routes as one grid of their
+links' positions, padded with ``pad``, one past the largest position they
+cross, and the node each link at an interior hop leaves.
+``compile_plan`` compiles the rest once per architecture map with array
+operations: each link's stop code, read off the node it leaves (-1 when
+that node does not convert, 0 for a full node, else its bank's index),
+each route's stops (its converting interior nodes, then the destination
+as a full stop) and each stop's openings, where the segments closing
+there start: the last full stop before it (or the source), then the
+shared stops since.  Each (stop, opening) cell's segment is packed
 into an int64, its length counted down from the longest first, then link
 by link in base ``pad + 1`` (re-ranked with ``np.unique`` whenever the
 next link could overflow), and ``np.unique`` of the codes numbers the
@@ -200,8 +201,8 @@ def crossing_stats(g: NetworkGraph, routes: list[RoutedPath]) -> CrossingStats:
         if route.demand is None:
             raise InputError(f"route {route.nodes} has no demand to weight its slots")
         weight = route.demand.mean_slots
-        for pos in range(1, route.hop_count):  # interior node positions
-            for bank in (("node", route.nodes[pos]), ("port", route.links[pos].id)):
+        for link in route.links[1:]:  # the links that leave interior nodes
+            for bank in (("node", link.tail), ("port", link.id)):
                 paths[bank] += 1
                 slots[bank] += weight
     shares: dict[Bank, tuple[tuple[int, float], ...]] = {}
@@ -487,8 +488,9 @@ class RouteGrid:
     with a slot count of at most ``slot_count``, once in request order;
     pass i is for ``sizes[i]`` slots on route ``pass_route[i]``.  A route
     whose every slot count exceeds ``slot_count`` has a row but no pass.
-    ``exits`` maps each node to the positions of the links that leave it
-    at an interior hop of a route, the only places where it can convert.
+    ``exits`` maps the position of each link at an interior hop of a route
+    to the node it leaves, in link order: a conversion point is read off
+    the link that leaves it, and these are the only ones a route can use.
     """
 
     slot_count: int
@@ -498,7 +500,7 @@ class RouteGrid:
     path: np.ndarray
     hops: np.ndarray
     pass_route: np.ndarray
-    exits: dict[int, list[int]]
+    exits: dict[int, int]
 
 
 def route_grid(requests, slot_count: int) -> RouteGrid:
@@ -527,17 +529,9 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
     path = np.full(on_route.shape, pad, dtype=np.intp)
     path[on_route] = links
 
-    # the node each interior link leaves, read off a (route, hop) where
-    # the link leaves an interior node
-    inside = path[:, 1:].ravel()
-    at = np.full(pad + 1, -1, dtype=np.intp)
-    at[inside] = np.arange(len(inside))
-    inner = np.flatnonzero(at[:pad] >= 0)
-    distinct = [route for _, route in route_of.values()]
-    exits: dict[int, list[int]] = {}
-    for c, a in zip(inner.tolist(), at[inner].tolist()):
-        r, h = divmod(a, path.shape[1] - 1)
-        exits.setdefault(distinct[r].nodes[h + 1], []).append(c)
+    # the node each link at an interior hop leaves, in link order
+    exits = {link.id - 1: link.tail for _, route in route_of.values() for link in route.links[1:]}
+    exits = dict(sorted(exits.items()))
 
     return RouteGrid(
         slot_count,
@@ -555,11 +549,12 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
     """Compile the stops of every forward pass of ``grid`` under
     ``archs``: the half of a plan that the architecture map fixes.
 
-    A converting node's stop is resolved once per exit link: 0 (always
-    free) at a full node, else the index of the bank that ``bank_key``
-    names.  Everything else is array operations over the route grid: the
-    stops, their openings, and the O(k^2) segments of a route with k
-    converters, numbered by their links packed into integers.  The table
+    Each exit link's stop is resolved from the architecture of the node
+    it leaves: 0 (always free) at a full node, else the index of the bank
+    that ``bank_key`` names, banks numbered in link order.  Everything
+    else is array operations over the route grid: the stops, their
+    openings, and the O(k^2) segments of a route with k converters,
+    numbered by their links packed into integers.  The table
     rows and banks are numbered otherwise than in a walk over the routes,
     but every pass keeps its stops, its openings in order and each
     segment's links in path order, and each row's success and each bank's
@@ -572,20 +567,20 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
     code = np.full(pad + 1, -1, dtype=np.intp)
     bank_index: dict[Bank, int] = {}
     banks: list[BankArgs] = []
-    for node, arch in archs.items():
+    for c, node in grid.exits.items():
+        arch = archs.get(node, SIMPLE_NODE)
         if not arch.converts:
             continue
-        for c in grid.exits.get(node, ()):
-            bank = bank_key(node, c + 1, arch)
-            if bank is None:
-                code[c] = 0
-                continue
-            index = bank_index.get(bank)
-            if index is None:
-                index = bank_index[bank] = len(banks) + 1
-                ports = tuple((j - 1, share) for j, share in stats.shares[bank])
-                banks.append((arch.n_sc, stats.paths[bank], stats.slots[bank], ports))
-            code[c] = index
+        bank = bank_key(node, c + 1, arch)
+        if bank is None:
+            code[c] = 0
+            continue
+        index = bank_index.get(bank)
+        if index is None:
+            index = bank_index[bank] = len(banks) + 1
+            ports = tuple((j - 1, share) for j, share in stats.shares[bank])
+            banks.append((arch.n_sc, stats.paths[bank], stats.slots[bank], ports))
+        code[c] = index
 
     depth, has, bank, width, stop_node = _stops(path, grid.hops, code)
 
@@ -670,15 +665,18 @@ def lightpath_blocking(
     ``memo`` is the solve's ``SolvePlan`` evaluated at ``phis`` and
     compiled from ``archs`` and ``stats``, with ``path`` and ``min_run``
     among its requests.  Without one, the call compiles a plan of ``path``
-    alone and reads the links it needs from ``phis``, a dict by link id.
+    alone and reads the links it needs from ``phis``: a dict by link id,
+    or an array by position in ``graph.links``, as a solve's link state.
     """
     if min_run > slot_count:
         return 1.0
     if memo is None:
         plan = compile_plan(route_grid([(path, (min_run,))], slot_count), archs, stats)
-        read = [j - 1 for j in path.link_ids] + [j for *_, ports in plan.banks for j, _ in ports]
-        link_state = np.zeros(max(read, default=-1) + 1)
-        link_state[read] = [phis[j + 1] for j in read]
+        link_state = phis
+        if isinstance(phis, dict):
+            read = [j - 1 for j in path.link_ids] + [j for *_, ports in plan.banks for j, _ in ports]
+            link_state = np.zeros(max(read, default=-1) + 1)
+            link_state[read] = [phis[j + 1] for j in read]
         memo = plan.evaluate(link_state)
     return memo.values[memo.index[min_run, path.link_ids]]
 

@@ -4,7 +4,7 @@ Requests arrive as merged Poisson streams, hold exponentially and ask for
 S contiguous slots on their precomputed shortest path.  Admission uses the
 fewest conversions that carry the request, on every route, with ties going
 to the earliest converters: first try a window that is free on the whole
-path; only when continuity fails, one scan over the usable converters
+path; only when continuity fails, one sweep from the destination back
 finds the fewest cut points, and each resulting segment is placed with
 Random Fit in path order.  Converter boxes are scarce: a shared bank
 grants one box per conversion and holds it for the whole connection.
@@ -21,7 +21,7 @@ nsf-sim benchmark's pass time on a 2-vCPU virtual machine).  The two
 functions stay the rule: the fewest-cuts search calls them, and a test
 checks ``admit``'s continuity pick against them.  Most of the rest are
 blocked because one link has no window of its own, which no segmentation
-can cure; that test also comes before the scan.  Either way the pick is a
+can cure; that test also comes before the sweep.  Either way the pick is a
 tuple of ``(start slot, link ids)`` segments and one of bank keys, and one
 accept path marks the slots, takes the boxes and stores the connection.
 Masks hold no bit at or above F, so no window start exceeds F - S and
@@ -116,12 +116,14 @@ class NetworkState:
     """Mutable spectrum and converter-bank state of one replication.
 
     ``occupied[link id]`` is that link's slot bitmask (entry 0 is unused).
-    ``converters`` maps the id of each link that leaves a converting node,
-    the conversion onto that link at its tail, to the ``bank_key`` of the
-    bank that grants it, the same bank the analytic engine counts, or None
-    for a full node, which has no finite bank; links that leave a node
-    without conversion have no entry.  ``connections`` maps each
-    connection id to its ``Connection``.
+    A conversion point is read off the link that leaves it: ``converters``
+    maps the id of each link whose tail converts, the conversion onto that
+    link, to the ``bank_key`` of the bank that grants it, the same bank
+    the analytic engine counts, or None for a full node, which has no
+    finite bank; a link whose tail does not convert has no entry.
+    ``bank_capacity`` and ``bank_in_use`` hold each finite bank's boxes
+    and the boxes taken.
+    ``connections`` maps each connection id to its ``Connection``.
     """
 
     def __init__(self, graph: NetworkGraph, archs: ArchitectureMap):
@@ -129,15 +131,12 @@ class NetworkState:
         self.occupied = [0] * (len(graph.links) + 1)
         self.converters: dict[int, Bank | None] = {}
         self.bank_capacity: dict[Bank, int] = {}
-        for node in graph.nodes:
-            arch = archs.get(node, SIMPLE_NODE)
-            if not arch.converts:
-                continue
-            for link in graph.out_links(node):
-                key = bank_key(node, link.id, arch)
+        for link in graph.links:
+            arch = archs.get(link.tail, SIMPLE_NODE)
+            if arch.converts:
+                key = self.converters[link.id] = bank_key(link.tail, link.id, arch)
                 if key is not None:
                     self.bank_capacity[key] = arch.n_sc
-                self.converters[link.id] = key
         self.bank_in_use = dict.fromkeys(self.bank_capacity, 0)
         self.connections: dict[int, Connection] = {}
         self.next_id = 1
@@ -261,7 +260,18 @@ def _fewest_cuts(state: NetworkState, route: RoutedPath, slots: int, rng):
     """The ``(segments, banks)`` of a request that continuity cannot carry,
     or None when no conversion can: the fewest usable cut points, earliest
     first, with each segment's ``(start slot, link ids)`` placed by Random
-    Fit in path order and the bank key of every cut whose bank is finite."""
+    Fit in path order and the bank key of every cut whose bank is finite.
+
+    One sweep from the destination back finds the cuts.  It extends each
+    segment towards the source link by link, checking each converter and
+    its bank's free boxes as it passes them, and starts the segment at the
+    earliest usable converter (or the source) from which all its links
+    share a window; the segment before it ends there.  Dropping a link
+    never closes a window, so for any set of cuts that carries the
+    request, its i-th cut from the destination is at or after the
+    sweep's.  So the sweep makes no more cuts than any such set, and its
+    cuts are each as early as those of any smallest set: its set is the
+    lexicographically first of the smallest ones."""
     converters = state.converters
     if not converters:
         return None
@@ -277,49 +287,33 @@ def _fewest_cuts(state: NetworkState, route: RoutedPath, slots: int, rng):
             return None
         free.append(mask)
 
-    # gather converters whose bank still has a free box
-    hops = len(link_ids)
+    # the sweep: link h (from 0) leaves path node h, which can cut when h > 0
     in_use, capacity = state.bank_in_use, state.bank_capacity
-    usable: dict[int, Bank | None] = {}  # path position -> bank key
-    for pos in range(2, hops + 1):
-        cut = link_ids[pos - 1]
-        if cut not in converters:
-            continue
-        key = converters[cut]
-        if key is None or in_use[key] < capacity[key]:
-            usable[pos] = key
-    if not usable:
-        return None
-
-    # fewest cuts: plan[a] = (cuts after a, next cut, window starts of the
-    # segment a..next cut) for every start a that can reach the destination.
-    # Latest start first, so each later start is solved before it is needed;
-    # ties keep the earliest cut, which makes the chosen set the
-    # lexicographically first of the smallest ones.
-    end = hops + 1
-    plan: dict[int, tuple[int, int, int]] = {}
-    for a in [*reversed(usable), 1]:
-        mask = full
-        for b in range(a + 1, end + 1):
-            mask &= free[b - 2]
-            starts = _window_starts(mask, slots)
-            if not starts:
-                break
-            if b == end:
-                plan[a] = (0, end, starts)
-            elif b in plan and (a not in plan or plan[b][0] + 1 < plan[a][0]):
-                plan[a] = (plan[b][0] + 1, b, starts)
-    if 1 not in plan:
-        return None
+    picked = []  # (first link, window starts, bank key, end) per segment, last first
+    end = h = len(link_ids)
+    mask, cut = full, None  # cut: the segment's earliest usable start so far
+    while h:
+        h -= 1
+        mask &= free[h]
+        starts = _window_starts(mask, slots)
+        if not starts:  # link h closes the window, so the segment starts at cut
+            if cut is None:
+                return None
+            picked.append((*cut, end))
+            end = h = cut[0]
+            mask, cut = full, None
+        elif not h:
+            picked.append((0, starts, None, end))
+        elif link_ids[h] in converters:
+            key = converters[link_ids[h]]
+            if key is None or in_use[key] < capacity[key]:
+                cut = (h, starts, key)
     segments = []
     banks = []
-    a = 1
-    while a != end:
-        _, b, starts = plan[a]
-        segments.append((_pick_start(starts, rng), link_ids[a - 1 : b - 1]))
-        if b != end and usable[b] is not None:
-            banks.append(usable[b])
-        a = b
+    for first, starts, key, end in reversed(picked):
+        segments.append((_pick_start(starts, rng), link_ids[first:end]))
+        if key is not None:
+            banks.append(key)
     return tuple(segments), tuple(banks)
 
 

@@ -21,6 +21,7 @@ from eonspectra.lightpath import (
     SHARE_PER_NODE,
     SIMPLE,
     NodeArchitecture,
+    bank_key,
     compile_plan,
     crossing_stats,
     lightpath_blocking,
@@ -487,6 +488,37 @@ def test_pinned_nsf_solves_are_unchanged_bit_for_bit(setting):
     assert tuple(result.demand_blockings[i].hex() for i in (0, 20, 181)) == blockings
     every = " ".join(b.hex() for b in result.demand_blockings)
     assert hashlib.sha256(every.encode()).hexdigest()[:16] == digest
+
+
+def test_solve_does_not_depend_on_bank_numbering():
+    """Banks are numbered by the exit links the routes cross at interior
+    hops, whatever the order of the architecture map: the same map in two
+    insertion orders gives equal solves, with one bank per distinct
+    ``bank_key`` of those exits whose tail converts."""
+    g = nsf14()
+    demands = nsf14_demands(g)
+    routes = route_all(g, demands)
+    cycle = [NodeArchitecture(FULL), NodeArchitecture(SHARE_PER_NODE, 1),
+             NodeArchitecture(SHARE_PER_LINK, 2), NodeArchitecture(SIMPLE)]
+    archs = {v: cycle[v % 4] for v in g.nodes}
+    backwards = dict(reversed(archs.items()))
+    assert list(backwards) != list(archs)
+    config = AnalysisConfig(seed=10, damping=0.5)
+    result = fixed_point(g, demands, archs, config, routes)
+    assert result.converged
+    assert fixed_point(g, demands, backwards, config, routes) == result
+
+    routing = compile_routing(g, demands, routes)
+    keys = {
+        bank_key(link.tail, link.id, archs[link.tail])
+        for route in routes
+        for link in route.links[1:]
+        if archs[link.tail].converts
+    }
+    assert {key and key[0] for key in keys} == {None, "node", "port"}  # every converting kind
+    for order in (archs, backwards):
+        plan = compile_plan(routing.grid, order, routing.stats)
+        assert len(plan.banks) == len(keys - {None})
 
 
 # ``multi_slot_nsf_demands`` under the "mixed" map, seed 10, damping 0.5,

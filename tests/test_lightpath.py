@@ -7,6 +7,7 @@ import pytest
 
 from eonspectra import lightpath
 from eonspectra.errors import ArchitectureError
+from eonspectra.fixtures import nsf14, nsf14_demands
 from eonspectra.lightpath import (
     FULL,
     SHARE_PER_LINK,
@@ -270,6 +271,25 @@ def test_single_call_reads_only_the_links_of_its_plan():
         sparse = {lid: phi for lid, phi in phis.items() if lid != missing}
         with pytest.raises(KeyError):
             lightpath_blocking(2, path, archs, sparse, stats, 4)
+
+
+@pytest.mark.parametrize("kind", [SIMPLE, SHARE_PER_NODE, FULL])
+def test_single_call_reads_an_array_by_position_as_a_dict_by_id(kind):
+    # without a memo, phis may be a dict by link id or the link-state array
+    # a solve evaluates, link id i at position i - 1: on an NSF route and on
+    # one over link 42, the last, both give the same blockings
+    g = nsf14()
+    routes = route_all(g, nsf14_demands(g))
+    stats = crossing_stats(g, routes)
+    archs = uniform_architectures(g, NodeArchitecture(kind, 1 if kind == SHARE_PER_NODE else None))
+    rng = np.random.default_rng(33)
+    phis = {link.id: float(x) for link, x in zip(g.links, rng.uniform(0.5, 1.0, len(g.links)))}
+    chosen = [r for r in routes if r.link_ids in ((9, 13, 19, 25, 27), (42, 24, 12))]
+    assert len(chosen) == 2
+    for route in chosen:
+        for s in (1, 2, 3):
+            by_id = lightpath_blocking(s, route, archs, phis, stats, g.slot_count)
+            assert lightpath_blocking(s, route, archs, link_state(phis), stats, g.slot_count) == by_id
 
 
 def test_blocking_request_larger_than_fiber():
