@@ -29,10 +29,11 @@ compiled once into the index arrays of a ``SolvePlan``, in two halves,
 both naming each link by that position.  ``route_grid`` compiles what the
 routes alone fix: the passes, the distinct routes as one grid of their
 links' positions, padded with ``pad``, one past the largest position they
-cross, and the node each link at an interior hop leaves.
+cross, and the links at interior hops, the exits.
 ``compile_plan`` compiles the rest once per architecture map with array
-operations: each link's stop code, read off the node it leaves (-1 when
-that node does not convert, 0 for a full node, else its bank's index),
+operations: each link's stop code, read off the ``conversion_points`` of
+the exits, the rule the simulator's state uses too (-1 when the node the
+link leaves does not convert, 0 for a full node, else its bank's index),
 each route's stops (its converting interior nodes, then the destination
 as a full stop) and each stop's openings, where the segments closing
 there start: the last full stop before it (or the source), then the
@@ -74,7 +75,7 @@ import numpy as np
 
 from .errors import ArchitectureError, InputError
 from .runprob import run_probability
-from .topology import NetworkGraph, RoutedPath, _integer, _parse_document
+from .topology import Link, NetworkGraph, RoutedPath, _integer, _parse_document
 
 SIMPLE = "simple"
 FULL = "full"
@@ -166,6 +167,27 @@ def bank_key(node: int, exit_link_id: int, arch: NodeArchitecture) -> Bank | Non
     if arch.kind == FULL:
         return None
     raise ArchitectureError(f"node {node} has no converter")
+
+
+def conversion_points(
+    links, archs: ArchitectureMap
+) -> tuple[dict[int, Bank | None], dict[Bank, int]]:
+    """The conversion points of ``links`` under ``archs``, each read off the
+    link that leaves it: a conversion onto a link draws from the bank that
+    ``bank_key`` names at the link's tail.
+
+    Returns ``{link id: bank key, or None for a full node}`` for each link
+    whose tail converts, in ``links`` order, and ``{bank: n_sc}`` for the
+    banks those name, in order of first use."""
+    points: dict[int, Bank | None] = {}
+    capacity: dict[Bank, int] = {}
+    for link in links:
+        arch = archs.get(link.tail, SIMPLE_NODE)
+        if arch.converts:
+            key = points[link.id] = bank_key(link.tail, link.id, arch)
+            if key is not None:
+                capacity[key] = arch.n_sc
+    return points, capacity
 
 
 @dataclass
@@ -488,9 +510,9 @@ class RouteGrid:
     with a slot count of at most ``slot_count``, once in request order;
     pass i is for ``sizes[i]`` slots on route ``pass_route[i]``.  A route
     whose every slot count exceeds ``slot_count`` has a row but no pass.
-    ``exits`` maps the position of each link at an interior hop of a route
-    to the node it leaves, in link order: a conversion point is read off
-    the link that leaves it, and these are the only ones a route can use.
+    ``exits`` holds each ``Link`` at an interior hop of a route, once, in
+    link order: a conversion point is read off the link that leaves it,
+    and these are the only ones a route can use.
     """
 
     slot_count: int
@@ -500,7 +522,7 @@ class RouteGrid:
     path: np.ndarray
     hops: np.ndarray
     pass_route: np.ndarray
-    exits: dict[int, int]
+    exits: tuple[Link, ...]
 
 
 def route_grid(requests, slot_count: int) -> RouteGrid:
@@ -508,7 +530,8 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
     counts in ascending order) pairs: one pass per route and slot count up
     to ``slot_count``, each once however many requests share it.  Each
     request's link ids are hashed once to find its route's number, and
-    once per pass to key it."""
+    once per pass to key it.  The exits come from one scatter of grid
+    cells over the link positions, with no sort and no walk over the hops."""
     route_of: dict[tuple[int, ...], tuple[int, RoutedPath]] = {}  # link ids -> (number, route)
     index: dict[PassKey, int] = {}
     pass_route: list[int] = []
@@ -529,9 +552,14 @@ def route_grid(requests, slot_count: int) -> RouteGrid:
     path = np.full(on_route.shape, pad, dtype=np.intp)
     path[on_route] = links
 
-    # the node each link at an interior hop leaves, in link order
-    exits = {link.id - 1: link.tail for _, route in route_of.values() for link in route.links[1:]}
-    exits = dict(sorted(exits.items()))
+    # the links at interior hops, in link order: each position records the
+    # grid cell of one (route, hop) that crosses it, and every such cell
+    # names the same link
+    crossed = np.full(pad + 1, -1, dtype=np.intp)
+    crossed[path[:, 1:]] = np.arange(path.size).reshape(path.shape)[:, 1:]
+    cells = crossed[:pad][crossed[:pad] >= 0].tolist()
+    routes = list(route_of.values())  # (number, route) in number order
+    exits = tuple(routes[r][1].links[h] for r, h in (divmod(c, path.shape[1]) for c in cells))
 
     return RouteGrid(
         slot_count,
@@ -549,12 +577,12 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
     """Compile the stops of every forward pass of ``grid`` under
     ``archs``: the half of a plan that the architecture map fixes.
 
-    Each exit link's stop is resolved from the architecture of the node
-    it leaves: 0 (always free) at a full node, else the index of the bank
-    that ``bank_key`` names, banks numbered in link order.  Everything
-    else is array operations over the route grid: the stops, their
-    openings, and the O(k^2) segments of a route with k converters,
-    numbered by their links packed into integers.  The table
+    Each exit link's stop is read off the ``conversion_points`` of the
+    grid's exits: 0 (always free) at a full node, else the index of the
+    bank it names, banks numbered in order of first use, which is link
+    order.  Everything else is array operations over the route grid: the
+    stops, their openings, and the O(k^2) segments of a route with k
+    converters, numbered by their links packed into integers.  The table
     rows and banks are numbered otherwise than in a walk over the routes,
     but every pass keeps its stops, its openings in order and each
     segment's links in path order, and each row's success and each bank's
@@ -564,23 +592,15 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
 
     # each link's stop as the exit link of an interior node: -1 for none,
     # 0 for a full node, else its bank's availability index; -1 for the pad
+    points, capacity = conversion_points(grid.exits, archs)
+    number = {bank: index for index, bank in enumerate(capacity, 1)}
     code = np.full(pad + 1, -1, dtype=np.intp)
-    bank_index: dict[Bank, int] = {}
-    banks: list[BankArgs] = []
-    for c, node in grid.exits.items():
-        arch = archs.get(node, SIMPLE_NODE)
-        if not arch.converts:
-            continue
-        bank = bank_key(node, c + 1, arch)
-        if bank is None:
-            code[c] = 0
-            continue
-        index = bank_index.get(bank)
-        if index is None:
-            index = bank_index[bank] = len(banks) + 1
-            ports = tuple((j - 1, share) for j, share in stats.shares[bank])
-            banks.append((arch.n_sc, stats.paths[bank], stats.slots[bank], ports))
-        code[c] = index
+    for j, key in points.items():
+        code[j - 1] = number.get(key, 0)
+    banks = tuple(
+        (n_sc, stats.paths[b], stats.slots[b], tuple((j - 1, s) for j, s in stats.shares[b]))
+        for b, n_sc in capacity.items()
+    )
 
     depth, has, bank, width, stop_node = _stops(path, grid.hops, code)
 

@@ -64,14 +64,14 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, SimulatorFault
-from .lightpath import SIMPLE_NODE, ArchitectureMap, Bank, bank_key
+from .lightpath import ArchitectureMap, Bank, conversion_points
 from .topology import DemandSpec, NetworkGraph, RoutedPath, _integer, demand_routes
 
 _WINDOW = 4096  # expected arrivals per window of the merged arrival schedule
@@ -116,27 +116,18 @@ class NetworkState:
     """Mutable spectrum and converter-bank state of one replication.
 
     ``occupied[link id]`` is that link's slot bitmask (entry 0 is unused).
-    A conversion point is read off the link that leaves it: ``converters``
-    maps the id of each link whose tail converts, the conversion onto that
-    link, to the ``bank_key`` of the bank that grants it, the same bank
-    the analytic engine counts, or None for a full node, which has no
-    finite bank; a link whose tail does not convert has no entry.
-    ``bank_capacity`` and ``bank_in_use`` hold each finite bank's boxes
-    and the boxes taken.
+    ``converters`` and ``bank_capacity`` are the ``conversion_points`` of
+    the graph's links, the rule the analytic engine's plans use: the bank
+    key of each conversion onto a link whose tail converts (None for a
+    full node, which has no finite bank), and each finite bank's boxes.
+    ``bank_in_use`` holds the boxes taken.
     ``connections`` maps each connection id to its ``Connection``.
     """
 
     def __init__(self, graph: NetworkGraph, archs: ArchitectureMap):
         self.full_mask = (1 << graph.slot_count) - 1
         self.occupied = [0] * (len(graph.links) + 1)
-        self.converters: dict[int, Bank | None] = {}
-        self.bank_capacity: dict[Bank, int] = {}
-        for link in graph.links:
-            arch = archs.get(link.tail, SIMPLE_NODE)
-            if arch.converts:
-                key = self.converters[link.id] = bank_key(link.tail, link.id, arch)
-                if key is not None:
-                    self.bank_capacity[key] = arch.n_sc
+        self.converters, self.bank_capacity = conversion_points(graph.links, archs)
         self.bank_in_use = dict.fromkeys(self.bank_capacity, 0)
         self.connections: dict[int, Connection] = {}
         self.next_id = 1
@@ -343,19 +334,62 @@ def release(state: NetworkState, conn_id: int):
 
 @dataclass
 class SimResult:
-    demand_offered: list[int]
-    demand_blocked: list[int]
-    demand_blocking: list[float]
-    replication_blockings: list[float]
-    network_blocking_prob: float
-    ci95_half_width: float | None  # None below two replications
-    offered_total: int
-    blocked_total: int
-    fallback_admissions: int  # always 0: admission has no fallback path
+    """What a run counted: ``per_replication_offered[r][i]`` and
+    ``per_replication_blocked[r][i]`` are the requests of demand i that
+    replication r offered and blocked after ``warmup``, up to ``horizon``.
+
+    Every total, rate and interval is a property derived from those counts
+    when read.  A rate over no offers reads 0.0, and ``ci95_half_width``,
+    the half-width of the 95% t-interval of the replications' blockings,
+    reads None below two replications.
+    """
+
+    per_replication_offered: list[list[int]]
+    per_replication_blocked: list[list[int]]
     warmup: float
     horizon: float
-    per_replication_offered: list[list[int]] = field(default_factory=list)
-    per_replication_blocked: list[list[int]] = field(default_factory=list)
+    fallback_admissions: int = 0  # always 0: admission has no fallback path
+
+    @property
+    def demand_offered(self) -> list[int]:
+        return [sum(counts) for counts in zip(*self.per_replication_offered)]
+
+    @property
+    def demand_blocked(self) -> list[int]:
+        return [sum(counts) for counts in zip(*self.per_replication_blocked)]
+
+    @property
+    def demand_blocking(self) -> list[float]:
+        return [(b / o) if o else 0.0 for b, o in zip(self.demand_blocked, self.demand_offered)]
+
+    @property
+    def replication_blockings(self) -> list[float]:
+        return [
+            (sum(b) / total) if (total := sum(o)) else 0.0
+            for o, b in zip(self.per_replication_offered, self.per_replication_blocked)
+        ]
+
+    @property
+    def offered_total(self) -> int:
+        return sum(self.demand_offered)
+
+    @property
+    def blocked_total(self) -> int:
+        return sum(self.demand_blocked)
+
+    @property
+    def network_blocking_prob(self) -> float:
+        return (self.blocked_total / total) if (total := self.offered_total) else 0.0
+
+    @property
+    def ci95_half_width(self) -> float | None:
+        blockings = self.replication_blockings
+        if len(blockings) < 2:
+            return None
+        from scipy import stats as sps  # about 1 s to import: only where it is used
+
+        spread = float(np.std(blockings, ddof=1)) / math.sqrt(len(blockings))
+        return float(sps.t.ppf(0.975, len(blockings) - 1)) * spread
 
 
 def _request_blocks(demand: DemandSpec, rng):
@@ -529,56 +563,23 @@ def simulate(
     routes: list[RoutedPath] | None = None,
     trace=None,
 ) -> SimResult:
-    """Run ``config.replications`` independent replications and aggregate.
+    """Run ``config.replications`` independent replications and return
+    their counts; ``SimResult`` derives every total and rate from them.
 
     Replication r draws every stream from (seed, r), so results are
-    reproducible bit for bit.  ``ci95_half_width`` is the half-width of
-    the t-interval of the replications' blockings, or None when there is
-    one replication.  ``trace``, when given, is a callable
-    receiving one text line per event.
+    reproducible bit for bit.  ``trace``, when given, is a callable
+    receiving one text line per event; with more than one replication a
+    ``replication r`` line comes before replication r's events, since
+    each replication restarts time and connection ids.
     """
     config = config or SimConfig()
     routes = demand_routes(graph, demands, routes)
     warmup, horizon = resolve_windows(demands, config)
-    outcomes = [
-        _run_replication(graph, demands, routes, archs, config, warmup, horizon, trace, rep)
-        for rep in range(config.replications)
-    ]
-
-    per_offered = [o for o, _ in outcomes]
-    per_blocked = [b for _, b in outcomes]
-
-    demand_offered = [sum(o[i] for o in per_offered) for i in range(len(demands))]
-    demand_blocked = [sum(b[i] for b in per_blocked) for i in range(len(demands))]
-    demand_blocking = [
-        (b / o) if o else 0.0 for b, o in zip(demand_blocked, demand_offered)
-    ]
-    rep_blockings = []
-    for o, b in zip(per_offered, per_blocked):
-        total_o, total_b = sum(o), sum(b)
-        rep_blockings.append((total_b / total_o) if total_o else 0.0)
-    offered_total = sum(demand_offered)
-    blocked_total = sum(demand_blocked)
-    network = (blocked_total / offered_total) if offered_total else 0.0
-    if len(rep_blockings) > 1:
-        from scipy import stats as sps  # about 1 s to import: only where it is used
-
-        spread = float(np.std(rep_blockings, ddof=1)) / math.sqrt(len(rep_blockings))
-        half_width = float(sps.t.ppf(0.975, len(rep_blockings) - 1)) * spread
-    else:
-        half_width = None
-    return SimResult(
-        demand_offered=demand_offered,
-        demand_blocked=demand_blocked,
-        demand_blocking=demand_blocking,
-        replication_blockings=rep_blockings,
-        network_blocking_prob=network,
-        ci95_half_width=half_width,
-        offered_total=offered_total,
-        blocked_total=blocked_total,
-        fallback_admissions=0,
-        warmup=warmup,
-        horizon=horizon,
-        per_replication_offered=per_offered,
-        per_replication_blocked=per_blocked,
-    )
+    per_offered, per_blocked = [], []
+    for rep in range(config.replications):
+        if trace is not None and config.replications > 1:
+            trace(f"replication {rep}\n")
+        counts = _run_replication(graph, demands, routes, archs, config, warmup, horizon, trace, rep)
+        per_offered.append(counts[0])
+        per_blocked.append(counts[1])
+    return SimResult(per_offered, per_blocked, warmup, horizon)

@@ -7,7 +7,7 @@ import pytest
 
 from eonspectra import lightpath
 from eonspectra.errors import ArchitectureError
-from eonspectra.fixtures import nsf14, nsf14_demands
+from eonspectra.fixtures import generate_demands, nsf14, nsf14_demands
 from eonspectra.lightpath import (
     FULL,
     SHARE_PER_LINK,
@@ -20,6 +20,7 @@ from eonspectra.lightpath import (
     blocking_full_conversion,
     blocking_without_conversion,
     compile_plan,
+    conversion_points,
     crossing_stats,
     lightpath_blocking,
     load_architectures,
@@ -27,6 +28,7 @@ from eonspectra.lightpath import (
     share_per_link_availability,
     uniform_architectures,
 )
+from eonspectra.simulator import NetworkState
 from eonspectra.topology import DemandSpec, Link, NetworkGraph, RoutedPath, load_topology, route_all
 
 from oracles import (
@@ -784,6 +786,70 @@ def test_pad_below_the_link_count_reads_as_always_free():
     for (s, link_ids), i in plan.index.items():
         expected = stop_walk_blocking(s, route_of[link_ids], archs, phis, stats, g.slot_count)
         assert values.values[i] == expected
+
+
+def _walked_exits(routes):
+    """The links at interior hops of ``routes``, once each, in link order,
+    by a walk over every hop."""
+    return tuple(sorted({link.id: link for r in routes for link in r.links[1:]}.values(),
+                        key=lambda link: link.id))
+
+
+def _exit_case(case):
+    """(graph, routes) of one ``test_grid_exits_are_the_walked_interior_links`` case."""
+    if case.startswith("ring"):
+        g = chorded_ring(int(case[-1]))
+        return g, route_all(g, generate_demands(g, seed=3, slots_range=(1, 2)))
+    g = nsf14()
+    if case == "nsf":
+        return g, route_all(g, nsf14_demands(g))
+    if case == "one hop":
+        return g, route_all(g, [DemandSpec(e.tail, e.head, 1.0, 1.0, {1: 1.0}) for e in g.links])
+    assert case == "no requests"
+    return g, []
+
+
+@pytest.mark.parametrize("case", ["ring 1", "ring 2", "nsf", "one hop", "no requests"])
+def test_grid_exits_are_the_walked_interior_links(case):
+    g, routes = _exit_case(case)
+    # a route whose slot counts all exceed the fiber has no pass, but its
+    # interior links are exits all the same
+    sizes = [(g.slot_count + 1,) if k % 5 == 0 else (1,) for k in range(len(routes))]
+    grid = route_grid(zip(routes, sizes), g.slot_count)
+    assert grid.exits == _walked_exits(routes)
+    assert all(type(link) is Link for link in grid.exits)
+    assert (len(grid.exits) > 0) == (case not in ("one hop", "no requests"))
+
+
+@pytest.mark.parametrize("case", ["nsf mixed", "ring share_per_link:1"])
+def test_plan_banks_are_the_simulators_banks_in_link_order(case):
+    """``compile_plan`` and ``NetworkState`` read their conversion points
+    off one rule: each plan bank's n_sc and transit count are the
+    simulator's bank capacity and the crossing count of the bank keys met
+    over the interior exits, in link order."""
+    if case == "nsf mixed":
+        g = nsf14()
+        routes = route_all(g, nsf14_demands(g))
+        cycle = [NodeArchitecture(SHARE_PER_NODE, 1), NodeArchitecture(FULL),
+                 NodeArchitecture(SHARE_PER_LINK, 2), SIMPLE_NODE]
+        archs = {v: cycle[v % 4] for v in g.nodes}
+    else:
+        g = chorded_ring(4)
+        routes = route_all(g, generate_demands(g, seed=3, slots_range=(1, 2)))
+        archs = uniform_architectures(g, NodeArchitecture(SHARE_PER_LINK, 1))
+    stats = crossing_stats(g, routes)
+    grid = route_grid(((r, r.demand.slot_pmf) for r in routes), g.slot_count)
+    plan = compile_plan(grid, archs, stats)
+    state = NetworkState(g, archs)
+    assert (state.converters, state.bank_capacity) == conversion_points(g.links, archs)
+    met = [state.converters[link.id] for link in _walked_exits(routes) if link.id in state.converters]
+    keys = list(dict.fromkeys(key for key in met if key is not None))
+    assert len(keys) > 1
+    if case == "nsf mixed":  # a full, a node and a port conversion point all met
+        assert {key and key[0] for key in met} == {None, "node", "port"}
+    assert [(n_sc, paths) for n_sc, paths, _, _ in plan.banks] == [
+        (state.bank_capacity[key], stats.paths[key]) for key in keys
+    ]
 
 
 def test_blocking_is_a_probability_without_clamping():

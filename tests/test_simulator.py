@@ -26,10 +26,12 @@ from eonspectra.simulator import (
     _WINDOW,
     NetworkState,
     SimConfig,
+    SimResult,
     _arrival_windows,
     _BoundedDraws,
     _pick_start,
     _request_blocks,
+    _run_replication,
     _window_ends,
     _window_starts,
     admit,
@@ -449,6 +451,101 @@ def test_one_replication_reports_no_interval():
     spread = np.std(three.replication_blockings, ddof=1) / math.sqrt(3)
     assert three.ci95_half_width == pytest.approx(sps.t.ppf(0.975, 2) * spread, rel=1e-12)
     assert three.ci95_half_width > 0.0
+
+
+def _aggregate(per_offered, per_blocked):
+    """The totals, rates and interval ``simulate`` computed from the
+    per-replication counts while ``SimResult`` stored them as fields."""
+    demand_offered = [sum(o[i] for o in per_offered) for i in range(len(per_offered[0]))]
+    demand_blocked = [sum(b[i] for b in per_blocked) for i in range(len(per_blocked[0]))]
+    demand_blocking = [(b / o) if o else 0.0 for b, o in zip(demand_blocked, demand_offered)]
+    rep_blockings = []
+    for o, b in zip(per_offered, per_blocked):
+        total_o, total_b = sum(o), sum(b)
+        rep_blockings.append((total_b / total_o) if total_o else 0.0)
+    offered_total = sum(demand_offered)
+    blocked_total = sum(demand_blocked)
+    network = (blocked_total / offered_total) if offered_total else 0.0
+    if len(rep_blockings) > 1:
+        spread = float(np.std(rep_blockings, ddof=1)) / math.sqrt(len(rep_blockings))
+        half_width = float(sps.t.ppf(0.975, len(rep_blockings) - 1)) * spread
+    else:
+        half_width = None
+    return {
+        "demand_offered": demand_offered,
+        "demand_blocked": demand_blocked,
+        "demand_blocking": demand_blocking,
+        "replication_blockings": rep_blockings,
+        "network_blocking_prob": network,
+        "ci95_half_width": half_width,
+        "offered_total": offered_total,
+        "blocked_total": blocked_total,
+    }
+
+
+@pytest.mark.parametrize(
+    "offered, blocked",
+    [
+        # two replications of two demands, the second of which offers nothing
+        ([[7, 0], [9, 0]], [[3, 0], [1, 0]]),
+        # three of three, the last replication offering nothing at all
+        ([[5, 0, 11], [4, 0, 6], [0, 0, 0]], [[2, 0, 3], [0, 0, 5], [0, 0, 0]]),
+        # one replication measures no interval
+        ([[12, 0]], [[5, 0]]),
+    ],
+)
+def test_result_derives_its_totals_and_rates_from_the_counts(offered, blocked):
+    result = SimResult(offered, blocked, warmup=2.0, horizon=9.5)
+    expected = _aggregate(offered, blocked)
+    assert {name: getattr(result, name) for name in expected} == expected
+    assert (result.ci95_half_width is None) == (len(offered) == 1)
+    assert result.fallback_admissions == 0
+    assert vars(result) == {
+        "per_replication_offered": offered,
+        "per_replication_blocked": blocked,
+        "warmup": 2.0,
+        "horizon": 9.5,
+        "fallback_admissions": 0,
+    }
+
+
+def test_interval_imports_scipy_only_when_read_over_replications():
+    code = (
+        "import sys\n"
+        "from eonspectra.simulator import SimResult\n"
+        "one = SimResult([[3, 1]], [[1, 0]], 0.0, 1.0)\n"
+        "two = SimResult([[3, 1], [4, 2]], [[1, 0], [2, 1]], 0.0, 1.0)\n"
+        "print(one.ci95_half_width, two.network_blocking_prob, 'scipy' in sys.modules)\n"
+        "print(two.ci95_half_width > 0, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(eonspectra.__file__).parents[1])  # the package under test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.split("\n")[:2] == ["None 0.4 False", "True True"]
+
+
+def test_trace_of_several_replications_marks_each_replication():
+    # each replication restarts time and connection ids, so without a mark
+    # the second replication's events read as more events of the first
+    g = nsf14()
+    demands = nsf14_demands(g)
+    routes = route_all(g, demands)
+    config = SimConfig(seed=1, warmup=0.0, horizon=1.0, replications=2)
+    lines = []
+    simulate(g, demands, {}, config, trace=lines.append)
+    marks = [i for i, line in enumerate(lines) if line.startswith("replication")]
+    assert [lines[i] for i in marks] == ["replication 0\n", "replication 1\n"]
+    assert marks[0] == 0
+    for rep, events in enumerate((lines[1 : marks[1]], lines[marks[1] + 1 :])):
+        alone = []
+        _run_replication(g, demands, routes, {}, config, 0.0, 1.0, alone.append, rep)
+        assert events == alone
+        assert any(event.split()[-1] == "conn=1" or " conn=1 " in event for event in events)
+    # one replication: the trace is its events alone, with no mark
+    single = []
+    simulate(g, demands, {}, SimConfig(seed=1, warmup=0.0, horizon=1.0), trace=single.append)
+    assert single == lines[1 : marks[1]]
 
 
 def test_config_validation():
