@@ -50,7 +50,9 @@ columns of a grid with a row per stop and of one with a row per (stop,
 opening).  Each iteration ``SolvePlan.evaluate`` multiplies each hop
 column's free probabilities into the leading rows of the segment
 products, in path order, computes the success of every (slot count,
-table row) pair in one array call of ``run_probability`` and the
+table row) pair in one call of ``run_probability`` on the run lengths
+that ``compile_plan`` checked and compiled into a ``RunLengths`` table,
+so that the call does only the recurrence's arithmetic, and the
 availability of every bank, then runs the passes side by side, stop by
 stop: it forms the blocked mass avail * mass * failure and the closed
 mass mass * success of every (opening, pass) at once and adds each up one
@@ -74,7 +76,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ArchitectureError, InputError
-from .runprob import run_probability
+from .runprob import RunLengths, run_probability
 from .topology import Link, NetworkGraph, RoutedPath, _integer, _parse_document
 
 SIMPLE = "simple"
@@ -304,8 +306,10 @@ class SolvePlan:
     ``banks`` reads none), and ``closes`` holds, opening by opening, each
     active pass's index of the success of its segment from that opening,
     0 for an opening the pass lacks.  Success i is that of a request for
-    ``sizes[i]`` slots on table row ``segment[i]``, ordered by slot count
-    and then by row, so ``sizes`` is nondecreasing.
+    ``runs.sizes[i]`` slots on table row ``segment[i]``, ordered by slot
+    count and then by row, so the run lengths are nondecreasing; ``runs``
+    is the ``RunLengths`` table that ``compile_plan`` compiles from them
+    once, which every evaluation passes to ``run_probability``.
 
     The segment table is kept as its hop columns, rows longest first:
     ``columns[k]`` holds, for each row with more than k links, the
@@ -317,7 +321,7 @@ class SolvePlan:
     slot_count: int
     width: int
     columns: tuple[np.ndarray, ...]
-    sizes: np.ndarray
+    runs: RunLengths
     segment: np.ndarray
     banks: tuple[BankArgs, ...]
     index: dict[PassKey, int]
@@ -338,7 +342,7 @@ class SolvePlan:
         rho = link_state[self.columns[0]]
         for column in self.columns[1:]:
             rho[: len(column)] *= link_state[column]
-        success = run_probability(self.sizes, self.slot_count, rho[self.segment])[self.closes]
+        success = run_probability(self.runs, self.slot_count, rho[self.segment])[self.closes]
         failure = 1.0 - success
         avail, busy = 1.0, 0.0  # at every stop of a plan without banks
         if self.banks:
@@ -642,7 +646,7 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
         grid.slot_count,
         int(widest.max(initial=1)),
         columns,
-        slot_counts[size_of],
+        RunLengths(slot_counts[size_of], grid.slot_count),
         segment,
         tuple(banks),
         grid.index,

@@ -16,57 +16,109 @@ float (``np.float64``) out.
 
 ``S`` may also be an integer array shaped like ``rho``, nondecreasing, and
 element i is then P(S[i], F, rho[i]); slot counts above F read +0.0.  The
-lightpath engine evaluates all the run probabilities of one plan this way,
-in one call.  The same recurrence serves both forms, one row P(., f) per
-slot f, keeping only the last max(S) rows: the term j at slot f belongs to
-the elements with j <= S[i] <= f - j, which, the run lengths being sorted,
-are one slice, so it is added to that slice alone.  Each element thus gets
+same recurrence serves both forms, one row P(., f) per slot f, keeping
+only the last max(S) rows: the term j at slot f belongs to the elements
+with j <= S[i] <= f - j, which, the run lengths being sorted, are one
+slice, so it is added to that slice alone.  Each element thus gets
 exactly the float operations of its own scalar call, in the same order;
 an int ``S`` is the case where every slice covers the whole argument.
 The powers rho^(j-1) * (1 - rho) and rho^S are products taken factor by
 factor, as in the scalar call, rather than ``**``, so that scalars and
 arrays round alike.
 
-The range check costs one min and one max reduction when every value lies
-in (0, 1], which is every call the engine makes; only an argument with a
-zero, a value outside [0, 1] or a NaN takes the elementwise check, which
-rejects what lies beyond a 1e-12 tolerance and clamps the rest (turning
--0.0 into +0.0).  The tests check the recurrence against exhaustive
-enumeration of all 2^F slot masks, and bit for bit against the recurrence
-with every term and the elementwise check on every call; both live with
-their other oracles in ``tests/oracles.py``.
+What the recurrence derives from S and F alone, its terms with their
+slices, the bounds of the rho^S products and the elements no run fits,
+is compiled once into a ``RunLengths`` table, which checks S and F as it
+is built; ``S`` may be that table, and the three forms take one path.
+An int ``S`` reads a table cached per (S, F), an array ``S`` compiles one
+per call, and the lightpath engine compiles one per plan, so that each
+of its fixed-point iterations does only the arithmetic on ``rho``.
+
+``rho`` is checked on every call.  The range check costs one min and one
+max reduction when every value lies in (0, 1], which is every call the
+engine makes; only an argument with a zero, a value outside [0, 1] or a
+NaN takes the elementwise check, which rejects what lies beyond a 1e-12
+tolerance and clamps the rest (turning -0.0 into +0.0).  The tests check
+the recurrence against exhaustive enumeration of all 2^F slot masks, and
+bit for bit against the recurrence with every term and the elementwise
+check on every call; both live with their other oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 
 _RHO_TOL = 1e-12
 
 
-def _check_args(min_run: int | np.ndarray, slots: int, free_prob):
-    """Validate the arguments; returns ``free_prob`` as float64 values in
-    [0, 1], with no negative zero."""
-    runs = isinstance(min_run, np.ndarray)
-    if not runs:
-        if not isinstance(min_run, (int, np.integer)):
-            raise TypeError(f"run length must be an integer, got {min_run!r}")
-        if min_run < 1:
-            raise ValueError(f"run length must be >= 1, got {min_run}")
-    if slots < 0:
-        raise ValueError(f"slot count must be >= 0, got {slots}")
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+class RunLengths:
+    """Run lengths compiled for ``slots`` slots (see the module docstring).
+
+    ``sizes`` is an int, one run length for every element of any
+    free-slot probabilities, or a nondecreasing 1-d integer array of run
+    lengths >= 1, one per element of probabilities shaped ``shape``.
+    ``terms`` holds per slot f from the shortest run length on the
+    recurrence's terms (j, slice), the slice None for the whole argument,
+    and ``cut`` the index past which no run fits, or None."""
+
+    def __init__(self, sizes: int | np.ndarray, slots: int):
+        if not _is_integer(slots):
+            raise TypeError(f"slot count must be an integer, got {slots!r}")
+        if slots < 0:
+            raise ValueError(f"slot count must be >= 0, got {slots}")
+        if isinstance(sizes, np.ndarray):
+            if sizes.dtype.kind not in "iu" or sizes.ndim != 1:
+                raise ValueError(
+                    f"run lengths must be a 1-d integer array, got {sizes.dtype} {sizes.shape}"
+                )
+            # a comparison, not np.diff, which wraps around on unsigned integers
+            if sizes.size and (sizes[0] < 1 or (sizes[1:] < sizes[:-1]).any()):
+                raise ValueError("run lengths must be >= 1 and nondecreasing")
+            count, self.shape = len(sizes), sizes.shape
+            shortest, longest = (int(sizes[0]), int(sizes[-1])) if count else (slots + 1, 0)
+            # ends[k]: how many elements need a run of at most k slots, so the
+            # elements with j <= S <= k are the slice ends[j - 1]:ends[k]
+            ends = sizes.searchsorted(np.arange(slots + 1), "right").tolist()
+        else:
+            if not _is_integer(sizes):
+                raise TypeError(f"run length must be an integer, got {sizes!r}")
+            if sizes < 1:
+                raise ValueError(f"run length must be >= 1, got {sizes}")
+            # one run length for every element: each bound is 0 or 1, so every
+            # slice covers the whole argument
+            count, self.shape, shortest, longest = 1, None, int(sizes), int(sizes)
+            ends = [0] * min(shortest, slots + 1) + [1] * (slots + 1 - shortest)
+        self.sizes, self.slots, self.longest = sizes, int(slots), longest
+        self.powers = min(longest, slots - shortest) - 1  # the weights past 1 - rho
+        self.tail_bounds = ends[1 : min(longest, slots)]  # rho^S's factor k from ends[k - 1]
+        whole = [(j, None) for j in range(longest + 1)]  # one per j, for every slot f
+        self.terms = []
+        for f in range(shortest, slots + 1):
+            terms = []
+            for j in range(1, min(longest, f - shortest) + 1):
+                lo, hi = ends[j - 1], ends[f - j]
+                if hi - lo == count:
+                    terms.append(whole[j])
+                elif lo < hi:
+                    terms.append((j, slice(lo, hi)))
+            self.terms.append(terms)
+        self.cut = ends[slots] if self.terms and ends[slots] < count else None
+
+
+_cached = lru_cache(maxsize=64, typed=True)(RunLengths)
+
+
+def _check_rho(free_prob):
+    """``free_prob`` as float64 values in [0, 1], with no negative zero."""
     rho = np.asarray(free_prob, dtype=float)
-    if runs:
-        if min_run.dtype.kind not in "iu" or min_run.ndim != 1 or min_run.shape != rho.shape:
-            raise ValueError(
-                f"run lengths must be a 1-d integer array shaped like the free-slot "
-                f"probabilities {rho.shape}, got {min_run.dtype} {min_run.shape}"
-            )
-        # a comparison, not np.diff, which wraps around on unsigned integers
-        if min_run.size and (min_run[0] < 1 or (min_run[1:] < min_run[:-1]).any()):
-            raise ValueError("run lengths must be >= 1 and nondecreasing")
     # NaN fails both comparisons and an empty array passes (the initial
     # values); the ufuncs' own reductions skip ndarray.min's Python wrapper
     if (
@@ -84,52 +136,46 @@ def _check_args(min_run: int | np.ndarray, slots: int, free_prob):
     return np.minimum(np.maximum(rho, 0.0), 1.0)
 
 
-def run_probability(min_run: int | np.ndarray, slots: int, free_prob):
+def run_probability(min_run: int | np.ndarray | RunLengths, slots: int, free_prob):
     """Probability of at least ``min_run`` consecutive free slots among
     ``slots`` slots, each free independently with ``free_prob`` (a float,
-    or an ndarray evaluated elementwise).  ``min_run`` is an int, or a
+    or an ndarray evaluated elementwise).  ``min_run`` is an int, a
     nondecreasing integer array shaped like ``free_prob`` that gives each
-    element its own run length."""
-    rho = _check_args(min_run, slots, free_prob)
-    if isinstance(min_run, np.ndarray):
-        count = len(min_run)
-        if not count or slots < min_run[0]:
-            return rho * 0.0  # +0.0 each
-        shortest, longest = int(min_run[0]), int(min_run[-1])
-        # ends[k]: how many elements need a run of at most k slots, so the
-        # elements with j <= S <= k are the slice ends[j - 1]:ends[k]
-        ends = min_run.searchsorted(np.arange(slots + 1), "right").tolist()
+    element its own run length, or either compiled into a ``RunLengths``
+    table for ``slots`` slots."""
+    if isinstance(min_run, RunLengths):
+        runs = min_run
     else:
-        if slots < min_run:
-            return rho * 0.0  # +0.0, and a np.float64 for a float in
-        # one run length for every element: each bound is 0 or 1, so every
-        # slice covers the whole argument
-        count, shortest, longest = 1, int(min_run), int(min_run)
-        ends = [0] * shortest + [1] * (slots + 1 - shortest)
+        runs = (_cached if _is_integer(min_run) else RunLengths)(min_run, slots)
+    rho = _check_rho(free_prob)
+    if runs.slots != slots:
+        raise ValueError(f"run lengths compiled for {runs.slots} slots, not {slots}")
+    if runs.shape is not None and runs.shape != rho.shape:
+        raise ValueError(f"run lengths must be shaped like free_prob {rho.shape}, got {runs.shape}")
+    if not runs.terms:
+        return rho * 0.0  # +0.0 each, and a np.float64 for a float in
     # rho^(j-1) * (1 - rho) for every j a term uses, and each element's rho^S
     weights = [1.0 - rho]
-    for _ in range(min(longest, slots - shortest) - 1):
+    for _ in range(runs.powers):
         weights.append(weights[-1] * rho)
     tail = rho
-    for k in range(2, min(longest, slots) + 1):
-        lo = ends[k - 1]  # the elements with S >= k take one more factor
+    for lo in runs.tail_bounds:  # the elements from lo on take one more factor
         tail = tail * rho if lo == 0 else np.concatenate((tail[:lo], tail[lo:] * rho[lo:]))
-    rows = deque(maxlen=longest)  # P(., f - longest), ..., P(., f - 1)
-    for f in range(shortest, slots + 1):
+    rows = deque(maxlen=runs.longest)  # P(., f - longest), ..., P(., f - 1)
+    for terms in runs.terms:
         # every term is nonnegative, so plain accumulation stays well below
         # the 1e-12 oracle tolerance (checked exhaustively in the tests)
         acc = tail
-        for j in range(1, min(longest, f - shortest) + 1):
-            lo, hi = ends[j - 1], ends[f - j]
-            if hi - lo == count:
+        for j, part in terms:
+            if part is None:
                 acc = acc + rows[-j] * weights[j - 1]
-            elif lo < hi:
+            else:
                 if acc is tail:
                     acc = tail.copy()
-                part = acc[lo:hi]
-                part += rows[-j][lo:hi] * weights[j - 1][lo:hi]
+                into = acc[part]
+                into += rows[-j][part] * weights[j - 1][part]
         rows.append(acc)
     result = np.minimum(acc, 1.0)
-    if ends[slots] < count:
-        result[ends[slots] :] = 0.0  # the elements whose run cannot fit
+    if runs.cut is not None:
+        result[runs.cut :] = 0.0  # the elements whose run cannot fit
     return result

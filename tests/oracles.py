@@ -20,7 +20,7 @@ import numpy as np
 
 from eonspectra.errors import SimulatorFault
 from eonspectra.lightpath import SIMPLE_NODE, bank_key, share_per_link_availability
-from eonspectra.runprob import _check_args, run_probability
+from eonspectra.runprob import run_probability
 from eonspectra.simulator import NetworkState, _BoundedDraws, admit, release
 from eonspectra.topology import DemandSpec, load_topology, route_all
 
@@ -216,7 +216,13 @@ def run_probability_bruteforce(min_run: int, slots: int, free_prob: float) -> fl
     count), then weighted by rho^free * (1-rho)^busy.  Arguments are
     checked and clamped as ``run_probability`` checks them.
     """
-    rho = _check_args(min_run, slots, free_prob)
+    if isinstance(min_run, bool) or not isinstance(min_run, (int, np.integer)):
+        raise TypeError(f"run length must be an integer, got {min_run!r}")
+    if min_run < 1 or slots < 0:
+        raise ValueError(f"need a run length >= 1 and a slot count >= 0, got {min_run}, {slots}")
+    if not -1e-12 <= free_prob <= 1.0 + 1e-12:  # NaN too
+        raise ValueError(f"free-slot probability {free_prob} outside [0, 1]")
+    rho = min(1.0, max(0.0, float(free_prob)))
     if slots > _BRUTEFORCE_MAX_SLOTS:
         raise ValueError(f"bruteforce enumeration limited to {_BRUTEFORCE_MAX_SLOTS} slots")
     if slots < min_run:
@@ -369,7 +375,7 @@ def opening_loop_values(plan, link_state) -> list[float]:
     rho = np.array([float(link_state[j]) for j in plan.columns[0]])
     for column in plan.columns[1:]:
         rho[: len(column)] *= [float(link_state[j]) for j in column]
-    success = run_probability(plan.sizes, plan.slot_count, rho[plan.segment])[plan.closes]
+    success = run_probability(plan.runs, plan.slot_count, rho[plan.segment])[plan.closes]
     failure = 1.0 - success
     availability = np.array(
         [1.0]

@@ -401,6 +401,41 @@ def test_fixed_point_iteration_needs_no_scalar_run_probability(monkeypatch):
     assert result.demand_blockings[1] > 0.5  # half of its requests never fit
 
 
+def test_a_solve_compiles_its_run_lengths_once(monkeypatch):
+    # compile_plan builds one run-length table, and every iteration's
+    # run_probability call receives that same table object
+    g = nsf14()
+    archs = {
+        2: NodeArchitecture(FULL),
+        4: NodeArchitecture(SHARE_PER_NODE, 1),
+        5: NodeArchitecture(SHARE_PER_LINK, 2),
+    }
+    plans, tables, received = [], [], []
+    compile_plan = eonspectra.analyzer.compile_plan
+    compile_runs = eonspectra.lightpath.RunLengths
+    run_probability = eonspectra.lightpath.run_probability
+
+    def compiling_plan(*args):
+        plans.append(compile_plan(*args))
+        return plans[-1]
+
+    def compiling_runs(*args):
+        tables.append(compile_runs(*args))
+        return tables[-1]
+
+    def receiving(min_run, slots, rho):
+        received.append(min_run)
+        return run_probability(min_run, slots, rho)
+
+    monkeypatch.setattr(eonspectra.analyzer, "compile_plan", compiling_plan)
+    monkeypatch.setattr(eonspectra.lightpath, "RunLengths", compiling_runs)
+    monkeypatch.setattr(eonspectra.lightpath, "run_probability", receiving)
+    result = fixed_point(g, nsf14_demands(g), archs, AnalysisConfig(epsilon=1e-6, seed=1, damping=0.5))
+    assert result.converged and result.iterations == 17
+    assert len(plans) == len(tables) == 1 and plans[0].runs is tables[0]
+    assert len(received) == 17 and all(runs is tables[0] for runs in received)
+
+
 def test_demands_on_one_route_each_read_their_own_passes():
     # three demands 1->4 through two shared banks: the plan holds each
     # (slot count, route) pass once, and a demand whose smallest slot count

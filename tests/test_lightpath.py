@@ -602,7 +602,7 @@ def _check_layout_and_lacking_reads(plan, route_of, archs, state, rng, monkeypat
     for cell, closed in zip(plan.closes.tolist(), cells):
         if closed is not None:
             s, links = closed
-            assert plan.sizes[cell] == s
+            assert plan.runs.sizes[cell] == s
             assert table.setdefault(int(plan.segment[cell]), links) == links
     rows = [[int(c[r]) for c in plan.columns if r < len(c)] for r in range(len(plan.columns[0]))]
     assert rows == [table[r] for r in range(len(rows))]
@@ -618,7 +618,7 @@ def _check_layout_and_lacking_reads(plan, route_of, archs, state, rng, monkeypat
     noise = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, lacking.sum())))
     rng.shuffle(noise)
     closes = plan.closes.copy()
-    closes[lacking] = len(plan.sizes) + np.arange(lacking.sum())
+    closes[lacking] = len(plan.runs.sizes) + np.arange(lacking.sum())
     copy = replace(plan, closes=closes)
     run_probability = lightpath.run_probability
     monkeypatch.setattr(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eonspectra.runprob import run_probability
+from eonspectra.runprob import RunLengths, run_probability
 
 from oracles import (
     run_probability_bruteforce,
@@ -43,6 +43,12 @@ def test_rejects_bad_arguments():
         run_probability(1, 3, 1.5)
     with pytest.raises(ValueError):
         run_probability(1, -1, 0.5)
+    # a slot count counts slots: a float or a bool is refused, in every form
+    for slots in (2.5, 3.0, np.float64(3.0), True, "3"):
+        with pytest.raises(TypeError, match="slot count must be an integer"):
+            run_probability(2, slots, 0.5)
+        with pytest.raises(TypeError, match="slot count must be an integer"):
+            run_probability(np.array([1, 2]), slots, np.array([0.5, 0.5]))
     # within tolerance of the boundary: clamped, not rejected
     assert run_probability(1, 1, 1.0 + 5e-13) == 1.0
 
@@ -184,6 +190,43 @@ def test_run_length_array_equals_per_slot_count_calls_bit_for_bit():
         assert _bits(got) == _bits(expected), (slots, sizes, rhos)
 
 
+def test_compiled_run_lengths_equal_every_other_form_bit_for_bit():
+    # a table compiled once gives the floats of the array it was compiled
+    # from and of the full recurrence; an int run length, through the
+    # cache or its own table, gives the same floats, a np.float64 for a
+    # float; exact 0.0 and 1.0 and values just outside [0, 1] take the
+    # clamp path, and a table serves only its slot count and shape
+    rng = np.random.default_rng(29)
+    edges = np.array([0.0, 1.0, 5e-324, 1e-300, -1e-13, 1.0 + 1e-13, 1.0 - 2**-53])
+    seen = {"empty": 0, "none fits": 0, "mixed": 0}
+    for case in range(600):
+        slots = case % 25
+        count = 0 if case % 7 == 0 else int(rng.integers(1, 40))
+        low = slots + 1 if case % 4 == 0 else 1
+        sizes = np.sort(rng.integers(low, slots + 4, count))
+        rhos = rng.random(count)
+        if count and case % 2:
+            picks = rng.integers(0, count, int(rng.integers(1, count + 1)))
+            rhos[picks] = rng.choice(edges, picks.size)
+        fits = int((sizes <= slots).sum())
+        seen["empty" if not count else "none fits" if not fits else "mixed"] += 1
+        table = RunLengths(sizes, slots)
+        got = run_probability(table, slots, rhos)
+        assert isinstance(got, np.ndarray) and got.shape == rhos.shape
+        assert _bits(got) == _bits(run_probability(sizes, slots, rhos)), (slots, sizes, rhos)
+        expected = [run_probability_recurrence(s, slots, r) for s, r in zip(sizes.tolist(), rhos)]
+        assert _bits(got) == _bits(expected), (slots, sizes, rhos)
+        for form in (lambda s: s, lambda s: RunLengths(s, slots)):
+            scalars = [run_probability(form(s), slots, float(r)) for s, r in zip(sizes.tolist(), rhos)]
+            assert all(type(value) is np.float64 for value in scalars)
+            assert _bits(scalars) == _bits(got), (slots, sizes, rhos)
+        with pytest.raises(ValueError, match="compiled for"):
+            run_probability(table, slots + 1, rhos)
+        with pytest.raises(ValueError, match="shaped like"):
+            run_probability(table, slots, np.append(rhos, 0.5))
+    assert min(seen.values()) > 50, seen
+
+
 @pytest.mark.parametrize(
     "sizes",
     [
@@ -202,8 +245,8 @@ def test_run_length_array_rejects_bad_arrays(sizes):
         run_probability(sizes, 8, np.array([0.5, 0.6, 0.7]))
 
 
-@pytest.mark.parametrize("min_run", [2.0, 2.5, np.float64(3.0), "2"])
+@pytest.mark.parametrize("min_run", [2.0, 2.5, np.float64(3.0), "2", True, np.bool_(True)])
 def test_scalar_run_length_must_be_an_integer(min_run):
-    # a run length counts slots: a float is refused, not rounded
+    # a run length counts slots: a float or a bool is refused, not rounded
     with pytest.raises(TypeError, match="run length must be an integer"):
         run_probability(min_run, 8, 0.5)
