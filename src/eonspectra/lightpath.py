@@ -309,7 +309,8 @@ class SolvePlan:
     ``runs.sizes[i]`` slots on table row ``segment[i]``, ordered by slot
     count and then by row, so the run lengths are nondecreasing; ``runs``
     is the ``RunLengths`` table that ``compile_plan`` compiles from them
-    once, which every evaluation passes to ``run_probability``.
+    once for ``runs.slots`` slots, the one slot count of the plan, which
+    every evaluation passes to ``run_probability``.
 
     The segment table is kept as its hop columns, rows longest first:
     ``columns[k]`` holds, for each row with more than k links, the
@@ -318,7 +319,6 @@ class SolvePlan:
     of the banks the stops name.
     """
 
-    slot_count: int
     width: int
     columns: tuple[np.ndarray, ...]
     runs: RunLengths
@@ -342,7 +342,7 @@ class SolvePlan:
         rho = link_state[self.columns[0]]
         for column in self.columns[1:]:
             rho[: len(column)] *= link_state[column]
-        success = run_probability(self.runs, self.slot_count, rho[self.segment])[self.closes]
+        success = run_probability(self.runs, self.runs.slots, rho[self.segment])[self.closes]
         failure = 1.0 - success
         avail, busy = 1.0, 0.0  # at every stop of a plan without banks
         if self.banks:
@@ -643,7 +643,6 @@ def compile_plan(grid: RouteGrid, archs: ArchitectureMap, stats: CrossingStats) 
     size_of, segment = np.nonzero(needed)
 
     return SolvePlan(
-        grid.slot_count,
         int(widest.max(initial=1)),
         columns,
         RunLengths(slot_counts[size_of], grid.slot_count),

@@ -14,25 +14,27 @@ for a float) and the recurrence runs elementwise on it, so an array call
 returns exactly the floats of the scalar calls, and a float in gives a
 float (``np.float64``) out.
 
-``S`` may also be an integer array shaped like ``rho``, nondecreasing, and
-element i is then P(S[i], F, rho[i]); slot counts above F read +0.0.  The
-same recurrence serves both forms, one row P(., f) per slot f, keeping
-only the last max(S) rows: the term j at slot f belongs to the elements
-with j <= S[i] <= f - j, which, the run lengths being sorted, are one
-slice, so it is added to that slice alone.  Each element thus gets
-exactly the float operations of its own scalar call, in the same order;
-an int ``S`` is the case where every slice covers the whole argument.
-The powers rho^(j-1) * (1 - rho) and rho^S are products taken factor by
-factor, as in the scalar call, rather than ``**``, so that scalars and
-arrays round alike.
-
 What the recurrence derives from S and F alone, its terms with their
 slices, the bounds of the rho^S products and the elements no run fits,
 is compiled once into a ``RunLengths`` table, which checks S and F as it
-is built; ``S`` may be that table, and the three forms take one path.
-An int ``S`` reads a table cached per (S, F), an array ``S`` compiles one
-per call, and the lightpath engine compiles one per plan, so that each
-of its fixed-point iterations does only the arithmetic on ``rho``.
+is built.  ``S`` is an int, which reads a table cached per (S, F), or a
+table, used as it is; both take one path.  A table may also hold an
+integer array of run lengths shaped like ``rho``, nondecreasing, and
+element i is then P(S[i], F, rho[i]); slot counts above F read +0.0.
+Every caller compiles its run lengths once: the cache for an int, the
+lightpath engine once per plan, so that each of its fixed-point
+iterations does only the arithmetic on ``rho``, and a test by calling
+``RunLengths(sizes, F)``.  Any other ``S``, an array among them, is
+refused with a ``TypeError`` before it reaches the cache.
+
+The recurrence keeps one row P(., f) per slot f, and only the last max(S)
+rows: the term j at slot f belongs to the elements with j <= S[i] <= f - j,
+which, the run lengths being sorted, are one slice, so it is added to
+that slice alone.  Each element thus gets exactly the float operations of
+its own scalar call, in the same order; an int ``S`` is the case where
+every slice covers the whole argument.  The powers rho^(j-1) * (1 - rho)
+and rho^S are products taken factor by factor, as in the scalar call,
+rather than ``**``, so that scalars and arrays round alike.
 
 ``rho`` is checked on every call.  The range check costs one min and one
 max reduction when every value lies in (0, 1], which is every call the
@@ -136,17 +138,15 @@ def _check_rho(free_prob):
     return np.minimum(np.maximum(rho, 0.0), 1.0)
 
 
-def run_probability(min_run: int | np.ndarray | RunLengths, slots: int, free_prob):
+def run_probability(min_run: int | RunLengths, slots: int, free_prob):
     """Probability of at least ``min_run`` consecutive free slots among
     ``slots`` slots, each free independently with ``free_prob`` (a float,
-    or an ndarray evaluated elementwise).  ``min_run`` is an int, a
-    nondecreasing integer array shaped like ``free_prob`` that gives each
-    element its own run length, or either compiled into a ``RunLengths``
-    table for ``slots`` slots."""
-    if isinstance(min_run, RunLengths):
-        runs = min_run
-    else:
-        runs = (_cached if _is_integer(min_run) else RunLengths)(min_run, slots)
+    or an ndarray evaluated elementwise).  ``min_run`` is an int, or a
+    ``RunLengths`` table compiled for ``slots`` slots, which may give each
+    element of ``free_prob`` its own run length."""
+    runs = _cached(min_run, slots) if _is_integer(min_run) else min_run
+    if not isinstance(runs, RunLengths):
+        raise TypeError(f"run length must be an integer or a RunLengths(sizes, slots), got {min_run!r}")
     rho = _check_rho(free_prob)
     if runs.slots != slots:
         raise ValueError(f"run lengths compiled for {runs.slots} slots, not {slots}")

@@ -1,10 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 Everything here recomputes quantities by a route the library does not
-take: exhaustive enumeration, closed teletraffic formulas, or direct Monte
-Carlo sampling of slot masks.  ``chorded_ring`` rebuilds the benchmark's
-28-node ring, so that tests can run on it without importing the benchmark,
-and ``route`` is the library's own route for one source-destination pair.
+take: exhaustive enumeration, closed teletraffic formulas, an exact Markov
+chain of one link, or direct Monte Carlo sampling of slot masks.
+``chorded_ring`` rebuilds the benchmark's 28-node ring, so that tests can
+run on it without importing the benchmark, and ``route`` is the library's
+own route for one source-destination pair.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from itertools import combinations, count, permutations, product
 from operator import and_
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.linalg import spsolve
 
 from eonspectra.errors import SimulatorFault
 from eonspectra.lightpath import SIMPLE_NODE, bank_key, share_per_link_availability
@@ -31,6 +34,78 @@ def erlang_b(servers: int, offered_load: float) -> float:
     for k in range(1, servers + 1):
         blocking = offered_load * blocking / (k + offered_load * blocking)
     return blocking
+
+
+def one_link_chain(slot_count: int, pmf: dict[int, float], rate: float, hold: float):
+    """One link of ``slot_count`` slots under the simulator's Random Fit,
+    solved exactly as a continuous-time Markov chain.
+
+    A state is the set of (start, size) blocks on the link, reachable from
+    the empty link.  Requests arrive at ``rate``, each for s slots with
+    probability ``pmf[s]``; one for s slots takes each of the n windows of
+    s free slots with probability 1/n, as ``simulator._pick_start`` does,
+    or is blocked when n = 0.  Each block departs at rate 1/``hold``.  The
+    stationary distribution solves pi Q = 0 with sum(pi) = 1.
+
+    Returns (blocking, free, window): ``blocking[s]`` the probability that
+    a request for s slots is blocked (arrivals see the stationary state),
+    ``free[k]`` the probability of k free slots, and ``window[s][k]`` the
+    probability of a window of s free slots given k free slots (NaN where
+    no state has k free slots).
+    """
+    full = (1 << slot_count) - 1
+    sizes = [s for s in sorted(pmf) if pmf[s] > 0]
+    states, busy, index = [()], [0], {(): 0}
+    rows, cols, rates = [], [], []
+
+    def move(i, blocks, mask, value):
+        j = index.setdefault(blocks, len(states))
+        if j == len(states):
+            states.append(blocks)
+            busy.append(mask)
+        rows.append(i)
+        cols.append(j)
+        rates.append(value)
+
+    for i, blocks in enumerate(states):  # grows while it is read: every reachable state
+        for s in sizes:
+            starts = _window_starts(full & ~busy[i], s)
+            windows = starts.bit_count()
+            while starts:
+                start = (starts & -starts).bit_length() - 1
+                starts &= starts - 1
+                move(i, tuple(sorted(blocks + ((start, s),))), busy[i] | ((1 << s) - 1) << start,
+                     rate * pmf[s] / windows)
+        for start, s in blocks:
+            move(i, tuple(b for b in blocks if b != (start, s)), busy[i] & ~(((1 << s) - 1) << start),
+                 1.0 / hold)
+    n = len(states)
+    generator = coo_array((rates, (rows, cols)), shape=(n, n)).tocsr()
+    generator -= coo_array((generator.sum(axis=1), (range(n), range(n))), shape=(n, n))
+    # the balance equations Q^T pi = 0 imply one another's sum, so the
+    # last one gives way to sum(pi) = 1
+    system = generator.T.tolil()
+    system[n - 1, :] = 1.0
+    pi = spsolve(system.tocsc(), np.eye(1, n, n - 1)[0])
+
+    free_masks = [full & ~mask for mask in busy]
+    free_counts = np.array([mask.bit_count() for mask in free_masks])
+    free = np.bincount(free_counts, weights=pi, minlength=slot_count + 1)
+    blocking, window = {}, {}
+    for s in sizes:
+        fits = np.array([_window_starts(mask, s) != 0 for mask in free_masks])
+        blocking[s] = float(pi[~fits].sum())
+        joint = np.bincount(free_counts, weights=np.where(fits, pi, 0.0), minlength=slot_count + 1)
+        window[s] = np.divide(joint, free, out=np.full(slot_count + 1, np.nan), where=free > 0)
+    return blocking, free, window
+
+
+def _window_starts(free: int, size: int) -> int:
+    """Bit i set when slots i, ..., i + size - 1 are all set in ``free``."""
+    starts = free
+    for shift in range(1, size):
+        starts &= free >> shift
+    return starts
 
 
 def enumerate_paths(links: dict[tuple[int, int], float], src: int, dst: int):
@@ -106,27 +181,75 @@ def mc_segmented_blocking(
     """Monte Carlo blocking for several converter layouts over one shared
     batch of per-link slot masks (i.i.d. Bernoulli per link).
 
-    The masks are drawn and reduced ``_MC_CHUNK`` samples at a time.  The
-    float32 draws of successive chunks are those of one call for every
-    sample, so the estimates do not depend on the chunk size.
+    The masks are drawn ``_MC_CHUNK`` samples at a time, packed by
+    ``pack_slots`` and reduced by ``segmented_carried``.  The float32 draws
+    of successive chunks are those of one call for every sample, so the
+    estimates do not depend on the chunk size.
     """
     free_probs = np.asarray(hop_free_probs, dtype=np.float64).astype(np.float32)
     hops = len(free_probs)
-    width = slot_count - min_run + 1
     carried = [0] * len(layouts)
     for start in range(0, samples, _MC_CHUNK):
         size = min(_MC_CHUNK, samples - start)
         masks = rng.random((size, hops, slot_count), dtype=np.float32) < free_probs[None, :, None]
-        for i, layout in enumerate(layouts):
-            ok = np.ones(size, dtype=bool)
-            for a, b in zip(layout, layout[1:]):
-                segment = masks[:, a - 1 : b - 1, :].all(axis=1)
-                windows = np.ones((size, width), dtype=bool)
-                for k in range(min_run):
-                    windows &= segment[:, k : k + width]
-                ok &= windows.any(axis=1)
-            carried[i] += int(np.count_nonzero(ok))
+        counts = segmented_carried(pack_slots(masks), min_run, layouts)
+        carried = [c + n for c, n in zip(carried, counts)]
     return [1.0 - count / samples for count in carried]
+
+
+def pack_slots(masks: np.ndarray) -> np.ndarray:
+    """Each (sample, hop) row of ``masks`` (sample, hop, slot booleans, at
+    most 64 slots) as one unsigned integer of 8, 16, 32 or 64 bits, slot i
+    at bit i.
+
+    The rows are padded with False to whole bytes, so packing the array
+    flat gives the bytes of packing each row along the slot axis, in a
+    fraction of the time numpy takes along an axis."""
+    size, hops, slot_count = masks.shape
+    bits = 8 << ((slot_count - 1) // 8).bit_length()
+    padded = np.zeros((size, hops, bits), dtype=bool)
+    padded[..., :slot_count] = masks
+    return np.packbits(padded, bitorder="little").view(f"<u{bits // 8}").reshape(size, hops)
+
+
+def segmented_carried(words: np.ndarray, min_run: int, layouts: list[tuple[int, ...]]) -> list[int]:
+    """``segmented_carried_by_booleans``'s counts from the masks packed by
+    ``pack_slots``: a segment's free slots are the AND of its hops' words,
+    and its window starts the AND of those shifted by 0, 1, ...,
+    ``min_run`` - 1 slots, which leaves no bit at or above F - S + 1."""
+    counts = []
+    for layout in layouts:
+        ok = np.ones(len(words), dtype=bool)
+        for a, b in zip(layout, layout[1:]):
+            free = np.bitwise_and.reduce(words[:, a - 1 : b - 1], axis=1)
+            starts = free.copy()
+            for shift in range(1, min_run):
+                starts &= free >> shift
+            ok &= starts != 0
+        counts.append(int(np.count_nonzero(ok)))
+    return counts
+
+
+def segmented_carried_by_booleans(
+    masks: np.ndarray, min_run: int, layouts: list[tuple[int, ...]]
+) -> list[int]:
+    """Per layout, how many samples of ``masks`` (sample, hop, slot; True
+    for a free slot) have, on every segment, some window of ``min_run``
+    slots free on all of its hops, reduced as boolean masks one window
+    offset at a time: the definition that ``segmented_carried`` packs."""
+    size, _, slot_count = masks.shape
+    width = slot_count - min_run + 1
+    counts = []
+    for layout in layouts:
+        ok = np.ones(size, dtype=bool)
+        for a, b in zip(layout, layout[1:]):
+            segment = masks[:, a - 1 : b - 1, :].all(axis=1)
+            windows = np.ones((size, width), dtype=bool)
+            for k in range(min_run):
+                windows &= segment[:, k : k + width]
+            ok &= windows.any(axis=1)
+        counts.append(int(np.count_nonzero(ok)))
+    return counts
 
 
 def longest_run(mask: int) -> int:
@@ -375,7 +498,7 @@ def opening_loop_values(plan, link_state) -> list[float]:
     rho = np.array([float(link_state[j]) for j in plan.columns[0]])
     for column in plan.columns[1:]:
         rho[: len(column)] *= [float(link_state[j]) for j in column]
-    success = run_probability(plan.runs, plan.slot_count, rho[plan.segment])[plan.closes]
+    success = run_probability(plan.runs, plan.runs.slots, rho[plan.segment])[plan.closes]
     failure = 1.0 - success
     availability = np.array(
         [1.0]

@@ -32,6 +32,7 @@ from oracles import (
     blocking_full_at,
     erlang_b,
     mc_segmented_blocking,
+    one_link_chain,
     run_probability_bruteforce,
 )
 
@@ -152,10 +153,12 @@ def test_c3_engine_collapses_to_closed_forms():
 C4_BATCHES = 100
 
 
-def _batch_counts(lines: list[str], warmup: float, horizon: float, batches: int):
+def _batch_counts(lines: list[str], warmup: float, horizon: float, batches: int, demand=None):
     """Offers and blocks of each of ``batches`` equal-time batches after
-    warm-up, read from the simulator's event trace."""
-    arrivals = [line.split() for line in lines if " arrival " in line]
+    warm-up, read from the simulator's event trace: of every demand, or of
+    demand number ``demand`` alone."""
+    tag = " arrival " if demand is None else f" arrival demand={demand} "
+    arrivals = [line.split() for line in lines if tag in line]
     times = np.array([float(fields[0]) for fields in arrivals])
     blocked = np.array([fields[-1] == "blocked" for fields in arrivals], dtype=bool)
     counted = times > warmup
@@ -165,6 +168,15 @@ def _batch_counts(lines: list[str], warmup: float, horizon: float, batches: int)
         np.bincount(batch, minlength=batches),
         np.bincount(batch[blocked[counted]], minlength=batches),
     )
+
+
+def _batch_means_z(offered: np.ndarray, blocked: np.ndarray, expected: float):
+    """The blocking that the batches count, and its distance from
+    ``expected`` in standard errors estimated from the batch means."""
+    estimate = int(blocked.sum()) / int(offered.sum())
+    residuals = blocked - estimate * offered
+    se = math.sqrt((residuals**2).sum() / (len(offered) * (len(offered) - 1))) / offered.mean()
+    return estimate, abs(estimate - expected) / se
 
 
 def test_c4_simulator_matches_erlang_b():
@@ -192,11 +204,8 @@ def test_c4_simulator_matches_erlang_b():
             result = simulate(graph, demands, {}, config, trace=lines.append)
             offered, blocked = _batch_counts(lines, result.warmup, result.horizon, C4_BATCHES)
             assert (offered.sum(), blocked.sum()) == (result.offered_total, result.blocked_total)
-            estimate = result.network_blocking_prob
-            residuals = blocked - estimate * offered
-            se = math.sqrt((residuals**2).sum() / (C4_BATCHES * (C4_BATCHES - 1))) / offered.mean()
             expected = erlang_b(slot_count, load)
-            z = abs(estimate - expected) / se
+            estimate, z = _batch_means_z(offered, blocked, expected)
             rows.append(f"F={slot_count} A={load}: sim={estimate:.5f} "
                         f"erlang={expected:.5f} z={z:.2f} n={result.offered_total}")
             if result.offered_total < 100_000 or z > 3.0:
@@ -205,6 +214,44 @@ def test_c4_simulator_matches_erlang_b():
     ok = not failures and elapsed < 120.0
     report(4, "loss-system oracle (Erlang-B)", ok,
            f"9 points in {elapsed:.1f}s; failures: {failures}")
+
+
+def test_c4b_simulator_matches_one_link_chain():
+    # Random Fit of multi-slot requests on one link of 8 slots against the
+    # exact chain of its blocks (oracles.one_link_chain), per slot count,
+    # by c4's batch means: S = 2 alone, and a pmf over S = 1, 2, 3 split
+    # into one demand per slot count, which leaves the arrivals a Poisson
+    # process of the same rate and pmf and gives each slot count its own
+    # counts.
+    from eonspectra.topology import load_topology
+
+    start = time.perf_counter()
+    graph = load_topology({
+        "name": "pair", "slot_count": 8, "nodes": [1, 2],
+        "edges": [{"a": 1, "b": 2, "weight": 1, "directed": True}],
+    })
+    rate = 2.0
+    rows = []
+    failures = []
+    for pmf in ({2: 1.0}, {1: 0.3, 2: 0.4, 3: 0.3}):
+        exact, _, _ = one_link_chain(8, pmf, rate, 1.0)
+        demands = [DemandSpec(1, 2, rate * p, 1.0, {s: 1.0}) for s, p in pmf.items()]
+        config = SimConfig(seed=42, warmup=50.0, horizon=50.0 + 200_000 / rate, replications=1)
+        lines = []
+        result = simulate(graph, demands, {}, config, trace=lines.append)
+        for i, s in enumerate(pmf):
+            offered, blocked = _batch_counts(lines, result.warmup, result.horizon, C4_BATCHES, i)
+            assert (offered.sum(), blocked.sum()) == (
+                result.demand_offered[i], result.demand_blocked[i])
+            estimate, z = _batch_means_z(offered, blocked, exact[s])
+            rows.append(f"pmf={pmf} S={s}: sim={estimate:.5f} chain={exact[s]:.5f} z={z:.2f} "
+                        f"n={result.demand_offered[i]}")
+            if result.demand_offered[i] < 40_000 or z > 3.0:
+                failures.append(rows[-1])
+    elapsed = time.perf_counter() - start
+    ok = not failures and elapsed < 60.0
+    report("4b", "one-link Random Fit chain", ok,
+           f"4 slot counts in {elapsed:.1f}s: {'; '.join(rows)}; failures: {failures}")
 
 
 # criterion 5 ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -41,7 +42,10 @@ from oracles import (
     link_state,
     mc_segmented_blocking,
     opening_loop_values,
+    pack_slots,
     segment_success_prob,
+    segmented_carried,
+    segmented_carried_by_booleans,
     stop_walk_blocking,
 )
 
@@ -918,6 +922,27 @@ def test_blocking_against_monte_carlo_masks():
         for a, m in zip(analytic, mc):
             se = max(math.sqrt(a * (1 - a) / samples), 1e-7)
             assert abs(a - m) <= 4 * se, (hops, slot_count, min_run)
+
+
+def test_packed_masks_carry_what_boolean_masks_carry():
+    # the Monte Carlo oracle's packed reduction counts exactly the samples
+    # of its boolean definition, at slot counts on and across the 8, 16,
+    # 32 and 64-bit words, run lengths from 1 to past F, and every layout
+    rng = np.random.default_rng(41)
+    for slot_count in (1, 2, 5, 8, 9, 16, 17, 31, 33, 64):
+        hops = int(rng.integers(1, 6))
+        masks = rng.random((300, hops, slot_count)) < rng.uniform(0.5, 0.98, (hops, 1))
+        words = pack_slots(masks)
+        assert words.shape == (300, hops)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(300, hops, -1)
+        assert (bits[..., :slot_count] == masks).all() and not bits[..., slot_count:].any()
+        layouts = [
+            (1,) + cuts + (hops + 1,) for k in range(hops) for cuts in combinations(range(2, hops + 1), k)
+        ]
+        for min_run in range(1, min(slot_count, 6) + 2):
+            got = segmented_carried(words, min_run, layouts)
+            assert got == segmented_carried_by_booleans(masks, min_run, layouts), (slot_count, min_run)
+            assert min_run <= slot_count or got == [0] * len(layouts)
 
 
 # --- architecture documents --------------------------------------------------

@@ -48,7 +48,7 @@ def test_rejects_bad_arguments():
         with pytest.raises(TypeError, match="slot count must be an integer"):
             run_probability(2, slots, 0.5)
         with pytest.raises(TypeError, match="slot count must be an integer"):
-            run_probability(np.array([1, 2]), slots, np.array([0.5, 0.5]))
+            RunLengths(np.array([1, 2]), slots)
     # within tolerance of the boundary: clamped, not rejected
     assert run_probability(1, 1, 1.0 + 5e-13) == 1.0
 
@@ -180,7 +180,7 @@ def test_run_length_array_equals_per_slot_count_calls_bit_for_bit():
         if count and case % 3:
             picks = rng.integers(0, count, int(rng.integers(1, count + 1)))
             rhos[picks] = rng.choice([0.0, 1.0], picks.size)
-        got = run_probability(sizes, slots, rhos)
+        got = run_probability(RunLengths(sizes, slots), slots, rhos)
         assert isinstance(got, np.ndarray) and got.shape == rhos.shape
         grouped = np.empty(count)
         for s in np.unique(sizes).tolist():
@@ -191,11 +191,12 @@ def test_run_length_array_equals_per_slot_count_calls_bit_for_bit():
 
 
 def test_compiled_run_lengths_equal_every_other_form_bit_for_bit():
-    # a table compiled once gives the floats of the array it was compiled
-    # from and of the full recurrence; an int run length, through the
-    # cache or its own table, gives the same floats, a np.float64 for a
-    # float; exact 0.0 and 1.0 and values just outside [0, 1] take the
-    # clamp path, and a table serves only its slot count and shape
+    # a table compiled once gives the floats of a fresh table compiled
+    # from the same array and of the full recurrence; an int run length,
+    # through the cache or its own table, gives the same floats, a
+    # np.float64 for a float; exact 0.0 and 1.0 and values just outside
+    # [0, 1] take the clamp path, and a table serves only its slot count
+    # and shape
     rng = np.random.default_rng(29)
     edges = np.array([0.0, 1.0, 5e-324, 1e-300, -1e-13, 1.0 + 1e-13, 1.0 - 2**-53])
     seen = {"empty": 0, "none fits": 0, "mixed": 0}
@@ -213,7 +214,8 @@ def test_compiled_run_lengths_equal_every_other_form_bit_for_bit():
         table = RunLengths(sizes, slots)
         got = run_probability(table, slots, rhos)
         assert isinstance(got, np.ndarray) and got.shape == rhos.shape
-        assert _bits(got) == _bits(run_probability(sizes, slots, rhos)), (slots, sizes, rhos)
+        fresh = run_probability(RunLengths(sizes, slots), slots, rhos)
+        assert _bits(got) == _bits(fresh), (slots, sizes, rhos)
         expected = [run_probability_recurrence(s, slots, r) for s, r in zip(sizes.tolist(), rhos)]
         assert _bits(got) == _bits(expected), (slots, sizes, rhos)
         for form in (lambda s: s, lambda s: RunLengths(s, slots)):
@@ -241,8 +243,13 @@ def test_compiled_run_lengths_equal_every_other_form_bit_for_bit():
     ],
 )
 def test_run_length_array_rejects_bad_arrays(sizes):
+    rho = np.array([0.5, 0.6, 0.7])
+    if sizes.shape == (2,):  # a valid table, refused by the call it does not fit
+        with pytest.raises(ValueError, match="run lengths must be shaped like"):
+            run_probability(RunLengths(sizes, 8), 8, rho)
+        return
     with pytest.raises(ValueError, match="run lengths must be"):
-        run_probability(sizes, 8, np.array([0.5, 0.6, 0.7]))
+        RunLengths(sizes, 8)
 
 
 @pytest.mark.parametrize("min_run", [2.0, 2.5, np.float64(3.0), "2", True, np.bool_(True)])
@@ -250,3 +257,11 @@ def test_scalar_run_length_must_be_an_integer(min_run):
     # a run length counts slots: a float or a bool is refused, not rounded
     with pytest.raises(TypeError, match="run length must be an integer"):
         run_probability(min_run, 8, 0.5)
+
+
+@pytest.mark.parametrize("min_run", [np.array([1, 2]), [1, 2], (1, 2)])
+def test_run_lengths_per_element_must_be_compiled(min_run):
+    # run lengths per element are compiled once by their caller, never per
+    # call, and the refusal names the compile rather than the cache's hash
+    with pytest.raises(TypeError, match=r"RunLengths\(sizes, slots\)"):
+        run_probability(min_run, 8, np.array([0.5, 0.6]))

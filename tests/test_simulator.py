@@ -45,6 +45,7 @@ from oracles import (
     cuts_by_subsets,
     erlang_b,
     heap_replication,
+    one_link_chain,
     pick_start_from_list,
     route,
     verify_conservation,
@@ -372,6 +373,19 @@ def test_single_link_matches_erlang_b():
     expected = erlang_b(2, 1.0)
     se = math.sqrt(expected * (1 - expected) / result.offered_total)
     assert abs(result.network_blocking_prob - expected) <= 3 * se
+
+
+def test_one_link_chain_at_one_slot_is_erlang_b():
+    # single-slot requests on one link make the chain an M/M/F/F system:
+    # Erlang-B blocking, a truncated Poisson number of busy slots, and a
+    # window whenever a slot is free
+    for slot_count in (1, 2, 5, 8):
+        for load in (0.5, 2.0, 6.0):
+            blocking, free, window = one_link_chain(slot_count, {1: 1.0}, load / 0.5, 0.5)
+            assert abs(blocking[1] - erlang_b(slot_count, load)) <= 1e-12
+            busy = np.array([load**m / math.factorial(m) for m in range(slot_count + 1)])
+            assert np.allclose(free[::-1], busy / busy.sum(), rtol=0.0, atol=1e-12)
+            assert window[1].tolist() == [0.0] + [1.0] * slot_count
 
 
 def test_determinism_same_seed_same_result():
